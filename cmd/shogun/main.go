@@ -52,7 +52,6 @@ func main() {
 		chromeT  = flag.String("trace-out", "", "write Chrome trace JSON (load in chrome://tracing or Perfetto)")
 		metricsF = flag.Bool("metrics", false, "print the hardware-counter report and verify conservation invariants")
 		verbose  = flag.Bool("v", false, "print extended statistics")
-		queue    = flag.String("queue", "", "event queue discipline: calendar (default) | heap (debug/differential fallback)")
 		deadline = flag.Int64("deadline", 0, "abort after this many simulated cycles (0 = none)")
 		maxEv    = flag.Int64("maxevents", 0, "abort after this many simulation events (0 = none)")
 		maxWall  = flag.Duration("maxwall", 0, "abort after this much wall-clock time (0 = none)")
@@ -71,7 +70,7 @@ func main() {
 	defer stop()
 	tf := telemetryFlags{sampleEvery: *sampleEv, timeseriesOut: *tsOut, httpAddr: *httpAddr}
 	cf := clusterFlags{chips: *chips, partition: *partMode, seed: *partSeed, steal: *steal}
-	if err := run(ctx, *dataset, *graphArg, *patName, *scheme, *queue, *pes, *width, *l1KB, *l2KB, *tokens, *bunches, *split, *merge, *verify, *verbose, *metricsF, *traceOut, *chromeT, *cfgPath, *dumpCfg, *deadline, *maxEv, *maxWall, tf, cf); err != nil {
+	if err := run(ctx, *dataset, *graphArg, *patName, *scheme, *pes, *width, *l1KB, *l2KB, *tokens, *bunches, *split, *merge, *verify, *verbose, *metricsF, *traceOut, *chromeT, *cfgPath, *dumpCfg, *deadline, *maxEv, *maxWall, tf, cf); err != nil {
 		fmt.Fprintln(os.Stderr, "shogun:", err)
 		var inv *sim.InvariantError
 		var dead *sim.DeadlockError
@@ -119,7 +118,7 @@ type clusterFlags struct {
 	steal     bool
 }
 
-func run(ctx context.Context, dataset, graphArg, patName, scheme, queue string, pes, width, l1KB, l2KB, tokens, bunches int, split, merge, verify, verbose, metricsF bool, traceOut, chromeOut, cfgPath string, dumpCfg bool, deadline, maxEvents int64, maxWall time.Duration, tf telemetryFlags, cf clusterFlags) error {
+func run(ctx context.Context, dataset, graphArg, patName, scheme string, pes, width, l1KB, l2KB, tokens, bunches int, split, merge, verify, verbose, metricsF bool, traceOut, chromeOut, cfgPath string, dumpCfg bool, deadline, maxEvents int64, maxWall time.Duration, tf telemetryFlags, cf clusterFlags) error {
 	if err := tf.validate(); err != nil {
 		return err
 	}
@@ -177,12 +176,6 @@ func run(ctx context.Context, dataset, graphArg, patName, scheme, queue string, 
 	}
 	cfg.EnableSplitting = split
 	cfg.EnableMerging = merge
-	if queue != "" {
-		if _, err := sim.ParseQueueKind(queue); err != nil {
-			return err
-		}
-		cfg.EventQueue = queue
-	}
 	if deadline > 0 {
 		cfg.Deadline = sim.Time(deadline)
 	}

@@ -39,7 +39,7 @@ func writeTestGraph(t *testing.T, dir string) string {
 // runArgs bundles run's long positional parameter list with defaults so
 // each case only states what it changes.
 type runArgs struct {
-	dataset, graphArg, pat, scheme, queue  string
+	dataset, graphArg, pat, scheme         string
 	pes, width, l1KB, l2KB, tok, bunch     int
 	split, merge, verify, verbose, metrics bool
 	traceOut, chromeOut, cfgPath           string
@@ -71,7 +71,7 @@ func quietRun(t *testing.T, a runArgs) error {
 	old := os.Stdout
 	os.Stdout = devnull
 	defer func() { os.Stdout = old }()
-	return run(context.Background(), a.dataset, a.graphArg, a.pat, a.scheme, a.queue,
+	return run(context.Background(), a.dataset, a.graphArg, a.pat, a.scheme,
 		a.pes, a.width, a.l1KB, a.l2KB, a.tok, a.bunch,
 		a.split, a.merge, a.verify, a.verbose, a.metrics,
 		a.traceOut, a.chromeOut, a.cfgPath, a.dumpCfg,
@@ -92,7 +92,6 @@ func TestRunFlagValidation(t *testing.T) {
 		{"unknown dataset", func(a *runArgs) { a.dataset = "nope" }},
 		{"missing graph file", func(a *runArgs) { a.graphArg = "/nonexistent/g.txt" }},
 		{"unknown pattern", func(a *runArgs) { a.dataset = "wi"; a.pat = "octagon" }},
-		{"bad queue kind", func(a *runArgs) { a.dataset = "wi"; a.queue = "fifo" }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -134,7 +133,6 @@ func TestRunSingleChip(t *testing.T) {
 	a.cfgPath = cfgPath
 	a.split, a.merge = true, true
 	a.tok, a.l2KB = 8, 256
-	a.queue = "calendar"
 	a.verbose, a.metrics = true, true
 	a.traceOut = filepath.Join(dir, "trace.jsonl")
 	a.chromeOut = filepath.Join(dir, "chrome.json")

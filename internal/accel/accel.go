@@ -97,12 +97,6 @@ type Config struct {
 	// SampleCap bounds retained sampler epochs (0 = telemetry default);
 	// on overflow the ring decimates 2× and the epoch spacing doubles.
 	SampleCap int
-	// EventQueue selects the engine's event-queue discipline: "calendar"
-	// (default), "heap" (the binary-heap fallback), or "" for the build
-	// default (overridable via SHOGUN_EVENT_QUEUE). Both disciplines
-	// produce bit-identical simulations; the knob exists for differential
-	// testing and as an escape hatch.
-	EventQueue string
 }
 
 // DefaultConfig mirrors Table 3 for the given scheme.
@@ -229,11 +223,7 @@ func NewShared(g *graph.Graph, s *pattern.Schedule, cfg Config, eng *sim.Engine,
 		cfg.NoC.Links = 2 * cfg.NumPEs
 	}
 	if eng == nil {
-		qkind, err := sim.ParseQueueKind(cfg.EventQueue)
-		if err != nil {
-			return nil, fmt.Errorf("accel: %w", err)
-		}
-		eng = sim.NewEngineQueue(qkind)
+		eng = sim.NewEngine()
 	}
 	a := &Accelerator{
 		cfg:  cfg,

@@ -1,8 +1,13 @@
 package accel
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"shogun/internal/gen"
@@ -74,5 +79,72 @@ func TestLoadConfigErrors(t *testing.T) {
 	os.WriteFile(bad, []byte("{nope"), 0o644)
 	if _, err := LoadConfig(bad); err == nil {
 		t.Error("malformed JSON accepted")
+	}
+}
+
+// TestLoadConfigRetiredQueueKnob pins backward compatibility for the
+// retired event-queue knob. The fixture is `shogun -dumpconfig -queue
+// heap -pes 4 -split -merge` output from before the engine had a single
+// queue: it carries one key Config no longer has, set to "heap". That
+// key must be ignored, leaving exactly the flag-built config, and the
+// run must match the default config's run.
+func TestLoadConfigRetiredQueueKnob(t *testing.T) {
+	path := filepath.Join("testdata", "config_eventqueue_heap.json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fixture, current map[string]any
+	if err := json.Unmarshal(raw, &fixture); err != nil {
+		t.Fatal(err)
+	}
+	cur, err := json.Marshal(DefaultConfig(SchemeShogun))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(cur, &current); err != nil {
+		t.Fatal(err)
+	}
+	var retired []string
+	for k, v := range fixture {
+		if _, ok := current[k]; !ok {
+			retired = append(retired, fmt.Sprintf("%s=%v", k, v))
+		}
+	}
+	if len(retired) != 1 || !strings.HasSuffix(retired[0], "=heap") {
+		t.Fatalf("fixture's retired keys = %v, want only the queue knob set to heap", retired)
+	}
+	loaded, err := LoadConfig(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := DefaultConfig(SchemeShogun)
+	want.NumPEs = 4
+	want.EnableSplitting, want.EnableMerging = true, true
+	if !reflect.DeepEqual(loaded, want) {
+		t.Fatalf("loaded config differs from the default:\n got %+v\nwant %+v", loaded, want)
+	}
+
+	g := gen.RMAT(256, 1500, 0.6, 0.15, 0.15, 42)
+	s, err := pattern.Build(pattern.FourClique())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blobs [2][]byte
+	for i, cfg := range []Config{loaded, want} {
+		a, err := New(g, s, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := a.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blobs[i], err = json.Marshal(res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(blobs[0], blobs[1]) {
+		t.Fatalf("old config ran differently:\nold:     %s\ndefault: %s", blobs[0], blobs[1])
 	}
 }

@@ -118,19 +118,19 @@ func TestForceSplitPreservesCount(t *testing.T) {
 	}
 	// Inject forced splits every 2000 cycles while work remains.
 	forced := 0
-	var tick func()
+	var tick sim.Func
 	tick = func() {
 		if a.ForceSplit() {
 			forced++
 		}
 		for _, p := range a.PEs() {
 			if !p.Idle() || p.HasWork() {
-				a.Engine().After(2000, tick)
+				a.Engine().PostAfter(2000, tick, 0, nil)
 				return
 			}
 		}
 	}
-	a.Engine().After(2000, tick)
+	a.Engine().PostAfter(2000, tick, 0, nil)
 	got, err := a.Run()
 	if err != nil {
 		t.Fatal(err)

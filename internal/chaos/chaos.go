@@ -90,7 +90,7 @@ func (in *Injector) Attach(a *accel.Accelerator) {
 		return false
 	}
 	if in.cfg.FlipPeriod > 0 {
-		var flip func()
+		var flip sim.Func
 		flip = func() {
 			if !anyBusy() {
 				return
@@ -99,12 +99,12 @@ func (in *Injector) Attach(a *accel.Accelerator) {
 			p := pes[in.rng.Intn(len(pes))]
 			p.ForceConservative(!p.Conservative())
 			in.Flips++
-			eng.After(in.cfg.FlipPeriod, flip)
+			eng.PostAfter(in.cfg.FlipPeriod, flip, 0, nil)
 		}
-		eng.After(in.cfg.FlipPeriod, flip)
+		eng.PostAfter(in.cfg.FlipPeriod, flip, 0, nil)
 	}
 	if in.cfg.SplitPeriod > 0 {
-		var split func()
+		var split sim.Func
 		split = func() {
 			if !anyBusy() {
 				return
@@ -112,9 +112,9 @@ func (in *Injector) Attach(a *accel.Accelerator) {
 			if a.ForceSplit() {
 				in.Splits++
 			}
-			eng.After(in.cfg.SplitPeriod, split)
+			eng.PostAfter(in.cfg.SplitPeriod, split, 0, nil)
 		}
-		eng.After(in.cfg.SplitPeriod, split)
+		eng.PostAfter(in.cfg.SplitPeriod, split, 0, nil)
 	}
 }
 
@@ -138,7 +138,7 @@ func (in *Injector) AttachCluster(c ClusterTarget, period sim.Time) {
 		return
 	}
 	eng := c.Engine()
-	var tick func()
+	var tick sim.Func
 	tick = func() {
 		if !c.Busy() {
 			return
@@ -146,7 +146,7 @@ func (in *Injector) AttachCluster(c ClusterTarget, period sim.Time) {
 		if c.ForceMigrate() {
 			in.Migrations++
 		}
-		eng.After(period, tick)
+		eng.PostAfter(period, tick, 0, nil)
 	}
-	eng.After(period, tick)
+	eng.PostAfter(period, tick, 0, nil)
 }

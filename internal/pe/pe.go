@@ -419,7 +419,7 @@ func (p *PE) execute(n *task.Node, slot int) {
 // so the phase accumulators stay an exact partition of slot residency.
 func (p *PE) stageDispatch(fl *inflight) {
 	now := p.Eng.Now()
-	if fl.spmNeed > 0 && !p.SPM.AcquireOrWaitActor(now, fl.spmNeed, p, peOpDispatch, fl) {
+	if fl.spmNeed > 0 && !p.SPM.AcquireOrWait(now, fl.spmNeed, p, peOpDispatch, fl) {
 		return // re-entered when SPM frees
 	}
 	prof := &fl.prof

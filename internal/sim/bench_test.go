@@ -17,9 +17,9 @@ func (a *benchActor) Act(int, any) {
 	}
 }
 
-func benchEngineThroughput(b *testing.B, kind QueueKind, delay Time) {
+func benchEngineThroughput(b *testing.B, delay Time) {
 	b.ReportAllocs()
-	e := NewEngineQueue(kind)
+	e := NewEngine()
 	a := &benchActor{e: e, delay: delay, remaining: b.N}
 	e.PostAfter(delay, a, 0, nil)
 	b.ResetTimer()
@@ -28,34 +28,12 @@ func benchEngineThroughput(b *testing.B, kind QueueKind, delay Time) {
 
 // BenchmarkEngineThroughput measures raw event-processing rate, the
 // simulator's fundamental cost unit (short-delay events: the ring path).
-func BenchmarkEngineThroughput(b *testing.B) { benchEngineThroughput(b, QueueCalendar, 1) }
-
-// BenchmarkEngineThroughputHeap is the same chain on the binary-heap
-// fallback engine.
-func BenchmarkEngineThroughputHeap(b *testing.B) { benchEngineThroughput(b, QueueHeap, 1) }
+func BenchmarkEngineThroughput(b *testing.B) { benchEngineThroughput(b, 1) }
 
 // BenchmarkEngineThroughputFar schedules every event beyond the calendar
 // window, forcing the overflow-heap path.
 func BenchmarkEngineThroughputFar(b *testing.B) {
-	benchEngineThroughput(b, QueueCalendar, calWindow+1)
-}
-
-// BenchmarkEngineThroughputClosure is the legacy closure-scheduling form
-// (one closure allocation per event) — the cost the actor form removes.
-func BenchmarkEngineThroughputClosure(b *testing.B) {
-	b.ReportAllocs()
-	e := NewEngine()
-	var fire func()
-	remaining := b.N
-	fire = func() {
-		if remaining > 0 {
-			remaining--
-			e.After(1, fire)
-		}
-	}
-	e.After(1, fire)
-	b.ResetTimer()
-	e.Run()
+	benchEngineThroughput(b, calWindow+1)
 }
 
 func BenchmarkPoolAcquire(b *testing.B) {

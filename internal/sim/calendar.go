@@ -27,9 +27,9 @@ import "math/bits"
 //     at ≥ base: nothing ever lands "behind" the window floor. (An
 //     earlier design bulk-moved overflow events into the ring by
 //     advancing base to the overflow minimum; that jumps base past
-//     the clock and lets a later legal push land behind it, which
-//     FuzzEventQueueEquivalence caught. Overflow events now pop from
-//     their heap one at a time instead — they are rare by design.)
+//     the clock and lets a later legal push land behind it, which the
+//     engine-order fuzzer caught. Overflow events now pop from their
+//     heap one at a time instead — they are rare by design.)
 //   - A bucket only ever holds events of a single timestamp: an event
 //     enters bucket t mod W only while t ∈ [base, base+W), and two
 //     times t, t+W can never satisfy that simultaneously because base
@@ -42,8 +42,9 @@ import "math/bits"
 //     same-time overflow event always has the smaller seq (it was
 //     pushed before the window could reach its timestamp).
 //
-// The result is bit-identical event order to the binary-heap engine,
-// which FuzzEventQueueEquivalence and the accel differential suite pin.
+// FuzzEventQueueEquivalence pins the result against a linear-scan
+// reference model of the (time, seq) order, and TestCalendarAgainstHeap
+// against a plain binary heap.
 type calendarQueue struct {
 	// buckets[i] chains the queued events with at ≡ i (mod calWindow),
 	// all of one single timestamp, in FIFO (= seq) order.
@@ -57,7 +58,7 @@ type calendarQueue struct {
 	winCount int
 	n        int
 	// over is the far-future overflow: a binary heap by (at, seq).
-	over []*event
+	over heapQueue
 
 	// cached is the memoized peek result (nil = unknown); cachedOver
 	// records whether it lives in the overflow heap or the ring.
@@ -71,8 +72,6 @@ type calendarQueue struct {
 const calWindow = 8192
 
 type calBucket struct{ head, tail *event }
-
-func newCalendarQueue() *calendarQueue { return &calendarQueue{} }
 
 func (q *calendarQueue) len() int { return q.n }
 
@@ -94,7 +93,7 @@ func (q *calendarQueue) push(ev *event) {
 		}
 		return
 	}
-	q.overPush(ev)
+	q.over.push(ev)
 	if q.cached != nil && ev.at < q.cached.at {
 		q.cached, q.cachedOver = ev, true
 	}
@@ -109,15 +108,13 @@ func (q *calendarQueue) peek() *event {
 	}
 	if q.winCount == 0 {
 		// Ring empty: the overflow head is the queue minimum.
-		q.cached, q.cachedOver = q.over[0], true
+		q.cached, q.cachedOver = q.over.peek(), true
 		return q.cached
 	}
 	ev := q.scanMin()
-	if len(q.over) > 0 {
-		if o := q.over[0]; o.before(ev) {
-			q.cached, q.cachedOver = o, true
-			return o
-		}
+	if o := q.over.peek(); o != nil && o.before(ev) {
+		q.cached, q.cachedOver = o, true
+		return o
 	}
 	q.cached, q.cachedOver = ev, false
 	return ev
@@ -129,7 +126,7 @@ func (q *calendarQueue) pop() *event {
 		return nil
 	}
 	if q.cachedOver {
-		q.overPop()
+		q.over.pop()
 	} else {
 		i := int(uint64(ev.at) & (calWindow - 1))
 		b := &q.buckets[i]
@@ -172,50 +169,4 @@ func (q *calendarQueue) scanMin() *event {
 		return q.buckets[w0<<6+bits.TrailingZeros64(w)].head
 	}
 	panic("sim: calendar ring empty despite winCount > 0")
-}
-
-// Overflow heap: a plain binary heap of *event by (at, seq).
-
-func (q *calendarQueue) overPush(ev *event) {
-	q.over = append(q.over, ev)
-	i := len(q.over) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !ev.before(q.over[parent]) {
-			break
-		}
-		q.over[i] = q.over[parent]
-		i = parent
-	}
-	q.over[i] = ev
-}
-
-func (q *calendarQueue) overPop() *event {
-	h := q.over
-	min := h[0]
-	last := h[len(h)-1]
-	h[len(h)-1] = nil // release the reference for the recycler
-	h = h[:len(h)-1]
-	q.over = h
-	if len(h) > 0 {
-		i := 0
-		for {
-			l, r := 2*i+1, 2*i+2
-			if l >= len(h) {
-				break
-			}
-			c := l
-			if r < len(h) && h[r].before(h[l]) {
-				c = r
-			}
-			if !h[c].before(last) {
-				break
-			}
-			h[i] = h[c]
-			i = c
-		}
-		h[i] = last
-	}
-	min.next = nil
-	return min
 }

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// drain pops every event, asserting (time, seq) total order, and returns
-// the pop sequence's seqs.
-func drain(t *testing.T, q eventQueue) []int64 {
+// drain pops every event, asserting (time, seq) total order and that
+// popped nodes are unlinked, and returns the pop sequence's seqs.
+func drain(t *testing.T, q *calendarQueue) []int64 {
 	t.Helper()
 	var out []int64
 	var prev *event
@@ -16,6 +16,9 @@ func drain(t *testing.T, q eventQueue) []int64 {
 		ev := q.pop()
 		if ev != pk {
 			t.Fatalf("peek %v != pop %v", pk, ev)
+		}
+		if ev.next != nil {
+			t.Fatalf("popped event (%d,%d) still linked", ev.at, ev.seq)
 		}
 		if prev != nil && !(prev.before(ev)) {
 			t.Fatalf("order violation: (%d,%d) before (%d,%d)", prev.at, prev.seq, ev.at, ev.seq)
@@ -33,7 +36,7 @@ func drain(t *testing.T, q eventQueue) []int64 {
 func mkEvent(at Time, seq int64) *event { return &event{at: at, seq: seq} }
 
 func TestCalendarSameCycleFIFO(t *testing.T) {
-	q := newCalendarQueue()
+	q := &calendarQueue{}
 	for i := int64(1); i <= 5; i++ {
 		q.push(mkEvent(7, i))
 	}
@@ -46,7 +49,7 @@ func TestCalendarSameCycleFIFO(t *testing.T) {
 }
 
 func TestCalendarFarFutureOverflow(t *testing.T) {
-	q := newCalendarQueue()
+	q := &calendarQueue{}
 	// Beyond the window: must land in, and pop from, the overflow heap.
 	q.push(mkEvent(calWindow*3+5, 1))
 	q.push(mkEvent(2, 2))
@@ -65,7 +68,7 @@ func TestCalendarFarFutureOverflow(t *testing.T) {
 // advances, the overflow minimum falls inside [base, base+W) while the
 // ring holds a later event — peek must compare both heads.
 func TestCalendarOverflowEntersWindow(t *testing.T) {
-	q := newCalendarQueue()
+	q := &calendarQueue{}
 	q.push(mkEvent(0, 1))
 	q.push(mkEvent(calWindow+2, 2)) // >= base+W at push time: overflow
 	q.push(mkEvent(10, 3))
@@ -78,8 +81,8 @@ func TestCalendarOverflowEntersWindow(t *testing.T) {
 	// base is now 10, window [10, calWindow+10): this push is
 	// ring-resident even though the overflow min (calWindow+2) is older.
 	q.push(mkEvent(calWindow+7, 4))
-	if q.winCount != 1 || len(q.over) != 1 {
-		t.Fatalf("placement: winCount=%d overflow=%d", q.winCount, len(q.over))
+	if q.winCount != 1 || len(q.over.h) != 1 {
+		t.Fatalf("placement: winCount=%d overflow=%d", q.winCount, len(q.over.h))
 	}
 	// Peek/pop must compare the ring head against the overflow head.
 	if ev := q.pop(); ev.at != calWindow+2 {
@@ -91,7 +94,7 @@ func TestCalendarOverflowEntersWindow(t *testing.T) {
 }
 
 func TestCalendarWindowWrap(t *testing.T) {
-	q := newCalendarQueue()
+	q := &calendarQueue{}
 	// Advance base deep into the ring so pushes wrap the bucket array.
 	q.push(mkEvent(calWindow-3, 1))
 	if q.pop().seq != 1 {
@@ -111,12 +114,13 @@ func TestCalendarWindowWrap(t *testing.T) {
 	}
 }
 
-// TestCalendarAgainstHeap drives both disciplines with an identical
+// TestCalendarAgainstHeap drives the calendar queue and a plain binary
+// heap (the type the calendar uses for its overflow) with an identical
 // randomized schedule/pop workload and requires identical pop sequences.
 func TestCalendarAgainstHeap(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		cal, hp := newCalendarQueue(), &heapQueue{}
+		cal, hp := &calendarQueue{}, &heapQueue{}
 		var now Time
 		var seq int64
 		for i := 0; i < 5000; i++ {
@@ -140,8 +144,8 @@ func TestCalendarAgainstHeap(t *testing.T) {
 				}
 				now = a.at
 			}
-			if cal.len() != hp.len() {
-				t.Fatalf("seed %d: len diverged %d vs %d", seed, cal.len(), hp.len())
+			if cal.len() != len(hp.h) {
+				t.Fatalf("seed %d: len diverged %d vs %d", seed, cal.len(), len(hp.h))
 			}
 		}
 		for cal.len() > 0 {
@@ -150,13 +154,13 @@ func TestCalendarAgainstHeap(t *testing.T) {
 				t.Fatalf("seed %d: drain diverged", seed)
 			}
 		}
-		if hp.len() != 0 {
+		if len(hp.h) != 0 {
 			t.Fatalf("seed %d: heap not drained", seed)
 		}
 	}
 }
 
-// TestEngineActorOrder checks closure and actor events interleave in
+// TestEngineActorOrder checks Func-adapted and actor events interleave in
 // scheduling order at the same timestamp.
 type orderRecorder struct {
 	got []int
@@ -165,26 +169,24 @@ type orderRecorder struct {
 func (r *orderRecorder) Act(op int, _ any) { r.got = append(r.got, op) }
 
 func TestEngineActorOrder(t *testing.T) {
-	for _, kind := range []QueueKind{QueueCalendar, QueueHeap} {
-		e := NewEngineQueue(kind)
-		r := &orderRecorder{}
-		e.Post(5, r, 1, nil)
-		e.At(5, func() { r.got = append(r.got, 2) })
-		e.Post(5, r, 3, nil)
-		e.Post(3, r, 0, nil)
-		e.Run()
-		want := []int{0, 1, 2, 3}
-		if len(r.got) != len(want) {
-			t.Fatalf("%v: got %v", kind, r.got)
+	e := NewEngine()
+	r := &orderRecorder{}
+	e.Post(5, r, 1, nil)
+	e.Post(5, Func(func() { r.got = append(r.got, 2) }), 0, nil)
+	e.Post(5, r, 3, nil)
+	e.Post(3, r, 0, nil)
+	e.Run()
+	want := []int{0, 1, 2, 3}
+	if len(r.got) != len(want) {
+		t.Fatalf("got %v", r.got)
+	}
+	for i := range want {
+		if r.got[i] != want[i] {
+			t.Fatalf("order %v, want %v", r.got, want)
 		}
-		for i := range want {
-			if r.got[i] != want[i] {
-				t.Fatalf("%v: order %v, want %v", kind, r.got, want)
-			}
-		}
-		if e.Now() != 5 || e.Processed != 4 || e.Pending() != 0 {
-			t.Fatalf("%v: end state now=%d processed=%d pending=%d", kind, e.Now(), e.Processed, e.Pending())
-		}
+	}
+	if e.Now() != 5 || e.Processed != 4 || e.Pending() != 0 {
+		t.Fatalf("end state now=%d processed=%d pending=%d", e.Now(), e.Processed, e.Pending())
 	}
 }
 
@@ -245,7 +247,7 @@ func TestPoolAcquireBatchEquivalence(t *testing.T) {
 // floor, because a later push at an earlier (still legal) time must
 // still pop first.
 func TestCalendarPeekThenEarlierPush(t *testing.T) {
-	q := newCalendarQueue()
+	q := &calendarQueue{}
 	q.push(mkEvent(calWindow+259, 1)) // overflow
 	if q.peek().at != calWindow+259 {
 		t.Fatal("peek should see the overflow head")

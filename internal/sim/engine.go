@@ -15,23 +15,16 @@
 // Events are intrusive, free-listed nodes owned by the engine: scheduling
 // allocates from an engine-local freelist (refilled in blocks) and every
 // executed event is recycled, so steady-state simulation schedules with
-// zero heap allocations. Two callback forms exist: the legacy func()
-// form (whose closure the *caller* allocates) and the non-capturing
-// Actor form — a receiver interface plus an integer op code and a
-// pointer-sized argument — which allocates nothing at the call site.
+// zero heap allocations. There is one callback form, the non-capturing
+// Actor — a receiver interface plus an integer op code and a
+// pointer-sized argument — which allocates nothing at the call site;
+// Func adapts a plain func() for the rare closure-shaped caller.
 //
-// Two queue disciplines implement the same deterministic total order,
-// (time, sequence): a hierarchical calendar queue (default; O(1) for the
-// short-delay events that dominate simulation) and a binary heap kept as
-// an escape hatch and differential-testing foil. See calendar.go for the
-// structure and the determinism argument.
+// One queue implements the deterministic total order (time, sequence):
+// a hierarchical calendar queue, O(1) for the short-delay events that
+// dominate simulation. See calendar.go for the structure and the
+// determinism argument.
 package sim
-
-import (
-	"fmt"
-	"os"
-	"sync"
-)
 
 // Time is a cycle count.
 type Time = int64
@@ -45,6 +38,14 @@ type Actor interface {
 	Act(op int, arg any)
 }
 
+// Func adapts a func() to Actor, ignoring op and arg. A func value is
+// pointer-shaped, so posting a prebuilt Func allocates nothing; only a
+// closure created per call costs an allocation (at the caller).
+type Func func()
+
+// Act implements Actor.
+func (f Func) Act(int, any) { f() }
+
 // event is one scheduled callback. Nodes are engine-owned and recycled
 // through a freelist; next links either a calendar-bucket FIFO chain or
 // the freelist.
@@ -53,8 +54,6 @@ type event struct {
 	seq  int64
 	next *event
 
-	// Exactly one callback form is set: fn, or act (+op/arg).
-	fn  func()
 	act Actor
 	op  int
 	arg any
@@ -65,64 +64,12 @@ func (e *event) before(o *event) bool {
 	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
 
-// eventQueue is the priority-queue contract shared by the calendar and
-// heap disciplines: pop/peek return the (at, seq)-minimal event.
-type eventQueue interface {
-	push(*event)
-	pop() *event  // nil when empty
-	peek() *event // nil when empty; must be O(1) amortized
-	len() int
-}
-
-// QueueKind selects the event-queue discipline.
-type QueueKind int
-
-const (
-	// QueueCalendar is the hierarchical calendar queue (default).
-	QueueCalendar QueueKind = iota
-	// QueueHeap is the binary-heap fallback.
-	QueueHeap
-)
-
-// String names the kind the way ParseQueueKind accepts it.
-func (k QueueKind) String() string {
-	if k == QueueHeap {
-		return "heap"
-	}
-	return "calendar"
-}
-
-// ParseQueueKind maps the -queue flag / Config.EventQueue spelling to a
-// QueueKind. The empty string selects the process default: calendar,
-// unless the SHOGUN_EVENT_QUEUE environment variable overrides it (the
-// hook CI uses to force every test through one discipline).
-func ParseQueueKind(s string) (QueueKind, error) {
-	switch s {
-	case "":
-		return defaultQueueKind(), nil
-	case "calendar":
-		return QueueCalendar, nil
-	case "heap":
-		return QueueHeap, nil
-	}
-	return QueueCalendar, fmt.Errorf("sim: unknown event queue %q (want heap or calendar)", s)
-}
-
-var defaultQueueKind = sync.OnceValue(func() QueueKind {
-	if os.Getenv("SHOGUN_EVENT_QUEUE") == "heap" {
-		return QueueHeap
-	}
-	return QueueCalendar
-})
-
 // Engine is a deterministic discrete-event simulator. Events scheduled
-// for the same time run in scheduling order, regardless of the queue
-// discipline in use.
+// for the same time run in scheduling order.
 type Engine struct {
-	q    eventQueue
-	kind QueueKind
-	now  Time
-	seq  int64
+	q   calendarQueue
+	now Time
+	seq int64
 	// Processed counts executed events (a cheap progress/cost metric).
 	Processed int64
 
@@ -132,24 +79,8 @@ type Engine struct {
 	block []event
 }
 
-// NewEngine returns an engine at time 0 using the default queue
-// discipline (calendar, unless SHOGUN_EVENT_QUEUE=heap).
-func NewEngine() *Engine { return NewEngineQueue(defaultQueueKind()) }
-
-// NewEngineQueue returns an engine at time 0 using the given queue
-// discipline.
-func NewEngineQueue(kind QueueKind) *Engine {
-	e := &Engine{kind: kind}
-	if kind == QueueHeap {
-		e.q = &heapQueue{}
-	} else {
-		e.q = newCalendarQueue()
-	}
-	return e
-}
-
-// Queue reports the engine's queue discipline.
-func (e *Engine) Queue() QueueKind { return e.kind }
+// NewEngine returns an engine at time 0.
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
@@ -175,30 +106,14 @@ func (e *Engine) alloc(t Time) *event {
 }
 
 func (e *Engine) recycle(ev *event) {
-	ev.fn = nil
 	ev.act = nil
 	ev.arg = nil
 	ev.next = e.free
 	e.free = ev
 }
 
-// At schedules fn to run at absolute time t. Scheduling in the past is a
-// modeling bug; it panics to surface the error immediately. Prefer Post
-// on hot paths: fn is almost always a closure the caller allocates.
-func (e *Engine) At(t Time, fn func()) {
-	if t < e.now {
-		panic("sim: event scheduled in the past")
-	}
-	ev := e.alloc(t)
-	ev.fn = fn
-	e.q.push(ev)
-}
-
-// After schedules fn to run d cycles from now.
-func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
-
-// Post schedules a.Act(op, arg) to run at absolute time t — the
-// allocation-free counterpart of At. Scheduling in the past panics.
+// Post schedules a.Act(op, arg) to run at absolute time t. Scheduling in
+// the past is a modeling bug; it panics to surface the error immediately.
 func (e *Engine) Post(t Time, a Actor, op int, arg any) {
 	if t < e.now {
 		panic("sim: event scheduled in the past")
@@ -226,13 +141,9 @@ func (e *Engine) Step() bool {
 	e.Processed++
 	// Copy the callback out and recycle before running: the handler may
 	// schedule new events, which then reuse the hot node immediately.
-	fn, act, op, arg := ev.fn, ev.act, ev.op, ev.arg
+	act, op, arg := ev.act, ev.op, ev.arg
 	e.recycle(ev)
-	if fn != nil {
-		fn()
-	} else {
-		act.Act(op, arg)
-	}
+	act.Act(op, arg)
 	return true
 }
 

@@ -11,14 +11,14 @@ import (
 // chain schedules a self-rescheduling event advancing one cycle per hop,
 // n hops total.
 func chain(e *Engine, n int) {
-	var hop func()
+	var hop Func
 	remaining := n
 	hop = func() {
 		if remaining--; remaining > 0 {
-			e.After(1, hop)
+			e.PostAfter(1, hop, 0, nil)
 		}
 	}
-	e.After(1, hop)
+	e.PostAfter(1, hop, 0, nil)
 }
 
 func TestRunGovernedDrains(t *testing.T) {
@@ -37,15 +37,15 @@ func TestRunGovernedCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	const poll = 64
 	fired := 0
-	var hop func()
+	var hop Func
 	hop = func() {
 		fired++
 		if fired == poll { // cancel mid-run, strictly before the next checkpoint
 			cancel()
 		}
-		e.After(1, hop)
+		e.PostAfter(1, hop, 0, nil)
 	}
-	e.After(1, hop)
+	e.PostAfter(1, hop, 0, nil)
 	err := e.RunGoverned(ctx, Budget{PollEvents: poll})
 	if !errors.Is(err, ErrCancelled) {
 		t.Fatalf("err = %v, want ErrCancelled", err)
@@ -58,7 +58,7 @@ func TestRunGovernedCancellation(t *testing.T) {
 
 func TestRunGovernedPreCancelled(t *testing.T) {
 	e := NewEngine()
-	e.After(1, func() { t.Fatal("event ran despite pre-cancelled context") })
+	e.PostAfter(1, Func(func() { t.Fatal("event ran despite pre-cancelled context") }), 0, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := e.RunGoverned(ctx, Budget{}); !errors.Is(err, ErrCancelled) {
@@ -113,12 +113,12 @@ func TestRunGovernedDeadline(t *testing.T) {
 
 func TestRunGovernedWallBudget(t *testing.T) {
 	e := NewEngine()
-	var hop func()
+	var hop Func
 	hop = func() {
 		time.Sleep(100 * time.Microsecond)
-		e.After(1, hop)
+		e.PostAfter(1, hop, 0, nil)
 	}
-	e.After(1, hop)
+	e.PostAfter(1, hop, 0, nil)
 	err := e.RunGoverned(context.Background(), Budget{MaxWall: 5 * time.Millisecond, PollEvents: 8})
 	if !errors.Is(err, ErrWallBudget) {
 		t.Fatalf("err = %v, want ErrWallBudget", err)
@@ -127,9 +127,9 @@ func TestRunGovernedWallBudget(t *testing.T) {
 
 func TestRunGovernedNoProgress(t *testing.T) {
 	e := NewEngine()
-	var spin func()
-	spin = func() { e.After(0, spin) } // zero-delay livelock
-	e.After(1, spin)
+	var spin Func
+	spin = func() { e.PostAfter(0, spin, 0, nil) } // zero-delay livelock
+	e.PostAfter(1, spin, 0, nil)
 	err := e.RunGoverned(context.Background(), Budget{MaxStall: 100})
 	if !errors.Is(err, ErrNoProgress) {
 		t.Fatalf("err = %v, want ErrNoProgress", err)
@@ -138,7 +138,7 @@ func TestRunGovernedNoProgress(t *testing.T) {
 
 func TestSnapshotAndBlocked(t *testing.T) {
 	e := NewEngine()
-	e.After(5, func() {})
+	e.PostAfter(5, Func(func() {}), 0, nil)
 	snap := e.Snapshot()
 	if snap.Now != 0 || snap.PendingEvents != 1 {
 		t.Fatalf("snapshot = %+v", snap)
@@ -147,7 +147,7 @@ func TestSnapshotAndBlocked(t *testing.T) {
 	if !s.TryAcquire(0, 2) {
 		t.Fatal("acquire failed")
 	}
-	s.AcquireOrWait(0, 1, func() {})
+	s.AcquireOrWait(0, 1, Func(func() {}), 0, nil)
 	snap.Resources = append(snap.Resources, s.Snap())
 	blocked := snap.Blocked()
 	if len(blocked) != 1 || blocked[0].Name != "slots" || blocked[0].Waiters != 1 {

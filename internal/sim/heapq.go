@@ -1,16 +1,12 @@
 package sim
 
-// heapQueue is the binary-heap event-queue fallback (-queue=heap): the
-// classic O(log n) discipline the calendar queue replaced as default.
-// It is kept for differential testing — both disciplines must produce
-// bit-identical event orders — and as an escape hatch for workloads
-// whose event horizon defeats the calendar ring. It shares the pooled
-// event nodes, so it too schedules without per-event allocation.
+// heapQueue is a plain binary heap of events by (at, seq): the calendar
+// queue's far-future overflow. Nodes enter straight from the engine's
+// allocator and the heap never links them, so a popped event always has
+// next == nil, as the freelist expects.
 type heapQueue struct {
 	h []*event
 }
-
-func (q *heapQueue) len() int { return len(q.h) }
 
 func (q *heapQueue) peek() *event {
 	if len(q.h) == 0 {

@@ -311,41 +311,21 @@ func (s *Semaphore) TryAcquire(now Time, n int) bool {
 	return true
 }
 
-// semWaiter is one queued wakeup: the legacy closure form or the
-// allocation-free actor form (see Engine.Post for the distinction).
+// semWaiter is one queued wakeup: a.Act(op, arg) re-attempts the
+// acquisition.
 type semWaiter struct {
-	fn  func()
 	act Actor
 	op  int
 	arg any
 }
 
-func (w *semWaiter) wake() {
-	if w.fn != nil {
-		w.fn()
-		return
-	}
-	w.act.Act(w.op, w.arg)
-}
-
-// AcquireOrWait acquires n units or registers fn to be called (once) when
-// any capacity is released. It reports whether the acquisition succeeded
-// immediately. Waiters are strictly FIFO: a new request queues behind
-// existing waiters even if capacity is currently available, modeling an
-// in-order allocation stage (a later small request must not starve an
-// earlier large one).
-func (s *Semaphore) AcquireOrWait(now Time, n int, fn func()) bool {
-	if len(s.waiters) == 0 && s.TryAcquire(now, n) {
-		return true
-	}
-	s.waiters = append(s.waiters, semWaiter{fn: fn})
-	return false
-}
-
-// AcquireOrWaitActor is AcquireOrWait with the non-capturing callback
-// form: on a release, a.Act(op, arg) re-attempts the acquisition. The
-// wait registration itself allocates nothing beyond the waiter slot.
-func (s *Semaphore) AcquireOrWaitActor(now Time, n int, a Actor, op int, arg any) bool {
+// AcquireOrWait acquires n units or registers a.Act(op, arg) to be
+// called (once) when any capacity is released. It reports whether the
+// acquisition succeeded immediately. Waiters are strictly FIFO: a new
+// request queues behind existing waiters even if capacity is currently
+// available, modeling an in-order allocation stage (a later small
+// request must not starve an earlier large one).
+func (s *Semaphore) AcquireOrWait(now Time, n int, a Actor, op int, arg any) bool {
 	if len(s.waiters) == 0 && s.TryAcquire(now, n) {
 		return true
 	}
@@ -366,8 +346,8 @@ func (s *Semaphore) Release(now Time, n int) {
 	if len(s.waiters) > 0 {
 		ws := s.waiters
 		s.waiters = nil
-		for i := range ws {
-			ws[i].wake()
+		for _, w := range ws {
+			w.act.Act(w.op, w.arg)
 		}
 	}
 }

@@ -9,10 +9,11 @@ import (
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.At(5, func() { got = append(got, 5) })
-	e.At(1, func() { got = append(got, 1) })
-	e.At(3, func() { got = append(got, 3) })
-	e.At(3, func() { got = append(got, 4) }) // same time: scheduling order
+	rec := func(v int) Func { return func() { got = append(got, v) } }
+	e.Post(5, rec(5), 0, nil)
+	e.Post(1, rec(1), 0, nil)
+	e.Post(3, rec(3), 0, nil)
+	e.Post(3, rec(4), 0, nil) // same time: scheduling order
 	e.Run()
 	want := []int{1, 3, 4, 5}
 	for i := range want {
@@ -31,14 +32,14 @@ func TestEngineOrdering(t *testing.T) {
 func TestEngineNestedScheduling(t *testing.T) {
 	e := NewEngine()
 	hits := 0
-	e.At(1, func() {
-		e.After(2, func() {
+	e.Post(1, Func(func() {
+		e.PostAfter(2, Func(func() {
 			hits++
 			if e.Now() != 3 {
 				t.Errorf("nested event at %d, want 3", e.Now())
 			}
-		})
-	})
+		}), 0, nil)
+	}), 0, nil)
 	e.Run()
 	if hits != 1 {
 		t.Fatal("nested event did not run")
@@ -47,14 +48,14 @@ func TestEngineNestedScheduling(t *testing.T) {
 
 func TestEnginePastPanics(t *testing.T) {
 	e := NewEngine()
-	e.At(10, func() {
+	e.Post(10, Func(func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(5, func() {})
-	})
+		e.Post(5, Func(func() {}), 0, nil)
+	}), 0, nil)
 	e.Run()
 }
 
@@ -63,7 +64,7 @@ func TestEngineRunUntil(t *testing.T) {
 	ran := map[int]bool{}
 	for _, at := range []Time{1, 2, 10} {
 		at := at
-		e.At(at, func() { ran[int(at)] = true })
+		e.Post(at, Func(func() { ran[int(at)] = true }), 0, nil)
 	}
 	if !e.RunUntil(5) {
 		t.Fatal("RunUntil drained unexpectedly")
@@ -138,7 +139,7 @@ func TestSemaphoreBasics(t *testing.T) {
 		t.Fatal("over-capacity acquire succeeded")
 	}
 	woken := 0
-	if s.AcquireOrWait(0, 1, func() { woken++ }) {
+	if s.AcquireOrWait(0, 1, Func(func() { woken++ }), 0, nil) {
 		t.Fatal("AcquireOrWait should have queued")
 	}
 	s.Release(10, 1)
@@ -239,11 +240,32 @@ func TestEnginePendingAndStep(t *testing.T) {
 	if e.Step() {
 		t.Fatal("Step on empty engine")
 	}
-	e.At(5, func() {})
+	e.Post(5, Func(func() {}), 0, nil)
 	if e.Pending() != 1 {
 		t.Fatalf("pending = %d", e.Pending())
 	}
 	if !e.Step() || e.Pending() != 0 {
 		t.Fatal("Step bookkeeping broken")
+	}
+}
+
+// TestPostFuncZeroAlloc pins the closure adapter's cost: a func value is
+// pointer-shaped, so posting a prebuilt Func stores it in the Actor
+// interface without boxing, and the event node comes off the freelist.
+func TestPostFuncZeroAlloc(t *testing.T) {
+	e := NewEngine()
+	fired := 0
+	fn := Func(func() { fired++ })
+	e.PostAfter(1, fn, 0, nil) // cold start: allocates the node block
+	e.Run()
+	allocs := testing.AllocsPerRun(100, func() {
+		e.PostAfter(1, fn, 0, nil)
+		e.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("Post of a prebuilt Func: %v allocs/op, want 0", allocs)
+	}
+	if fired != 102 {
+		t.Fatalf("fired %d events, want 102", fired)
 	}
 }

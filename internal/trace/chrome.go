@@ -56,8 +56,10 @@ func (c *Chrome) AddCounterSeries(name string, cycles, vals []int64) {
 	c.mu.Unlock()
 }
 
-// chromeEvent is one entry of the traceEvents array.
-type chromeEvent struct {
+// ChromeEvent is one entry of a Chrome trace file's traceEvents array.
+// It is the one trace-event type in the module: simulated runs (Chrome)
+// and served requests (obs) both render through it.
+type ChromeEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
 	Ph   string         `json:"ph"`
@@ -68,8 +70,9 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-type chromeFile struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
+// ChromeFile is a complete Chrome trace file.
+type ChromeFile struct {
+	TraceEvents     []ChromeEvent `json:"traceEvents"`
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
@@ -82,9 +85,9 @@ func (c *Chrome) WriteTo(w io.Writer) (int64, error) {
 	for _, ev := range c.events {
 		pes[ev.PE] = true
 	}
-	var out []chromeEvent
+	var out []ChromeEvent
 	for pe := range pes {
-		out = append(out, chromeEvent{
+		out = append(out, ChromeEvent{
 			Name: "thread_name", Ph: "M", Pid: 0, Tid: pe,
 			Args: map[string]any{"name": fmt.Sprintf("PE %d", pe)},
 		})
@@ -92,7 +95,7 @@ func (c *Chrome) WriteTo(w io.Writer) (int64, error) {
 
 	// Task spans.
 	for _, ev := range c.events {
-		out = append(out, chromeEvent{
+		out = append(out, ChromeEvent{
 			Name: fmt.Sprintf("d%d v%d", ev.Depth, ev.Vertex),
 			Cat:  "task", Ph: "X",
 			Ts: ev.Start, Dur: ev.Done - ev.Start,
@@ -127,7 +130,7 @@ func (c *Chrome) WriteTo(w io.Writer) (int64, error) {
 			if i+1 < len(edges) && edges[i+1].t == e.t {
 				continue // emit one sample per timestamp
 			}
-			out = append(out, chromeEvent{
+			out = append(out, ChromeEvent{
 				Name: fmt.Sprintf("PE %d tasks", pe), Ph: "C",
 				Ts: e.t, Pid: 0, Tid: pe,
 				Args: map[string]any{"running": level},
@@ -138,14 +141,14 @@ func (c *Chrome) WriteTo(w io.Writer) (int64, error) {
 	// Telemetry counter tracks live under their own process row so they
 	// stack separately from the per-PE task threads.
 	if len(c.counters) > 0 {
-		out = append(out, chromeEvent{
+		out = append(out, ChromeEvent{
 			Name: "process_name", Ph: "M", Pid: 1,
 			Args: map[string]any{"name": "telemetry"},
 		})
 	}
 	for _, cs := range c.counters {
 		for i := range cs.cycles {
-			out = append(out, chromeEvent{
+			out = append(out, ChromeEvent{
 				Name: cs.name, Ph: "C", Ts: cs.cycles[i], Pid: 1,
 				Args: map[string]any{"value": cs.vals[i]},
 			})
@@ -164,7 +167,7 @@ func (c *Chrome) WriteTo(w io.Writer) (int64, error) {
 		return out[i].Tid < out[j].Tid
 	})
 
-	b, err := json.Marshal(chromeFile{TraceEvents: out, DisplayTimeUnit: "ms"})
+	b, err := json.Marshal(ChromeFile{TraceEvents: out, DisplayTimeUnit: "ms"})
 	if err != nil {
 		return 0, err
 	}
