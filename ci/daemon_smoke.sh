@@ -3,10 +3,12 @@
 # readiness, issues one good query (verifying the embedding count
 # against the software miner's golden value), one over-budget query
 # (expecting the typed 422 event-budget error), checks the request
-# observability plane (trace header on responses, /metrics Prometheus
-# exposition with nonzero request counters, /v1/requests inspection,
-# access log flushed by the drain), then sends SIGTERM and requires a
-# clean exit (status 0) within the drain deadline.
+# observability plane (trace header on responses, phases_us on a
+# response to an untraced request, /metrics Prometheus exposition with
+# nonzero request counters, /statz served equal to the sum of
+# shogun_requests_total, /v1/requests inspection, access log flushed by
+# the drain), then sends SIGTERM and requires a clean exit (status 0)
+# within the drain deadline.
 #
 # Usage: ci/daemon_smoke.sh
 #
@@ -63,8 +65,13 @@ case "$emb" in
     ''|null|0) echo "daemon_smoke: bad count response: $body" >&2; exit 1 ;;
 esac
 # The same query twice must be bit-identical (and exercises the cache).
-emb2=$(curl -fsS "http://$addr/v1/count" -d '{"dataset":"wi","pattern":"tc"}' | jq -r .embeddings)
+# Sent without a trace header, it still gets a minted trace ID and the
+# per-phase attribution: observability has no off path.
+curl -fsS -o "$work/body2.json" "http://$addr/v1/count" -d '{"dataset":"wi","pattern":"tc"}'
+emb2=$(jq -r .embeddings "$work/body2.json")
 [ "$emb" = "$emb2" ] || { echo "daemon_smoke: non-deterministic counts: $emb vs $emb2" >&2; exit 1; }
+jq -e '(.trace | length) > 0 and (.phases_us.run >= 0)' "$work/body2.json" >/dev/null || {
+    echo "daemon_smoke: untraced response missing trace/phases_us: $(cat "$work/body2.json")" >&2; exit 1; }
 echo "daemon_smoke: embeddings=$emb (stable)" >&2
 
 # Over-budget simulate: must be the typed 422 event_budget error.
@@ -98,6 +105,14 @@ budget_count=$(awk '/^shogun_requests_total\{op="simulate",outcome="budget"\}/ {
 grep -q '^shogun_request_duration_seconds_bucket' "$work/metrics" || {
     echo "daemon_smoke: latency histogram missing from /metrics" >&2; exit 1; }
 echo "daemon_smoke: /metrics valid (count/ok=$ok_count simulate/budget=$budget_count)" >&2
+
+# /statz and /metrics count requests in one place: served must equal the
+# request counters summed over every (op, outcome) family.
+served=$(curl -fsS "http://$addr/statz" | jq -r .served)
+requests=$(awk '/^shogun_requests_total\{/ { s += $2 } END { print s + 0 }' "$work/metrics")
+[ "$served" = "$requests" ] || {
+    echo "daemon_smoke: /statz served=$served but shogun_requests_total sums to $requests" >&2; exit 1; }
+echo "daemon_smoke: /statz served=$served matches /metrics" >&2
 
 # /v1/requests: the recent ring holds the traced request.
 curl -fsS "http://$addr/v1/requests" | jq -e \

@@ -15,7 +15,10 @@
 // Endpoints: POST /v1/count, /v1/mine, /v1/simulate; GET /healthz,
 // /readyz, /statz, /metrics (Prometheus text), /v1/requests and
 // /v1/requests/{id} (live in-flight inspection; ?format=chrome exports a
-// per-request Chrome trace). See DESIGN.md "Serving & overload behavior"
+// per-request Chrome trace). Request observability is always on: every
+// response carries a trace ID and its per-phase time split, and /statz
+// and /metrics count requests from the same per-(endpoint, outcome)
+// families. See DESIGN.md "Serving & overload behavior"
 // and "Request observability" for the request schema, the typed-error
 // status table and the tracing plane.
 package main
@@ -47,7 +50,6 @@ func main() {
 		addrFile  = flag.String("addr-file", "", "write the bound address to this file once listening (smoke tests)")
 		verbose   = flag.Bool("v", false, "log one line per served request")
 
-		noObs       = flag.Bool("no-obs", false, "disable the request observability plane (/metrics, /v1/requests, tracing)")
 		accessLog   = flag.String("access-log", "", "structured JSON access log path (\"-\" = stderr)")
 		slowLog     = flag.String("slow-log", "", "slow-request log path with phase breakdown + governor snapshot (\"-\" = stderr)")
 		slowMS      = flag.Int64("slow-ms", 1000, "slow-request threshold in milliseconds")
@@ -56,7 +58,7 @@ func main() {
 	flag.Parse()
 	opts := daemonOpts{
 		cacheMB: *cacheMB, drain: *drain, addrFile: *addrFile, verbose: *verbose,
-		noObs: *noObs, accessLog: *accessLog, slowLog: *slowLog,
+		accessLog: *accessLog, slowLog: *slowLog,
 		slowMS: *slowMS, sampleEvery: *sampleEvery,
 	}
 	cfg := serve.Config{
@@ -83,7 +85,6 @@ type daemonOpts struct {
 	drain       time.Duration
 	addrFile    string
 	verbose     bool
-	noObs       bool
 	accessLog   string
 	slowLog     string
 	slowMS      int64
@@ -126,43 +127,37 @@ func run(cfg serve.Config, queue int, opts daemonOpts) error {
 			c() //nolint:errcheck // exit path
 		}
 	}()
-	if !opts.noObs {
-		oc := &serve.ObsConfig{
-			SlowThreshold: time.Duration(opts.slowMS) * time.Millisecond,
-			SampleEvery:   int(opts.sampleEvery),
-		}
-		if oc.SampleEvery == 0 {
-			oc.SampleEvery = -1 // flag 0 means off; ObsConfig 0 means default
-		}
-		w, closeFn, err := openLog(opts.accessLog)
-		if err != nil {
-			return fmt.Errorf("access-log: %w", err)
-		}
-		oc.AccessLog = w
-		if closeFn != nil {
-			closers = append(closers, closeFn)
-		}
-		w, closeFn, err = openLog(opts.slowLog)
-		if err != nil {
-			return fmt.Errorf("slow-log: %w", err)
-		}
-		oc.SlowLog = w
-		if closeFn != nil {
-			closers = append(closers, closeFn)
-		}
-		cfg.Obs = oc
+	oc := &serve.ObsConfig{
+		SlowThreshold: time.Duration(opts.slowMS) * time.Millisecond,
+		SampleEvery:   int(opts.sampleEvery),
 	}
+	if oc.SampleEvery == 0 {
+		oc.SampleEvery = -1 // flag 0 means off; ObsConfig 0 means default
+	}
+	w, closeFn, err := openLog(opts.accessLog)
+	if err != nil {
+		return fmt.Errorf("access-log: %w", err)
+	}
+	oc.AccessLog = w
+	if closeFn != nil {
+		closers = append(closers, closeFn)
+	}
+	w, closeFn, err = openLog(opts.slowLog)
+	if err != nil {
+		return fmt.Errorf("slow-log: %w", err)
+	}
+	oc.SlowLog = w
+	if closeFn != nil {
+		closers = append(closers, closeFn)
+	}
+	cfg.Obs = oc
 	s, err := serve.New(cfg)
 	if err != nil {
 		return err
 	}
 	st := s.StatsSnapshot()
-	obsState := "on"
-	if opts.noObs {
-		obsState = "off"
-	}
-	fmt.Printf("shogund: serving on http://%s/ (workers=%d queue=%d cache=%dMiB drain=%v obs=%s)\n",
-		s.Addr(), st.Admission.Workers, st.Admission.QueueDepth, opts.cacheMB, opts.drain, obsState)
+	fmt.Printf("shogund: serving on http://%s/ (workers=%d queue=%d cache=%dMiB drain=%v)\n",
+		s.Addr(), st.Admission.Workers, st.Admission.QueueDepth, opts.cacheMB, opts.drain)
 	if opts.addrFile != "" {
 		if err := os.WriteFile(opts.addrFile, []byte(s.Addr()+"\n"), 0o644); err != nil {
 			s.Close()

@@ -80,9 +80,6 @@ type Config struct {
 	// ForceConservative pins Shogun's conservative mode on and disables
 	// the locality monitor (ablation knob).
 	ForceConservative bool
-	// DisableMonitor turns the locality monitor off so conservative mode
-	// never engages (ablation knob).
-	DisableMonitor bool
 	// VerifyMetrics runs the counter-conservation pass (Metrics().Verify)
 	// after every successful run, failing the run on any violated
 	// invariant. On by default; the counters themselves are always
@@ -214,8 +211,11 @@ func NewShared(g *graph.Graph, s *pattern.Schedule, cfg Config, eng *sim.Engine,
 	if cfg.Scheme == SchemeFingers {
 		cfg.Scheme = SchemePseudoDFS
 	}
-	if cfg.ForceConservative || cfg.DisableMonitor {
+	if cfg.ForceConservative {
 		cfg.PE.MonitorPeriod = 0
+	}
+	if cfg.TokensPerDepth <= 0 {
+		cfg.TokensPerDepth = cfg.PE.Width
 	}
 	if cfg.NoC.Links <= 0 {
 		// Auto-size the fabric: two concurrent line transfers per PE,
@@ -261,17 +261,13 @@ func NewShared(g *graph.Graph, s *pattern.Schedule, cfg Config, eng *sim.Engine,
 		}
 	}
 
-	tokensPer := cfg.TokensPerDepth
-	if tokensPer <= 0 {
-		tokensPer = cfg.PE.Width
-	}
 	for i := 0; i < cfg.NumPEs; i++ {
 		l2path := a.noc.NewPath(a.l2)
 		p, err := pe.New(i, a.eng, cfg.PE, a.w, l2path)
 		if err != nil {
 			return nil, err
 		}
-		toks := policy.NewTokens(i, cfg.NumPEs, s.Depth(), tokensPer)
+		toks := policy.NewTokens(i, cfg.NumPEs, s.Depth(), cfg.TokensPerDepth)
 		pol, err := a.buildPolicy(p, toks, a.peRoots[i])
 		if err != nil {
 			return nil, err

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -82,12 +83,14 @@ func TestLoadConfigErrors(t *testing.T) {
 	}
 }
 
-// TestLoadConfigRetiredQueueKnob pins backward compatibility for the
-// retired event-queue knob. The fixture is `shogun -dumpconfig -queue
-// heap -pes 4 -split -merge` output from before the engine had a single
-// queue: it carries one key Config no longer has, set to "heap". That
-// key must be ignored, leaving exactly the flag-built config, and the
-// run must match the default config's run.
+// TestLoadConfigRetiredQueueKnob pins backward compatibility for retired
+// knobs. The fixture is `shogun -dumpconfig -queue heap -pes 4 -split
+// -merge` output from before the engine had a single queue: it carries
+// two keys Config no longer has, the event-queue knob set to "heap" and
+// the locality-monitor switch set to false (the monitor is now turned
+// off only through PE.MonitorPeriod = 0). Both keys must be ignored,
+// leaving exactly the flag-built config, and the run must match the
+// default config's run.
 func TestLoadConfigRetiredQueueKnob(t *testing.T) {
 	path := filepath.Join("testdata", "config_eventqueue_heap.json")
 	raw, err := os.ReadFile(path)
@@ -111,8 +114,9 @@ func TestLoadConfigRetiredQueueKnob(t *testing.T) {
 			retired = append(retired, fmt.Sprintf("%s=%v", k, v))
 		}
 	}
-	if len(retired) != 1 || !strings.HasSuffix(retired[0], "=heap") {
-		t.Fatalf("fixture's retired keys = %v, want only the queue knob set to heap", retired)
+	sort.Strings(retired)
+	if len(retired) != 2 || !strings.HasSuffix(retired[0], "Monitor=false") || !strings.HasSuffix(retired[1], "Queue=heap") {
+		t.Fatalf("fixture's retired keys = %v, want the monitor switch (false) and the queue knob (heap)", retired)
 	}
 	loaded, err := LoadConfig(path)
 	if err != nil {

@@ -1,9 +1,12 @@
 package accel
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
+	"shogun/internal/datasets"
 	"shogun/internal/gen"
 	"shogun/internal/graph"
 	"shogun/internal/pattern"
@@ -109,7 +112,7 @@ func TestAblationKnobsPreserveCounts(t *testing.T) {
 	for _, mutate := range []func(*Config){
 		func(c *Config) { c.Tree.NoSiblingPreference = true },
 		func(c *Config) { c.ForceConservative = true },
-		func(c *Config) { c.DisableMonitor = true },
+		func(c *Config) { c.PE.MonitorPeriod = 0 },
 		func(c *Config) { c.TokensPerDepth = 2 },
 		func(c *Config) { c.Tree.BunchesPerDepth = 1 },
 	} {
@@ -127,5 +130,43 @@ func TestAblationKnobsPreserveCounts(t *testing.T) {
 		if res.Embeddings != ref.Embeddings {
 			t.Fatalf("ablation variant miscounted: %d != %d", res.Embeddings, ref.Embeddings)
 		}
+	}
+}
+
+// TestMergingDefaultTokens pins TokensPerDepth's documented default
+// (the PE width) on the merging path. The second depth-1 bunch doubles
+// the depth-1 token cap, and that cap must come from the defaulted
+// quota: doubling the raw zero left depth 1 with no tokens, and the run
+// never finished. The event budget turns such a regression into a
+// typed error instead of a hang.
+func TestMergingDefaultTokens(t *testing.T) {
+	g, err := datasets.Get("wi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := pattern.Build(pattern.FourClique())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blobs [2][]byte
+	for i, tokens := range []int{0, DefaultConfig(SchemeShogun).PE.Width} {
+		cfg := DefaultConfig(SchemeShogun)
+		cfg.EnableMerging = true
+		cfg.TokensPerDepth = tokens
+		cfg.MaxEvents = 2_000_000
+		a, err := New(g, s, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := a.Run()
+		if err != nil {
+			t.Fatalf("TokensPerDepth=%d: %v", tokens, err)
+		}
+		if blobs[i], err = json.Marshal(res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(blobs[0], blobs[1]) {
+		t.Fatalf("TokensPerDepth=0 ran differently from the explicit width:\n0:     %s\nwidth: %s", blobs[0], blobs[1])
 	}
 }

@@ -26,7 +26,7 @@ func Ablation(o Options) (*Table, error) {
 		}},
 		{"no-monitor", func() accel.Config {
 			c := baseConfig(accel.SchemeShogun)
-			c.DisableMonitor = true
+			c.PE.MonitorPeriod = 0
 			return c
 		}},
 		{"conservative", func() accel.Config {

@@ -8,11 +8,14 @@
 // requests land in structured JSON access/slow logs, and per-(endpoint,
 // outcome) latency histograms back a Prometheus-text /metrics plane.
 //
-// The design constraints mirror internal/telemetry's:
+// The design constraints:
 //
-//   - Off is free. A nil *Plane hands out nil *Spans whose methods are
-//     nil-check no-ops, so a daemon built without observability pays
-//     nothing on the request path (pinned by BenchmarkServeObsOff).
+//   - Always on, and cheap. The daemon has one request path and it is
+//     observed: a request's whole hook sequence (Begin, phase moves,
+//     End) costs one to three microseconds and at most one allocation,
+//     thanks to pooled spans (pinned by TestServeObsLifecycleAllocs,
+//     measured by BenchmarkServeObsOn) — a few thousandths of a percent
+//     of a served query. There is no nil-plane off mode.
 //   - Attribution is conservative. Phase durations are recorded as
 //     differences of one monotonic timestamp chain, so for every
 //     completed request they telescope: the phases sum to the measured
@@ -80,8 +83,7 @@ func (o *Options) fill() {
 
 // Plane is one daemon's observability state: the span pool, the
 // in-flight registry, the completed-request ring, the per-(op, outcome)
-// latency families and the log writers. A nil *Plane disables
-// everything at zero cost.
+// latency families and the log writers.
 type Plane struct {
 	opts   Options
 	access *lineLog
@@ -126,12 +128,8 @@ func NewPlane(opts Options) *Plane {
 
 // Begin opens a span for one request arriving at start. incoming is the
 // caller-supplied trace ID (empty or invalid → a fresh one is
-// generated). Safe on a nil plane: returns a nil span whose methods are
-// no-ops.
+// generated).
 func (p *Plane) Begin(op, incoming string, start time.Time) *Span {
-	if p == nil {
-		return nil
-	}
 	s := p.pool.Get().(*Span)
 	s.reset()
 	s.plane = p
@@ -150,9 +148,6 @@ func (p *Plane) Begin(op, incoming string, start time.Time) *Span {
 
 // InFlight reports the number of registered live spans.
 func (p *Plane) InFlight() int {
-	if p == nil {
-		return 0
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.inflight)
@@ -160,9 +155,6 @@ func (p *Plane) InFlight() int {
 
 // SlowCount reports requests that crossed the slow threshold.
 func (p *Plane) SlowCount() int64 {
-	if p == nil {
-		return 0
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.slowCount
@@ -245,9 +237,6 @@ type Family struct {
 
 // Families returns the latency families in deterministic order.
 func (p *Plane) Families() []Family {
-	if p == nil {
-		return nil
-	}
 	p.famMu.RLock()
 	out := make([]Family, 0, len(p.families))
 	for k, h := range p.families {
@@ -273,9 +262,6 @@ func (p *Plane) Families() []Family {
 // Lock order is p.mu → s.mu; no writer acquires p.mu while holding
 // s.mu, so this cannot deadlock.
 func (p *Plane) Snapshot() []SpanView {
-	if p == nil {
-		return nil
-	}
 	p.mu.Lock()
 	out := make([]SpanView, 0, len(p.inflight))
 	for _, s := range p.inflight {
@@ -293,9 +279,6 @@ func (p *Plane) Snapshot() []SpanView {
 
 // Recent lists the completed-request ring, newest first.
 func (p *Plane) Recent() []SpanView {
-	if p == nil {
-		return nil
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := make([]SpanView, 0, p.recentN)
@@ -310,9 +293,6 @@ func (p *Plane) Recent() []SpanView {
 // Snapshot, a live span is viewed while p.mu is still held so the view
 // cannot race with end()'s reset of the same span.
 func (p *Plane) Lookup(id uint64) (SpanView, bool) {
-	if p == nil {
-		return SpanView{}, false
-	}
 	p.mu.Lock()
 	if s, ok := p.inflight[id]; ok {
 		v := s.View()
@@ -335,9 +315,6 @@ func (p *Plane) Lookup(id uint64) (SpanView, bool) {
 // during graceful drain so the final requests of a SIGTERM drain are
 // never lost in a buffer.
 func (p *Plane) Flush() error {
-	if p == nil {
-		return nil
-	}
 	var first error
 	if err := p.access.flush(); err != nil {
 		first = err
@@ -349,13 +326,10 @@ func (p *Plane) Flush() error {
 }
 
 // Close stops the background log flushers and drains both logs one
-// last time. Idempotent and nil-safe; spans already in flight may
+// last time. Idempotent; spans already in flight may
 // still End afterwards (their lines land in the buffer and reach the
 // writer on the next explicit Flush).
 func (p *Plane) Close() error {
-	if p == nil {
-		return nil
-	}
 	var first error
 	if err := p.access.close(); err != nil {
 		first = err

@@ -433,40 +433,6 @@ func TestSlowLogSnapshot(t *testing.T) {
 	}
 }
 
-// TestNilPlaneZeroCost pins the off path: every method of a nil plane
-// and nil span is a no-op, and the whole per-request lifecycle allocates
-// nothing.
-func TestNilPlaneZeroCost(t *testing.T) {
-	var p *Plane
-	sp := p.Begin("count", "x", time.Now())
-	if sp != nil {
-		t.Fatal("nil plane handed out a non-nil span")
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		s := p.Begin("count", "", time.Time{})
-		s.To(PhaseQueue)
-		s.To(PhaseRun)
-		s.SetTarget("g", "s")
-		s.SetBudget(1, 2)
-		s.SetProgress(nil)
-		s.SetSnapshot(nil)
-		_ = s.BreakdownUS()
-		_ = s.TraceID()
-		_ = s.ID()
-		s.End(200, "ok", "")
-	})
-	if allocs != 0 {
-		t.Fatalf("nil-plane request lifecycle allocates %v/op, want 0", allocs)
-	}
-	if p.InFlight() != 0 || p.SlowCount() != 0 || p.Families() != nil ||
-		p.Snapshot() != nil || p.Recent() != nil || p.Flush() != nil || p.Close() != nil {
-		t.Fatal("nil plane accessors not inert")
-	}
-	if _, ok := p.Lookup(1); ok {
-		t.Fatal("nil plane Lookup found something")
-	}
-}
-
 func TestChromeExport(t *testing.T) {
 	p := NewPlane(Options{})
 	sp := p.Begin("simulate", "trace-c", time.Now())

@@ -129,26 +129,20 @@ func (s *Span) setTrace(incoming string) {
 
 // TraceID returns the span's trace ID (generated or accepted).
 func (s *Span) TraceID() string {
-	if s == nil {
-		return ""
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return string(s.trace[:s.traceLen])
 }
 
-// ID returns the span's registry ID (0 for a nil span).
+// ID returns the span's registry ID.
 func (s *Span) ID() uint64 {
-	if s == nil {
-		return 0
-	}
 	return s.id
 }
 
 // To moves the span into phase ph, charging the time since the previous
-// transition to the phase being left. Nil-safe no-op.
+// transition to the phase being left.
 func (s *Span) To(ph Phase) {
-	if s == nil || ph >= NumPhases {
+	if ph >= NumPhases {
 		return
 	}
 	now := time.Now()
@@ -162,21 +156,15 @@ func (s *Span) To(ph Phase) {
 }
 
 // SetTarget records what the request resolved to (graph cache key and
-// schedule name). Nil-safe.
+// schedule name).
 func (s *Span) SetTarget(graphKey, schedule string) {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
 	s.graphKey, s.schedule = graphKey, schedule
 	s.mu.Unlock()
 }
 
-// SetBudget records the request's declared budgets. Nil-safe.
+// SetBudget records the request's declared budgets.
 func (s *Span) SetBudget(wallMS, events int64) {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
 	s.budgetWallMS, s.budgetEvents = wallMS, events
 	s.mu.Unlock()
@@ -185,11 +173,8 @@ func (s *Span) SetBudget(wallMS, events int64) {
 // SetProgress attaches a live-gauge probe: /v1/requests/{id} calls it
 // while the span is in flight to join the request with its running
 // workload (e.g. the accelerator's epoch-sampler gauges). fn must be
-// safe for concurrent use. Nil-safe.
+// safe for concurrent use.
 func (s *Span) SetProgress(fn func() map[string]int64) {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
 	s.progress = fn
 	s.mu.Unlock()
@@ -198,11 +183,7 @@ func (s *Span) SetProgress(fn func() map[string]int64) {
 // SetSnapshot attaches a diagnostic-state renderer consulted by the
 // slow-request log (e.g. the simulation engine's governor snapshot).
 // fn runs after the request's work completed, on the logging path.
-// Nil-safe.
 func (s *Span) SetSnapshot(fn func() string) {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
 	s.snapshot = fn
 	s.mu.Unlock()
@@ -210,7 +191,13 @@ func (s *Span) SetSnapshot(fn func() string) {
 
 // End completes the span with the response's status and machine-readable
 // error kind ("ok" for 2xx), unregisters it and emits the log lines.
-// Idempotent and nil-safe; the span must not be used afterwards.
+// Idempotent; the span must not be used afterwards.
+//
+// End is the one Span method that accepts a nil receiver, and only for
+// the handler's panic barrier: once a request's span is ended and
+// pooled the handler drops its reference, so a panic after that point
+// reaches the barrier holding nil and its error path must not end a
+// span that may already belong to another request.
 func (s *Span) End(status int, kind, errMsg string) {
 	if s == nil {
 		return
@@ -229,11 +216,8 @@ func (s *Span) End(status int, kind, errMsg string) {
 }
 
 // BreakdownUS snapshots the per-phase durations so far in microseconds
-// (the Response's phases_us field). Nil-safe.
+// (the Response's phases_us field).
 func (s *Span) BreakdownUS() Phases {
-	if s == nil {
-		return Phases{}
-	}
 	now := time.Now()
 	s.mu.Lock()
 	a := s.phaseNS

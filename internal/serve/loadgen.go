@@ -121,8 +121,8 @@ func RunLoad(ctx context.Context, opts LoadOptions) (*LoadReport, error) {
 		StatusCounts: map[int]int64{},
 		Embeddings:   map[int64]int64{},
 	}
-	latAcc := telemetry.NewHistogram()
-	latShed := telemetry.NewHistogram()
+	accLat := telemetry.NewHistogram()
+	shedLat := telemetry.NewHistogram()
 	var phases phaseHists
 	for i := range phases.h {
 		phases.h[i] = telemetry.NewHistogram()
@@ -161,7 +161,7 @@ loop:
 			go func() {
 				defer wg.Done()
 				defer inflight.Add(-1)
-				status, emb := oneRequest(ctx, client, opts, latAcc, latShed, &phases)
+				status, emb := oneRequest(ctx, client, opts, accLat, shedLat, &phases)
 				mu.Lock()
 				rep.StatusCounts[status]++
 				switch {
@@ -182,8 +182,8 @@ loop:
 		}
 	}
 	wg.Wait()
-	rep.Latency = latAcc.Summary()
-	rep.ShedLatency = latShed.Summary()
+	rep.Latency = accLat.Summary()
+	rep.ShedLatency = shedLat.Summary()
 	rep.ServerPhasesUS = phases.summaries()
 	if cancelled {
 		return rep, ctx.Err()
@@ -225,7 +225,7 @@ func (p *phaseHists) summaries() map[string]telemetry.HistSummary {
 
 // oneRequest issues a single query, recording latency by outcome.
 // Status 0 means the request never produced an HTTP response.
-func oneRequest(ctx context.Context, client *http.Client, opts LoadOptions, latAcc, latShed *telemetry.Histogram, phases *phaseHists) (status int, embeddings int64) {
+func oneRequest(ctx context.Context, client *http.Client, opts LoadOptions, accLat, shedLat *telemetry.Histogram, phases *phaseHists) (status int, embeddings int64) {
 	t0 := time.Now()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, opts.URL, bytes.NewReader(opts.Body))
 	if err != nil {
@@ -244,14 +244,14 @@ func oneRequest(ctx context.Context, client *http.Client, opts LoadOptions, latA
 	lat := time.Since(t0).Microseconds()
 	switch {
 	case resp.StatusCode >= 200 && resp.StatusCode < 300:
-		latAcc.Observe(lat)
+		accLat.Observe(lat)
 		var body Response
 		if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&body) == nil {
 			embeddings = body.Embeddings
 			phases.observe(body.PhasesUS)
 		}
 	case resp.StatusCode == http.StatusTooManyRequests:
-		latShed.Observe(lat)
+		shedLat.Observe(lat)
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)) //nolint:errcheck
 	default:
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)) //nolint:errcheck

@@ -10,32 +10,22 @@ import (
 	"shogun/internal/obs"
 )
 
-// obsDisabled answers the observability endpoints on a daemon built
-// without Config.Obs.
-func (s *Server) obsDisabled(w http.ResponseWriter) bool {
-	if s.plane != nil {
-		return false
-	}
-	http.Error(w, "observability disabled (start the daemon with request observability on)", http.StatusNotFound)
-	return true
-}
-
 // handleMetrics serves the Prometheus text exposition: request latency
 // histograms per (endpoint, outcome), admission gate state, cache
 // behavior, in-flight/slow/panic counters and the drain flag. Stdlib
 // only — obs.MetricsWriter renders the format, telemetry.Histogram
 // supplies exact cumulative buckets.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if s.obsDisabled(w) {
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	m := obs.NewMetricsWriter(w)
 
 	m.Family("shogun_requests_total", "counter", "Completed requests by endpoint and outcome.")
 	fams := s.plane.Families()
+	var served int64
 	for _, f := range fams {
-		m.Counter("shogun_requests_total", famLabels(f), f.Hist.Count())
+		n := f.Hist.Count()
+		m.Counter("shogun_requests_total", famLabels(f), n)
+		served += n
 	}
 	m.Family("shogun_request_duration_seconds", "histogram", "Request wall time by endpoint and outcome.")
 	for _, f := range fams {
@@ -96,7 +86,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.Family("shogun_contained_panics_total", "counter", "Requests that hit the panic barrier.")
 	m.Counter("shogun_contained_panics_total", "", s.panicked.Load())
 	m.Family("shogun_served_total", "counter", "Responses written, any status.")
-	m.Counter("shogun_served_total", "", s.served.Load())
+	m.Counter("shogun_served_total", "", served)
 	m.Family("shogun_draining", "gauge", "1 once graceful drain has started.")
 	drain := int64(0)
 	if s.adm.Draining() {
@@ -122,16 +112,7 @@ type RequestsPage struct {
 
 // handleRequests serves the live in-flight listing.
 func (s *Server) handleRequests(w http.ResponseWriter, r *http.Request) {
-	if s.obsDisabled(w) {
-		return
-	}
 	page := RequestsPage{InFlight: s.plane.Snapshot(), Recent: s.plane.Recent()}
-	if page.InFlight == nil {
-		page.InFlight = []obs.SpanView{}
-	}
-	if page.Recent == nil {
-		page.Recent = []obs.SpanView{}
-	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -142,9 +123,6 @@ func (s *Server) handleRequests(w http.ResponseWriter, r *http.Request) {
 // joined with the running accelerator's epoch-sampler gauges while it is
 // in flight, or exported as a Chrome trace with ?format=chrome.
 func (s *Server) handleRequestByID(w http.ResponseWriter, r *http.Request) {
-	if s.obsDisabled(w) {
-		return
-	}
 	idStr := strings.TrimPrefix(r.URL.Path, "/v1/requests/")
 	id, err := strconv.ParseUint(idStr, 10, 64)
 	if err != nil {

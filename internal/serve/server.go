@@ -69,10 +69,10 @@ type Config struct {
 	OnAccel func(*accel.Accelerator)
 	// Log, when non-nil, receives one line per served request.
 	Log io.Writer
-	// Obs enables the request observability plane: trace IDs, per-phase
-	// span attribution, the /metrics exposition, /v1/requests live
-	// inspection and the access/slow logs. Nil disables all of it at
-	// zero per-request cost.
+	// Obs configures the request observability plane: trace IDs,
+	// per-phase span attribution, the /metrics exposition, /v1/requests
+	// live inspection and the access/slow logs. The plane is always on;
+	// nil means the default ObsConfig.
 	Obs *ObsConfig
 }
 
@@ -151,15 +151,12 @@ type Server struct {
 	hardCtx    context.Context
 	hardCancel context.CancelFunc
 
-	served     atomic.Int64         // responses written, any status
-	panicked   atomic.Int64         // requests that hit the panic barrier
-	latAccept  *telemetry.Histogram // µs, successful (2xx) requests
-	latShed    *telemetry.Histogram // µs, shed (429) requests
-	queueWait  *telemetry.Histogram // µs, time from arrival to admission
-	statusCnts [6]atomic.Int64      // by status class 0:2xx 1:4xx 2:5xx 3:429 4:499 5:422
+	panicked  atomic.Int64         // requests that hit the panic barrier
+	queueWait *telemetry.Histogram // µs, time from arrival to admission
 
-	// plane is the request observability layer (nil when Config.Obs is
-	// nil: every obs hook below degrades to a nil-receiver no-op).
+	// plane is the request observability layer and the one place a
+	// request is classified, counted and timed: /statz and /metrics
+	// both derive their request counts and latencies from its families.
 	plane       *obs.Plane
 	sampleEvery int
 	// drainUntil is the drain deadline (unix nanos, 0 before Drain):
@@ -188,23 +185,23 @@ func New(cfg Config) (*Server, error) {
 		scheds:     NewCache[*pattern.Schedule](cfg.CacheBytes / 16),
 		hardCtx:    hardCtx,
 		hardCancel: hardCancel,
-		latAccept:  telemetry.NewHistogram(),
-		latShed:    telemetry.NewHistogram(),
 		queueWait:  telemetry.NewHistogram(),
 	}
-	if oc := cfg.Obs; oc != nil {
-		s.plane = obs.NewPlane(obs.Options{
-			AccessLog:     oc.AccessLog,
-			SlowLog:       oc.SlowLog,
-			SlowThreshold: oc.SlowThreshold,
-			Recent:        oc.Recent,
-		})
-		switch {
-		case oc.SampleEvery > 0:
-			s.sampleEvery = oc.SampleEvery
-		case oc.SampleEvery == 0:
-			s.sampleEvery = 4096
-		}
+	var oc ObsConfig
+	if cfg.Obs != nil {
+		oc = *cfg.Obs
+	}
+	s.plane = obs.NewPlane(obs.Options{
+		AccessLog:     oc.AccessLog,
+		SlowLog:       oc.SlowLog,
+		SlowThreshold: oc.SlowThreshold,
+		Recent:        oc.Recent,
+	})
+	switch {
+	case oc.SampleEvery > 0:
+		s.sampleEvery = oc.SampleEvery
+	case oc.SampleEvery == 0:
+		s.sampleEvery = 4096
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.handleHealthz)
@@ -284,8 +281,8 @@ func (s *Server) Close() error {
 	return err
 }
 
-// Obs exposes the observability plane (nil when Config.Obs was nil) —
-// tests and embedders inspect completed spans through it.
+// Obs exposes the observability plane — tests and embedders inspect
+// completed spans through it.
 func (s *Server) Obs() *obs.Plane { return s.plane }
 
 // Op names a query kind.
@@ -369,16 +366,13 @@ type Response struct {
 	MaxOccupancy  float64 `json:"max_occupancy,omitempty"`
 	MeanOccupancy float64 `json:"mean_occupancy,omitempty"`
 
-	QueueMS   float64 `json:"queue_ms"`
-	ElapsedMS float64 `json:"elapsed_ms"`
-
 	// Trace echoes the request's trace ID (also in the X-Shogun-Trace
-	// response header) when observability is on.
+	// response header).
 	Trace string `json:"trace,omitempty"`
 	// PhasesUS attributes the request's server-side time to lifecycle
-	// phases (µs). Encode is still running when the response is
-	// serialized, so it reads 0 here; the access log has the final
-	// value.
+	// phases (µs); queue is the admission wait, run the governed run.
+	// Encode is still running when the response is serialized, so it
+	// reads 0 here; the access log has the final value.
 	PhasesUS *obs.Phases `json:"phases_us,omitempty"`
 }
 
@@ -468,7 +462,12 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ready")
 }
 
-// Stats is the /statz document.
+// Stats is the /statz document. Served, Status, LatencyUS and ShedUS
+// are folded from the observability plane's (op, outcome) families, so
+// they agree with /metrics' shogun_requests_total by construction.
+// Status is keyed by obs.OutcomeForStatus label (ok, shed, unavail,
+// budget, client_gone, client_error, error); an outcome appears once a
+// request with it has completed.
 type Stats struct {
 	Admission AdmissionStats        `json:"admission"`
 	Graphs    CacheStats            `json:"graph_cache"`
@@ -476,32 +475,36 @@ type Stats struct {
 	Served    int64                 `json:"served"`
 	Panics    int64                 `json:"contained_panics"`
 	Status    map[string]int64      `json:"status"`
-	LatencyUS telemetry.HistSummary `json:"latency_us"`      // 2xx
-	ShedUS    telemetry.HistSummary `json:"shed_latency_us"` // 429
+	LatencyUS telemetry.HistSummary `json:"latency_us"`      // outcome ok
+	ShedUS    telemetry.HistSummary `json:"shed_latency_us"` // outcome shed
 	QueueUS   telemetry.HistSummary `json:"queue_wait_us"`
 }
 
 // StatsSnapshot returns the daemon's live counters (also served at
 // /statz).
 func (s *Server) StatsSnapshot() Stats {
-	return Stats{
+	st := Stats{
 		Admission: s.adm.Stats(),
 		Graphs:    s.graphs.Stats(),
 		Schedules: s.scheds.Stats(),
-		Served:    s.served.Load(),
 		Panics:    s.panicked.Load(),
-		Status: map[string]int64{
-			"2xx": s.statusCnts[0].Load(),
-			"4xx": s.statusCnts[1].Load(),
-			"5xx": s.statusCnts[2].Load(),
-			"429": s.statusCnts[3].Load(),
-			"499": s.statusCnts[4].Load(),
-			"422": s.statusCnts[5].Load(),
-		},
-		LatencyUS: s.latAccept.Summary(),
-		ShedUS:    s.latShed.Summary(),
+		Status:    map[string]int64{},
 		QueueUS:   s.queueWait.Summary(),
 	}
+	ok, shed := telemetry.NewHistogram(), telemetry.NewHistogram()
+	for _, f := range s.plane.Families() {
+		n := f.Hist.Count()
+		st.Served += n
+		st.Status[f.Outcome] += n
+		switch f.Outcome {
+		case "ok":
+			ok.Merge(f.Hist)
+		case "shed":
+			shed.Merge(f.Hist)
+		}
+	}
+	st.LatencyUS, st.ShedUS = ok.Summary(), shed.Summary()
+	return st
 }
 
 func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
@@ -509,24 +512,6 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(s.StatsSnapshot()) //nolint:errcheck // client-side failure
-}
-
-func (s *Server) countStatus(status int) {
-	switch {
-	case status == http.StatusTooManyRequests:
-		s.statusCnts[3].Add(1)
-	case status == StatusClientClosed:
-		s.statusCnts[4].Add(1)
-	case status == http.StatusUnprocessableEntity:
-		s.statusCnts[5].Add(1)
-	case status >= 500:
-		s.statusCnts[2].Add(1)
-	case status >= 400:
-		s.statusCnts[1].Add(1)
-	default:
-		s.statusCnts[0].Add(1)
-	}
-	s.served.Add(1)
 }
 
 func (s *Server) writeError(w http.ResponseWriter, op Op, sp *obs.Span, err error) {
@@ -539,7 +524,6 @@ func (s *Server) writeError(w http.ResponseWriter, op Op, sp *obs.Span, err erro
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(body) //nolint:errcheck // client-side failure
-	s.countStatus(status)
 	s.logf("%s %d %s: %v", op, status, kind, err)
 	// End last: it retires sp to the span pool, after which sp may be
 	// re-issued to another request. Anything that could panic above runs
@@ -579,9 +563,8 @@ func (s *Server) handleQuery(op Op) http.HandlerFunc {
 		// that was already pooled and possibly re-issued to another
 		// request.
 		sp := s.plane.Begin(string(op), r.Header.Get(obs.TraceHeader), arrived)
-		if sp != nil {
-			w.Header().Set(obs.TraceHeader, sp.TraceID())
-		}
+		trace := sp.TraceID()
+		w.Header().Set(obs.TraceHeader, trace)
 		defer func() {
 			if p := recover(); p != nil {
 				s.panicked.Add(1)
@@ -608,7 +591,6 @@ func (s *Server) handleQuery(op Op) http.HandlerFunc {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				err = fmt.Errorf("%w while queued (%v)", sim.ErrCancelled, err)
 			}
-			s.observeLatency(classifyStatus(err), arrived)
 			s.writeError(w, op, sp, err)
 			return
 		}
@@ -618,37 +600,19 @@ func (s *Server) handleQuery(op Op) http.HandlerFunc {
 
 		resp, err := s.execute(r.Context(), op, req, sp)
 		if err != nil {
-			s.observeLatency(classifyStatus(err), arrived)
 			s.writeError(w, op, sp, err)
 			return
 		}
 		sp.To(obs.PhaseEncode)
-		resp.QueueMS = float64(admitted.Sub(arrived)) / float64(time.Millisecond)
-		resp.ElapsedMS = float64(time.Since(admitted)) / float64(time.Millisecond)
-		if sp != nil {
-			resp.Trace = sp.TraceID()
-			ph := sp.BreakdownUS()
-			resp.PhasesUS = &ph
-		}
-		s.latAccept.Observe(time.Since(arrived).Microseconds())
+		resp.Trace = trace
+		ph := sp.BreakdownUS()
+		resp.PhasesUS = &ph
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(resp) //nolint:errcheck // client-side failure
-		s.countStatus(http.StatusOK)
-		s.logf("%s 200 %s/%s emb=%d queue=%.1fms run=%.1fms",
-			op, resp.GraphKey, resp.Schedule, resp.Embeddings, resp.QueueMS, resp.ElapsedMS)
+		s.logf("%s 200 %s/%s emb=%d queue=%dus run=%dus",
+			op, resp.GraphKey, resp.Schedule, resp.Embeddings, ph.Queue, ph.Run)
 		sp.End(http.StatusOK, "ok", "")
 		sp = nil // pooled — the panic barrier must not see it again
-	}
-}
-
-func classifyStatus(err error) int {
-	st, _ := classify(err)
-	return st
-}
-
-func (s *Server) observeLatency(status int, arrived time.Time) {
-	if status == http.StatusTooManyRequests {
-		s.latShed.Observe(time.Since(arrived).Microseconds())
 	}
 }
 
@@ -836,12 +800,7 @@ func (s *Server) execute(reqCtx context.Context, op Op, req *Request, sp *obs.Sp
 		}
 		return nil
 	}
-	if s.plane != nil {
-		err = runLabeled(ctx, string(op), sched.Name, run)
-	} else {
-		err = run(ctx)
-	}
-	if err != nil {
+	if err := runLabeled(ctx, string(op), sched.Name, run); err != nil {
 		return nil, err
 	}
 	return resp, nil
@@ -878,7 +837,7 @@ func (s *Server) refineCancel(workCtx, reqCtx context.Context, err error) error 
 // simConfig builds the simulated chip's config from the request's
 // machine-shape knobs and clamped budgets (shared by the single-chip
 // and cluster paths).
-func (s *Server) simConfig(req *Request, sp *obs.Span) accel.Config {
+func (s *Server) simConfig(req *Request) accel.Config {
 	scheme := accel.Scheme(req.Scheme)
 	if req.Scheme == "" {
 		scheme = accel.SchemeShogun
@@ -898,7 +857,7 @@ func (s *Server) simConfig(req *Request, sp *obs.Span) accel.Config {
 	if req.Budget.DeadlineCycles > 0 {
 		cfg.Deadline = sim.Time(req.Budget.DeadlineCycles)
 	}
-	if sp != nil && s.sampleEvery > 0 && cfg.SampleEvery == 0 {
+	if s.sampleEvery > 0 && cfg.SampleEvery == 0 {
 		cfg.SampleEvery = sim.Time(s.sampleEvery)
 	}
 	return cfg
@@ -908,7 +867,7 @@ func (s *Server) simConfig(req *Request, sp *obs.Span) accel.Config {
 // under the request's clamped budgets. Cross-chip conservation
 // identities verify by default.
 func (s *Server) simulateCluster(ctx context.Context, req *Request, g *graph.Graph, sched *pattern.Schedule, sp *obs.Span) (*cluster.Result, error) {
-	chip := s.simConfig(req, sp)
+	chip := s.simConfig(req)
 	ccfg := cluster.DefaultConfig(chip.Scheme, req.Chips)
 	ccfg.Chip = chip
 	ccfg.Partition = cluster.Mode(req.Partition)
@@ -922,16 +881,14 @@ func (s *Server) simulateCluster(ctx context.Context, req *Request, g *graph.Gra
 			s.cfg.OnAccel(chip)
 		}
 	}
-	if sp != nil {
-		eng := cl.Engine()
-		sp.SetSnapshot(func() string { return eng.Snapshot().String() })
-	}
+	eng := cl.Engine()
+	sp.SetSnapshot(func() string { return eng.Snapshot().String() })
 	return cl.RunContext(ctx)
 }
 
 // simulate runs the accelerator under the request's clamped budgets.
 func (s *Server) simulate(ctx context.Context, req *Request, g *graph.Graph, sched *pattern.Schedule, sp *obs.Span) (*accel.Result, error) {
-	cfg := s.simConfig(req, sp)
+	cfg := s.simConfig(req)
 	a, err := accel.New(g, sched, cfg)
 	if err != nil {
 		return nil, badRequestf("%v", err)
@@ -939,34 +896,32 @@ func (s *Server) simulate(ctx context.Context, req *Request, g *graph.Graph, sch
 	if s.cfg.OnAccel != nil {
 		s.cfg.OnAccel(a)
 	}
-	if sp != nil {
-		if tel := a.Telemetry(); tel != nil {
-			// Joins a live /v1/requests/{id} view with the run: the
-			// sampler's columns are mutex-guarded, so reading the last
-			// epoch from another goroutine is safe while the engine
-			// keeps sampling.
-			sampler := tel.Sampler
-			sp.SetProgress(func() map[string]int64 {
-				ts := sampler.Snapshot()
-				out := make(map[string]int64, 8)
-				out["cycle"] = ts.EndCycle()
-				out["epochs"] = int64(len(ts.Cycles))
-				for _, name := range [...]string{
-					"engine/events", "tasks/executed", "dram/queue", "noc/inflight",
-				} {
-					if col := ts.Col(name); len(col) > 0 {
-						out[name] = col[len(col)-1]
-					}
+	if tel := a.Telemetry(); tel != nil {
+		// Joins a live /v1/requests/{id} view with the run: the
+		// sampler's columns are mutex-guarded, so reading the last
+		// epoch from another goroutine is safe while the engine keeps
+		// sampling.
+		sampler := tel.Sampler
+		sp.SetProgress(func() map[string]int64 {
+			ts := sampler.Snapshot()
+			out := make(map[string]int64, 8)
+			out["cycle"] = ts.EndCycle()
+			out["epochs"] = int64(len(ts.Cycles))
+			for _, name := range [...]string{
+				"engine/events", "tasks/executed", "dram/queue", "noc/inflight",
+			} {
+				if col := ts.Col(name); len(col) > 0 {
+					out[name] = col[len(col)-1]
 				}
-				return out
-			})
-		}
-		// The governor snapshot rides on the slow-request log: by the
-		// time the log renders it the run has finished, so reading the
-		// engine is safe.
-		eng := a.Engine()
-		sp.SetSnapshot(func() string { return eng.Snapshot().String() })
+			}
+			return out
+		})
 	}
+	// The governor snapshot rides on the slow-request log: by the time
+	// the log renders it the run has finished, so reading the engine is
+	// safe.
+	eng := a.Engine()
+	sp.SetSnapshot(func() string { return eng.Snapshot().String() })
 	return a.RunContext(ctx)
 }
 

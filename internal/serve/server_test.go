@@ -338,7 +338,7 @@ func TestServeStatz(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatalf("statz decode: %v", err)
 	}
-	if st.Served < 1 || st.Status["2xx"] < 1 || st.Admission.Workers <= 0 {
+	if st.Served < 1 || st.Status["ok"] < 1 || st.Admission.Workers <= 0 {
 		t.Fatalf("statz counters: %+v", st)
 	}
 }
@@ -406,6 +406,12 @@ func TestServeDrainFailsQueuedWaiters(t *testing.T) {
 			entered <- struct{}{}
 			<-hold
 		},
+		// The released simulation must finish before the drain's
+		// hard-cancel (4s in). The epoch sampler's per-access histogram
+		// updates double a served simulation's time under the race
+		// detector, which would push it past that point; sampling is
+		// not what this test is about.
+		Obs: &ObsConfig{SampleEvery: -1},
 	})
 	if err != nil {
 		t.Fatal(err)
