@@ -136,7 +136,7 @@ func TestRunSingleChip(t *testing.T) {
 	a.verbose, a.metrics = true, true
 	a.traceOut = filepath.Join(dir, "trace.jsonl")
 	a.chromeOut = filepath.Join(dir, "chrome.json")
-	a.deadline, a.maxEvents, a.maxWall = 1 << 40, 1 << 40, time.Minute
+	a.deadline, a.maxEvents, a.maxWall = 1<<40, 1<<40, time.Minute
 	a.tf = telemetryFlags{sampleEvery: 256, timeseriesOut: filepath.Join(dir, "ts.json"), httpAddr: "127.0.0.1:0"}
 	if err := quietRun(t, a); err != nil {
 		t.Fatalf("single-chip run: %v", err)

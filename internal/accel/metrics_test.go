@@ -124,4 +124,3 @@ func TestMetricsEnabledByDefault(t *testing.T) {
 		t.Fatal("DefaultConfig must enable VerifyMetrics")
 	}
 }
-

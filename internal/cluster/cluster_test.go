@@ -135,8 +135,8 @@ func TestClusterMetamorphicCounts(t *testing.T) {
 		name string
 		g    *graph.Graph
 	}{
-		{"rmat", gen.RMAT(192, 1100, 0.6, 0.15, 0.15, 7)},  // wi analogue
-		{"plc", gen.PowerLawCluster(220, 5, 0.55, 9)},      // or analogue
+		{"rmat", gen.RMAT(192, 1100, 0.6, 0.15, 0.15, 7)}, // wi analogue
+		{"plc", gen.PowerLawCluster(220, 5, 0.55, 9)},     // or analogue
 	}
 	for _, gr := range graphs {
 		for _, wlName := range []string{"tc", "4cl", "dia_v"} {

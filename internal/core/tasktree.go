@@ -289,7 +289,7 @@ func (t *Tree) AdoptSplit(root graph.VertexID, cand []graph.VertexID, spawnLimit
 	t.trees[ts.id] = ts
 	n := t.w.NewNode(0, root, nil, ts.id)
 	n.Executed = true
-	n.Cand = append(n.Cand, cand...)
+	n.Cand = t.w.CopyCand(cand)
 	n.SpawnLimit = spawnLimit
 	n.NextCand = lo
 	n.SplitLo, n.SplitHi = lo, hi

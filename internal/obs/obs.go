@@ -91,12 +91,12 @@ type Plane struct {
 
 	pool sync.Pool
 
-	mu       sync.Mutex
-	idSeq    uint64
-	inflight map[uint64]*Span
-	recent   []SpanView // ring, newest at recentPos-1
+	mu        sync.Mutex
+	idSeq     uint64
+	inflight  map[uint64]*Span
+	recent    []SpanView // ring, newest at recentPos-1
 	recentPos int
-	recentN  int
+	recentN   int
 
 	famMu    sync.RWMutex
 	families map[famKey]*telemetry.Histogram

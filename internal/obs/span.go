@@ -83,12 +83,12 @@ type Span struct {
 	plane *Plane
 	id    uint64
 
-	mu       sync.Mutex
-	trace    [maxTraceLen]byte
-	traceLen int
-	op       string
-	graphKey string
-	schedule string
+	mu           sync.Mutex
+	trace        [maxTraceLen]byte
+	traceLen     int
+	op           string
+	graphKey     string
+	schedule     string
 	budgetWallMS int64
 	budgetEvents int64
 

@@ -456,7 +456,7 @@ func (p *PE) stageDispatch(fl *inflight) {
 	// Compute: dividers segment the inputs (one slot per input line),
 	// IUs process the segment pairs (one slot each). Both banks are
 	// reserved as a batch at a common issue time — exactly equivalent
-	// to per-item greedy acquisition, without the per-item heap walk.
+	// to per-item greedy acquisition, computed in closed form.
 	tComp := tIssue
 	if prof.SegPairs > 0 {
 		divDone := p.DivPool.AcquireBatch(tIssue, p.Cfg.DividerCyclesPerLine, prof.InputLines)

@@ -9,6 +9,8 @@
 // the bitset's universe (len(bits)*64). Outputs are strictly ascending.
 package setops
 
+import "slices"
+
 // BitsetWords reports the number of uint64 words a bitset over the
 // universe [0, n) occupies.
 func BitsetWords(n int) int { return (n + 63) / 64 }
@@ -41,13 +43,18 @@ func BitsetClearList(bits []uint64, list []VertexID) {
 
 // IntersectBitmap appends list ∩ bits to dst and returns the extended
 // slice: each element of list is tested against the bitset in O(1).
+// Every element is written and the tested bit advances the output
+// length, so the loop has no data-dependent branch to mispredict; dst is
+// grown to hold len(list) more elements first (callers that reuse
+// buffers of the largest set's size never reallocate).
 func IntersectBitmap(dst, list []VertexID, bits []uint64) []VertexID {
+	n := len(dst)
+	dst = slices.Grow(dst, len(list))[:n+len(list)]
 	for _, x := range list {
-		if bits[uint32(x)>>6]&(1<<(uint32(x)&63)) != 0 {
-			dst = append(dst, x)
-		}
+		dst[n] = x
+		n += int(bits[uint32(x)>>6] >> (uint32(x) & 63) & 1)
 	}
-	return dst
+	return dst[:n]
 }
 
 // IntersectBitmapBound is IntersectBitmap restricted to elements < limit
@@ -73,14 +80,15 @@ func IntersectCountBitmapBound(list []VertexID, bits []uint64, limit VertexID) i
 }
 
 // SubtractBitmap appends list \ bits to dst and returns the extended
-// slice.
+// slice, branch-free and growing dst like IntersectBitmap.
 func SubtractBitmap(dst, list []VertexID, bits []uint64) []VertexID {
+	n := len(dst)
+	dst = slices.Grow(dst, len(list))[:n+len(list)]
 	for _, x := range list {
-		if bits[uint32(x)>>6]&(1<<(uint32(x)&63)) == 0 {
-			dst = append(dst, x)
-		}
+		dst[n] = x
+		n += int(^bits[uint32(x)>>6] >> (uint32(x) & 63) & 1)
 	}
-	return dst
+	return dst[:n]
 }
 
 // SubtractBitmapBound is SubtractBitmap restricted to elements < limit.

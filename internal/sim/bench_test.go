@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
 
 // benchActor is the allocation-free self-rearming event chain: the
 // engine-throughput benchmarks measure pure queue+dispatch cost.
@@ -36,8 +40,11 @@ func BenchmarkEngineThroughputFar(b *testing.B) {
 	benchEngineThroughput(b, calWindow+1)
 }
 
+// BenchmarkPoolAcquire is single reservations on a 20-unit pool, the
+// NoC link bank of the 10-PE chip (about two million Acquires per
+// simulated run).
 func BenchmarkPoolAcquire(b *testing.B) {
-	p := NewPool("x", 24)
+	p := NewPool("x", 20)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -55,15 +62,61 @@ func BenchmarkPoolAcquireSingle(b *testing.B) {
 	}
 }
 
-// BenchmarkPoolAcquireBatch reserves IU-bank-sized batches — the PE
-// compute stage's pattern (one reservation per segment pair at a common
-// issue time).
+// batchStep is one AcquireBatch call of a replayed trace.
+type batchStep struct {
+	now Time
+	k   int
+}
+
+// batchTrace draws a seeded sequence of batches for an n-unit bank of
+// dur-cycle units in the PE compute stage's measured mix: k from 4–63,
+// and at batch time all units idle (~40%), some idle (~30%), or all busy
+// (~30%, horizons spread by earlier uneven batches). It returns the
+// trace; replaying it on a fresh pool reproduces the same states.
+func batchTrace(n int, dur Time, steps int) []batchStep {
+	rng := rand.New(rand.NewSource(7))
+	p := NewPool("trace", n)
+	trace := make([]batchStep, steps)
+	for i := range trace {
+		lo, hi := p.NextFree(), Time(p.keys[n-1]>>p.shift)
+		var now Time
+		switch r := rng.Intn(10); {
+		case r < 4:
+			now = hi + 1 + Time(rng.Intn(16))
+		case r < 7 && hi > lo:
+			now = lo + 1 + Time(rng.Int63n(hi-lo))
+		default:
+			now = lo - Time(rng.Intn(8))
+		}
+		trace[i] = batchStep{now: now, k: 4 + rng.Intn(60)}
+		p.AcquireBatch(now, dur, trace[i].k)
+	}
+	return trace
+}
+
+// BenchmarkPoolAcquireBatch replays batchTrace on the PE's two banks:
+// 12 dividers at 1 cycle per line and 24 IUs at 4 cycles per segment
+// pair.
 func BenchmarkPoolAcquireBatch(b *testing.B) {
-	p := NewPool("x", 24)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.AcquireBatch(Time(i)*8, 4, 32)
+	for _, bank := range []struct {
+		n   int
+		dur Time
+	}{{12, 1}, {24, 4}} {
+		b.Run(fmt.Sprintf("n=%d", bank.n), func(b *testing.B) {
+			trace := batchTrace(bank.n, bank.dur, 4096)
+			p := NewPool("x", bank.n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j := i % len(trace)
+				if j == 0 && i > 0 {
+					b.StopTimer()
+					p = NewPool("x", bank.n)
+					b.StartTimer()
+				}
+				p.AcquireBatch(trace[j].now, bank.dur, trace[j].k)
+			}
+		})
 	}
 }
 

@@ -206,42 +206,6 @@ func TestEngineFreelistReuse(t *testing.T) {
 	}
 }
 
-// TestPoolAcquireBatchEquivalence checks AcquireBatch against the k
-// successive Acquire calls it replaces, across pool sizes (including the
-// single-unit fast path), clamped and unclamped starts, and batch sizes.
-func TestPoolAcquireBatchEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for _, units := range []int{1, 2, 3, 8, 24} {
-		ref := NewPool("ref", units)
-		bat := NewPool("bat", units)
-		var now Time
-		for step := 0; step < 400; step++ {
-			now += Time(rng.Intn(12))
-			dur := Time(1 + rng.Intn(9))
-			k := 1 + rng.Intn(40)
-			var refDone Time
-			for i := 0; i < k; i++ {
-				refDone = ref.Acquire(now, dur) + dur
-			}
-			batDone := bat.AcquireBatch(now, dur, k)
-			if refDone != batDone {
-				t.Fatalf("units=%d step=%d: batch done %d, sequential done %d", units, step, batDone, refDone)
-			}
-			if ref.Busy() != bat.Busy() || ref.Acquires() != bat.Acquires() {
-				t.Fatalf("units=%d: busy %d vs %d, acquires %d vs %d",
-					units, ref.Busy(), bat.Busy(), ref.Acquires(), bat.Acquires())
-			}
-			if ref.NextFree() != bat.NextFree() {
-				t.Fatalf("units=%d: next-free %d vs %d", units, ref.NextFree(), bat.NextFree())
-			}
-			// Interleave a plain Acquire so per-unit state must also agree.
-			if a, b := ref.Acquire(now, dur), bat.Acquire(now, dur); a != b {
-				t.Fatalf("units=%d: interleaved acquire %d vs %d", units, a, b)
-			}
-		}
-	}
-}
-
 // TestCalendarPeekThenEarlierPush pins the fuzz-found regression: a peek
 // while only far-future events are queued must not advance the window
 // floor, because a later push at an earlier (still legal) time must

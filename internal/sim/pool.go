@@ -11,24 +11,26 @@ import "math/bits"
 // call order, which matches an in-order arbiter granting requests as they
 // arrive.
 //
-// The earliest-free unit is tracked incrementally with a min-heap of
-// packed (until << shift | unit) keys, so Acquire on a 24-unit IU bank
-// costs O(log n) single-word comparisons instead of rescanning until[]
-// — Acquire was the simulator's single hottest function before (20% of
-// BenchmarkSimulate). The packed key orders by (until, unit): ties
-// break on the lower unit index, exactly matching the old linear scan,
-// so reservation order (and therefore every golden timing result) is
-// unchanged. Reservations only ever push a unit's horizon forward, so
-// re-heapifying is always a sift-down from the updated node.
+// Each unit's horizon is packed with its index into one key,
+// until<<shift | unit, and the keys are kept sorted: keys[0] is the
+// earliest-free unit, ties broken on the lower unit index, exactly as the
+// original linear scan chose. A reservation only pushes one key forward,
+// so Acquire moves it up to its sorted place (one short memmove on the
+// ≤ 24-unit banks). The sorted order is what lets AcquireBatch water-fill
+// k reservations in closed form instead of k single picks.
 type Pool struct {
-	name string
-	// until[id] mirrors the horizon packed into the keys (InFlightAt,
-	// ReleaseAt) — keys are authoritative for ordering.
-	until []Time
-	keys  []int64 // min-heap of until<<shift | unit
-	pos   []int32 // pos[id] = index of id's key in keys
+	name  string
+	keys  []int64 // sorted until<<shift | unit, one per unit
 	shift uint    // bits.Len(n-1): unit bits in a packed key
 	mask  int64   // 1<<shift - 1
+
+	// AcquireBatch scratch, indexed by unit: the leveled prefix is a
+	// circular list (next) of keys stored minus a shared offset (val);
+	// mark sorts restarted idle units by index. A fully leveled batch
+	// uses val to hold the keys it rotates to the end.
+	next []int32
+	val  []int64
+	mark []uint64
 
 	busy     Time
 	acquires int64
@@ -40,51 +42,39 @@ func NewPool(name string, n int) *Pool {
 	if n < 1 {
 		panic("sim: pool needs at least one unit")
 	}
-	p := &Pool{name: name, until: make([]Time, n)}
+	p := &Pool{name: name}
 	p.shift = uint(bits.Len(uint(n - 1)))
 	p.mask = 1<<p.shift - 1
 	p.keys = make([]int64, n)
-	p.pos = make([]int32, n)
 	for i := range p.keys {
-		// Identity order is a valid heap: all untils are 0 and ties
-		// order by unit index.
+		// All horizons are 0, so unit order is sorted order.
 		p.keys[i] = int64(i)
-		p.pos[i] = int32(i)
 	}
+	p.next = make([]int32, n)
+	p.val = make([]int64, n)
+	p.mark = make([]uint64, (n+63)/64)
 	return p
 }
 
-// siftDown restores the heap below position i after keys[i] increased
-// (reservations never decrease a unit's horizon).
-func (p *Pool) siftDown(i int32) {
+// raise moves keys[i], whose unit's key grew to key, up to its sorted
+// place. Reservations never lower a horizon, so the key only moves right;
+// the scan starts from the end because a fresh reservation usually
+// becomes the latest.
+func (p *Pool) raise(i int, key int64) {
 	h := p.keys
-	n := int32(len(h))
-	k := h[i]
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		c := l
-		if r := l + 1; r < n && h[r] < h[l] {
-			c = r
-		}
-		if h[c] >= k {
-			break
-		}
-		h[i] = h[c]
-		p.pos[h[c]&p.mask] = i
-		i = c
+	j := len(h) - 1
+	for j > i && h[j] > key {
+		j--
 	}
-	h[i] = k
-	p.pos[k&p.mask] = i
+	copy(h[i:j], h[i+1:j+1])
+	h[j] = key
 }
 
 // Name returns the pool's name.
 func (p *Pool) Name() string { return p.name }
 
 // Size returns the number of units.
-func (p *Pool) Size() int { return len(p.until) }
+func (p *Pool) Size() int { return len(p.keys) }
 
 // SetPerturb installs a service-time perturber (nil removes it). Used by
 // the chaos harness to inject deterministic latency jitter.
@@ -99,16 +89,8 @@ func (p *Pool) Acquire(now Time, dur Time) Time {
 		}
 	}
 	k := p.keys[0]
-	best := k & p.mask
-	start := Time(k >> p.shift)
-	if start < now {
-		start = now
-	}
-	p.until[best] = start + dur
-	p.keys[0] = int64(start+dur)<<p.shift | best
-	if len(p.keys) > 1 {
-		p.siftDown(0)
-	}
+	start := max(Time(k>>p.shift), now)
+	p.raise(0, int64(start+dur)<<p.shift|k&p.mask)
 	p.busy += dur
 	p.acquires++
 	return start
@@ -120,6 +102,16 @@ func (p *Pool) Acquire(now Time, dur Time) Time {
 // zero). The PE's divider and IU stages reserve one slot per input line
 // / segment pair at a common issue time, so the batch form replaces the
 // simulator's hottest per-item loop.
+//
+// The k picks are the k smallest pick keys, taken in key order. A unit's
+// first pick is ordered by its current key, even when its horizon lies
+// before now (idle units go in the order of their old horizons, not by
+// index), and starts at max(until, now) = b; its j-th later pick has key
+// (b + j·dur, unit). The batch computes that order in closed form: idle
+// units restart at now in one merge, then a prefix of the sorted keys
+// that lies within one dur of its minimum (the leveled prefix) takes
+// whole rounds in key order, and lagging units join it in bulk, one
+// division per join instead of one pick per reservation.
 func (p *Pool) AcquireBatch(now Time, dur Time, k int) Time {
 	if k <= 0 {
 		return now
@@ -136,61 +128,159 @@ func (p *Pool) AcquireBatch(now Time, dur Time, k int) Time {
 		}
 		return start + dur
 	}
-	h := p.keys
-	n := int32(len(h))
-	if n == 1 {
-		// Single unit: k back-to-back reservations.
-		start := Time(h[0] >> p.shift)
-		if start < now {
-			start = now
-		}
-		end := start + Time(k)*dur
-		p.until[0] = end
-		h[0] = int64(end) << p.shift
-		p.busy += Time(k) * dur
-		p.acquires += int64(k)
-		return end
-	}
-	nowKey := int64(now) << p.shift
-	var rootKey int64
-	for i := 0; i < k; i++ {
-		rootKey = h[0]
-		if rootKey < nowKey {
-			// Unit free before now: starts at now, keeps its index bits.
-			rootKey = nowKey | rootKey&p.mask
-		}
-		rootKey += int64(dur) << p.shift
-		// Inlined siftDown(0) without pos maintenance: positions are
-		// rebuilt once after the loop.
-		key := rootKey
-		var j int32
-		for {
-			l := 2*j + 1
-			if l >= n {
-				break
-			}
-			c := l
-			if r := l + 1; r < n && h[r] < h[l] {
-				c = r
-			}
-			if h[c] >= key {
-				break
-			}
-			h[j] = h[c]
-			j = c
-		}
-		h[j] = key
-	}
-	for i, key := range h {
-		unit := key & p.mask
-		p.until[unit] = Time(key >> p.shift)
-		p.pos[unit] = int32(i)
-	}
 	p.busy += Time(k) * dur
 	p.acquires += int64(k)
-	// The last reservation starts latest (horizons only grow), so its
-	// horizon is the batch's latest completion.
-	return Time(rootKey >> p.shift)
+	h := p.keys
+	n := len(h)
+	nowKey := int64(now) << p.shift
+	d := int64(dur) << p.shift
+
+	// Idle units take the first picks, each starting at now.
+	m := 0
+	for m < n && m < k && h[m] < nowKey {
+		m++
+	}
+	if m > 0 {
+		p.restart(m, nowKey+d)
+		if k -= m; k == 0 {
+			return now + dur
+		}
+	}
+	if d == 0 {
+		// Zero-length picks leave every key in place: all go to the
+		// earliest unit, which no longer lies before now.
+		return Time(h[0] >> p.shift)
+	}
+
+	if h[n-1] < h[0]+d {
+		// All n keys are leveled: whole rounds in key order, every unit
+		// r picks and the first q one more. The keys rotate left by q.
+		r := int64(k-1) / int64(n)
+		q := (k-1)%n + 1
+		last := h[q-1] + r*d
+		lead := append(p.val[:0], h[:q]...)
+		copy(h, h[q:])
+		for i := range h[:n-q] {
+			h[i] += r * d
+		}
+		for i, key := range lead {
+			h[n-q+i] = key + (r+1)*d
+		}
+		return Time(last>>p.shift) + dur
+	}
+
+	// Grow the leveled prefix (a units, max key < min key + d, held as
+	// a circular list from head, in key order, of val+off) over the
+	// sorted keys.
+	next, val := p.next, p.val
+	head := int32(h[0] & p.mask)
+	tail := head
+	next[head] = head
+	val[head] = h[0]
+	var off int64
+	a := 1
+	for ; a < n; a++ {
+		x := h[a]
+		u := int32(x & p.mask)
+		if x < val[head]+off+d {
+			// Within one dur of the minimum: x joins the rounds at
+			// its key-order place without any pick being taken first.
+			val[u] = x - off
+			e := tail
+			if x < val[tail]+off {
+				for e = head; val[next[e]]+off < x; e = next[e] {
+				}
+			}
+			next[u], next[e] = next[e], u
+			if e == tail {
+				tail = u
+			}
+			continue
+		}
+		// Lagging: r whole rounds, then the q prefix units still below
+		// x, go before x's first pick. Keys of two units never differ
+		// by a multiple of d (their unit bits differ), so r counts the
+		// rounds whose last key lies below x exactly.
+		r := (x-val[tail]-off)/d + 1
+		if int64(k) <= r*int64(a) {
+			break
+		}
+		prev, e, q := tail, head, 0
+		for val[e]+off+r*d < x {
+			prev, e = e, next[e]
+			q++
+		}
+		if int64(k) <= r*int64(a)+int64(q) {
+			break
+		}
+		k -= int(r)*a + q
+		off += r * d
+		for f := head; f != e; f = next[f] {
+			val[f] += d
+		}
+		// x is now the minimum: it leads, the q raised units trail.
+		val[u] = x - off
+		next[prev], next[u] = u, e
+		head, tail = u, prev
+	}
+
+	// The remaining k picks are whole rounds over the leveled prefix in
+	// key order: every unit gets r, the first q one more.
+	r := int64(k-1) / int64(a)
+	q := (k-1)%a + 1
+	off += r * d
+	var last int64
+	e := head
+	for i := 0; i < q; i++ {
+		last = val[e] + off
+		val[e] += d
+		e = next[e]
+	}
+	// Write the prefix back from its new minimum, merged in place with
+	// the untouched keys h[a:] (the write index never passes the read
+	// index).
+	i, t := 0, a
+	for c := 0; c < a; c++ {
+		key := val[e] + off
+		for t < n && h[t] < key {
+			h[i] = h[t]
+			i, t = i+1, t+1
+		}
+		h[i] = key
+		i++
+		e = next[e]
+	}
+	return Time(last>>p.shift) + dur
+}
+
+// restart gives the first m (idle) units the key base|unit and merges
+// them back into sorted order: restarted together, they now order by unit
+// index rather than by their old horizons.
+func (p *Pool) restart(m int, base int64) {
+	h := p.keys
+	if m == len(h) {
+		for i := range h {
+			h[i] = base | int64(i)
+		}
+		return
+	}
+	for _, key := range h[:m] {
+		u := key & p.mask
+		p.mark[u>>6] |= 1 << (u & 63)
+	}
+	i, t := 0, m
+	for w := range p.mark {
+		for p.mark[w] != 0 {
+			key := base | int64(w<<6+bits.TrailingZeros64(p.mark[w]))
+			p.mark[w] &= p.mark[w] - 1
+			for t < len(h) && h[t] < key {
+				h[i] = h[t]
+				i, t = i+1, t+1
+			}
+			h[i] = key
+			i++
+		}
+	}
 }
 
 // AcquireDynamic reserves the earliest-available unit starting no earlier
@@ -199,29 +289,21 @@ func (p *Pool) AcquireBatch(now Time, dur Time, k int) Time {
 // whose hold time depends on a downstream access.
 func (p *Pool) AcquireDynamic(now Time) (unit int, start Time) {
 	k := p.keys[0]
-	best := k & p.mask
-	start = Time(k >> p.shift)
-	if start < now {
-		start = now
-	}
-	p.until[best] = start
-	p.keys[0] = int64(start)<<p.shift | best
-	if len(p.keys) > 1 {
-		p.siftDown(0)
-	}
+	start = max(Time(k>>p.shift), now)
+	p.raise(0, int64(start)<<p.shift|k&p.mask)
 	p.acquires++
-	return int(best), start
+	return int(k & p.mask), start
 }
 
 // ReleaseAt completes a dynamic reservation: the unit stays busy until t.
 func (p *Pool) ReleaseAt(unit int, t Time) {
-	if t > p.until[unit] {
-		p.busy += t - p.until[unit]
-		p.until[unit] = t
-		p.keys[p.pos[unit]] = int64(t)<<p.shift | int64(unit)
-		if len(p.keys) > 1 {
-			p.siftDown(p.pos[unit])
-		}
+	i := 0
+	for p.keys[i]&p.mask != int64(unit) {
+		i++
+	}
+	if until := Time(p.keys[i] >> p.shift); t > until {
+		p.busy += t - until
+		p.raise(i, int64(t)<<p.shift|int64(unit))
 	}
 }
 
@@ -229,10 +311,8 @@ func (p *Pool) ReleaseAt(unit int, t Time) {
 // instantaneous queue depth a telemetry gauge sees at an epoch boundary.
 func (p *Pool) InFlightAt(now Time) int {
 	n := 0
-	for _, u := range p.until {
-		if u > now {
-			n++
-		}
+	for i := len(p.keys) - 1; i >= 0 && Time(p.keys[i]>>p.shift) > now; i-- {
+		n++
 	}
 	return n
 }
@@ -253,7 +333,7 @@ func (p *Pool) Utilization(elapsed Time) float64 {
 	if elapsed <= 0 {
 		return 0
 	}
-	return float64(p.busy) / (float64(elapsed) * float64(len(p.until)))
+	return float64(p.busy) / (float64(elapsed) * float64(len(p.keys)))
 }
 
 // Semaphore is a counting resource with an explicit waiter queue, used for

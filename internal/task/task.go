@@ -36,6 +36,10 @@ type Node struct {
 	// Cand is the raw candidate set for Depth+1 (nil for leaf-depth
 	// nodes, which compute nothing).
 	Cand []graph.VertexID
+	// candBits is Cand's bitset view when Cand copies a hub's neighbor
+	// list (nil otherwise): set operations on the stored set may probe
+	// it. It only picks kernels, never results.
+	candBits []uint64
 	// SpawnLimit is the index bound in Cand after symmetry-breaking
 	// truncation: children are drawn from Cand[:SpawnLimit].
 	SpawnLimit int
@@ -146,6 +150,14 @@ type Workload struct {
 	S   *pattern.Schedule
 	Map mem.AddressMap
 
+	// hubs and disp pick each set operation's kernel: CSR operands of
+	// hub vertices carry their adjacency bitset, so the dispatcher can
+	// probe instead of merge. Kernel choice is functional only — the
+	// profile is computed from operand lengths — so it changes no
+	// simulated cycle.
+	hubs *graph.HubIndex
+	disp setops.Dispatcher
+
 	scratchA []graph.VertexID
 	scratchB []graph.VertexID
 	pathBuf  []graph.VertexID
@@ -170,6 +182,7 @@ func NewWorkload(g *graph.Graph, s *pattern.Schedule) *Workload {
 		G:        g,
 		S:        s,
 		Map:      mem.NewAddressMap(int64(g.NumEdges()*2), maxSet),
+		hubs:     g.HubIndex(),
 		scratchA: make([]graph.VertexID, 0, maxSet),
 		scratchB: make([]graph.VertexID, 0, maxSet),
 		pathBuf:  make([]graph.VertexID, s.Depth()),
@@ -225,6 +238,14 @@ func (w *Workload) Release(n *Node) *Node {
 	return parent
 }
 
+// CopyCand returns a copy of cand in a pooled candidate buffer, which
+// Release recycles with the node. Every candidate buffer therefore holds
+// the largest set, so set kernels never grow one; an adopted split root
+// takes its copied set this way.
+func (w *Workload) CopyCand(cand []graph.VertexID) []graph.VertexID {
+	return append(w.candBuf(), cand...)
+}
+
 func (w *Workload) candBuf() []graph.VertexID {
 	if k := len(w.free); k > 0 {
 		b := w.free[k-1]
@@ -236,12 +257,13 @@ func (w *Workload) candBuf() []graph.VertexID {
 
 // resolve returns the actual set named by ref for the node's path, plus
 // its Read descriptor. For RefStored the owning ancestor's slot provides
-// the address.
-func (w *Workload) resolve(n *Node, ref pattern.SetRef, path []graph.VertexID) ([]graph.VertexID, Read) {
+// the address. A hub's neighbor set, or a stored copy of it, comes with
+// its bitset view.
+func (w *Workload) resolve(n *Node, ref pattern.SetRef, path []graph.VertexID) (setops.Operand, Read) {
 	if ref.Kind == pattern.RefNeighbor {
 		u := path[ref.Pos]
 		set := w.G.Neighbors(u)
-		return set, Read{
+		return setops.Operand{List: set, Bits: w.hubs.Bits(u)}, Read{
 			Class: ReadCSR,
 			Addr:  w.Map.CSRAddr(w.G.NeighborOffset(u)),
 			Bytes: int64(len(set)) * 4,
@@ -251,7 +273,7 @@ func (w *Workload) resolve(n *Node, ref pattern.SetRef, path []graph.VertexID) (
 	if !owner.Executed || owner.Cand == nil {
 		panic("task: stored set referenced before materialization")
 	}
-	return owner.Cand, Read{
+	return setops.Operand{List: owner.Cand, Bits: owner.candBits}, Read{
 		Class: ReadIntermediate,
 		Addr:  w.Map.SetAddr(owner.Slot),
 		Bytes: int64(len(owner.Cand)) * 4,
@@ -301,35 +323,34 @@ func (w *Workload) ExecuteReuse(n *Node, slot int, reads []Read) Profile {
 		if !owner.Executed || owner.Cand == nil {
 			panic("task: alias of unmaterialized set")
 		}
-		n.Cand = owner.Cand
+		n.Cand, n.candBits = owner.Cand, owner.candBits
 		n.Slot = owner.Slot
 		n.SharedCand = true
 		w.truncate(n, plan, path)
 		return prof
 	}
 
-	base, baseRead := w.resolve(n, plan.Base, path)
+	cur, baseRead := w.resolve(n, plan.Base, path)
 	prof.Reads = append(prof.Reads, baseRead)
 	if baseRead.Class == ReadIntermediate {
-		prof.IntermediateLines += setops.Lines(len(base))
+		prof.IntermediateLines += setops.Lines(len(cur.List))
 	}
-	prof.InputLines += setops.Lines(len(base))
+	prof.InputLines += setops.Lines(len(cur.List))
 
-	cur := base
 	if len(plan.Steps) == 0 {
 		// CSR-base copy plan: materialize the neighbor set as an
 		// intermediate result (the "depth-1 tasks fetch the neighbor
 		// set as the intermediate results" behaviour of §5.2.1).
-		n.Cand = append(w.candBuf(), base...)
+		n.Cand, n.candBits = w.CopyCand(cur.List), cur.Bits
 	} else {
 		for i, op := range plan.Steps {
 			operand, opRead := w.resolve(n, op.Ref, path)
 			prof.Reads = append(prof.Reads, opRead)
 			if opRead.Class == ReadIntermediate {
-				prof.IntermediateLines += setops.Lines(len(operand))
+				prof.IntermediateLines += setops.Lines(len(operand.List))
 			}
-			prof.InputLines += setops.Lines(len(operand))
-			prof.SegPairs += setops.SegmentPairs(len(cur), len(operand))
+			prof.InputLines += setops.Lines(len(operand.List))
+			prof.SegPairs += setops.SegmentPairs(len(cur.List), len(operand.List))
 
 			var dst []graph.VertexID
 			last := i == len(plan.Steps)-1
@@ -342,9 +363,9 @@ func (w *Workload) ExecuteReuse(n *Node, slot int, reads []Read) Profile {
 				dst = w.scratchB[:0]
 			}
 			if op.Sub {
-				dst = setops.Subtract(dst, cur, operand)
+				dst = w.disp.Subtract(dst, cur, operand)
 			} else {
-				dst = setops.Intersect(dst, cur, operand)
+				dst = w.disp.Intersect(dst, cur, operand)
 			}
 			switch {
 			case last:
@@ -354,7 +375,7 @@ func (w *Workload) ExecuteReuse(n *Node, slot int, reads []Read) Profile {
 			default:
 				w.scratchB = dst
 			}
-			cur = dst
+			cur = setops.Operand{List: dst}
 		}
 	}
 

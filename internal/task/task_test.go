@@ -1,6 +1,7 @@
 package task
 
 import (
+	"reflect"
 	"testing"
 
 	"shogun/internal/gen"
@@ -235,4 +236,97 @@ func TestReleaseUnderflowPanics(t *testing.T) {
 	child2 := w.NewNode(1, 2, root, 1)
 	w.Release(child2)
 	w.Release(&Node{Parent: root}) // parent.Live now negative
+}
+
+// walkCompare runs the same depth-first task tree on w and ref (a copy
+// of w's setup without a hub index, so every set operation takes the
+// list kernels) and fails on the first node whose candidate set, spawn
+// limit or profile differs.
+func walkCompare(t *testing.T, name string, w, ref *Workload, n, rn *Node) {
+	t.Helper()
+	slot := n.Depth
+	if n.Depth == w.LeafDepth() {
+		slot = -1
+	}
+	got, want := w.Execute(n, slot), ref.Execute(rn, slot)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s depth %d vertex %d: profile %+v, list kernels %+v", name, n.Depth, n.Vertex, got, want)
+	}
+	if n.SpawnLimit != rn.SpawnLimit || !reflect.DeepEqual(n.Cand, rn.Cand) {
+		t.Fatalf("%s depth %d vertex %d: cand %v limit %d, list kernels %v limit %d",
+			name, n.Depth, n.Vertex, n.Cand, n.SpawnLimit, rn.Cand, rn.SpawnLimit)
+	}
+	for n.Depth < w.LeafDepth() {
+		v, _, ok := w.NextChild(n)
+		rv, _, rok := ref.NextChild(rn)
+		if ok != rok || v != rv {
+			t.Fatalf("%s: next child %d/%v, list kernels %d/%v", name, v, ok, rv, rok)
+		}
+		if !ok {
+			break
+		}
+		c, rc := w.NewNode(n.Depth+1, v, n, n.TreeID), ref.NewNode(n.Depth+1, v, rn, n.TreeID)
+		walkCompare(t, name, w, ref, c, rc)
+		w.Release(c)
+		ref.Release(rc)
+	}
+}
+
+// TestExecuteReuseHubKernelsIdentical checks that routing ExecuteReuse's
+// set operations through the hub-bitset dispatcher leaves every
+// candidate set, spawn limit and timing profile identical to the list
+// kernels, on a skewed graph with hubs (hub neighbor lists and stored
+// copies of them carry bitsets; the induced pattern's plans subtract hub
+// neighborhoods) and on a graph without a hub index.
+func TestExecuteReuseHubKernelsIdentical(t *testing.T) {
+	skewed := gen.RMAT(2048, 24000, 0.6, 0.15, 0.15, 11)
+	if skewed.HubIndex().NumHubs() == 0 {
+		t.Fatal("skewed graph has no hubs")
+	}
+	flat := gen.Clique(12)
+	if flat.HubIndex() != nil {
+		t.Fatal("clique graph should have no hub index")
+	}
+	cases := []struct {
+		name    string
+		g       *graph.Graph
+		p       pattern.Pattern
+		induced bool
+		roots   int
+	}{
+		{"tc", skewed, pattern.Triangle(), false, 2048},
+		{"4cl", skewed, pattern.FourClique(), false, 256},
+		{"tt_e", skewed, pattern.TailedTriangle(), false, 64},
+		{"tt_v", skewed, pattern.TailedTriangle(), true, 64},
+		{"4cl-nohub", flat, pattern.FourClique(), false, 12},
+	}
+	for _, tc := range cases {
+		w := buildWorkload(t, tc.g, tc.p, tc.induced)
+		ref := buildWorkload(t, tc.g, tc.p, tc.induced)
+		ref.hubs = nil
+		subs := false
+		for _, pl := range w.S.Plans {
+			for _, op := range pl.Steps {
+				subs = subs || op.Sub
+			}
+		}
+		if tc.induced && !subs {
+			t.Fatalf("%s: induced schedule has no subtraction", tc.name)
+		}
+		// Hubs are the low ids of an R-MAT graph; roots are taken from
+		// the top so deep trees stay small but still reach hub operands.
+		for r := 0; r < tc.roots; r++ {
+			v := graph.VertexID(tc.g.NumVertices() - 1 - r)
+			n, rn := w.NewNode(0, v, nil, r), ref.NewNode(0, v, nil, r)
+			walkCompare(t, tc.name, w, ref, n, rn)
+			w.Release(n)
+			ref.Release(rn)
+		}
+		if st := w.disp.Stats; tc.g == skewed && st.BitmapOps == 0 {
+			t.Fatalf("%s: no bitmap kernel ran (%+v)", tc.name, st)
+		}
+		if st := ref.disp.Stats; st.BitmapOps != 0 {
+			t.Fatalf("%s: reference ran a bitmap kernel (%+v)", tc.name, st)
+		}
+	}
 }

@@ -34,8 +34,8 @@ import (
 // (~3.1%). The geometry is a package constant, so any two Histograms are
 // mergeable and merged counts are bit-identical to single-stream counts.
 const (
-	subBits   = 5
-	subCount  = 1 << subBits
+	subBits  = 5
+	subCount = 1 << subBits
 	// numBuckets covers every non-negative int64: singleton buckets for
 	// [0, 2^subBits) plus subCount sub-buckets per exponent 5..62.
 	numBuckets = (64 - subBits) << subBits
