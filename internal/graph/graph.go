@@ -38,6 +38,9 @@ type Graph struct {
 	hubMu    sync.Mutex
 	hub      *HubIndex
 	hubBuilt bool
+	// lower caches the lazily built, shared LowerSplit.
+	lowerOnce sync.Once
+	lower     []int32
 }
 
 // New builds a Graph from an edge list. Self loops and duplicate edges are
@@ -141,6 +144,23 @@ func (g *Graph) MaxDegree() int { return g.maxDegree }
 // aliases the graph's internal storage and must not be modified.
 func (g *Graph) Neighbors(v VertexID) []VertexID {
 	return g.neighbors[g.offsets[v]:g.offsets[v+1]]
+}
+
+// LowerSplit returns the graph's shared lower-neighbour split: entry v is
+// |{u ∈ N(v) : u < v}|, so Neighbors(v)[:LowerSplit()[v]] is the part of
+// v's adjacency below v, the prefix a symmetry-breaking bound of v keeps.
+// It is built on first use (one binary search per vertex) and shared by
+// every caller, like HubIndex; the slice must not be modified.
+func (g *Graph) LowerSplit() []int32 {
+	g.lowerOnce.Do(func() {
+		n := g.NumVertices()
+		g.lower = make([]int32, n)
+		for v := 0; v < n; v++ {
+			nb := g.Neighbors(VertexID(v))
+			g.lower[v] = int32(sort.Search(len(nb), func(i int) bool { return nb[i] >= VertexID(v) }))
+		}
+	})
+	return g.lower
 }
 
 // NeighborOffset reports the index into the flat neighbor array where v's

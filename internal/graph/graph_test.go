@@ -6,8 +6,11 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
+
+	"shogun/internal/setops"
 )
 
 func TestEmptyGraph(t *testing.T) {
@@ -242,4 +245,62 @@ func assertSameGraph(t *testing.T, a, b *Graph) {
 			t.Fatalf("neighbors of %d differ: %v vs %v", v, na, nb)
 		}
 	}
+}
+
+// checkLowerSplit requires LowerSplit()[v] to be the length of N(v)
+// bounded by v, for every vertex.
+func checkLowerSplit(t *testing.T, name string, g *Graph) {
+	t.Helper()
+	lower := g.LowerSplit()
+	if len(lower) != g.NumVertices() {
+		t.Fatalf("%s: %d entries for %d vertices", name, len(lower), g.NumVertices())
+	}
+	for v := range lower {
+		if want := len(setops.Bound(g.Neighbors(VertexID(v)), VertexID(v))); int(lower[v]) != want {
+			t.Fatalf("%s: lower[%d] = %d, want %d", name, v, lower[v], want)
+		}
+	}
+}
+
+func TestLowerSplit(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	random := MustNew(200, randomEdges(rng, 200, 1500))
+	var buf bytes.Buffer
+	if err := random.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	roundTrip, err := ReadBinary(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*Graph{
+		"zero value":  {},
+		"no vertices": MustNew(0, nil),
+		"isolated":    MustNew(6, []Edge{{2, 4}}),
+		"star":        MustNew(5, []Edge{{4, 0}, {4, 1}, {4, 2}, {4, 3}}),
+		"random":      random,
+		"round trip":  roundTrip,
+	} {
+		checkLowerSplit(t, name, g)
+	}
+}
+
+func TestLowerSplitSharedAndConcurrent(t *testing.T) {
+	g := MustNew(100, randomEdges(rand.New(rand.NewSource(5)), 100, 600))
+	var wg sync.WaitGroup
+	got := make([][]int32, 8)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = g.LowerSplit()
+		}(i)
+	}
+	wg.Wait()
+	for i := 1; i < len(got); i++ {
+		if &got[i][0] != &got[0][0] {
+			t.Fatal("concurrent LowerSplit calls returned different slices")
+		}
+	}
+	checkLowerSplit(t, "concurrent", g)
 }

@@ -1,8 +1,10 @@
 package mine
 
 import (
+	"context"
 	"testing"
 
+	"shogun/internal/datasets"
 	"shogun/internal/gen"
 	"shogun/internal/graph"
 	"shogun/internal/pattern"
@@ -61,4 +63,27 @@ func BenchmarkFourCliqueORHybrid(b *testing.B) {
 }
 func BenchmarkFourCliqueORMergeOnly(b *testing.B) {
 	benchShape(b, quickOR(), pattern.FourClique(), false)
+}
+
+// BenchmarkCountLJTriangleServe is one shogund count request's mining
+// step: the lj analogue × tc through ParallelCountContext with one
+// worker, as the daemon runs it. The graph's shared derived indexes are
+// built once before timing, as a warm daemon cache has them.
+func BenchmarkCountLJTriangleServe(b *testing.B) {
+	g, err := datasets.Get("lj")
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := pattern.Build(pattern.Triangle())
+	if err != nil {
+		b.Fatal(err)
+	}
+	NewMiner(g, s)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ParallelCountContext(context.Background(), g, s, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -22,6 +22,12 @@ type kernelContext struct {
 	hub     *graph.HubIndex
 	disp    setops.Dispatcher
 	words   int // bitset width for this graph
+	// lower is the graph's shared lower-neighbour split: N(v)[:lower[v]]
+	// is N(v) bounded by v (see leafBound).
+	lower []int32
+	// searchBounds makes leafBound always binary-search, the reference
+	// the free bounds are tested against.
+	searchBounds bool
 
 	// setBits[d] is a lazily allocated scratch bitset mirroring sets[d]
 	// while setLive[d]; it is cleared element-wise (cost ∝ |sets[d]|)
@@ -41,6 +47,7 @@ func (m *Miner) initKernels() {
 	k := &m.kern
 	k.enabled = true
 	k.hub = m.g.HubIndex()
+	k.lower = m.g.LowerSplit()
 	k.words = setops.BitsetWords(m.g.NumVertices())
 	n := m.s.Depth()
 	k.setBits = make([][]uint64, n)
@@ -121,12 +128,36 @@ func operandHas(op *setops.Operand, v graph.VertexID) bool {
 	return setops.Contains(op.List, v)
 }
 
+// leafBound returns list, the list view of ref, truncated to elements
+// below limit. When limit is the vertex ref is keyed on, the prefix is
+// already known and no search runs:
+//   - a stored set C_p was enumerated up to matched[p], which sits at
+//     index idx[p] of the ascending sets[p], so sets[p][:idx[p]] holds
+//     exactly its elements below matched[p];
+//   - N(x) bounded by x is N(x)[:lower[x]], the graph's lower split.
+//
+// Any other limit falls back to setops.Bound.
+func (m *Miner) leafBound(ref pattern.SetRef, list []graph.VertexID, limit graph.VertexID) []graph.VertexID {
+	if limit == setops.NoLimit {
+		return list
+	}
+	if m.matched[ref.Pos] == limit && !m.kern.searchBounds {
+		if ref.Kind == pattern.RefStored {
+			return list[:m.idx[ref.Pos]]
+		}
+		return list[:m.kern.lower[limit]]
+	}
+	return setops.Bound(list, limit)
+}
+
 // countLeaf counts the surviving candidates of leaf position d without
 // materializing the final candidate set: all fold steps but the last run
-// as usual into scratch buffers, the last is a bounded counting kernel,
-// and the few Distinct exclusions are membership checks. Statistics
-// accounting (task counts, intermediate lines, set-op elements) is
-// bit-identical to the materializing path.
+// as usual into scratch buffers, the last is a counting kernel over
+// bounded prefixes (leafBound), and the few Distinct exclusions are
+// membership checks. Statistics accounting (task counts, intermediate
+// lines, set-op elements) is bit-identical to the materializing path, and
+// so is kernel selection: the dispatcher sees the same bounded lengths a
+// search would produce.
 func (m *Miner) countLeaf(d int) int64 {
 	plan := &m.s.Plans[d]
 	limit := setops.NoLimit
@@ -141,7 +172,7 @@ func (m *Miner) countLeaf(d int) int64 {
 	}
 	if len(plan.Steps) == 0 {
 		// Alias plan: candidates are a bounded prefix of an existing set.
-		count := int64(len(setops.Bound(base.List, limit)))
+		count := int64(len(m.leafBound(plan.Base, base.List, limit)))
 		for _, j := range plan.Distinct {
 			if v := m.matched[j]; v < limit && setops.Contains(base.List, v) {
 				count--
@@ -181,15 +212,25 @@ func (m *Miner) countLeaf(d int) int64 {
 		m.res.IntermediateLinesPerDepth[d-1] += int64(setops.Lines(len(operand.List)))
 	}
 	m.res.SetOpElements += int64(len(cur.List) + len(operand.List))
+	// The kernels count over bounded prefixes; bitset views stay
+	// full-set, which is exact since only elements below limit probe them.
+	a := cur
+	if len(plan.Steps) == 1 {
+		a.List = m.leafBound(plan.Base, cur.List, limit)
+	} else if limit != setops.NoLimit {
+		a.List = setops.Bound(cur.List, limit)
+	}
 	var count int64
 	if last.Sub {
-		count = int64(m.kern.disp.SubtractCount(cur, operand, limit))
+		count = int64(m.kern.disp.SubtractCount(a, operand))
 	} else {
-		count = int64(m.kern.disp.IntersectCount(cur, operand, limit))
+		b := operand
+		b.List = m.leafBound(last.Ref, operand.List, limit)
+		count = int64(m.kern.disp.IntersectCount(a, b))
 	}
 	for _, j := range plan.Distinct {
 		v := m.matched[j]
-		if v >= limit || !setops.Contains(cur.List, v) {
+		if v >= limit || !setops.Contains(a.List, v) {
 			continue
 		}
 		if operandHas(&operand, v) != last.Sub {

@@ -68,7 +68,11 @@ type Miner struct {
 
 	matched []graph.VertexID
 	// sets[d] stores the candidate set computed for position d.
-	sets     [][]graph.VertexID
+	sets [][]graph.VertexID
+	// idx[d] is the index of matched[d] in sets[d] while position d's
+	// loop in extend runs, so sets[d][:idx[d]] is sets[d] bounded by
+	// matched[d].
+	idx      []int
 	scratch  []graph.VertexID
 	scratch2 []graph.VertexID
 	visitor  Visitor
@@ -85,6 +89,7 @@ func NewMiner(g *graph.Graph, s *pattern.Schedule) *Miner {
 		s:       s,
 		matched: make([]graph.VertexID, n),
 		sets:    make([][]graph.VertexID, n),
+		idx:     make([]int, n),
 	}
 	for d := range m.sets {
 		m.sets[d] = make([]graph.VertexID, 0, g.MaxDegree())
@@ -256,6 +261,7 @@ func (m *Miner) extend(d int) {
 		}
 		m.res.TasksPerDepth[d]++
 		m.matched[d] = v
+		m.idx[d] = i
 		m.extend(d + 1)
 	}
 }

@@ -660,7 +660,9 @@ func (s *Server) resolveGraph(req *Request) (cachedGraph, error) {
 		})
 	}
 	sum := sha256.Sum256([]byte(req.Graph))
-	key := "upload/" + hex.EncodeToString(sum[:8])
+	// The full digest: a truncated key would let a birthday collision
+	// serve one tenant's graph to another.
+	key := "upload/" + hex.EncodeToString(sum[:])
 	return s.graphs.Get(key, func() (cachedGraph, int64, error) {
 		g, err := graph.ReadEdgeList(strings.NewReader(req.Graph))
 		if err != nil {

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -145,8 +147,10 @@ func TestServeUploadedGraph(t *testing.T) {
 	if r.Embeddings != 4 {
 		t.Fatalf("K4 triangles=%d, want 4", r.Embeddings)
 	}
-	if !strings.HasPrefix(r.GraphKey, "upload/") {
-		t.Fatalf("graph key %q", r.GraphKey)
+	// Content-addressed by the full sha256 of the upload text.
+	sum := sha256.Sum256([]byte(edges))
+	if want := "upload/" + hex.EncodeToString(sum[:]); r.GraphKey != want {
+		t.Fatalf("graph key %q, want %q", r.GraphKey, want)
 	}
 }
 

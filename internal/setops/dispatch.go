@@ -4,9 +4,9 @@ import (
 	mathbits "math/bits"
 )
 
-// NoLimit disables symmetry-breaking truncation in the counting kernels.
-// Vertex ids are < math.MaxInt32 (the graph builder caps the vertex count
-// at int32 range), so no valid element ever reaches it.
+// NoLimit stands for an absent symmetry-breaking bound. Vertex ids are
+// < math.MaxInt32 (the graph builder caps the vertex count at int32
+// range), so no valid element ever reaches it.
 const NoLimit = VertexID(1<<31 - 1)
 
 // gallopRatio is the size imbalance beyond which the list kernels switch
@@ -157,49 +157,36 @@ func (d *Dispatcher) Subtract(dst []VertexID, a, b Operand) []VertexID {
 	return Subtract(dst, a.List, b.List)
 }
 
-// boundIf truncates list to elements < limit unless limit is NoLimit.
-func boundIf(list []VertexID, limit VertexID) []VertexID {
-	if limit == NoLimit {
-		return list
-	}
-	return Bound(list, limit)
-}
-
-// IntersectCount reports |{x ∈ a ∩ b : x < limit}| (limit NoLimit
-// disables truncation) via the cheapest kernel. Truncation happens before
-// kernel selection: bounded prefixes are what the kernels actually
-// stream, so costs are estimated on them.
-func (d *Dispatcher) IntersectCount(a, b Operand, limit VertexID) int {
-	al, bl := boundIf(a.List, limit), boundIf(b.List, limit)
-	if len(al) == 0 || len(bl) == 0 {
+// IntersectCount reports |a ∩ b| via the cheapest kernel. Callers that
+// count under a symmetry-breaking bound pass the bounded prefixes as the
+// lists: those are what the kernels stream, so costs are estimated on
+// them, and a full-set bitset view stays exact because only elements
+// below the bound are probed against it.
+func (d *Dispatcher) IntersectCount(a, b Operand) int {
+	if len(a.List) == 0 || len(b.List) == 0 {
 		return 0
 	}
-	// Probing only elements < limit against a full-set bitset is exact:
-	// the extra bits can never be probed.
-	ta, tb := a, b
-	ta.List, tb.List = al, bl
-	if probe, bs, ok := bitmapPlan(&ta, &tb); ok {
+	if probe, bs, ok := bitmapPlan(&a, &b); ok {
 		d.Stats.BitmapOps++
 		return IntersectCountBitmap(probe, bs.bitset())
 	}
-	d.countListKernel(len(al), len(bl))
-	return IntersectCount(al, bl)
+	d.countListKernel(len(a.List), len(b.List))
+	return IntersectCount(a.List, b.List)
 }
 
-// SubtractCount reports |{x ∈ a \ b : x < limit}| via the cheapest
-// kernel.
-func (d *Dispatcher) SubtractCount(a, b Operand, limit VertexID) int {
-	al := boundIf(a.List, limit)
-	if len(al) == 0 {
+// SubtractCount reports |a \ b| via the cheapest kernel; a bounded count
+// passes a's bounded prefix as a.List, as for IntersectCount.
+func (d *Dispatcher) SubtractCount(a, b Operand) int {
+	if len(a.List) == 0 {
 		return 0
 	}
 	if len(b.List) == 0 {
-		return len(al)
+		return len(a.List)
 	}
 	if b.hasBits() {
 		d.Stats.BitmapOps++
-		return SubtractCountBitmap(al, b.bitset())
+		return SubtractCountBitmap(a.List, b.bitset())
 	}
-	d.countListKernel(len(al), len(b.List))
-	return len(al) - IntersectCount(al, b.List)
+	d.countListKernel(len(a.List), len(b.List))
+	return len(a.List) - IntersectCount(a.List, b.List)
 }

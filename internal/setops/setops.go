@@ -6,8 +6,6 @@
 // All inputs must be strictly ascending; outputs are strictly ascending.
 package setops
 
-import "sort"
-
 // VertexID mirrors graph.VertexID without importing it, keeping this
 // package dependency-free.
 type VertexID = int32
@@ -61,7 +59,7 @@ func gallopIntersect(dst, small, big []VertexID) []VertexID {
 		if hi > len(big) {
 			hi = len(big)
 		}
-		k := lo + sort.Search(hi-lo, func(i int) bool { return big[lo+i] >= x })
+		k := lo + lowerBound(big[lo:hi], x)
 		if k < len(big) && big[k] == x {
 			dst = append(dst, x)
 			lo = k + 1
@@ -84,7 +82,7 @@ func IntersectCount(a, b []VertexID) int {
 		n := 0
 		lo := 0
 		for _, x := range a {
-			k := lo + sort.Search(len(b)-lo, func(i int) bool { return b[lo+i] >= x })
+			k := lo + lowerBound(b[lo:], x)
 			if k < len(b) && b[k] == x {
 				n++
 				lo = k + 1
@@ -130,25 +128,43 @@ func Subtract(dst, a, b []VertexID) []VertexID {
 	return dst
 }
 
+// lowerBound returns the index of the first element of s that is >= x
+// (len(s) if none): a hand-written binary search, since the closure
+// sort.Search takes is a call per probe on the miner's hottest path.
+func lowerBound(s []VertexID, x VertexID) int {
+	lo, hi := 0, len(s)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s[mid] < x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // Bound returns the prefix of s whose elements are strictly less than
 // limit. Mining schedules use this for symmetry-breaking truncation
 // (Algorithm 1's `break` when u_k > u_{k-1}): because sets are ascending,
 // truncation is a binary search, not a scan.
 func Bound(s []VertexID, limit VertexID) []VertexID {
-	k := sort.Search(len(s), func(i int) bool { return s[i] >= limit })
-	return s[:k]
+	return s[:lowerBound(s, limit)]
 }
 
 // LowerBound returns the suffix of s whose elements are strictly greater
 // than limit.
 func LowerBound(s []VertexID, limit VertexID) []VertexID {
-	k := sort.Search(len(s), func(i int) bool { return s[i] > limit })
+	k := lowerBound(s, limit)
+	if k < len(s) && s[k] == limit {
+		k++
+	}
 	return s[k:]
 }
 
 // Remove appends a with value x removed (if present) to dst.
 func Remove(dst, a []VertexID, x VertexID) []VertexID {
-	k := sort.Search(len(a), func(i int) bool { return a[i] >= x })
+	k := lowerBound(a, x)
 	dst = append(dst, a[:k]...)
 	if k < len(a) && a[k] == x {
 		k++
@@ -158,7 +174,7 @@ func Remove(dst, a []VertexID, x VertexID) []VertexID {
 
 // Contains reports whether sorted set s contains x.
 func Contains(s []VertexID, x VertexID) bool {
-	k := sort.Search(len(s), func(i int) bool { return s[i] >= x })
+	k := lowerBound(s, x)
 	return k < len(s) && s[k] == x
 }
 

@@ -92,6 +92,34 @@ func TestBoundAndLowerBound(t *testing.T) {
 	}
 }
 
+// TestSearchHelpersMatchSortSearch pins the hand-written binary search
+// behind Bound, LowerBound, Contains and Remove to sort.Search on every
+// probe around every element, including the empty set and NoLimit.
+func TestSearchHelpersMatchSortSearch(t *testing.T) {
+	for _, s := range [][]VertexID{nil, set(5), set(0, 1, 2, 3, 9, 40, 41, NoLimit)} {
+		probes := []VertexID{-1, NoLimit}
+		for _, x := range s {
+			probes = append(probes, x-1, x, x+1)
+		}
+		for _, x := range probes {
+			ge := sort.Search(len(s), func(i int) bool { return s[i] >= x })
+			gt := sort.Search(len(s), func(i int) bool { return s[i] > x })
+			if got := len(Bound(s, x)); got != ge {
+				t.Errorf("len(Bound(%v, %d)) = %d, want %d", s, x, got, ge)
+			}
+			if got := len(s) - len(LowerBound(s, x)); got != gt {
+				t.Errorf("LowerBound(%v, %d) starts at %d, want %d", s, x, got, gt)
+			}
+			if got, want := Contains(s, x), ge < len(s) && s[ge] == x; got != want {
+				t.Errorf("Contains(%v, %d) = %v", s, x, got)
+			}
+			if got, want := len(Remove(nil, s, x)), len(s)-len(s[ge:gt]); got != want {
+				t.Errorf("Remove(%v, %d) has %d elements, want %d", s, x, got, want)
+			}
+		}
+	}
+}
+
 func TestRemoveAndContains(t *testing.T) {
 	s := set(1, 3, 5)
 	if got := Remove(nil, s, 3); !equal(got, set(1, 5)) {

@@ -13,7 +13,6 @@ package task
 
 import (
 	"fmt"
-	"sort"
 
 	"shogun/internal/graph"
 	"shogun/internal/mem"
@@ -396,10 +395,7 @@ func (w *Workload) truncate(n *Node, plan *pattern.Plan, path []graph.VertexID) 
 	n.SpawnLimit = len(n.Cand)
 	for _, a := range plan.BoundBy {
 		limit := path[a]
-		k := sort.Search(n.SpawnLimit, func(i int) bool { return n.Cand[i] >= limit })
-		if k < n.SpawnLimit {
-			n.SpawnLimit = k
-		}
+		n.SpawnLimit = len(setops.Bound(n.Cand[:n.SpawnLimit], limit))
 	}
 }
 

@@ -84,11 +84,15 @@ func bucketLo(idx int) int64 {
 }
 
 // Observe records one value. Safe on a nil receiver (no-op) — telemetry
-// hooks sit on simulator hot paths guarded only by this nil check.
+// hooks sit on simulator hot paths guarded only by this nil check, so
+// Observe stays small enough to inline and a nil histogram costs no call.
 func (h *Histogram) Observe(v int64) {
-	if h == nil {
-		return
+	if h != nil {
+		h.observe(v)
 	}
+}
+
+func (h *Histogram) observe(v int64) {
 	if v < 0 {
 		v = 0
 	}
