@@ -80,11 +80,6 @@ type Config struct {
 	// ForceConservative pins Shogun's conservative mode on and disables
 	// the locality monitor (ablation knob).
 	ForceConservative bool
-	// VerifyMetrics runs the counter-conservation pass (Metrics().Verify)
-	// after every successful run, failing the run on any violated
-	// invariant. On by default; the counters themselves are always
-	// collected — this only controls the post-run check.
-	VerifyMetrics bool
 	// SampleEvery, when > 0, turns on the telemetry epoch sampler: every
 	// SampleEvery cycles the run snapshots its live gauges (per-PE
 	// residency, SPM/token/bunch occupancy, MSHR and DRAM queue depths,
@@ -121,7 +116,6 @@ func DefaultConfig(scheme Scheme) Config {
 		MaxHelpersPerSplit: 4,
 		BalancePeriod:      4096,
 		MergePeriod:        4096,
-		VerifyMetrics:      true,
 	}
 }
 
@@ -137,12 +131,16 @@ type Accelerator struct {
 	pes  []*pe.PE
 	toks []*policy.Tokens
 
-	peRoots      []*policy.SliceRoots
-	splitPending map[int]bool
-	balanceArmed bool
-	mergeArmed   bool
-	samplerArmed bool
-	tel          *Telemetry
+	peRoots []*policy.SliceRoots
+	// splitPending[i] reserves PE i as the helper of an in-flight split
+	// transfer; splitsInFlight counts the set flags (the metrics pass
+	// recounts them as an independent path).
+	splitPending   []bool
+	splitsInFlight int
+	balanceArmed   bool
+	mergeArmed     bool
+	samplerArmed   bool
+	tel            *Telemetry
 
 	Splits sim.Counter
 	Merges sim.Counter
@@ -232,7 +230,7 @@ func NewShared(g *graph.Graph, s *pattern.Schedule, cfg Config, eng *sim.Engine,
 		dram: mem.NewDRAM(cfg.DRAM),
 		noc:  mem.NewNoC(cfg.NoC),
 
-		splitPending: map[int]bool{},
+		splitPending: make([]bool, cfg.NumPEs),
 	}
 	l2, err := mem.NewCache(cfg.L2, a.dram)
 	if err != nil {
@@ -415,10 +413,8 @@ func (a *Accelerator) RunContext(ctx context.Context) (res *Result, err error) {
 	if err := a.Drained(); err != nil {
 		return nil, err
 	}
-	if a.cfg.VerifyMetrics {
-		if err := a.VerifyMetrics(); err != nil {
-			return nil, fmt.Errorf("accel: %w", err)
-		}
+	if err := a.VerifyMetrics(); err != nil {
+		return nil, fmt.Errorf("accel: %w", err)
 	}
 	return a.Collect(), nil
 }
@@ -467,12 +463,7 @@ func (a *Accelerator) ChipIdle() bool {
 			return false
 		}
 	}
-	for _, pending := range a.splitPending {
-		if pending {
-			return false
-		}
-	}
-	return true
+	return a.splitsInFlight == 0
 }
 
 // snapshot captures the diagnostic state attached to invariant and

@@ -2,10 +2,7 @@ package accel
 
 import (
 	"shogun/internal/core"
-	"shogun/internal/graph"
-	"shogun/internal/mem"
 	"shogun/internal/pe"
-	"shogun/internal/task"
 )
 
 // onPEIdle fires when a PE runs out of runnable work. Once all search
@@ -81,11 +78,21 @@ func (a *Accelerator) balanceCheck() {
 		if k > a.cfg.MaxHelpersPerSplit {
 			k = a.cfg.MaxHelpersPerSplit
 		}
-		lo, hi, ok := tree.CarveSplit(root, k)
+		x, ok := carve(tree, root, k)
 		if !ok {
 			continue
 		}
-		a.transferSplit(victim, free[helpersUsed:helpersUsed+k], root, lo, hi)
+		// CarveSplit cut exactly one equal share per helper.
+		share := (x.Hi - x.Lo) / k
+		for i, h := range free[helpersUsed : helpersUsed+k] {
+			slot, ok := a.toks[h.ID].TryAcquire(1)
+			if !ok {
+				panic("accel: idle helper has no free depth-1 token")
+			}
+			part := x
+			part.Lo, part.Hi = x.Lo+i*share, x.Lo+(i+1)*share
+			a.sendSplit(h, slot, &part)
+		}
 		helpersUsed += k
 	}
 	// Imbalance may remain (prediction uncertainty): schedule another
@@ -106,80 +113,34 @@ func (a *Accelerator) armBalanceIfNeeded() {
 	}
 }
 
-// splitMsg is one in-flight §4.1 split transfer: the root+range payload
-// travelling from victim to helper, carried as the delivery event's
+// splitMsg is one in-flight §4.1 split transfer to a helper PE holding
+// depth-1 token slot for the payload, carried as the delivery event's
 // argument (and re-carried across adoption retries). Splits are rare —
 // a handful per run — so the message itself may allocate; the candidate
 // snapshot it carries must anyway.
 type splitMsg struct {
-	helper     *pe.PE
-	htree      *core.Tree
-	rootVertex graph.VertexID
-	cand       []graph.VertexID
-	spawnLimit int
-	lo, hi     int
-	slot       int
+	helper *pe.PE
+	slot   int
+	x      *SplitExport
 }
 
-// transferSplit models the three partition-message types of §4.1 — the
-// root+range message, the set-size message, and the candidate-set cache
-// lines — then installs the split subtree on each helper.
-func (a *Accelerator) transferSplit(victim *pe.PE, helpers []*pe.PE, root *task.Node, lo, hi int) {
-	now := a.eng.Now()
-	// Snapshot the candidate set immediately: the victim's root node (and
-	// its Cand backing array) may be recycled before the transfer lands.
-	cand := append([]graph.VertexID(nil), root.Cand...)
-	rootVertex := root.Vertex
-	spawnLimit := root.SpawnLimit
-	total := hi - lo
-	share := total / len(helpers)
-	cur := lo
-	for i, h := range helpers {
-		start, end := cur, cur+share
-		if i == len(helpers)-1 {
-			end = hi
-		}
-		cur = end
-		if start >= end {
-			continue
-		}
-		htree := h.Policy().(*core.Tree) // split only runs for Shogun
-		slot, ok := a.toks[h.ID].TryAcquire(1)
-		if !ok {
-			panic("accel: idle helper has no free depth-1 token")
-		}
-		lines := int64(0)
-		if len(cand) > 0 {
-			lines = (int64(len(cand))*4 + mem.LineBytes - 1) / mem.LineBytes
-		}
-		if a.tel != nil {
-			a.tel.SplitLines.Observe(lines)
-		}
-		// Two control messages + the data lines (§4.1's three types).
-		a.noc.Transfer(now, 0)
-		a.noc.Transfer(now, 0)
-		arrive := a.noc.Transfer(now, lines)
-		a.splitPending[h.ID] = true
-		a.eng.Post(arrive, a, opDeliverSplit, &splitMsg{
-			helper: h, htree: htree, rootVertex: rootVertex, cand: cand,
-			spawnLimit: spawnLimit, lo: start, hi: end, slot: slot,
-		})
-	}
-	_ = victim // the victim's root range already shrank via CarveSplit
+// sendSplit ships a carved payload to helper h over the NoC (§4.1's
+// three messages) and reserves h until the delivery adopts it.
+func (a *Accelerator) sendSplit(h *pe.PE, slot int, x *SplitExport) {
+	arrive := a.noc.SendSplit(a.eng.Now(), x.Lines())
+	a.splitPending[h.ID] = true
+	a.splitsInFlight++
+	a.eng.Post(arrive, a, opDeliverSplit, &splitMsg{helper: h, slot: slot, x: x})
 }
 
 // deliverSplit installs a split subtree on the helper, retrying if the
 // helper's depth-0 capacity is momentarily occupied — the carved range
 // must never be dropped.
 func (a *Accelerator) deliverSplit(m *splitMsg) {
-	now := a.eng.Now()
-	if m.htree.AdoptSplit(m.rootVertex, m.cand, m.spawnLimit, m.lo, m.hi, m.slot) {
-		// Install the transferred set into the helper's L1 (the one-time
-		// PE-to-PE copy the paper argues for over proxy access).
-		mem.AccessRange(m.helper.L1, now, a.w.Map.SetAddr(m.slot), int64(len(m.cand))*4, true)
+	if a.adopt(m.helper, m.x, m.slot) {
 		a.splitPending[m.helper.ID] = false
+		a.splitsInFlight--
 		a.Splits.Inc(1)
-		m.helper.Kick()
 		return
 	}
 	a.eng.PostAfter(a.cfg.BalancePeriod, a, opDeliverSplit, m)
@@ -196,12 +157,8 @@ func (a *Accelerator) ForceSplit() bool {
 	if a.cfg.Scheme != SchemeShogun {
 		return false
 	}
-	now := a.eng.Now()
 	for _, victim := range a.pes {
-		tree, ok := victim.Policy().(*core.Tree)
-		if !ok {
-			continue
-		}
+		tree := victim.Policy().(*core.Tree)
 		root := tree.SplittableRoot()
 		if root == nil {
 			continue
@@ -214,30 +171,12 @@ func (a *Accelerator) ForceSplit() bool {
 			if !ok {
 				continue
 			}
-			lo, hi, ok := tree.CarveSplit(root, 1)
+			x, ok := carve(tree, root, 1)
 			if !ok {
 				a.toks[h.ID].Release(1, slot)
 				return false // this victim's root is not carvable; done
 			}
-			htree := h.Policy().(*core.Tree)
-			cand := append([]graph.VertexID(nil), root.Cand...)
-			rootVertex := root.Vertex
-			spawnLimit := root.SpawnLimit
-			lines := int64(0)
-			if len(cand) > 0 {
-				lines = (int64(len(cand))*4 + mem.LineBytes - 1) / mem.LineBytes
-			}
-			if a.tel != nil {
-				a.tel.SplitLines.Observe(lines)
-			}
-			a.noc.Transfer(now, 0)
-			a.noc.Transfer(now, 0)
-			arrive := a.noc.Transfer(now, lines)
-			a.splitPending[h.ID] = true
-			a.eng.Post(arrive, a, opDeliverSplit, &splitMsg{
-				helper: h, htree: htree, rootVertex: rootVertex, cand: cand,
-				spawnLimit: spawnLimit, lo: lo, hi: hi, slot: slot,
-			})
+			a.sendSplit(h, slot, &x)
 			return true
 		}
 	}

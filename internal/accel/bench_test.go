@@ -34,32 +34,6 @@ func BenchmarkSimulate(b *testing.B) {
 	b.ReportMetric(float64(tasks), "tasks/op")
 }
 
-// BenchmarkSimulateVerifyOff is BenchmarkSimulate with the post-run
-// conservation pass disabled — the pair bounds the observability
-// overhead (counters are plain int64 field adds on paths the simulator
-// already touched; the verification itself is one registry build per
-// run).
-func BenchmarkSimulateVerifyOff(b *testing.B) {
-	g := gen.RMAT(1<<10, 6000, 0.6, 0.15, 0.15, 5)
-	s, err := pattern.Build(pattern.FourClique())
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := DefaultConfig(SchemeShogun)
-	cfg.NumPEs = 4
-	cfg.VerifyMetrics = false
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		a, err := New(g, s, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := a.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchSampler is the shared body of the sampler on/off benchmark pair:
 // the same fixed workload with the epoch sampler enabled or disabled, so
 // `benchstat` on the two bounds the telemetry overhead directly.

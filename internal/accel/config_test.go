@@ -86,11 +86,12 @@ func TestLoadConfigErrors(t *testing.T) {
 // TestLoadConfigRetiredQueueKnob pins backward compatibility for retired
 // knobs. The fixture is `shogun -dumpconfig -queue heap -pes 4 -split
 // -merge` output from before the engine had a single queue: it carries
-// two keys Config no longer has, the event-queue knob set to "heap" and
+// three keys Config no longer has, the event-queue knob set to "heap",
 // the locality-monitor switch set to false (the monitor is now turned
-// off only through PE.MonitorPeriod = 0). Both keys must be ignored,
-// leaving exactly the flag-built config, and the run must match the
-// default config's run.
+// off only through PE.MonitorPeriod = 0) and the metrics-verify switch
+// set to true (the conservation pass now runs on every run). All three
+// must be ignored, leaving exactly the flag-built config, and the run
+// must match the default config's run.
 func TestLoadConfigRetiredQueueKnob(t *testing.T) {
 	path := filepath.Join("testdata", "config_eventqueue_heap.json")
 	raw, err := os.ReadFile(path)
@@ -115,8 +116,9 @@ func TestLoadConfigRetiredQueueKnob(t *testing.T) {
 		}
 	}
 	sort.Strings(retired)
-	if len(retired) != 2 || !strings.HasSuffix(retired[0], "Monitor=false") || !strings.HasSuffix(retired[1], "Queue=heap") {
-		t.Fatalf("fixture's retired keys = %v, want the monitor switch (false) and the queue knob (heap)", retired)
+	if len(retired) != 3 || !strings.HasSuffix(retired[0], "Monitor=false") || !strings.HasSuffix(retired[1], "Queue=heap") ||
+		retired[2] != "VerifyMetrics=true" {
+		t.Fatalf("fixture's retired keys = %v, want the monitor switch (false), the queue knob (heap) and the verify switch (true)", retired)
 	}
 	loaded, err := LoadConfig(path)
 	if err != nil {

@@ -39,7 +39,7 @@ func conformanceVariants() []conformanceVariant {
 // every pattern of the workload suite, over two dataset analogues.
 // Scheduling only reorders the search — it must never change what is
 // found. Each cell also passes the counter-conservation pass
-// (VerifyMetrics is on by default) and the resource-leak check.
+// (which every run makes) and the resource-leak check.
 func TestConformanceMatrix(t *testing.T) {
 	graphs := []struct {
 		name string

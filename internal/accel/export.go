@@ -4,27 +4,58 @@ import (
 	"shogun/internal/core"
 	"shogun/internal/graph"
 	"shogun/internal/mem"
+	"shogun/internal/pe"
+	"shogun/internal/setops"
 	"shogun/internal/sim"
+	"shogun/internal/task"
 )
 
-// SplitExport is one carved depth-1 subtree in flight between chips —
-// the §4.1 split payload lifted to cluster scope. The candidate set is a
-// snapshot: the victim's root node may be recycled before the transfer
-// lands on the adopting chip.
+// SplitExport is one carved depth-1 subtree in flight (§4.1): the victim
+// root's vertex, a snapshot of its candidate set, and the carved range
+// [Lo, Hi) of that set, which becomes the adopted root's spawn window.
+// PE-to-PE splits and chip-to-chip migrations carry the same payload.
+// The candidate set is a snapshot because the victim's root node may be
+// recycled before the transfer lands.
 type SplitExport struct {
 	RootVertex graph.VertexID
 	Cand       []graph.VertexID
-	SpawnLimit int
 	Lo, Hi     int
 }
 
 // Lines reports the payload size in cache lines (the candidate set; the
 // root+range and set-size control messages ride as zero-line transfers).
-func (x *SplitExport) Lines() int64 {
-	if len(x.Cand) == 0 {
-		return 0
+func (x *SplitExport) Lines() int64 { return int64(setops.Lines(len(x.Cand))) }
+
+// carve cuts one split off root's spawn window for `helpers` adopters
+// (CarveSplit) and snapshots it as a payload spanning every share.
+func carve(tree *core.Tree, root *task.Node, helpers int) (SplitExport, bool) {
+	lo, hi, ok := tree.CarveSplit(root, helpers)
+	if !ok {
+		return SplitExport{}, false
 	}
-	return (int64(len(x.Cand))*4 + mem.LineBytes - 1) / mem.LineBytes
+	return SplitExport{
+		RootVertex: root.Vertex,
+		Cand:       append([]graph.VertexID(nil), root.Cand...),
+		Lo:         lo,
+		Hi:         hi,
+	}, true
+}
+
+// adopt installs a delivered payload on PE p, which holds depth-1 token
+// slot for the transferred set: the tree adopts the spawn window, the set
+// is copied once into p's L1 (the PE-to-PE copy the paper argues for over
+// proxy access), and p is kicked. It reports false when p's tree has no
+// depth-0 room right now; the caller still owns the token.
+func (a *Accelerator) adopt(p *pe.PE, x *SplitExport, slot int) bool {
+	if !p.Policy().(*core.Tree).AdoptSplit(x.RootVertex, x.Cand, x.Lo, x.Hi, slot) {
+		return false
+	}
+	mem.AccessRange(p.L1, a.eng.Now(), a.w.Map.SetAddr(slot), int64(len(x.Cand))*4, true)
+	if a.tel != nil {
+		a.tel.SplitLines.Observe(x.Lines())
+	}
+	p.Kick()
+	return true
 }
 
 // CarveExport carves a splittable depth-1 range off one of this chip's
@@ -34,28 +65,19 @@ func (x *SplitExport) Lines() int64 {
 // payload — the caller must eventually deliver it to an adopter or the
 // subtree's embeddings are lost.
 func (a *Accelerator) CarveExport() (*SplitExport, bool) {
+	if a.cfg.Scheme != SchemeShogun {
+		return nil, false
+	}
 	for _, p := range a.pes {
-		t, ok := p.Policy().(*core.Tree)
-		if !ok {
-			return nil, false
-		}
+		t := p.Policy().(*core.Tree)
 		root := t.SplittableRoot()
 		if root == nil {
 			continue
 		}
-		lo, hi, ok := t.CarveSplit(root, 1)
-		if !ok {
-			continue
+		if x, ok := carve(t, root, 1); ok {
+			a.MigratedOut.Inc(1)
+			return &x, true
 		}
-		x := &SplitExport{
-			RootVertex: root.Vertex,
-			Cand:       append([]graph.VertexID(nil), root.Cand...),
-			SpawnLimit: root.SpawnLimit,
-			Lo:         lo,
-			Hi:         hi,
-		}
-		a.MigratedOut.Inc(1)
-		return x, true
 	}
 	return nil, false
 }
@@ -68,12 +90,10 @@ func (a *Accelerator) CarveExport() (*SplitExport, bool) {
 // accept now — the caller retries, because the carved range must never
 // be dropped.
 func (a *Accelerator) TryAdopt(x *SplitExport, force bool) bool {
-	now := a.eng.Now()
+	if a.cfg.Scheme != SchemeShogun {
+		return false
+	}
 	for _, p := range a.pes {
-		t, ok := p.Policy().(*core.Tree)
-		if !ok {
-			return false
-		}
 		if !force && (!p.Idle() || p.HasWork()) {
 			continue
 		}
@@ -84,18 +104,11 @@ func (a *Accelerator) TryAdopt(x *SplitExport, force bool) bool {
 		if !ok {
 			continue
 		}
-		if !t.AdoptSplit(x.RootVertex, x.Cand, x.SpawnLimit, x.Lo, x.Hi, slot) {
+		if !a.adopt(p, x, slot) {
 			a.toks[p.ID].Release(1, slot)
 			continue
 		}
-		// One-time copy of the transferred set into the adopter's L1 —
-		// the same install the intra-chip split delivery models.
-		mem.AccessRange(p.L1, now, a.w.Map.SetAddr(slot), int64(len(x.Cand))*4, true)
-		if a.tel != nil {
-			a.tel.SplitLines.Observe(x.Lines())
-		}
 		a.MigratedIn.Inc(1)
-		p.Kick()
 		return true
 	}
 	return false

@@ -214,11 +214,12 @@ func (a *Accelerator) Metrics() *metrics.Registry {
 	sm.Counter("migrated-out", a.MigratedOut.Total)
 	sm.Eq("splits delivered + migrations in == splits received", splits+migIn, splitsReceived)
 	var pending int64
-	for _, inFlight := range a.splitPending {
-		if inFlight {
+	for _, flag := range a.splitPending {
+		if flag {
 			pending++
 		}
 	}
+	sm.Eq("reserved helpers == split transfers in flight", pending, int64(a.splitsInFlight))
 	sm.Eq("no split transfers in flight", pending, 0)
 
 	return reg

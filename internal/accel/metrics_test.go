@@ -8,6 +8,7 @@ import (
 	"shogun/internal/gen"
 	"shogun/internal/metrics"
 	"shogun/internal/pattern"
+	"shogun/internal/sim"
 )
 
 // metricsTestRun simulates a small triangle-counting run and returns the
@@ -35,8 +36,7 @@ func metricsTestRun(t *testing.T, scheme Scheme, split, merge bool) (*Accelerato
 }
 
 // TestMetricsVerifyAllSchemes asserts the conservation pass holds for
-// every scheduling scheme (it also runs inside Run via VerifyMetrics —
-// this pins the registry shape and invariant count besides).
+// every scheduling scheme (it also runs inside every Run — this pins the registry shape and invariant count besides).
 func TestMetricsVerifyAllSchemes(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -117,10 +117,27 @@ func TestMetricsDetectsCorruption(t *testing.T) {
 	}
 }
 
-// TestRunFailsOnViolation asserts RunContext itself surfaces a metrics
-// violation when VerifyMetrics is set (it is, by default).
+// TestMetricsEnabledByDefault asserts RunContext itself runs the
+// conservation pass on every run: a counter corrupted mid-run must fail
+// the run with the violation, under the default config.
 func TestMetricsEnabledByDefault(t *testing.T) {
-	if !DefaultConfig(SchemeShogun).VerifyMetrics {
-		t.Fatal("DefaultConfig must enable VerifyMetrics")
+	g := gen.RMAT(256, 1500, 0.6, 0.15, 0.15, 42)
+	s, err := pattern.Build(pattern.Triangle())
+	if err != nil {
+		t.Fatalf("schedule: %v", err)
+	}
+	cfg := DefaultConfig(SchemeShogun)
+	cfg.NumPEs = 4
+	a, err := New(g, s, cfg)
+	if err != nil {
+		t.Fatalf("new: %v", err)
+	}
+	// A phantom split delivery: no tree received it and the NoC never
+	// carried its three messages.
+	a.eng.PostAfter(1, sim.Func(func() { a.Splits.Inc(1) }), 0, nil)
+	_, err = a.Run()
+	var ve *metrics.VerifyError
+	if !errors.As(err, &ve) {
+		t.Fatalf("run error = %v, want a *metrics.VerifyError", err)
 	}
 }

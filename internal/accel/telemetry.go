@@ -148,10 +148,7 @@ func (a *Accelerator) samplerTick() {
 			return
 		}
 	}
-	for _, pending := range a.splitPending {
-		if pending {
-			a.armSampler()
-			return
-		}
+	if a.splitsInFlight > 0 {
+		a.armSampler()
 	}
 }

@@ -147,3 +147,31 @@ func TestNegativeSampleEveryRejected(t *testing.T) {
 		t.Fatal("negative SampleEvery accepted")
 	}
 }
+
+// TestSplitLinesCountsEveryAdoption pins that the split-payload
+// histogram observes once per adopted subtree on the single adopt path:
+// its count equals delivered local splits plus migrations in.
+func TestSplitLinesCountsEveryAdoption(t *testing.T) {
+	g := gen.PowerLawCluster(300, 6, 0.6, 43)
+	s, err := pattern.Build(pattern.FourClique())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(SchemeShogun)
+	cfg.NumPEs = 8
+	cfg.EnableSplitting = true
+	cfg.SampleEvery = 512
+	a, err := New(g, s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if a.Splits.Total == 0 {
+		t.Fatal("no split was delivered; the test proves nothing")
+	}
+	if got, want := a.Telemetry().SplitLines.Count(), a.Splits.Total+a.MigratedIn.Total; got != want {
+		t.Fatalf("split-lines count = %d, want splits + migrations in = %d", got, want)
+	}
+}

@@ -58,7 +58,7 @@ type Options struct {
 	TraceDir string
 	// Metrics, when set, logs a per-cell hardware-counter digest after
 	// each successful cell (counter conservation itself is verified
-	// inside every run — accel.Config.VerifyMetrics defaults on).
+	// inside every run).
 	Metrics bool
 	// SampleEvery, when > 0, turns on the telemetry epoch sampler for
 	// every cell that does not already configure one (cycles between

@@ -109,6 +109,36 @@ func cadence(seed int64) int64 { return seed % 7 }
 // TestDeterministicReplay pins the "failing seed replays exactly"
 // property: two runs with the same seed produce identical cycle counts
 // and fault counters.
+// TestSplitLinesUnderForcedSplits: forced mid-run splits take the same
+// adopt path as balance-driven ones, so the split-payload histogram
+// still observes exactly once per delivered split.
+func TestSplitLinesUnderForcedSplits(t *testing.T) {
+	g := testGraph()
+	s := schedule(t)
+	var forced int64
+	for seed := int64(1); seed <= 3; seed++ {
+		in := New(Config{Seed: seed, JitterPct: 25, FlipPeriod: 1500, SplitPeriod: 2000})
+		cfg := schemes()["shogun+split+merge"]
+		cfg.Perturb = in
+		cfg.SampleEvery = 512
+		a, err := accel.New(g, s, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.Attach(a)
+		if _, err := a.Run(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if got, want := a.Telemetry().SplitLines.Count(), a.Splits.Total+a.MigratedIn.Total; got != want {
+			t.Errorf("seed %d: split-lines count = %d, want splits + migrations in = %d", seed, got, want)
+		}
+		forced += in.Splits
+	}
+	if forced == 0 {
+		t.Fatal("no forced split was injected; the test proves nothing")
+	}
+}
+
 func TestDeterministicReplay(t *testing.T) {
 	g := testGraph()
 	s := schedule(t)

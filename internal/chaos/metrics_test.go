@@ -43,8 +43,8 @@ func TestMetricsVerifyUnderChaos(t *testing.T) {
 		}
 		in.Attach(a)
 		if _, err := a.Run(); err != nil {
-			// Run itself verifies (VerifyMetrics defaults on); a
-			// violation surfaces here with the failing seed.
+			// Run itself verifies; a violation surfaces here with
+			// the failing seed.
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if err := a.VerifyMetrics(); err != nil {

@@ -32,15 +32,10 @@ type Config struct {
 	Interconnect mem.NoCConfig
 	// Steal enables chip-level task-tree splitting: an overloaded chip
 	// exports a carved depth-1 subtree and an idle chip adopts it over
-	// the interconnect. Shogun-scheme chips only.
+	// the interconnect. Shogun-scheme chips only. Steal re-checks and
+	// adoption retries run at the chip's BalancePeriod, the cadence of
+	// the same mechanism one level down.
 	Steal bool
-	// StealPeriod is the work-stealing re-check cadence (0 = the chip's
-	// BalancePeriod).
-	StealPeriod sim.Time
-	// VerifyMetrics runs the cross-chip conservation pass (and every
-	// chip's own ~63-identity pass) after each successful run. On by
-	// default via DefaultConfig.
-	VerifyMetrics bool
 }
 
 // DefaultConfig mirrors accel.DefaultConfig at cluster scope: Table 3
@@ -53,9 +48,8 @@ func DefaultConfig(scheme accel.Scheme, chips int) Config {
 		Chip:      accel.DefaultConfig(scheme),
 		// A serial chip-to-chip link: ~10× the on-chip hop latency and
 		// 4× the per-line occupancy of the on-chip crossbar.
-		Interconnect:  mem.NoCConfig{Links: 0 /* auto: 1 per chip */, HopLat: 40, FlitCycles: 4},
-		Steal:         true,
-		VerifyMetrics: true,
+		Interconnect: mem.NoCConfig{Links: 0 /* auto: 1 per chip */, HopLat: 40, FlitCycles: 4},
+		Steal:        true,
 	}
 }
 
@@ -123,12 +117,6 @@ func New(g *graph.Graph, s *pattern.Schedule, cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	cfg.Partition = mode
-	if cfg.StealPeriod <= 0 {
-		cfg.StealPeriod = cfg.Chip.BalancePeriod
-		if cfg.StealPeriod <= 0 {
-			cfg.StealPeriod = 4096
-		}
-	}
 	if cfg.Interconnect.Links <= 0 {
 		cfg.Interconnect.Links = cfg.Chips
 	}
@@ -136,6 +124,9 @@ func New(g *graph.Graph, s *pattern.Schedule, cfg Config) (*Cluster, error) {
 		// Chip-level splitting rides the Shogun task tree; other schemes
 		// run partitioned but cannot migrate subtrees.
 		cfg.Steal = false
+	}
+	if cfg.Steal && cfg.Chips > 1 && cfg.Chip.BalancePeriod < 1 {
+		return nil, fmt.Errorf("cluster: stealing needs Chip.BalancePeriod >= 1 cycle, got %d", cfg.Chip.BalancePeriod)
 	}
 	part, err := NewPartition(g, mode, cfg.Chips, cfg.PartitionSeed)
 	if err != nil {
@@ -231,19 +222,16 @@ func (c *Cluster) stealCheck() {
 		}
 	}
 	if c.busy() {
-		c.eng.PostAfter(c.cfg.StealPeriod, c, opArmStealIfNeeded, nil)
+		c.eng.PostAfter(c.cfg.Chip.BalancePeriod, c, opArmStealIfNeeded, nil)
 	}
 }
 
-// sendMigration models the transfer: two control messages plus the
-// candidate payload across the interconnect, then a delivery event on
-// the adopting chip at arrival time.
+// sendMigration ships a carved payload over the interconnect (§4.1's
+// three messages), then posts a delivery event on the adopting chip at
+// the payload's arrival.
 func (c *Cluster) sendMigration(to int, x *accel.SplitExport, force bool) {
-	now := c.eng.Now()
 	lines := x.Lines()
-	c.inter.Transfer(now, 0)
-	c.inter.Transfer(now, 0)
-	arrive := c.inter.Transfer(now, lines)
+	arrive := c.inter.SendSplit(c.eng.Now(), lines)
 	c.LinesSent.Inc(lines)
 	c.adoptBusy[to] = true
 	c.inFlight++
@@ -263,7 +251,7 @@ func (c *Cluster) deliverMigration(m *migration) {
 		return
 	}
 	c.AdoptRetries.Inc(1)
-	c.eng.PostAfter(c.cfg.StealPeriod, c, opDeliverMigration, m)
+	c.eng.PostAfter(c.cfg.Chip.BalancePeriod, c, opDeliverMigration, m)
 }
 
 // ForceMigrate carves one chip-level split and ships it to the next chip
@@ -390,10 +378,8 @@ func (c *Cluster) RunContext(ctx context.Context) (res *Result, err error) {
 	if c.inFlight != 0 {
 		return nil, &sim.DeadlockError{Op: "cluster: run", Snapshot: c.snapshot()}
 	}
-	if c.cfg.VerifyMetrics {
-		if err := c.Verify(); err != nil {
-			return nil, fmt.Errorf("cluster: %w", err)
-		}
+	if err := c.Verify(); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	return c.collect(), nil
 }

@@ -303,7 +303,7 @@ func TestClusterStealingMovesWork(t *testing.T) {
 	cfg.Partition = cluster.ModeRange
 	cfg.Chip.NumPEs = 2
 	cfg.Chip.EnableSplitting = true
-	cfg.StealPeriod = 512
+	cfg.Chip.BalancePeriod = 512
 	cl, err := cluster.New(g, wl.Schedule, cfg)
 	if err != nil {
 		t.Fatalf("new: %v", err)
@@ -328,6 +328,40 @@ func TestClusterStealingMovesWork(t *testing.T) {
 	}
 	if out != in || out != res.Migrations {
 		t.Errorf("migration bookkeeping: out=%d in=%d delivered=%d", out, in, res.Migrations)
+	}
+}
+
+// TestClusterSplitLinesCountAdoptions: every chip's split-payload
+// histogram observes once per adopted subtree, whether it arrived from a
+// PE on the same chip (§4.1) or from another chip over the
+// interconnect — the two transfers share one adopt path.
+func TestClusterSplitLinesCountAdoptions(t *testing.T) {
+	g := gen.PowerLawCluster(300, 6, 0.6, 43)
+	wl := workload(t, "4cl")
+	cfg := cluster.DefaultConfig(accel.SchemeShogun, 4)
+	cfg.Partition = cluster.ModeRange
+	cfg.Chip.NumPEs = 2
+	cfg.Chip.EnableSplitting = true
+	cfg.Chip.SampleEvery = 1024
+	cl, err := cluster.New(g, wl.Schedule, cfg)
+	if err != nil {
+		t.Fatalf("new: %v", err)
+	}
+	chaos.New(chaos.Config{Seed: 7}).AttachCluster(cl, 3000)
+	if _, err := cl.Run(); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	var splits, migIn int64
+	for i, chip := range cl.Chips() {
+		got := chip.Telemetry().SplitLines.Count()
+		if want := chip.Splits.Total + chip.MigratedIn.Total; got != want {
+			t.Errorf("chip%d: split-lines count = %d, want splits + migrations in = %d", i, got, want)
+		}
+		splits += chip.Splits.Total
+		migIn += chip.MigratedIn.Total
+	}
+	if splits == 0 || migIn == 0 {
+		t.Fatalf("splits=%d migrations in=%d: both paths must fire", splits, migIn)
 	}
 }
 
@@ -392,6 +426,11 @@ func TestClusterConfigErrors(t *testing.T) {
 	cfg.Partition = "mesh"
 	if _, err := cluster.New(g, wl.Schedule, cfg); err == nil {
 		t.Error("unknown partition mode accepted")
+	}
+	cfg = cluster.DefaultConfig(accel.SchemeShogun, 2)
+	cfg.Chip.BalancePeriod = 0
+	if _, err := cluster.New(g, wl.Schedule, cfg); err == nil {
+		t.Error("stealing with a zero steal/retry period accepted")
 	}
 	if _, err := cluster.ParseMode("blorp"); err == nil {
 		t.Error("ParseMode accepted garbage")

@@ -86,7 +86,7 @@ func (c *Cluster) Metrics() *metrics.Registry {
 // Verify runs the conservation pass over the whole cluster — the
 // cross-chip identities plus every chip's own registry — returning a
 // *metrics.VerifyError naming each violated invariant (nil when all
-// hold). RunContext calls this by default (Config.VerifyMetrics).
+// hold). RunContext calls this after every successful run.
 func (c *Cluster) Verify() error {
 	return c.Metrics().Verify()
 }

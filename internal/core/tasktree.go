@@ -129,7 +129,10 @@ type Tree struct {
 	mergeAllowed bool
 	executing    int
 
-	trees   map[int]*treeState
+	// trees holds the live search trees in feed order: one, or two
+	// while merging (§4.2); each owns a depth-0 bunch, so Depth0Bunches
+	// bounds the slice.
+	trees   []*treeState
 	treeSeq int
 
 	// Recycled bunch and tree-state records: the tree turns over one
@@ -177,7 +180,6 @@ func NewTree(w *task.Workload, tokens *policy.Tokens, roots policy.RootSource, c
 		cfg:          cfg,
 		bunches:      make([][]*bunch, depths),
 		pendingSpawn: make([][]*task.Node, depths),
-		trees:        map[int]*treeState{},
 	}
 	return t
 }
@@ -238,13 +240,20 @@ func (t *Tree) allocState(id int, root graph.VertexID) *treeState {
 // activeTrees counts non-finished merged trees.
 func (t *Tree) activeTrees() int { return len(t.trees) }
 
+// liveTree returns the live tree with the given id, or nil.
+func (t *Tree) liveTree(id int) *treeState {
+	for _, ts := range t.trees {
+		if ts.id == id {
+			return ts
+		}
+	}
+	return nil
+}
+
 // CanMerge reports whether the tree can host another search tree.
 func (t *Tree) CanMerge() bool {
 	return t.activeTrees() < t.cfg.MaxTrees && len(t.bunches[0]) < t.bunchCap(0)
 }
-
-// SetMaxTrees enables/disables search-tree merging capacity.
-func (t *Tree) SetMaxTrees(n int) { t.cfg.MaxTrees = n }
 
 // SetMergeAllowed is the accelerator's merge decision (§4.2): when true
 // and capacity exists, the tree pulls a second root. The three conditions
@@ -266,7 +275,7 @@ func (t *Tree) feedRoot() bool {
 	}
 	t.treeSeq++
 	ts := t.allocState(t.treeSeq, v)
-	t.trees[ts.id] = ts
+	t.trees = append(t.trees, ts)
 	root := t.w.NewNode(0, v, nil, ts.id)
 	b := t.allocBunch(0, nil, ts.id)
 	b.entries = append(b.entries, entry{state: Ready, node: root})
@@ -277,22 +286,20 @@ func (t *Tree) feedRoot() bool {
 }
 
 // AdoptSplit installs a received split subtree (§4.1): a copy of a remote
-// PE's depth-0 root restricted to a candidate subrange. The caller has
-// already modeled the NoC transfer and L1 prefill; slot is a local token
-// for the transferred candidate set.
-func (t *Tree) AdoptSplit(root graph.VertexID, cand []graph.VertexID, spawnLimit, lo, hi, slot int) bool {
+// PE's depth-0 root whose spawn window is the carved range [lo, hi) of
+// cand. The caller models the transfer and the L1 install; slot is a
+// local token for the transferred candidate set.
+func (t *Tree) AdoptSplit(root graph.VertexID, cand []graph.VertexID, lo, hi, slot int) bool {
 	if len(t.bunches[0]) >= t.bunchCap(0) || t.activeTrees() >= t.cfg.MaxTrees {
 		return false
 	}
 	t.treeSeq++
 	ts := t.allocState(t.treeSeq, root)
-	t.trees[ts.id] = ts
+	t.trees = append(t.trees, ts)
 	n := t.w.NewNode(0, root, nil, ts.id)
 	n.Executed = true
 	n.Cand = t.w.CopyCand(cand)
-	n.SpawnLimit = spawnLimit
-	n.NextCand = lo
-	n.SplitLo, n.SplitHi = lo, hi
+	n.NextCand, n.SpawnLimit = lo, hi
 	n.Slot = slot
 	b := t.allocBunch(0, nil, ts.id)
 	// The adopted root has already executed remotely: it enters Resting
@@ -364,8 +371,7 @@ func (t *Tree) Next(now sim.Time) (*task.Node, int, bool) {
 
 // takeReady selects a Ready entry from b, acquiring its output token.
 func (t *Tree) takeReady(b *bunch) (*task.Node, int, bool) {
-	ts := t.trees[b.treeID]
-	if ts != nil && ts.quiesced {
+	if ts := t.liveTree(b.treeID); ts != nil && ts.quiesced {
 		return nil, -1, false
 	}
 	for i := range b.entries {
@@ -393,8 +399,7 @@ func (t *Tree) takeReady(b *bunch) (*task.Node, int, bool) {
 func (t *Tree) hasReady() bool {
 	for d := range t.bunches {
 		for _, b := range t.bunches[d] {
-			ts := t.trees[b.treeID]
-			if ts != nil && ts.quiesced {
+			if ts := t.liveTree(b.treeID); ts != nil && ts.quiesced {
 				continue
 			}
 			for i := range b.entries {
@@ -445,7 +450,7 @@ func (t *Tree) OnComplete(n *task.Node, now sim.Time) pe.SpawnResult {
 func (t *Tree) isLeafParent(n *task.Node) bool { return n.Depth == t.w.LeafDepth()-1 }
 
 func (t *Tree) trackDepth(n *task.Node) {
-	if ts := t.trees[n.TreeID]; ts != nil && n.Depth > ts.maxDepth {
+	if ts := t.liveTree(n.TreeID); ts != nil && n.Depth > ts.maxDepth {
 		ts.maxDepth = n.Depth
 	}
 }
@@ -474,7 +479,7 @@ func (t *Tree) spawnBunch(n *task.Node, res *pe.SpawnResult) bool {
 		t.retireEntry(t.findBunch(n), n, res)
 		return true
 	}
-	if ts := t.trees[n.TreeID]; ts != nil {
+	if ts := t.liveTree(n.TreeID); ts != nil {
 		ts.liveWork += nb.used
 	}
 	t.bunches[d] = append(t.bunches[d], nb)
@@ -514,7 +519,7 @@ func (t *Tree) retireEntry(b *bunch, n *task.Node, res *pe.SpawnResult) {
 			if ok {
 				sibling := t.w.NewNode(n.Depth, v, parent, parent.TreeID)
 				t.placeEntry(b, sibling)
-				if ts := t.trees[parent.TreeID]; ts != nil {
+				if ts := t.liveTree(parent.TreeID); ts != nil {
 					ts.liveWork++
 				}
 				res.Spawned++
@@ -536,10 +541,13 @@ func (t *Tree) retireEntry(b *bunch, n *task.Node, res *pe.SpawnResult) {
 // finishTree drops a finished tree's bookkeeping, recycles its depth-0
 // bunch and wakes a quiesced partner (§4.2 recovery).
 func (t *Tree) finishTree(treeID int) {
-	if ts := t.trees[treeID]; ts != nil {
-		t.stateFree = append(t.stateFree, ts)
+	for i, ts := range t.trees {
+		if ts.id == treeID {
+			t.stateFree = append(t.stateFree, ts)
+			t.trees = append(t.trees[:i], t.trees[i+1:]...)
+			break
+		}
 	}
-	delete(t.trees, treeID)
 	for i, b := range t.bunches[0] {
 		if b.treeID == treeID && b.used == 0 {
 			t.bunches[0] = append(t.bunches[0][:i], t.bunches[0][i+1:]...)
@@ -605,7 +613,7 @@ func (t *Tree) freeEntry(b *bunch, n *task.Node) {
 			b.entries[i].state = Ready // value irrelevant once node nil
 			b.used--
 			t.RetiredEntries.Inc(1)
-			if ts := t.trees[n.TreeID]; ts != nil {
+			if ts := t.liveTree(n.TreeID); ts != nil {
 				ts.liveWork--
 			}
 			return
@@ -689,12 +697,7 @@ func (t *Tree) SplittableRoot() *task.Node {
 			if e.node == nil || !e.node.Executed {
 				continue
 			}
-			n := e.node
-			lim := n.SpawnLimit
-			if n.SplitHi > 0 && n.SplitHi < lim {
-				lim = n.SplitHi
-			}
-			if lim-n.NextCand >= 2 {
+			if n := e.node; n.SpawnLimit-n.NextCand >= 2 {
 				return n
 			}
 		}
@@ -702,15 +705,11 @@ func (t *Tree) SplittableRoot() *task.Node {
 	return nil
 }
 
-// CarveSplit removes the tail [mid, hi) of the root's unexplored range
-// for transfer to another PE, returning the subrange. The local root
-// keeps [NextCand, mid).
+// CarveSplit removes the tail [lo, hi) of the root's spawn window for
+// transfer to `helpers` other PEs, one equal share each, by lowering the
+// root's SpawnLimit to lo. The local root keeps [NextCand, lo).
 func (t *Tree) CarveSplit(root *task.Node, helpers int) (lo, hi int, ok bool) {
-	lim := root.SpawnLimit
-	if root.SplitHi > 0 && root.SplitHi < lim {
-		lim = root.SplitHi
-	}
-	remaining := lim - root.NextCand
+	remaining := root.SpawnLimit - root.NextCand
 	if remaining < 2 || helpers < 1 {
 		return 0, 0, false
 	}
@@ -718,16 +717,13 @@ func (t *Tree) CarveSplit(root *task.Node, helpers int) (lo, hi int, ok bool) {
 	if share == 0 {
 		return 0, 0, false
 	}
-	hi = lim
-	lo = lim - share*helpers
-	root.SplitHi = lo
+	hi = root.SpawnLimit
+	lo = hi - share*helpers
+	root.SpawnLimit = lo
 	t.SplitsPerformed.Inc(1)
 	return lo, hi, true
 }
 
-// StateSummary renders a one-line FSM census for diagnostic snapshots:
-// live trees, executing entries, and per-state entry counts across all
-// bunches.
 // LiveEntries counts the occupied task-SPM entries across all bunches —
 // the telemetry gauge for bunch occupancy.
 func (t *Tree) LiveEntries() int {
@@ -744,6 +740,9 @@ func (t *Tree) LiveEntries() int {
 	return entries
 }
 
+// StateSummary renders a one-line FSM census for diagnostic snapshots:
+// live trees, executing entries, and per-state entry counts across all
+// bunches.
 func (t *Tree) StateSummary() string {
 	var byState [4]int
 	entries := 0

@@ -219,28 +219,49 @@ func TestCarveSplitAndAdopt(t *testing.T) {
 	if hi != before || lo <= sp.NextCand {
 		t.Fatalf("carve range [%d,%d) vs limit %d cursor %d", lo, hi, before, sp.NextCand)
 	}
-	if sp.SplitHi != lo {
-		t.Fatalf("victim's SplitHi = %d, want %d", sp.SplitHi, lo)
+	if sp.SpawnLimit != lo {
+		t.Fatalf("victim's spawn limit = %d, want %d", sp.SpawnLimit, lo)
 	}
 
 	// Adopt the carved range on a second tree (fresh PE).
 	tr2, w2, tok2 := newTree(t, g, s, DefaultTreeConfig(8), &policy.SliceRoots{})
 	slot2, _ := tok2.TryAcquire(1)
-	if !tr2.AdoptSplit(sp.Vertex, sp.Cand, before, lo, hi, slot2) {
+	if !tr2.AdoptSplit(sp.Vertex, sp.Cand, lo, hi, slot2) {
 		t.Fatal("adopt failed")
 	}
-	victimCount := drive(t, tr, w, 8, "fifo")
-	helperCount := drive(t, tr2, w2, 8, "fifo")
 
-	// Together they must count the whole tree.
+	// The adopted root is an ordinary spawn window: carve it again onto
+	// a third tree.
+	sp2 := tr2.SplittableRoot()
+	if sp2 == nil || sp2.NextCand <= lo || sp2.SpawnLimit != hi {
+		t.Fatalf("adopted root not splittable within [%d,%d): %+v", lo, hi, sp2)
+	}
+	lo2, hi2, ok := tr2.CarveSplit(sp2, 1)
+	if !ok || hi2 != hi || sp2.SpawnLimit != lo2 {
+		t.Fatalf("second carve [%d,%d) ok=%t, adopted limit now %d", lo2, hi2, ok, sp2.SpawnLimit)
+	}
+	tr3, w3, tok3 := newTree(t, g, s, DefaultTreeConfig(8), &policy.SliceRoots{})
+	slot3, _ := tok3.TryAcquire(1)
+	if !tr3.AdoptSplit(sp2.Vertex, sp2.Cand, lo2, hi2, slot3) {
+		t.Fatal("second adopt failed")
+	}
+	counts := []int64{
+		drive(t, tr, w, 8, "fifo"),
+		drive(t, tr2, w2, 8, "fifo"),
+		drive(t, tr3, w3, 8, "fifo"),
+	}
+
+	// Together the three parts must count the whole tree.
 	wFull := task.NewWorkload(g, s)
 	full := NewTree(wFull, policy.NewTokens(0, 1, s.Depth(), 8), &policy.SliceRoots{Vertices: []graph.VertexID{23}}, DefaultTreeConfig(8))
 	want := drive(t, full, wFull, 8, "fifo")
-	if victimCount+helperCount != want {
-		t.Fatalf("split halves %d+%d != whole %d", victimCount, helperCount, want)
+	if counts[0]+counts[1]+counts[2] != want {
+		t.Fatalf("split parts %v do not sum to the whole %d", counts, want)
 	}
-	if victimCount == 0 || helperCount == 0 {
-		t.Fatalf("degenerate split: %d and %d", victimCount, helperCount)
+	for i, c := range counts {
+		if c == 0 {
+			t.Fatalf("degenerate split: part %d of %v is empty", i, counts)
+		}
 	}
 }
 

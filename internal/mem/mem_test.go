@@ -214,6 +214,28 @@ func TestNoCTransferAndPath(t *testing.T) {
 	}
 }
 
+// TestNoCSendSplit pins the split protocol of §4.1: two zero-line
+// control messages, then the payload, and the payload's arrival time.
+func TestNoCSendSplit(t *testing.T) {
+	noc := NewNoC(NoCConfig{Links: 1, HopLat: 5, FlitCycles: 2})
+	// One link: control messages hold it [0,1) and [1,2); the 7-line
+	// payload holds it [2,16) and lands one hop later.
+	if got := noc.SendSplit(0, 7); got != 16+5 {
+		t.Fatalf("payload arrival = %d, want 21", got)
+	}
+	if noc.Messages.Total != 3 || noc.LinesMoved.Total != 7 {
+		t.Fatalf("after one split: %d msgs, %d lines; want 3, 7", noc.Messages.Total, noc.LinesMoved.Total)
+	}
+	// An empty candidate set still sends all three messages; the payload
+	// occupies the link for the one-cycle minimum.
+	if got := noc.SendSplit(100, 0); got != 102+1+5 {
+		t.Fatalf("empty payload arrival = %d, want 108", got)
+	}
+	if noc.Messages.Total != 6 || noc.LinesMoved.Total != 7 {
+		t.Fatalf("after two splits: %d msgs, %d lines; want 6, 7", noc.Messages.Total, noc.LinesMoved.Total)
+	}
+}
+
 func TestAccessRange(t *testing.T) {
 	f := &flat{lat: 7}
 	if got := AccessRange(f, 0, 0, 0, false); got != 0 {

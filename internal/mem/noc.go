@@ -42,8 +42,8 @@ func NewNoC(cfg NoCConfig) *NoC {
 func (n *NoC) SetPerturb(pr sim.Perturber) { n.links.SetPerturb(pr) }
 
 // Transfer moves `lines` cache lines plus a control message across the
-// fabric, returning the delivery time. Used both for PE↔L2 traffic and
-// for PE↔PE task-tree-splitting transfers (§4.1).
+// fabric, returning the delivery time. Used for PE↔L2 traffic and,
+// through SendSplit, for task-tree-splitting transfers (§4.1).
 func (n *NoC) Transfer(now sim.Time, lines int64) sim.Time {
 	occ := n.cfg.FlitCycles * sim.Time(lines)
 	if occ < 1 {
@@ -53,6 +53,18 @@ func (n *NoC) Transfer(now sim.Time, lines int64) sim.Time {
 	n.LinesMoved.Inc(lines)
 	n.Messages.Inc(1)
 	return start + occ + n.cfg.HopLat
+}
+
+// SendSplit models one task-tree split transfer (§4.1): the root+range
+// message and the set-size message ride as two zero-line control
+// transfers, then the candidate set's lines follow. It returns the
+// payload's arrival time. The on-chip NoC carries PE-to-PE splits and a
+// cluster's interconnect carries chip-to-chip migrations with the same
+// three messages.
+func (n *NoC) SendSplit(now sim.Time, lines int64) sim.Time {
+	n.Transfer(now, 0)
+	n.Transfer(now, 0)
+	return n.Transfer(now, lines)
 }
 
 // Utilization reports link occupancy over elapsed cycles.

@@ -17,45 +17,68 @@ type lane struct {
 	treeID   int
 }
 
-// dfsCore implements the shared walk used by DFS and parallel-DFS.
-type dfsCore struct {
+// DFS walks `lanes` independent search trees on one PE, each depth
+// first. With one lane it is the depth-first scheme most accelerators
+// use (§2.2): minimal memory footprint, one execution slot used, poor
+// parallelism. With `width` lanes it is parallel-DFS, the extreme
+// out-of-order baseline of Fig. 3: maximal slot usage but no locality
+// between co-running tasks and no locality monitoring, which is exactly
+// the failure mode Fig. 3(b) and Fig. 14 demonstrate.
+type DFS struct {
 	base
+	name    string
 	lanes   []lane
 	nextTID int
 }
 
-func newDFSCore(w *task.Workload, tokens *Tokens, roots RootSource, lanes int) *dfsCore {
-	return &dfsCore{
+// NewDFS builds the single-lane DFS policy.
+func NewDFS(w *task.Workload, tokens *Tokens, roots RootSource) *DFS {
+	return newDFS("dfs", w, tokens, roots, 1)
+}
+
+// NewParallelDFS builds a parallel-DFS policy with the given lane count
+// (the task execution width).
+func NewParallelDFS(w *task.Workload, tokens *Tokens, roots RootSource, lanes int) *DFS {
+	return newDFS("parallel-dfs", w, tokens, roots, lanes)
+}
+
+func newDFS(name string, w *task.Workload, tokens *Tokens, roots RootSource, lanes int) *DFS {
+	return &DFS{
 		base:  base{w: w, tokens: tokens, roots: roots},
+		name:  name,
 		lanes: make([]lane, lanes),
 	}
 }
 
-// next finds a runnable task across lanes, acquiring its output token.
-func (c *dfsCore) next(now sim.Time) (*task.Node, int, bool) {
-	for i := range c.lanes {
-		l := &c.lanes[i]
+// Name implements pe.Policy.
+func (d *DFS) Name() string { return d.name }
+
+// Next implements pe.Policy: it finds a runnable task across lanes,
+// acquiring its output token.
+func (d *DFS) Next(now sim.Time) (*task.Node, int, bool) {
+	for i := range d.lanes {
+		l := &d.lanes[i]
 		if l.inflight {
 			continue
 		}
 		if l.ready == nil && l.alive == 0 {
 			// Lane is empty: pull a fresh search tree.
-			v, ok := c.roots.NextRoot()
+			v, ok := d.roots.NextRoot()
 			if !ok {
 				continue
 			}
-			c.nextTID++
-			l.treeID = c.nextTID
-			l.ready = c.w.NewNode(0, v, nil, l.treeID)
+			d.nextTID++
+			l.treeID = d.nextTID
+			l.ready = d.w.NewNode(0, v, nil, l.treeID)
 			l.alive = 1
 		}
 		if l.ready == nil {
 			continue
 		}
 		slot := -1
-		if c.w.NeedsToken(l.ready.Depth) {
+		if d.w.NeedsToken(l.ready.Depth) {
 			var ok bool
-			slot, ok = c.tokens.TryAcquire(l.ready.Depth + 1)
+			slot, ok = d.tokens.TryAcquire(l.ready.Depth + 1)
 			if !ok {
 				continue
 			}
@@ -68,25 +91,25 @@ func (c *dfsCore) next(now sim.Time) (*task.Node, int, bool) {
 	return nil, -1, false
 }
 
-// onComplete advances the lane owning n: descend into the first child, or
-// walk up releasing completed subtrees and extend at the shallowest
-// ancestor with unexplored candidates.
-func (c *dfsCore) onComplete(n *task.Node, laneIdx int) pe.SpawnResult {
-	l := &c.lanes[laneIdx]
+// OnComplete implements pe.Policy: it advances the lane owning n —
+// descend into the first child, or walk up releasing completed subtrees
+// and extend at the shallowest ancestor with unexplored candidates.
+func (d *DFS) OnComplete(n *task.Node, now sim.Time) pe.SpawnResult {
+	l := &d.lanes[d.laneOf(n)]
 	l.inflight = false
 
 	var res pe.SpawnResult
-	if c.isLeafParent(n) {
-		res = c.leafParentResult(n)
+	if d.isLeafParent(n) {
+		res = d.leafParentResult(n)
 	}
 
 	cur := n
 	for {
 		if cur.HasMoreCands() {
-			v, pruned, ok := c.w.NextChild(cur)
+			v, pruned, ok := d.w.NextChild(cur)
 			res.Pruned += pruned
 			if ok {
-				child := c.w.NewNode(cur.Depth+1, v, cur, cur.TreeID)
+				child := d.w.NewNode(cur.Depth+1, v, cur, cur.TreeID)
 				l.alive++
 				l.ready = child
 				res.Spawned++
@@ -98,92 +121,36 @@ func (c *dfsCore) onComplete(n *task.Node, laneIdx int) pe.SpawnResult {
 			// finish before the parent advances.
 			panic("policy: dfs lane found incomplete subtree with no work")
 		}
-		parent := c.releaseNode(cur)
+		parent := d.releaseNode(cur)
 		l.alive--
 		if parent == nil {
-			return res // tree finished; next() will pull a new root
+			return res // tree finished; Next will pull a new root
 		}
 		cur = parent
 	}
 }
 
 // laneOf locates the lane whose in-flight task is n.
-func (c *dfsCore) laneOf(n *task.Node) int {
-	for i := range c.lanes {
-		if c.lanes[i].inflight && c.lanes[i].treeID == n.TreeID {
+func (d *DFS) laneOf(n *task.Node) int {
+	for i := range d.lanes {
+		if d.lanes[i].inflight && d.lanes[i].treeID == n.TreeID {
 			return i
 		}
 	}
 	panic("policy: completed task belongs to no lane")
 }
 
-func (c *dfsCore) pending() bool {
-	for i := range c.lanes {
-		if c.lanes[i].inflight || c.lanes[i].ready != nil || c.lanes[i].alive > 0 {
+// Pending implements pe.Policy.
+func (d *DFS) Pending() bool {
+	for i := range d.lanes {
+		if d.lanes[i].inflight || d.lanes[i].ready != nil || d.lanes[i].alive > 0 {
 			return true
 		}
 	}
 	return false
 }
 
-// DFS is the depth-first scheme most accelerators use (§2.2): minimal
-// memory footprint, one execution slot used, poor parallelism.
-type DFS struct {
-	core *dfsCore
-}
-
-// NewDFS builds the DFS policy.
-func NewDFS(w *task.Workload, tokens *Tokens, roots RootSource) *DFS {
-	return &DFS{core: newDFSCore(w, tokens, roots, 1)}
-}
-
-// Name implements pe.Policy.
-func (d *DFS) Name() string { return "dfs" }
-
-// Next implements pe.Policy.
-func (d *DFS) Next(now sim.Time) (*task.Node, int, bool) { return d.core.next(now) }
-
-// OnComplete implements pe.Policy.
-func (d *DFS) OnComplete(n *task.Node, now sim.Time) pe.SpawnResult {
-	return d.core.onComplete(n, d.core.laneOf(n))
-}
-
-// Pending implements pe.Policy.
-func (d *DFS) Pending() bool { return d.core.pending() }
-
-// SetConservative implements pe.Policy (no effect: DFS never co-runs
-// non-sibling tasks).
+// SetConservative implements pe.Policy. It has no effect: one lane never
+// co-runs non-sibling tasks, and parallel-DFS deliberately ignores the
+// monitor (that is its weakness).
 func (d *DFS) SetConservative(bool) {}
-
-// ParallelDFS explores `lanes` independent search trees on one PE, each
-// depth-first — the extreme out-of-order baseline of Fig. 3. It has
-// maximal slot usage but no locality between co-running tasks and no
-// locality monitoring, which is exactly the failure mode Fig. 3(b) and
-// Fig. 14 demonstrate.
-type ParallelDFS struct {
-	core *dfsCore
-}
-
-// NewParallelDFS builds a parallel-DFS policy with the given lane count
-// (the task execution width).
-func NewParallelDFS(w *task.Workload, tokens *Tokens, roots RootSource, lanes int) *ParallelDFS {
-	return &ParallelDFS{core: newDFSCore(w, tokens, roots, lanes)}
-}
-
-// Name implements pe.Policy.
-func (p *ParallelDFS) Name() string { return "parallel-dfs" }
-
-// Next implements pe.Policy.
-func (p *ParallelDFS) Next(now sim.Time) (*task.Node, int, bool) { return p.core.next(now) }
-
-// OnComplete implements pe.Policy.
-func (p *ParallelDFS) OnComplete(n *task.Node, now sim.Time) pe.SpawnResult {
-	return p.core.onComplete(n, p.core.laneOf(n))
-}
-
-// Pending implements pe.Policy.
-func (p *ParallelDFS) Pending() bool { return p.core.pending() }
-
-// SetConservative implements pe.Policy (parallel-DFS deliberately ignores
-// the monitor; that is its weakness).
-func (p *ParallelDFS) SetConservative(bool) {}

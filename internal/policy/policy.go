@@ -160,11 +160,7 @@ type base struct {
 // batch in the spawn unit; counts are exact). Shared by all policies,
 // including the Shogun tree in internal/core.
 func LeafParentResult(w *task.Workload, n *task.Node) pe.SpawnResult {
-	lim := n.SpawnLimit
-	if n.SplitHi > 0 && n.SplitHi < lim {
-		lim = n.SplitHi
-	}
-	total := int64(lim - n.NextCand)
+	total := int64(n.SpawnLimit - n.NextCand)
 	matches := w.CountLeafMatches(n)
 	return pe.SpawnResult{
 		Leaves:     int(matches),

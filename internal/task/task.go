@@ -40,7 +40,10 @@ type Node struct {
 	// it. It only picks kernels, never results.
 	candBits []uint64
 	// SpawnLimit is the index bound in Cand after symmetry-breaking
-	// truncation: children are drawn from Cand[:SpawnLimit].
+	// truncation: children are drawn from Cand[:SpawnLimit]. Together
+	// with NextCand it is the node's spawn window: a task-tree split
+	// (§4.1) lowers the victim root's SpawnLimit to the carved range's
+	// start, and the adopted copy spawns from [lo, hi) of the same Cand.
 	SpawnLimit int
 	// NextCand is the enumeration cursor into Cand[:SpawnLimit].
 	NextCand int
@@ -56,24 +59,11 @@ type Node struct {
 	// diamond's second apex drawing from the same candidate set). The
 	// node owns neither the slice nor the token.
 	SharedCand bool
-
-	// SplitLo/SplitHi restrict a received split subtree: only candidates
-	// with index in [SplitLo, SplitHi) of the root's Cand are explored.
-	// Zero values mean "no restriction" (SplitHi==0).
-	SplitLo, SplitHi int
 }
 
 // HasMoreCands reports whether the node still has unexplored candidates.
 func (n *Node) HasMoreCands() bool {
-	return n.Executed && n.NextCand < n.effectiveLimit()
-}
-
-func (n *Node) effectiveLimit() int {
-	lim := n.SpawnLimit
-	if n.SplitHi > 0 && n.SplitHi < lim {
-		lim = n.SplitHi
-	}
-	return lim
+	return n.Executed && n.NextCand < n.SpawnLimit
 }
 
 // SubtreeComplete reports whether the node's whole subtree has finished:
@@ -439,8 +429,7 @@ func (w *Workload) ChildValid(n *Node, v graph.VertexID) bool {
 // the cursor is exhausted. pruned reports how many candidates were
 // skipped (they still cost the spawn unit a vertex fetch each).
 func (w *Workload) NextChild(n *Node) (v graph.VertexID, pruned int, ok bool) {
-	lim := n.effectiveLimit()
-	for n.NextCand < lim {
+	for n.NextCand < n.SpawnLimit {
 		c := n.Cand[n.NextCand]
 		n.NextCand++
 		if w.ChildValid(n, c) {
@@ -462,20 +451,13 @@ func (w *Workload) CountLeafMatches(n *Node) int64 {
 	if n.Depth != w.LeafDepth()-1 {
 		panic("task: CountLeafMatches on wrong depth")
 	}
-	lim := n.effectiveLimit()
-	count := int64(lim - n.NextCand)
-	window := n.Cand[n.NextCand:lim]
+	count := int64(n.SpawnLimit - n.NextCand)
+	window := n.Cand[n.NextCand:n.SpawnLimit]
 	for _, j := range w.S.Plans[n.Depth+1].Distinct {
 		if setops.Contains(window, n.Ancestor(j).Vertex) {
 			count--
 		}
 	}
-	n.NextCand = lim
+	n.NextCand = n.SpawnLimit
 	return count
-}
-
-// RootCandLines reports the candidate-set size (in cache lines) of a
-// depth-0 node — the data volume a task-tree split must transfer (§4.1).
-func RootCandLines(n *Node) int64 {
-	return int64(setops.Lines(len(n.Cand)))
 }

@@ -189,7 +189,8 @@ func TestSplitRangeLimitsChildren(t *testing.T) {
 	if n.SpawnLimit != 9 {
 		t.Fatalf("spawn limit = %d", n.SpawnLimit)
 	}
-	n.NextCand, n.SplitLo, n.SplitHi = 2, 2, 5
+	// A split narrows the spawn window to [2, 5).
+	n.NextCand, n.SpawnLimit = 2, 5
 	var got []graph.VertexID
 	for {
 		v, _, ok := w.NextChild(n)
