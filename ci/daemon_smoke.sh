@@ -2,7 +2,8 @@
 # Daemon smoke test: boots shogund on a random port, waits for
 # readiness, issues one good query (verifying the embedding count
 # against the software miner's golden value), one over-budget query
-# (expecting the typed 422 event-budget error), checks the request
+# (expecting the typed 422 event-budget error), one hostile upload
+# (expecting the typed 413 and a daemon still ready), checks the request
 # observability plane (trace header on responses, phases_us on a
 # response to an untraced request, /metrics Prometheus exposition with
 # nonzero request counters, /statz served equal to the sum of
@@ -84,6 +85,21 @@ if [ "$status" != 422 ] || [ "$kind" != event_budget ]; then
     exit 1
 fi
 echo "daemon_smoke: over-budget -> 422 event_budget" >&2
+
+# Hostile upload: one line whose vertex id would make graph.Build size
+# several arrays by 2^31 entries. It must get the typed 413 before
+# anything is allocated, and the daemon must stay ready.
+echo "daemon_smoke: hostile upload" >&2
+status=$(curl -s -o "$work/err.json" -w '%{http_code}' "http://$addr/v1/count" \
+    -d '{"graph":"0 2147483646\n","pattern":"tc"}')
+kind=$(jq -r .kind "$work/err.json")
+if [ "$status" != 413 ] || [ "$kind" != too_large ]; then
+    echo "daemon_smoke: hostile upload: status=$status kind=$kind body=$(cat "$work/err.json")" >&2
+    exit 1
+fi
+curl -fsS "http://$addr/readyz" >/dev/null || {
+    cat "$work/log" >&2; echo "daemon_smoke: /readyz not ready after the hostile upload" >&2; exit 1; }
+echo "daemon_smoke: hostile upload -> 413 too_large, still ready" >&2
 
 # /metrics: the exposition must be structurally valid Prometheus text
 # (every line a HELP/TYPE comment or a `name[{labels}] value` sample) and

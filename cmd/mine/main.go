@@ -70,7 +70,7 @@ func run(ctx context.Context, dataset, graphArg, patName string, list, census, w
 		var f *os.File
 		if f, err = os.Open(graphArg); err == nil {
 			defer f.Close()
-			g, err = graph.ReadEdgeList(f)
+			g, err = graph.ReadEdgeList(f, 0)
 		}
 	default:
 		return fmt.Errorf("need -dataset or -graph")
@@ -144,7 +144,7 @@ func loadGraph(dataset, graphArg string) (*graph.Graph, error) {
 			return nil, err
 		}
 		defer f.Close()
-		return graph.ReadEdgeList(f)
+		return graph.ReadEdgeList(f, 0)
 	}
 	return nil, fmt.Errorf("need -dataset or -graph")
 }

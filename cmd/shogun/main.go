@@ -137,7 +137,7 @@ func run(ctx context.Context, dataset, graphArg, patName, scheme string, pes, wi
 		var f *os.File
 		if f, err = os.Open(graphArg); err == nil {
 			defer f.Close()
-			g, err = graph.ReadEdgeList(f)
+			g, err = graph.ReadEdgeList(f, 0)
 		}
 	default:
 		return fmt.Errorf("need -dataset or -graph")

@@ -8,24 +8,32 @@ import (
 
 // FuzzReadEdgeList hardens the text parser: arbitrary input must either
 // parse into a graph satisfying the CSR invariants or return an error —
-// never panic.
+// never panic. Every parse runs under a fuzzer-chosen vertex cap, and no
+// accepted graph may reach it.
 func FuzzReadEdgeList(f *testing.F) {
-	f.Add("0 1\n1 2\n")
-	f.Add("# comment\n5 5\n")
-	f.Add("")
-	f.Add("999999999999999999 0\n")
-	f.Add("a b\n0 1")
-	f.Fuzz(func(t *testing.T, input string) {
-		g, err := ReadEdgeList(strings.NewReader(input))
+	f.Add("0 1\n1 2\n", uint16(7))
+	f.Add("# comment\n5 5\n", uint16(5))
+	f.Add("", uint16(0))
+	f.Add("999999999999999999 0\n", uint16(100))
+	f.Add("a b\n0 1", uint16(1))
+	f.Add("0 2147483646\n", uint16(1000))
+	f.Add("# vertices=2000000000\n0 1\n", uint16(1000))
+	f.Add("# vertices=9\n0 1\n", uint16(8))
+	f.Fuzz(func(t *testing.T, input string, c uint16) {
+		vertexCap := int(c) + 1
+		g, err := ReadEdgeList(strings.NewReader(input), vertexCap)
 		if err != nil {
 			return
+		}
+		if g.NumVertices() >= vertexCap {
+			t.Fatalf("accepted %d vertices under a cap of %d", g.NumVertices(), vertexCap)
 		}
 		// Parsed graphs must round-trip and keep invariants.
 		var buf bytes.Buffer
 		if err := g.WriteEdgeList(&buf); err != nil {
 			t.Fatalf("write failed on parsed graph: %v", err)
 		}
-		g2, err := ReadEdgeList(&buf)
+		g2, err := ReadEdgeList(&buf, 0)
 		if err != nil {
 			t.Fatalf("round trip failed: %v", err)
 		}

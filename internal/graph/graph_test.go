@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -141,7 +142,7 @@ func TestRelabelRejectsBadPermutation(t *testing.T) {
 
 func TestEdgeListIO(t *testing.T) {
 	in := "# comment\n% another\n0 1\n1 2\n 2 0 \n\n"
-	g, err := ReadEdgeList(strings.NewReader(in))
+	g, err := ReadEdgeList(strings.NewReader(in), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestEdgeListIO(t *testing.T) {
 	if err := g.WriteEdgeList(&buf); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ReadEdgeList(&buf)
+	g2, err := ReadEdgeList(&buf, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,8 +162,36 @@ func TestEdgeListIO(t *testing.T) {
 
 func TestEdgeListErrors(t *testing.T) {
 	for _, bad := range []string{"0\n", "a b\n", "0 x\n", "-1 2\n"} {
-		if _, err := ReadEdgeList(strings.NewReader(bad)); err == nil {
+		if _, err := ReadEdgeList(strings.NewReader(bad), 0); err == nil {
 			t.Errorf("ReadEdgeList(%q) succeeded, want error", bad)
+		}
+	}
+}
+
+// TestEdgeListVertexCap pins the caller's vertex cap: a header or an id
+// that reaches it fails with ErrVertexCap, and a graph just under it
+// parses.
+func TestEdgeListVertexCap(t *testing.T) {
+	for _, c := range []struct {
+		in        string
+		vertexCap int
+		ok        bool
+	}{
+		{"0 2147483646\n", 1 << 20, false},
+		{"# vertices=2000000000\n0 1\n", 1 << 20, false},
+		{"0 1\n1 2\n", 3, false},          // ids imply 3 vertices
+		{"# vertices=3\n0 1\n", 3, false}, // declared at the cap
+		{"0 1\n1 2\n", 4, true},
+		{"# vertices=3\n0 1\n", 4, true},
+	} {
+		g, err := ReadEdgeList(strings.NewReader(c.in), c.vertexCap)
+		switch {
+		case c.ok && err != nil:
+			t.Errorf("cap %d, %q: %v", c.vertexCap, c.in, err)
+		case c.ok && g.NumVertices() >= c.vertexCap:
+			t.Errorf("cap %d, %q: accepted %d vertices", c.vertexCap, c.in, g.NumVertices())
+		case !c.ok && c.vertexCap > 0 && !errors.Is(err, ErrVertexCap):
+			t.Errorf("cap %d, %q: err %v, want ErrVertexCap", c.vertexCap, c.in, err)
 		}
 	}
 }

@@ -3,18 +3,28 @@ package graph
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
 )
 
+// ErrVertexCap is wrapped by ReadEdgeList's error when an edge list
+// reaches its caller's vertex cap.
+var ErrVertexCap = errors.New("vertex count at or above the cap")
+
 // ReadEdgeList parses a whitespace-separated edge list, one "u v" pair per
 // line. Lines beginning with '#' or '%' are comments, except that a
 // "# vertices=N ..." header (as written by WriteEdgeList) fixes the vertex
 // count so isolated vertices survive a round trip. Otherwise the count is
 // 1 + the largest id seen.
-func ReadEdgeList(r io.Reader) (*Graph, error) {
+//
+// A positive vertexCap bounds the graph to fewer than vertexCap vertices:
+// a header declaring, or an id implying, vertexCap or more vertices fails
+// with ErrVertexCap as soon as its line is read, before anything is sized
+// by the count. vertexCap <= 0 leaves only the int32 id range as a bound.
+func ReadEdgeList(r io.Reader, vertexCap int) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
 	var edges []Edge
@@ -30,6 +40,9 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 				rest = rest[:i]
 			}
 			if n, err := strconv.ParseInt(rest, 10, 32); err == nil && n >= 0 {
+				if vertexCap > 0 && n >= int64(vertexCap) {
+					return nil, fmt.Errorf("graph: line %d: %d vertices declared: %w (%d)", lineNo, n, ErrVertexCap, vertexCap)
+				}
 				declared = n
 			}
 			continue
@@ -57,6 +70,9 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		}
 		if v > maxID {
 			maxID = v
+		}
+		if vertexCap > 0 && maxID+1 >= int64(vertexCap) {
+			return nil, fmt.Errorf("graph: line %d: vertex id %d: %w (%d)", lineNo, maxID, ErrVertexCap, vertexCap)
 		}
 		edges = append(edges, Edge{VertexID(u), VertexID(v)})
 	}

@@ -23,10 +23,11 @@ type kernelContext struct {
 	disp    setops.Dispatcher
 	words   int // bitset width for this graph
 	// lower is the graph's shared lower-neighbour split: N(v)[:lower[v]]
-	// is N(v) bounded by v (see leafBound).
+	// is N(v) bounded by v (see freeBound).
 	lower []int32
-	// searchBounds makes leafBound always binary-search, the reference
-	// the free bounds are tested against.
+	// searchBounds makes freeBound find no free bound, so every leaf
+	// bound is a binary search: the reference the free bounds are
+	// tested against.
 	searchBounds bool
 
 	// setBits[d] is a lazily allocated scratch bitset mirroring sets[d]
@@ -41,6 +42,9 @@ type kernelContext struct {
 	// scratch bitset of sets[d]; prebuilding avoids a closure allocation
 	// per operand in the hot loop.
 	lazy []func() []uint64
+	// leafOps holds the counting leaf's operands, base first, resolved
+	// once per leaf parent (see countLeaves).
+	leafOps []setops.Operand
 }
 
 func (m *Miner) initKernels() {
@@ -58,6 +62,7 @@ func (m *Miner) initKernels() {
 		d := d
 		k.lazy[d] = func() []uint64 { return m.storedBits(d) }
 	}
+	k.leafOps = make([]setops.Operand, 1+len(m.s.Plans[n-1].Steps))
 }
 
 // SetHybridKernels toggles the hybrid bitmap/gallop kernel layer and the
@@ -119,123 +124,201 @@ func (m *Miner) operand(ref pattern.SetRef) setops.Operand {
 	return op
 }
 
-// operandHas reports membership of v in op without triggering a lazy
-// bitset build.
-func operandHas(op *setops.Operand, v graph.VertexID) bool {
-	if op.Bits != nil {
-		return setops.BitsetHas(op.Bits, v)
-	}
-	return setops.Contains(op.List, v)
-}
-
-// leafBound returns list, the list view of ref, truncated to elements
-// below limit. When limit is the vertex ref is keyed on, the prefix is
-// already known and no search runs:
+// freeBound returns the length of the prefix of ref's list (n elements)
+// below limit when no search is needed, or -1. The whole list is below
+// NoLimit, and when limit is the vertex ref is keyed on the prefix is
+// already known:
 //   - a stored set C_p was enumerated up to matched[p], which sits at
 //     index idx[p] of the ascending sets[p], so sets[p][:idx[p]] holds
 //     exactly its elements below matched[p];
 //   - N(x) bounded by x is N(x)[:lower[x]], the graph's lower split.
 //
-// Any other limit falls back to setops.Bound.
-func (m *Miner) leafBound(ref pattern.SetRef, list []graph.VertexID, limit graph.VertexID) []graph.VertexID {
-	if limit == setops.NoLimit {
-		return list
+// Any other limit needs setops.Bound. freeBound is small enough to
+// inline, so the leaf-parent batch pays no call for a free bound.
+func (m *Miner) freeBound(ref pattern.SetRef, n int, limit graph.VertexID) int {
+	switch {
+	case limit == setops.NoLimit:
+		return n
+	case m.matched[ref.Pos] != limit || m.kern.searchBounds:
+		return -1
+	case ref.Kind == pattern.RefStored:
+		return m.idx[ref.Pos]
 	}
-	if m.matched[ref.Pos] == limit && !m.kern.searchBounds {
-		if ref.Kind == pattern.RefStored {
-			return list[:m.idx[ref.Pos]]
-		}
-		return list[:m.kern.lower[limit]]
+	return int(m.kern.lower[limit])
+}
+
+// boundedPrefix returns list truncated to elements below limit, given
+// n, freeBound's answer for it: the free prefix, or a binary search.
+func boundedPrefix(list []graph.VertexID, n int, limit graph.VertexID) []graph.VertexID {
+	if n >= 0 {
+		return list[:n]
 	}
 	return setops.Bound(list, limit)
 }
 
-// countLeaf counts the surviving candidates of leaf position d without
-// materializing the final candidate set: all fold steps but the last run
-// as usual into scratch buffers, the last is a counting kernel over
-// bounded prefixes (leafBound), and the few Distinct exclusions are
-// membership checks. Statistics accounting (task counts, intermediate
-// lines, set-op elements) is bit-identical to the materializing path, and
-// so is kernel selection: the dispatcher sees the same bounded lengths a
-// search would produce.
-func (m *Miner) countLeaf(d int) int64 {
-	plan := &m.s.Plans[d]
-	limit := setops.NoLimit
+// countLeaves counts the leaf position d+1 under each of cands, the
+// bounded candidates of its parent position d, as one leaf-parent batch,
+// without materializing any leaf candidate set. Once per parent it
+// resolves the leaf plan, the part of the leaf's bound set by positions
+// below d, and every operand but N(v_d): stored sets C_j (j ≤ d) and
+// neighbour sets N(v_j) (j < d) do not change while position d's loop
+// runs. Per sibling it checks distinctness, runs the fold steps but the
+// last into scratch buffers (foldLeaf), and counts the last step with a
+// counting kernel over bounded prefixes (freeBound), minus the Distinct
+// exclusions found by membership probes. The dispatcher sees the calls a
+// materializing leaf would make, in the same order with the same bounded
+// lengths, so kernel selection and every Result statistic are
+// bit-identical to it. The statistics accrue in closed form: the stored
+// inputs' lines are a per-parent constant per leaf task.
+func (m *Miner) countLeaves(d int, cands []graph.VertexID) {
+	k := &m.kern
+	plan := &m.s.Plans[d+1]
+	steps := len(plan.Steps)
+	limit0, sibBound := setops.NoLimit, false
 	for _, a := range plan.BoundBy {
-		if m.matched[a] < limit {
-			limit = m.matched[a]
+		if a == d {
+			sibBound = true
+		} else if m.matched[a] < limit0 {
+			limit0 = m.matched[a]
 		}
 	}
-	base := m.operand(plan.Base)
-	if plan.Base.Kind == pattern.RefStored {
-		m.res.IntermediateLinesPerDepth[d-1] += int64(setops.Lines(len(base.List)))
+	// ops[0] is the base and ops[j] step j-1's operand. sib indexes the
+	// operand N(v_d), if any, which each sibling resolves itself (a plan
+	// reads each N(v_j) at most once).
+	ops, sib := k.leafOps, -1
+	var lines int64
+	for j := range ops {
+		ref := plan.Base
+		if j > 0 {
+			ref = plan.Steps[j-1].Ref
+		}
+		switch {
+		case ref.Kind == pattern.RefNeighbor && ref.Pos == d:
+			sib = j
+		case ref.Kind == pattern.RefStored:
+			lines += int64(setops.Lines(len(m.sets[ref.Pos])))
+			fallthrough
+		default:
+			ops[j] = m.operand(ref)
+		}
 	}
-	if len(plan.Steps) == 0 {
-		// Alias plan: candidates are a bounded prefix of an existing set.
-		count := int64(len(m.leafBound(plan.Base, base.List, limit)))
-		for _, j := range plan.Distinct {
-			if v := m.matched[j]; v < limit && setops.Contains(base.List, v) {
-				count--
+	distinct := m.s.Plans[d].Distinct
+	var lastRef pattern.SetRef
+	var sub bool
+	if steps > 0 {
+		lastRef, sub = plan.Steps[steps-1].Ref, plan.Steps[steps-1].Sub
+	}
+	var tasks, count, elems int64
+siblings:
+	for i, v := range cands {
+		for _, j := range distinct {
+			if m.matched[j] == v {
+				continue siblings
 			}
 		}
-		return count
-	}
-	cur := base
-	for i := 0; i < len(plan.Steps)-1; i++ {
-		op := plan.Steps[i]
-		operand := m.operand(op.Ref)
-		if op.Ref.Kind == pattern.RefStored {
-			m.res.IntermediateLinesPerDepth[d-1] += int64(setops.Lines(len(operand.List)))
+		tasks++
+		m.matched[d], m.idx[d] = v, i
+		limit := limit0
+		if sibBound && v < limit {
+			limit = v
 		}
-		m.res.SetOpElements += int64(len(cur.List) + len(operand.List))
+		// The last step's inputs a and b (the base, or the fold of every
+		// other step, and the last operand) are held as bare slices: an
+		// Operand is too large to live in registers, and copying one
+		// built field by field stalls on store forwarding.
+		var nl []graph.VertexID
+		var nbits []uint64
+		if sib >= 0 {
+			nl, nbits = m.g.Neighbors(v), k.hub.Bits(v)
+		}
+		aList, aBits, aLazy := ops[0].List, ops[0].Bits, ops[0].LazyBits
+		if sib == 0 {
+			aList, aBits, aLazy = nl, nbits, nil
+		}
+		bList, bBits, bLazy := ops[steps].List, ops[steps].Bits, ops[steps].LazyBits
+		if steps == sib {
+			bList, bBits, bLazy = nl, nbits, nil
+		}
+		var al []graph.VertexID
+		switch {
+		case steps == 1:
+			al = boundedPrefix(aList, m.freeBound(plan.Base, len(aList), limit), limit)
+		case steps == 0:
+			// Alias plan: candidates are a bounded prefix of an existing set.
+			c := int64(len(boundedPrefix(aList, m.freeBound(plan.Base, len(aList), limit), limit)))
+			for _, j := range plan.Distinct {
+				if u := m.matched[j]; u < limit && setops.Contains(aList, u) {
+					c--
+				}
+			}
+			count += c
+			continue
+		default:
+			aList = m.foldLeaf(plan, setops.Operand{List: aList, Bits: aBits, LazyBits: aLazy}, sib, nl, nbits, &elems)
+			aBits, aLazy = nil, nil
+			al = aList
+			if limit != setops.NoLimit {
+				al = setops.Bound(aList, limit)
+			}
+		}
+		elems += int64(len(aList) + len(bList))
+		var c int
+		if sub {
+			c = k.disp.SubtractCount(setops.Operand{List: al, Bits: aBits, LazyBits: aLazy}, setops.Operand{List: bList, Bits: bBits, LazyBits: bLazy})
+		} else {
+			bl := boundedPrefix(bList, m.freeBound(lastRef, len(bList), limit), limit)
+			c = k.disp.IntersectCount(setops.Operand{List: al, Bits: aBits, LazyBits: aLazy}, setops.Operand{List: bl, Bits: bBits, LazyBits: bLazy})
+		}
+		for _, j := range plan.Distinct {
+			u := m.matched[j]
+			if u >= limit || !setops.Contains(al, u) {
+				continue
+			}
+			has := setops.Contains(bList, u)
+			if bBits != nil {
+				has = setops.BitsetHas(bBits, u)
+			}
+			if has != sub {
+				c--
+			}
+		}
+		count += int64(c)
+	}
+	m.res.TasksPerDepth[d] += tasks
+	m.res.TasksPerDepth[d+1] += count
+	m.res.Embeddings += count
+	m.res.IntermediateLinesPerDepth[d] += lines * tasks
+	m.res.SetOpElements += elems
+}
+
+// foldLeaf runs every fold step of the leaf plan but the last, from base,
+// into the scratch buffers and returns the result, advancing *elems by
+// the set-op elements the steps stream. The operand at index sib of
+// kern.leafOps is the sibling's neighbour list nl (hub bitset nbits).
+func (m *Miner) foldLeaf(plan *pattern.Plan, cur setops.Operand, sib int, nl []graph.VertexID, nbits []uint64, elems *int64) []graph.VertexID {
+	for j := 1; j < len(plan.Steps); j++ {
+		operand := m.kern.leafOps[j]
+		if j == sib {
+			operand = setops.Operand{List: nl, Bits: nbits}
+		}
+		*elems += int64(len(cur.List) + len(operand.List))
 		var dst []graph.VertexID
-		if i%2 == 0 {
+		if j%2 == 1 {
 			dst = m.scratch[:0]
 		} else {
 			dst = m.scratch2[:0]
 		}
-		if op.Sub {
+		if plan.Steps[j-1].Sub {
 			dst = m.kern.disp.Subtract(dst, cur, operand)
 		} else {
 			dst = m.kern.disp.Intersect(dst, cur, operand)
 		}
-		if i%2 == 0 {
+		if j%2 == 1 {
 			m.scratch = dst
 		} else {
 			m.scratch2 = dst
 		}
 		cur = setops.Operand{List: dst}
 	}
-	last := plan.Steps[len(plan.Steps)-1]
-	operand := m.operand(last.Ref)
-	if last.Ref.Kind == pattern.RefStored {
-		m.res.IntermediateLinesPerDepth[d-1] += int64(setops.Lines(len(operand.List)))
-	}
-	m.res.SetOpElements += int64(len(cur.List) + len(operand.List))
-	// The kernels count over bounded prefixes; bitset views stay
-	// full-set, which is exact since only elements below limit probe them.
-	a := cur
-	if len(plan.Steps) == 1 {
-		a.List = m.leafBound(plan.Base, cur.List, limit)
-	} else if limit != setops.NoLimit {
-		a.List = setops.Bound(cur.List, limit)
-	}
-	var count int64
-	if last.Sub {
-		count = int64(m.kern.disp.SubtractCount(a, operand))
-	} else {
-		b := operand
-		b.List = m.leafBound(last.Ref, operand.List, limit)
-		count = int64(m.kern.disp.IntersectCount(a, b))
-	}
-	for _, j := range plan.Distinct {
-		v := m.matched[j]
-		if v >= limit || !setops.Contains(a.List, v) {
-			continue
-		}
-		if operandHas(&operand, v) != last.Sub {
-			count--
-		}
-	}
-	return count
+	return cur.List
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"shogun/internal/datasets"
 	"shogun/internal/gen"
 	"shogun/internal/graph"
 	"shogun/internal/pattern"
@@ -43,44 +44,83 @@ func sameResult(a, b *Result) string {
 	return ""
 }
 
-// leafBoundShapes reports which bound sources the counting leaf of s can
-// use: the positional prefix of a stored base, the lower split of a
-// neighbour operand, and the setops.Bound fallback.
-func leafBoundShapes(s *pattern.Schedule) (stored, neighbor, fallback bool) {
-	plan := &s.Plans[s.Depth()-1]
+// leafShapes names the shapes of s's counting leaf that the leaf-parent
+// batch (countLeaves) treats differently. The bound of each final kernel
+// input comes from a stored set's positional prefix, a neighbour set's
+// lower split, or a search. The plan may read a stored base C_d of the
+// parent position d, the sibling's N(v_d), and operands keyed on a
+// position below d; it may fold several steps, alias a set (no steps),
+// exclude Distinct positions, or sit right under the root (depth 2).
+func leafShapes(s *pattern.Schedule) map[string]bool {
+	d := s.Depth() - 2
+	plan := &s.Plans[d+1]
+	shapes := map[string]bool{
+		"stored base at d": plan.Base.Kind == pattern.RefStored && plan.Base.Pos == d,
+		"fold":             len(plan.Steps) > 1,
+		"alias":            len(plan.Steps) == 0,
+		"distinct":         len(plan.Distinct) > 0,
+		"depth 2":          s.Depth() == 2,
+		"N(v_d) operand":   false,
+		"operand below d":  false,
+		"bound: stored":    false,
+		"bound: lower":     false,
+		"bound: search":    false,
+	}
+	refs := []pattern.SetRef{plan.Base}
+	for _, op := range plan.Steps {
+		refs = append(refs, op.Ref)
+	}
+	for _, ref := range refs {
+		switch {
+		case ref.Kind == pattern.RefNeighbor && ref.Pos == d:
+			shapes["N(v_d) operand"] = true
+		case ref.Pos < d:
+			shapes["operand below d"] = true
+		}
+	}
 	bounds := map[int]bool{}
 	for _, a := range plan.BoundBy {
 		bounds[a] = true
 	}
 	if len(bounds) == 0 {
-		return false, false, false
+		return shapes
 	}
 	free := func(ref pattern.SetRef) {
 		switch {
 		case !bounds[ref.Pos]:
-			fallback = true
+			shapes["bound: search"] = true
 		case ref.Kind == pattern.RefStored:
-			stored = true
+			shapes["bound: stored"] = true
 		default:
-			neighbor = true
+			shapes["bound: lower"] = true
 		}
 	}
 	if n := len(plan.Steps); n <= 1 {
 		free(plan.Base)
 	} else {
-		fallback = true // the last step's left input is a fold result
+		shapes["bound: search"] = true // the last step's left input is a fold result
 	}
 	if n := len(plan.Steps); n > 0 && !plan.Steps[n-1].Sub {
 		free(plan.Steps[n-1].Ref)
 	}
-	return stored, neighbor, fallback
+	return shapes
+}
+
+// leafTestPatterns reach every leafShapes shape between them, with and
+// without induced semantics.
+func leafTestPatterns() []pattern.Pattern {
+	return []pattern.Pattern{
+		pattern.Triangle(), pattern.FourClique(), pattern.TailedTriangle(),
+		pattern.Diamond(), pattern.FourCycle(), pattern.House(), pattern.PathN(2),
+	}
 }
 
 // TestHybridMatchesBaselineExactly is the central invariant of the
 // hybrid kernel layer: switching kernels must not change any reported
 // number — embeddings, per-depth task counts, intermediate-line
-// accounting, or set-op element accounting. The counting leaf's free
-// bounds must also select exactly the kernels a binary search would.
+// accounting, or set-op element accounting. The counting leaf, batched
+// per leaf parent, must match the materializing merge-only miner, and
+// its free bounds must select exactly the kernels a binary search would.
 func TestHybridMatchesBaselineExactly(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"rmat-skewed": gen.RMAT(1<<10, 9000, 0.45, 0.22, 0.22, 106),
@@ -94,26 +134,23 @@ func TestHybridMatchesBaselineExactly(t *testing.T) {
 			t.Fatalf("%s has no hubs", name)
 		}
 	}
-	patterns := []pattern.Pattern{
-		pattern.Triangle(), pattern.FourClique(), pattern.TailedTriangle(),
-		pattern.Diamond(), pattern.FourCycle(), pattern.House(),
-	}
-	var stored, neighbor, fallback bool
+	seen := map[string]bool{}
 	for gname, g := range graphs {
-		for _, p := range patterns {
+		for _, p := range leafTestPatterns() {
 			for _, induced := range []bool{false, true} {
 				s, err := pattern.BuildWith(p, pattern.BuildOptions{Induced: induced})
 				if err != nil {
 					t.Fatal(err)
 				}
-				st, nb, fb := leafBoundShapes(s)
-				stored, neighbor, fallback = stored || st, neighbor || nb, fallback || fb
+				for shape, ok := range leafShapes(s) {
+					seen[shape] = seen[shape] || ok
+				}
 				m := NewMiner(g, s)
 				hyb := m.Run()
 				if diff := sameResult(hyb, runBaseline(g, s)); diff != "" {
 					t.Errorf("%s/%s: hybrid vs baseline: %s", gname, s.Name, diff)
 				}
-				if !st && !nb && !fb {
+				if len(s.Plans[s.Depth()-1].BoundBy) == 0 {
 					continue // unbounded leaf: nothing to search
 				}
 				ref, refStats := runSearched(g, s)
@@ -126,23 +163,64 @@ func TestHybridMatchesBaselineExactly(t *testing.T) {
 			}
 		}
 	}
-	if !stored || !neighbor || !fallback {
-		t.Fatalf("patterns miss a leaf bound shape: stored=%v neighbor=%v fallback=%v", stored, neighbor, fallback)
+	for shape, ok := range seen {
+		if !ok {
+			t.Errorf("no test pattern reaches leaf shape %q", shape)
+		}
+	}
+}
+
+// TestCountingLeafPinned pins Result and KernelStats of the counting
+// miner on two served analogues, as recorded from the per-task counting
+// leaf the leaf-parent batch replaced. Any moved number fails.
+func TestCountingLeafPinned(t *testing.T) {
+	cases := []struct {
+		dataset, pattern string
+		want             Result
+		stats            setops.Stats
+	}{
+		{"lj", "tc", Result{Embeddings: 230351, TasksPerDepth: []int64{32768, 154179, 230351}, IntermediateLinesPerDepth: []int64{0, 707913, 0}, SetOpElements: 33433244},
+			setops.Stats{MergeOps: 53929, GallopOps: 406, BitmapOps: 75931}},
+		{"lj", "4cl", Result{Embeddings: 509953, TasksPerDepth: []int64{32768, 154179, 230351, 509953}, IntermediateLinesPerDepth: []int64{0, 707913, 450182, 0}, SetOpElements: 159427264},
+			setops.Stats{MergeOps: 72255, GallopOps: 999, BitmapOps: 248318}},
+		{"yo", "tt_e", Result{Embeddings: 40200738, TasksPerDepth: []int64{16384, 75246, 205911, 40200738}, IntermediateLinesPerDepth: []int64{0, 404363, 2639844, 0}, SetOpElements: 11608760},
+			setops.Stats{MergeOps: 38348, GallopOps: 894, BitmapOps: 36004}},
+		{"yo", "dia", Result{Embeddings: 3002609, TasksPerDepth: []int64{16384, 37623, 205911, 3002609}, IntermediateLinesPerDepth: []int64{0, 122976, 491651, 0}, SetOpElements: 5804380},
+			setops.Stats{MergeOps: 19174, GallopOps: 447, BitmapOps: 18002}},
+	}
+	for _, c := range cases {
+		g, err := datasets.Get(c.dataset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := pattern.ByName(c.pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := pattern.Build(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := NewMiner(g, s)
+		if diff := sameResult(m.Run(), &c.want); diff != "" {
+			t.Errorf("%s/%s: %s", c.dataset, c.pattern, diff)
+		}
+		if got := m.KernelStats(); got != c.stats {
+			t.Errorf("%s/%s: KernelStats %+v, pinned %+v", c.dataset, c.pattern, got, c.stats)
+		}
 	}
 }
 
 // FuzzMinerLeafBounds mines fuzzer-chosen graphs (optionally with one
 // hub adjacent to every vertex, so hub bitsets come into play) for each
-// test pattern: the hybrid miner must match the merge-only baseline on
-// every Result statistic and the searched-bound reference on KernelStats.
+// test pattern: the hybrid miner, whose counting leaf runs in leaf-parent
+// batches, must match the merge-only baseline on every Result statistic
+// and the searched-bound reference on KernelStats.
 func FuzzMinerLeafBounds(f *testing.F) {
 	f.Add(uint8(6), uint8(0), uint8(0), []byte{0, 1, 0, 2, 1, 2, 2, 3, 3, 0, 1, 3})
 	f.Add(uint8(90), uint8(5), uint8(1), []byte{1, 2, 2, 3, 3, 1, 10, 11, 11, 12, 12, 10, 40, 41})
 	f.Add(uint8(200), uint8(9), uint8(200), []byte{7, 8, 8, 9, 9, 7, 7, 10, 10, 8, 100, 101, 101, 7})
-	patterns := []pattern.Pattern{
-		pattern.Triangle(), pattern.FourClique(), pattern.TailedTriangle(),
-		pattern.Diamond(), pattern.FourCycle(), pattern.House(),
-	}
+	patterns := leafTestPatterns()
 	f.Fuzz(func(t *testing.T, n, pat, hub uint8, raw []byte) {
 		if n < 2 {
 			n = 2

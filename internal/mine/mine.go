@@ -70,8 +70,8 @@ type Miner struct {
 	// sets[d] stores the candidate set computed for position d.
 	sets [][]graph.VertexID
 	// idx[d] is the index of matched[d] in sets[d] while position d's
-	// loop in extend runs, so sets[d][:idx[d]] is sets[d] bounded by
-	// matched[d].
+	// loop (enumerate or countLeaves) runs, so sets[d][:idx[d]] is
+	// sets[d] bounded by matched[d].
 	idx      []int
 	scratch  []graph.VertexID
 	scratch2 []graph.VertexID
@@ -116,9 +116,10 @@ func (m *Miner) Run() *Result {
 // RunRoot explores the single search tree rooted at vertex root
 // (matching position 0). Results accumulate across calls.
 func (m *Miner) RunRoot(root graph.VertexID) {
-	m.res.TasksPerDepth[0]++
+	// Position 0's one candidate is the root itself, so a depth-2
+	// pattern's counting leaf is a batch of one.
 	m.matched[0] = root
-	m.extend(1)
+	m.enumerate(0, m.matched[:1])
 }
 
 // Result returns the statistics accumulated so far.
@@ -213,41 +214,44 @@ func (m *Miner) isDistinct(d int, v graph.VertexID) bool {
 // extend matches position d against the current partial embedding. The
 // caller has filled matched[0..d-1].
 func (m *Miner) extend(d int) {
-	last := d == m.s.Depth()-1
-	if last && m.visitor == nil && m.kern.enabled {
-		// Counting-only leaf: fold and count through the kernel
-		// dispatcher without materializing the final candidate set.
-		count := m.countLeaf(d)
+	set := m.computeCandidates(d)
+	cands := m.candidatesFor(d, set)
+	if d < m.s.Depth()-1 {
+		m.enumerate(d, cands)
+		return
+	}
+	// A materialized last position: the visitor path, or counting with
+	// hybrid kernels disabled (the counting leaf is batched by enumerate).
+	if m.visitor == nil {
+		// All bounded candidates match except the (few) already-matched
+		// vertices, found by binary search.
+		count := int64(len(cands))
+		for _, j := range m.s.Plans[d].Distinct {
+			if setops.Contains(cands, m.matched[j]) {
+				count--
+			}
+		}
 		m.res.TasksPerDepth[d] += count
 		m.res.Embeddings += count
 		return
 	}
-	set := m.computeCandidates(d)
-	cands := m.candidatesFor(d, set)
-	if last {
-		if m.visitor == nil {
-			// Counting only (hybrid kernels disabled): all bounded
-			// candidates match except the (few) already-matched
-			// vertices, found by binary search.
-			count := int64(len(cands))
-			for _, j := range m.s.Plans[d].Distinct {
-				if setops.Contains(cands, m.matched[j]) {
-					count--
-				}
-			}
-			m.res.TasksPerDepth[d] += count
-			m.res.Embeddings += count
-			return
+	for _, v := range cands {
+		if !m.isDistinct(d, v) {
+			continue
 		}
-		for _, v := range cands {
-			if !m.isDistinct(d, v) {
-				continue
-			}
-			m.res.TasksPerDepth[d]++
-			m.res.Embeddings++
-			m.matched[d] = v
-			m.visitor(m.matched)
-		}
+		m.res.TasksPerDepth[d]++
+		m.res.Embeddings++
+		m.matched[d] = v
+		m.visitor(m.matched)
+	}
+}
+
+// enumerate matches position d against each of cands, its bounded
+// candidates, and recurses. When position d+1 is the counting leaf the
+// whole sibling loop is one leaf-parent batch (countLeaves).
+func (m *Miner) enumerate(d int, cands []graph.VertexID) {
+	if d+1 == m.s.Depth()-1 && m.visitor == nil && m.kern.enabled {
+		m.countLeaves(d, cands)
 		return
 	}
 	// Candidate sets of deeper positions may reuse m.sets[d]; the

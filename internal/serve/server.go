@@ -393,7 +393,8 @@ const StatusClientClosed = 499
 // classify maps an error to its HTTP status and machine-readable kind.
 // Each typed failure gets a distinct status: overload is 429, drain
 // 503, client-gone 499, wall budget 408, simulated budgets 422, bad
-// input 400, unknown names 404, contained panics and deadlocks 500.
+// input 400, an upload over the vertex cap 413, unknown names 404,
+// contained panics and deadlocks 500.
 func classify(err error) (status int, kind string) {
 	var inv *sim.InvariantError
 	var dead *sim.DeadlockError
@@ -404,6 +405,8 @@ func classify(err error) (status int, kind string) {
 		return http.StatusServiceUnavailable, "draining"
 	case errors.Is(err, errBadRequest):
 		return http.StatusBadRequest, "bad_request"
+	case errors.Is(err, errTooLarge):
+		return http.StatusRequestEntityTooLarge, "too_large"
 	case errors.Is(err, errNotFound):
 		return http.StatusNotFound, "not_found"
 	case errors.Is(err, sim.ErrWallBudget):
@@ -430,11 +433,16 @@ func classify(err error) (status int, kind string) {
 // Sentinels for input failures so classify stays errors.Is-based.
 var (
 	errBadRequest = errors.New("bad request")
+	errTooLarge   = errors.New("request too large")
 	errNotFound   = errors.New("not found")
 )
 
 func badRequestf(format string, args ...any) error {
 	return fmt.Errorf("%w: "+format, append([]any{errBadRequest}, args...)...)
+}
+
+func tooLargef(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{errTooLarge}, args...)...)
 }
 
 func notFoundf(format string, args ...any) error {
@@ -664,12 +672,23 @@ func (s *Server) resolveGraph(req *Request) (cachedGraph, error) {
 	// serve one tenant's graph to another.
 	key := "upload/" + hex.EncodeToString(sum[:])
 	return s.graphs.Get(key, func() (cachedGraph, int64, error) {
-		g, err := graph.ReadEdgeList(strings.NewReader(req.Graph))
+		g, err := graph.ReadEdgeList(strings.NewReader(req.Graph), uploadVertexCap(s.graphs.budget))
+		if errors.Is(err, graph.ErrVertexCap) {
+			return cachedGraph{}, 0, tooLargef("graph upload: %v", err)
+		}
 		if err != nil {
 			return cachedGraph{}, 0, badRequestf("graph upload: %v", err)
 		}
 		return cachedGraph{g, key}, graphBytes(g), nil
 	})
+}
+
+// uploadVertexCap is the vertex cap of a graph upload: the smallest
+// vertex count whose CSR offsets alone (graphBytes) overflow the graph
+// cache's budget. ReadEdgeList refuses an upload that reaches it before
+// graph.Build sizes anything by the count.
+func uploadVertexCap(graphBudget int64) int {
+	return int(max(graphBudget/8, 1))
 }
 
 // graphBytes estimates a CSR graph's resident size (offsets are int64,

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -191,6 +192,48 @@ func TestServeBadRequests(t *testing.T) {
 		if e.Error == "" {
 			t.Errorf("%s: empty error message", tc.name)
 		}
+	}
+}
+
+// TestServeUploadVertexCap sends hostile uploads whose vertex count, from
+// one line, would make graph.Build allocate tens of GiB: each gets a typed
+// 413 before anything is sized by the count, and the daemon stays ready.
+// A graph just under the cap derived from the cache budget still counts.
+func TestServeUploadVertexCap(t *testing.T) {
+	s, base := testServer(t, Config{CacheBytes: 1 << 20})
+	vertexCap := uploadVertexCap(s.graphs.budget)
+	if want := int(s.graphs.budget / 8); vertexCap != want {
+		t.Fatalf("vertex cap %d, want %d (graph cache budget / 8)", vertexCap, want)
+	}
+	cases := []struct {
+		name   string
+		graph  string
+		status int
+	}{
+		{"one huge id", "0 2147483646\n", http.StatusRequestEntityTooLarge},
+		{"huge header", "# vertices=2000000000\n0 1\n", http.StatusRequestEntityTooLarge},
+		{"header at the cap", fmt.Sprintf("# vertices=%d\n0 1\n", vertexCap), http.StatusRequestEntityTooLarge},
+		{"id at the cap", fmt.Sprintf("0 %d\n", vertexCap-1), http.StatusRequestEntityTooLarge},
+		{"just under the cap", fmt.Sprintf("# vertices=%d\n0 1\n1 2\n2 0\n", vertexCap-1), http.StatusOK},
+	}
+	for _, tc := range cases {
+		status, r, e, _ := post(t, base+"/v1/count", Request{Graph: tc.graph, Pattern: "tc"})
+		switch {
+		case status != tc.status:
+			t.Errorf("%s: status %d, want %d", tc.name, status, tc.status)
+		case status == http.StatusOK && r.Embeddings != 1:
+			t.Errorf("%s: %d triangles, want 1", tc.name, r.Embeddings)
+		case status != http.StatusOK && (e.Kind != "too_large" || e.Error == ""):
+			t.Errorf("%s: kind %q error %q, want too_large", tc.name, e.Kind, e.Error)
+		}
+	}
+	resp, err := http.Get(base + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/readyz = %d after hostile uploads", resp.StatusCode)
 	}
 }
 

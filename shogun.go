@@ -56,7 +56,7 @@ func NewGraph(n int, edges []Edge) (*Graph, error) { return graph.New(n, edges) 
 
 // ReadGraph parses a whitespace-separated edge list ("u v" per line,
 // '#'/'%' comments).
-func ReadGraph(r io.Reader) (*Graph, error) { return graph.ReadEdgeList(r) }
+func ReadGraph(r io.Reader) (*Graph, error) { return graph.ReadEdgeList(r, 0) }
 
 // LoadGraph reads an edge-list file from disk.
 func LoadGraph(path string) (*Graph, error) {
@@ -65,7 +65,7 @@ func LoadGraph(path string) (*Graph, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return graph.ReadEdgeList(f)
+	return graph.ReadEdgeList(f, 0)
 }
 
 // GenerateRMAT produces a recursive-matrix (skewed, social-network-like)
