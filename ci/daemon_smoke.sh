@@ -3,7 +3,9 @@
 # readiness, issues one good query (verifying the embedding count
 # against the software miner's golden value), one over-budget query
 # (expecting the typed 422 event-budget error), one hostile upload
-# (expecting the typed 413 and a daemon still ready), checks the request
+# (expecting the typed 413 and a daemon still ready), a two-chip
+# simulate (expecting the golden count), hostile machine shapes
+# (expecting typed 413s and a daemon still ready), checks the request
 # observability plane (trace header on responses, phases_us on a
 # response to an untraced request, /metrics Prometheus exposition with
 # nonzero request counters, /statz served equal to the sum of
@@ -100,6 +102,31 @@ fi
 curl -fsS "http://$addr/readyz" >/dev/null || {
     cat "$work/log" >&2; echo "daemon_smoke: /readyz not ready after the hostile upload" >&2; exit 1; }
 echo "daemon_smoke: hostile upload -> 413 too_large, still ready" >&2
+
+# Two-chip simulate: the same machine path as one chip, so it must
+# return the golden count from above.
+echo "daemon_smoke: chips=2 simulate" >&2
+curl -fsS -o "$work/sim2.json" "http://$addr/v1/simulate" \
+    -d '{"dataset":"wi","pattern":"tc","pes":4,"chips":2,"partition":"hash","split":true}'
+jq -e --argjson emb "$emb" '.embeddings == $emb and .chips == 2' "$work/sim2.json" >/dev/null || {
+    echo "daemon_smoke: chips=2 simulate disagrees with the golden count $emb: $(cat "$work/sim2.json")" >&2; exit 1; }
+echo "daemon_smoke: chips=2 simulate embeddings=$emb" >&2
+
+# Hostile machine shapes: each would make cluster.New build thousands
+# of accelerators or PEs. Each must get the typed 413 before anything is
+# built, and the daemon must stay ready.
+for shape in '"chips":100000' '"pes":100000' '"width":1000000' '"chips":16,"pes":64'; do
+    status=$(curl -s -o "$work/err.json" -w '%{http_code}' "http://$addr/v1/simulate" \
+        -d "{\"dataset\":\"wi\",\"pattern\":\"tc\",$shape}")
+    kind=$(jq -r .kind "$work/err.json")
+    if [ "$status" != 413 ] || [ "$kind" != too_large ]; then
+        echo "daemon_smoke: hostile shape {$shape}: status=$status kind=$kind body=$(cat "$work/err.json")" >&2
+        exit 1
+    fi
+done
+curl -fsS "http://$addr/readyz" >/dev/null || {
+    cat "$work/log" >&2; echo "daemon_smoke: /readyz not ready after the hostile shapes" >&2; exit 1; }
+echo "daemon_smoke: hostile shapes -> 413 too_large, still ready" >&2
 
 # /metrics: the exposition must be structurally valid Prometheus text
 # (every line a HELP/TYPE comment or a `name[{labels}] value` sample) and

@@ -1,11 +1,12 @@
-// Command shogun runs one accelerator simulation and prints its
-// statistics.
+// Command shogun runs one accelerator simulation, on one chip or many,
+// and prints its statistics.
 //
 // Usage:
 //
 //	shogun -dataset yo -pattern 4cl -scheme shogun
 //	shogun -graph edges.txt -pattern tt_v -scheme fingers -pes 4 -width 8
 //	shogun -dataset wi -pattern tc -scheme shogun -split -merge -v
+//	shogun -dataset yo -pattern tc -chips 4 -partition hash -split -trace-out c4.json
 package main
 
 import (
@@ -31,46 +32,62 @@ import (
 	"shogun/internal/trace"
 )
 
+// options is the parsed flag set: the chip's shape and scheduling
+// knobs, the machine's chip count and partitioning, the run budgets, and
+// the outputs.
+type options struct {
+	dataset, graphArg, pattern, scheme, cfgPath, partition string
+	pes, width, l1KB, l2KB, tokens, bunches, chips         int
+	split, merge, dumpCfg, steal, verify, verbose, metrics bool
+	partitionSeed, deadline, maxEvents, sampleEvery        int64
+	maxWall                                                time.Duration
+	traceOut, chromeOut, timeseriesOut, httpAddr           string
+}
+
+// bindFlags registers the command's flags on fs and returns the options
+// they parse into.
+func bindFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.dataset, "dataset", "", "dataset analogue: wi|as|yo|pa|lj|or")
+	fs.StringVar(&o.graphArg, "graph", "", "edge-list file (alternative to -dataset)")
+	fs.StringVar(&o.pattern, "pattern", "tc", "pattern: tc|tt[_e|_v]|4cl|5cl|dia[_e|_v]|4cyc[_e|_v]|house")
+	fs.StringVar(&o.scheme, "scheme", "shogun", "scheme: shogun|fingers|pseudo-dfs|dfs|bfs|parallel-dfs")
+	fs.IntVar(&o.pes, "pes", 10, "number of PEs per chip")
+	fs.IntVar(&o.width, "width", 8, "task execution width")
+	fs.IntVar(&o.l1KB, "l1", 32, "L1 size in KB")
+	fs.IntVar(&o.l2KB, "l2", 0, "L2 size in KB (0 = default)")
+	fs.BoolVar(&o.split, "split", false, "enable task-tree splitting (shogun)")
+	fs.BoolVar(&o.merge, "merge", false, "enable search-tree merging (shogun)")
+	fs.IntVar(&o.tokens, "tokens", 0, "address tokens per depth (default: width)")
+	fs.IntVar(&o.bunches, "bunches", 4, "task tree bunches per depth (shogun)")
+	fs.BoolVar(&o.verify, "verify", true, "cross-check count against the software miner")
+	fs.StringVar(&o.cfgPath, "config", "", "load accelerator config from JSON (flags below override)")
+	fs.BoolVar(&o.dumpCfg, "dumpconfig", false, "print the effective config as JSON and exit")
+	fs.StringVar(&o.traceOut, "trace", "", "write per-task JSONL trace to file")
+	fs.StringVar(&o.chromeOut, "trace-out", "", "write Chrome trace JSON (load in chrome://tracing or Perfetto)")
+	fs.BoolVar(&o.metrics, "metrics", false, "print the hardware-counter report and verify conservation invariants")
+	fs.BoolVar(&o.verbose, "v", false, "print extended statistics")
+	fs.Int64Var(&o.deadline, "deadline", 0, "abort after this many simulated cycles (0 = none)")
+	fs.Int64Var(&o.maxEvents, "maxevents", 0, "abort after this many simulation events (0 = none)")
+	fs.DurationVar(&o.maxWall, "maxwall", 0, "abort after this much wall-clock time (0 = none)")
+	fs.IntVar(&o.chips, "chips", 1, "number of accelerator chips (>1 simulates a multi-chip cluster)")
+	fs.StringVar(&o.partition, "partition", "", "cluster root partitioning: replicate (default) | hash | range")
+	fs.Int64Var(&o.partitionSeed, "partition-seed", 0, "seed for the hash partitioner")
+	fs.BoolVar(&o.steal, "steal", true, "enable chip-level work stealing over the interconnect (shogun scheme)")
+	fs.Int64Var(&o.sampleEvery, "sample-every", 0, "sample telemetry gauges every N cycles (0 = off)")
+	fs.StringVar(&o.timeseriesOut, "timeseries-out", "", "write the sampled telemetry series to file (.json = JSON, else CSV; needs -sample-every)")
+	fs.StringVar(&o.httpAddr, "http", "", "serve live inspection endpoints (JSON snapshot, expvar, pprof) on host:port (\":0\" picks a port)")
+	return o
+}
+
 func main() {
-	var (
-		dataset  = flag.String("dataset", "", "dataset analogue: wi|as|yo|pa|lj|or")
-		graphArg = flag.String("graph", "", "edge-list file (alternative to -dataset)")
-		patName  = flag.String("pattern", "tc", "pattern: tc|tt[_e|_v]|4cl|5cl|dia[_e|_v]|4cyc[_e|_v]|house")
-		scheme   = flag.String("scheme", "shogun", "scheme: shogun|fingers|pseudo-dfs|dfs|bfs|parallel-dfs")
-		pes      = flag.Int("pes", 10, "number of PEs")
-		width    = flag.Int("width", 8, "task execution width")
-		l1KB     = flag.Int("l1", 32, "L1 size in KB")
-		l2KB     = flag.Int("l2", 0, "L2 size in KB (0 = default)")
-		split    = flag.Bool("split", false, "enable task-tree splitting (shogun)")
-		merge    = flag.Bool("merge", false, "enable search-tree merging (shogun)")
-		tokens   = flag.Int("tokens", 0, "address tokens per depth (default: width)")
-		bunches  = flag.Int("bunches", 4, "task tree bunches per depth (shogun)")
-		verify   = flag.Bool("verify", true, "cross-check count against the software miner")
-		cfgPath  = flag.String("config", "", "load accelerator config from JSON (flags below override)")
-		dumpCfg  = flag.Bool("dumpconfig", false, "print the effective config as JSON and exit")
-		traceOut = flag.String("trace", "", "write per-task JSONL trace to file")
-		chromeT  = flag.String("trace-out", "", "write Chrome trace JSON (load in chrome://tracing or Perfetto)")
-		metricsF = flag.Bool("metrics", false, "print the hardware-counter report and verify conservation invariants")
-		verbose  = flag.Bool("v", false, "print extended statistics")
-		deadline = flag.Int64("deadline", 0, "abort after this many simulated cycles (0 = none)")
-		maxEv    = flag.Int64("maxevents", 0, "abort after this many simulation events (0 = none)")
-		maxWall  = flag.Duration("maxwall", 0, "abort after this much wall-clock time (0 = none)")
-		chips    = flag.Int("chips", 1, "number of accelerator chips (>1 simulates a multi-chip cluster)")
-		partMode = flag.String("partition", "", "cluster root partitioning: replicate (default) | hash | range")
-		partSeed = flag.Int64("partition-seed", 0, "seed for the hash partitioner")
-		steal    = flag.Bool("steal", true, "enable chip-level work stealing over the interconnect (shogun scheme)")
-		sampleEv = flag.Int64("sample-every", 0, "sample telemetry gauges every N cycles (0 = off)")
-		tsOut    = flag.String("timeseries-out", "", "write the sampled telemetry series to file (.json = JSON, else CSV; needs -sample-every)")
-		httpAddr = flag.String("http", "", "serve live inspection endpoints (JSON snapshot, expvar, pprof) on host:port (\":0\" picks a port)")
-	)
+	o := bindFlags(flag.CommandLine)
 	flag.Parse()
 	// SIGINT/SIGTERM cancel the simulation at the next watchdog poll;
 	// the run loop flushes a diagnostic snapshot and exits non-zero.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	tf := telemetryFlags{sampleEvery: *sampleEv, timeseriesOut: *tsOut, httpAddr: *httpAddr}
-	cf := clusterFlags{chips: *chips, partition: *partMode, seed: *partSeed, steal: *steal}
-	if err := run(ctx, *dataset, *graphArg, *patName, *scheme, *pes, *width, *l1KB, *l2KB, *tokens, *bunches, *split, *merge, *verify, *verbose, *metricsF, *traceOut, *chromeT, *cfgPath, *dumpCfg, *deadline, *maxEv, *maxWall, tf, cf); err != nil {
+	if err := run(ctx, *o); err != nil {
 		fmt.Fprintln(os.Stderr, "shogun:", err)
 		var inv *sim.InvariantError
 		var dead *sim.DeadlockError
@@ -84,109 +101,112 @@ func main() {
 	}
 }
 
-// telemetryFlags carries the time-resolved telemetry options (-sample-every,
-// -timeseries-out, -http) through to run.
-type telemetryFlags struct {
-	sampleEvery   int64
-	timeseriesOut string
-	httpAddr      string
-}
-
-// validate rejects inconsistent or malformed telemetry flags before any
+// validate rejects inconsistent or malformed flags before any
 // simulation work starts.
-func (tf telemetryFlags) validate() error {
-	if tf.sampleEvery < 0 {
-		return fmt.Errorf("-sample-every must be a positive cycle count (got %d)", tf.sampleEvery)
+func (o options) validate() error {
+	if o.sampleEvery < 0 {
+		return fmt.Errorf("-sample-every must be a positive cycle count (got %d)", o.sampleEvery)
 	}
-	if tf.timeseriesOut != "" && tf.sampleEvery == 0 {
+	if o.timeseriesOut != "" && o.sampleEvery == 0 {
 		return fmt.Errorf("-timeseries-out needs -sample-every > 0 (nothing is sampled otherwise)")
 	}
-	if tf.httpAddr != "" {
-		if err := telemetry.ValidateAddr(tf.httpAddr); err != nil {
+	if o.httpAddr != "" {
+		if err := telemetry.ValidateAddr(o.httpAddr); err != nil {
 			return err
 		}
 	}
-	return nil
+	if o.chips < 1 {
+		return fmt.Errorf("-chips must be >= 1 (got %d)", o.chips)
+	}
+	_, err := cluster.ParseMode(o.partition)
+	return err
 }
 
-// clusterFlags carries the multi-chip options (-chips, -partition,
-// -partition-seed, -steal) through to run.
-type clusterFlags struct {
-	chips     int
-	partition string
-	seed      int64
-	steal     bool
+// machineConfig builds the machine's config: -chips copies of one chip
+// (the -config file or the scheme's Table 3 defaults, overridden by the
+// shape, budget and sampling flags), its root space split by -partition.
+func (o options) machineConfig() (cluster.Config, error) {
+	chip := accel.DefaultConfig(accel.Scheme(o.scheme))
+	if o.cfgPath != "" {
+		var err error
+		if chip, err = accel.LoadConfig(o.cfgPath); err != nil {
+			return cluster.Config{}, err
+		}
+	}
+	chip.NumPEs = o.pes
+	chip.PE.Width = o.width
+	chip.TokensPerDepth = o.width
+	if o.tokens > 0 {
+		chip.TokensPerDepth = o.tokens
+	}
+	chip.Tree.EntriesPerBunch = o.width
+	chip.Tree.BunchesPerDepth = o.bunches
+	chip.PE.L1.SizeKB = o.l1KB
+	if o.l2KB > 0 {
+		chip.L2.SizeKB = o.l2KB
+	}
+	chip.EnableSplitting = o.split
+	chip.EnableMerging = o.merge
+	if o.deadline > 0 {
+		chip.Deadline = sim.Time(o.deadline)
+	}
+	if o.maxEvents > 0 {
+		chip.MaxEvents = o.maxEvents
+	}
+	if o.maxWall > 0 {
+		chip.MaxWall = o.maxWall
+	}
+	if o.sampleEvery > 0 {
+		chip.SampleEvery = sim.Time(o.sampleEvery)
+	}
+	cfg := cluster.DefaultConfig(chip.Scheme, o.chips)
+	cfg.Chip = chip
+	cfg.Partition = cluster.Mode(o.partition)
+	cfg.PartitionSeed = o.partitionSeed
+	cfg.Steal = o.steal
+	return cfg, nil
 }
 
-func run(ctx context.Context, dataset, graphArg, patName, scheme string, pes, width, l1KB, l2KB, tokens, bunches int, split, merge, verify, verbose, metricsF bool, traceOut, chromeOut, cfgPath string, dumpCfg bool, deadline, maxEvents int64, maxWall time.Duration, tf telemetryFlags, cf clusterFlags) error {
-	if err := tf.validate(); err != nil {
-		return err
-	}
-	if cf.chips < 1 {
-		return fmt.Errorf("-chips must be >= 1 (got %d)", cf.chips)
-	}
-	if _, err := cluster.ParseMode(cf.partition); err != nil {
-		return err
-	}
-	var g *graph.Graph
-	var err error
+// inputs reads the graph and builds the pattern's schedule.
+func (o options) inputs() (g *graph.Graph, s *pattern.Schedule, err error) {
 	switch {
-	case dataset != "":
-		g, err = datasets.Get(dataset)
-	case graphArg != "":
+	case o.dataset != "":
+		g, err = datasets.Get(o.dataset)
+	case o.graphArg != "":
 		var f *os.File
-		if f, err = os.Open(graphArg); err == nil {
+		if f, err = os.Open(o.graphArg); err == nil {
 			defer f.Close()
 			g, err = graph.ReadEdgeList(f, 0)
 		}
 	default:
-		return fmt.Errorf("need -dataset or -graph")
+		err = fmt.Errorf("need -dataset or -graph")
 	}
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
+	p, err := pattern.ByName(o.pattern)
+	if err != nil {
+		return nil, nil, err
+	}
+	s, err = pattern.BuildWith(p, pattern.BuildOptions{Induced: strings.HasSuffix(o.pattern, "_v")})
+	return g, s, err
+}
 
-	p, err := pattern.ByName(patName)
+// run simulates the machine the options describe — -chips copies of the
+// chip, one chip being the 1-chip cluster — and prints its report from
+// the machine-level aggregate. Trace events number PEs machine-wide
+// (chip c's PE p is c×pes+p).
+func run(ctx context.Context, o options) error {
+	if err := o.validate(); err != nil {
+		return err
+	}
+	g, s, err := o.inputs()
 	if err != nil {
 		return err
 	}
-	s, err := pattern.BuildWith(p, pattern.BuildOptions{Induced: strings.HasSuffix(patName, "_v")})
+	cfg, err := o.machineConfig()
 	if err != nil {
 		return err
-	}
-
-	cfg := accel.DefaultConfig(accel.Scheme(scheme))
-	if cfgPath != "" {
-		var err error
-		if cfg, err = accel.LoadConfig(cfgPath); err != nil {
-			return err
-		}
-	}
-	cfg.NumPEs = pes
-	cfg.PE.Width = width
-	cfg.TokensPerDepth = width
-	if tokens > 0 {
-		cfg.TokensPerDepth = tokens
-	}
-	cfg.Tree.EntriesPerBunch = width
-	cfg.Tree.BunchesPerDepth = bunches
-	cfg.PE.L1.SizeKB = l1KB
-	if l2KB > 0 {
-		cfg.L2.SizeKB = l2KB
-	}
-	cfg.EnableSplitting = split
-	cfg.EnableMerging = merge
-	if deadline > 0 {
-		cfg.Deadline = sim.Time(deadline)
-	}
-	if maxEvents > 0 {
-		cfg.MaxEvents = maxEvents
-	}
-	if maxWall > 0 {
-		cfg.MaxWall = maxWall
-	}
-	if tf.sampleEvery > 0 {
-		cfg.SampleEvery = sim.Time(tf.sampleEvery)
 	}
 
 	summary := trace.NewSummary()
@@ -194,8 +214,8 @@ func run(ctx context.Context, dataset, graphArg, patName, scheme string, pes, wi
 	var jsonl *trace.JSONL
 	var chrome *trace.Chrome
 	tracers := trace.Multi{}
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
+	if o.traceOut != "" {
+		f, err := os.Create(o.traceOut)
 		if err != nil {
 			return err
 		}
@@ -203,19 +223,19 @@ func run(ctx context.Context, dataset, graphArg, patName, scheme string, pes, wi
 		jsonl = trace.NewJSONL(f)
 		tracers = append(tracers, jsonl)
 	}
-	if chromeOut != "" {
+	if o.chromeOut != "" {
 		chrome = trace.NewChrome()
 		tracers = append(tracers, chrome)
 	}
-	if len(tracers) > 0 || verbose {
+	if len(tracers) > 0 || o.verbose {
 		tracers = append(tracers, summary, timeline)
-		cfg.Tracer = tracers
+		cfg.Chip.Tracer = tracers
 	}
 
-	if dumpCfg {
+	if o.dumpCfg {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		return enc.Encode(cfg)
+		return enc.Encode(cfg.Chip)
 	}
 
 	st := g.ComputeStats()
@@ -223,54 +243,45 @@ func run(ctx context.Context, dataset, graphArg, patName, scheme string, pes, wi
 		st.Vertices, st.Edges, st.MaxDegree, st.AvgDegree, st.Skewness)
 	fmt.Printf("schedule %s:\n%s", s.Name, s.String())
 
-	if cf.chips > 1 {
-		return runCluster(ctx, g, s, cfg, cf, pes, width, verify, metricsF, tf)
-	}
-
-	a, err := accel.New(g, s, cfg)
+	cl, err := cluster.New(g, s, cfg)
 	if err != nil {
 		return err
 	}
-	if tf.httpAddr != "" {
-		srv, err := telemetry.NewServer(tf.httpAddr)
+	fmt.Printf("cluster: %s\n", cl.Partition())
+	if o.httpAddr != "" {
+		srv, err := telemetry.NewServer(o.httpAddr)
 		if err != nil {
 			return err
 		}
 		defer srv.Close()
-		tel := a.Telemetry()
 		srv.HandleJSON("/telemetry.json", func() any {
-			var snap telemetry.RunSnapshot
-			if tel != nil {
-				snap.Samples = tel.Sampler.Snapshot()
-				snap.Histograms = tel.Histograms()
-			}
-			return snap
+			return telemetry.RunSnapshot{Samples: cl.Samples(), Histograms: cl.Histograms()}
 		})
 		telemetry.PublishVar("run", func() any {
-			info := map[string]any{"scheme": scheme, "pattern": s.Name, "pes": pes}
-			if tel != nil {
-				if cyc, ok := tel.Sampler.Last("engine/events"); ok {
-					info["engine/events"] = cyc
-				}
-				if done, ok := tel.Sampler.Last("tasks/executed"); ok {
-					info["tasks/executed"] = done
+			info := map[string]any{"scheme": o.scheme, "pattern": s.Name, "pes": o.pes, "chips": o.chips}
+			if ts := cl.Samples(); ts != nil {
+				for _, name := range [...]string{"engine/events", "tasks/executed"} {
+					if col := ts.Col(name); len(col) > 0 {
+						info[name] = col[len(col)-1]
+					}
 				}
 			}
 			return info
 		})
 		fmt.Printf("live inspection: http://%s/ (telemetry.json, debug/vars, debug/pprof)\n", srv.Addr())
 	}
-	res, err := a.RunContext(ctx)
+	cres, err := cl.RunContext(ctx)
 	if err != nil {
 		if errors.Is(err, sim.ErrCancelled) {
 			// Flush partial progress before exiting non-zero.
-			eng := a.Engine()
+			eng := cl.Engine()
 			fmt.Printf("\ninterrupted at cycle %d after %d events\n", int64(eng.Now()), eng.Processed)
 		}
 		return err
 	}
+	res := cres.Machine()
 
-	fmt.Printf("\nscheme=%s pes=%d width=%d\n", res.Scheme, pes, width)
+	fmt.Printf("\nscheme=%s pes=%d width=%d chips=%d partition=%s\n", res.Scheme, o.pes, o.width, cres.Chips, cres.Partition)
 	fmt.Printf("cycles:          %d\n", res.Cycles)
 	fmt.Printf("embeddings:      %d\n", res.Embeddings)
 	fmt.Printf("tasks:           %d internal + %d leaf\n", res.Tasks, res.LeafTasks)
@@ -280,12 +291,21 @@ func run(ctx context.Context, dataset, graphArg, patName, scheme string, pes, wi
 	fmt.Printf("L2 hit rate:     %.1f%%\n", res.L2HitRate*100)
 	fmt.Printf("DRAM:            %d reads, %d writes, %.1f%% bandwidth\n", res.DRAMReads, res.DRAMWrites, res.DRAMBandwidth*100)
 	fmt.Printf("NoC lines moved: %d\n", res.NoCLines)
-	if split || merge {
+	if o.split || o.merge {
 		fmt.Printf("splits=%d merges=%d\n", res.Splits, res.Merges)
 	}
 	fmt.Printf("cycle breakdown: compute=%.1f%% memstall=%.1f%% sched=%.1f%% idle=%.1f%%\n",
 		bdPct(res.Breakdown.Compute, res.Breakdown), bdPct(res.Breakdown.MemStall, res.Breakdown),
 		bdPct(res.Breakdown.Scheduling, res.Breakdown), bdPct(res.Breakdown.Idle, res.Breakdown))
+	fmt.Printf("chip occupancy:  max %.1f%% mean %.1f%% (max/mean %.2f)\n",
+		cres.MaxOccupancy*100, cres.MeanOccupancy*100, cres.ImbalanceRatio())
+	fmt.Printf("migrations:      %d subtrees (%d retries)\n", cres.Migrations, cres.AdoptRetries)
+	fmt.Printf("interconnect:    %d messages, %d lines\n", cres.InterMessages, cres.InterLines)
+	for i, st := range cres.PerChip {
+		cr := cres.ChipResults[i]
+		fmt.Printf("  chip%d: %d roots, %d tasks, %d embeddings, occ %.1f%%, migrated out=%d in=%d\n",
+			i, st.Vertices, cr.Tasks, cr.Embeddings, st.Occupancy*100, st.MigratedOut, st.MigratedIn)
+	}
 	// Multi.Err surfaces the first deferred failure from any attached
 	// writer (a full disk mid-run must not pass silently as a short trace).
 	if err := tracers.Err(); err != nil {
@@ -294,24 +314,25 @@ func run(ctx context.Context, dataset, graphArg, patName, scheme string, pes, wi
 		}
 		return fmt.Errorf("trace: %w", err)
 	}
-	if tf.timeseriesOut != "" {
-		if err := writeTimeSeries(tf.timeseriesOut, res.Telemetry); err != nil {
+	series := res.Telemetry
+	if o.timeseriesOut != "" {
+		if err := writeTimeSeries(o.timeseriesOut, series); err != nil {
 			return err
 		}
 		fmt.Printf("telemetry series: %s (%d epochs, every %d cycles)\n",
-			tf.timeseriesOut, len(res.Telemetry.Cycles), res.Telemetry.Interval)
+			o.timeseriesOut, len(series.Cycles), series.Interval)
 	}
 	if chrome != nil {
 		// Fold the sampler's system-level gauges in as counter tracks
 		// (per-PE occupancy already derives from the task spans).
-		if res.Telemetry != nil {
-			for _, series := range res.Telemetry.Series {
-				if !strings.HasPrefix(series.Name, "pe") {
-					chrome.AddCounterSeries(series.Name, res.Telemetry.Cycles, series.Vals)
+		if series != nil {
+			for _, ser := range series.Series {
+				if !strings.HasPrefix(ser.Name, "pe") {
+					chrome.AddCounterSeries(ser.Name, series.Cycles, ser.Vals)
 				}
 			}
 		}
-		f, err := os.Create(chromeOut)
+		f, err := os.Create(o.chromeOut)
 		if err != nil {
 			return err
 		}
@@ -322,92 +343,9 @@ func run(ctx context.Context, dataset, graphArg, patName, scheme string, pes, wi
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("chrome trace:    %s (%d events; open chrome://tracing and load it)\n", chromeOut, chrome.Count())
+		fmt.Printf("chrome trace:    %s (%d events; open chrome://tracing and load it)\n", o.chromeOut, chrome.Count())
 	}
-	if metricsF {
-		reg := a.Metrics()
-		fmt.Printf("\nhardware counters:\n%s", reg.Report())
-		if err := reg.Verify(); err != nil {
-			return err
-		}
-		fmt.Printf("metrics: all %d conservation invariants hold\n", reg.Invariants())
-	}
-	if verbose {
-		fmt.Printf("task latency by depth:\n%s", summary.String())
-		fmt.Printf("PE occupancy timeline:\n%s", timeline.Render(72))
-		fmt.Printf("conservative transitions: %d\n", res.ConservativeTransitions)
-		fmt.Printf("peak live sets:           %d\n", res.PeakLiveSets)
-		fmt.Printf("events processed:         %d\n", res.Events)
-		fmt.Printf("intermediate lines/task:  %.2f\n", res.IntermediateLinesPerTask)
-		p0 := a.PEs()[0]
-		fmt.Printf("phase avgs (pe0): decode=%.1f spm+disp=%.1f fetch=%.1f compute=%.1f wb=%.1f spawnw=%.1f leaf=%.1f residency=%.1f\n",
-			p0.PhaseDecode.Avg(), p0.PhaseSPM.Avg(), p0.PhaseFetch.Avg(), p0.PhaseCompute.Avg(), p0.PhaseWB.Avg(), p0.PhaseSpawnWait.Avg(), p0.PhaseLeaf.Avg(), p0.SlotResidency.Avg())
-		for _, pe := range a.PEs() {
-			fmt.Printf("  pe%d: tasks=%d last=%d iu=%.1f%% l1hit=%.1f%% slotavg=%.2f decode=%.1f%% dispatch=%.1f%% wb=%.1f%% spawn=%.1f%%\n",
-				pe.ID, pe.TasksExecuted.Total, pe.LastActive,
-				pe.IUPool.Utilization(res.Cycles)*100,
-				pe.L1.HitRate()*100,
-				pe.Slots.AvgOccupancy(res.Cycles),
-				pe.DecodeUtil(res.Cycles)*100, pe.DispatchUtil(res.Cycles)*100,
-				pe.WritebackUtil(res.Cycles)*100, pe.SpawnUtil(res.Cycles)*100)
-		}
-	}
-	if verify {
-		want := mine.Count(g, s)
-		if want != res.Embeddings {
-			return fmt.Errorf("VERIFY FAILED: simulator found %d embeddings, software miner %d", res.Embeddings, want)
-		}
-		fmt.Printf("verify: OK (software miner agrees: %d)\n", want)
-	}
-	return nil
-}
-
-// runCluster simulates a multi-chip scale-out system: the chip config
-// built from the usual flags is replicated across -chips chips, the root
-// space is split by -partition, and chip-level work stealing rides the
-// inter-chip interconnect. Cross-chip conservation identities verify by
-// default on every run.
-func runCluster(ctx context.Context, g *graph.Graph, s *pattern.Schedule, chip accel.Config, cf clusterFlags, pes, width int, verify, metricsF bool, tf telemetryFlags) error {
-	ccfg := cluster.DefaultConfig(chip.Scheme, cf.chips)
-	ccfg.Chip = chip
-	ccfg.Partition = cluster.Mode(cf.partition)
-	ccfg.PartitionSeed = cf.seed
-	ccfg.Steal = cf.steal
-	cl, err := cluster.New(g, s, ccfg)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("cluster: %s\n", cl.Partition())
-	res, err := cl.RunContext(ctx)
-	if err != nil {
-		if errors.Is(err, sim.ErrCancelled) {
-			eng := cl.Engine()
-			fmt.Printf("\ninterrupted at cycle %d after %d events\n", int64(eng.Now()), eng.Processed)
-		}
-		return err
-	}
-
-	fmt.Printf("\nscheme=%s chips=%d pes/chip=%d width=%d partition=%s\n",
-		res.Scheme, res.Chips, pes, width, res.Partition)
-	fmt.Printf("cycles:          %d\n", res.Cycles)
-	fmt.Printf("embeddings:      %d\n", res.Embeddings)
-	fmt.Printf("tasks:           %d internal + %d leaf\n", res.Tasks, res.LeafTasks)
-	fmt.Printf("occupancy:       max %.1f%% mean %.1f%% (max/mean %.2f)\n",
-		res.MaxOccupancy*100, res.MeanOccupancy*100, res.ImbalanceRatio())
-	fmt.Printf("migrations:      %d subtrees (%d retries)\n", res.Migrations, res.AdoptRetries)
-	fmt.Printf("interconnect:    %d messages, %d lines\n", res.InterMessages, res.InterLines)
-	for i, st := range res.PerChip {
-		fmt.Printf("  chip%d: %d roots, %d tasks, %d embeddings, occ %.1f%%, migrated out=%d in=%d\n",
-			i, st.Vertices, st.Tasks, st.Embeddings, st.Occupancy*100, st.MigratedOut, st.MigratedIn)
-	}
-	if tf.timeseriesOut != "" {
-		if err := writeTimeSeries(tf.timeseriesOut, res.Telemetry); err != nil {
-			return err
-		}
-		fmt.Printf("telemetry series: %s (%d epochs, every %d cycles)\n",
-			tf.timeseriesOut, len(res.Telemetry.Cycles), res.Telemetry.Interval)
-	}
-	if metricsF {
+	if o.metrics {
 		reg := cl.Metrics()
 		fmt.Printf("\nhardware counters:\n%s", reg.Report())
 		if err := reg.Verify(); err != nil {
@@ -415,10 +353,32 @@ func runCluster(ctx context.Context, g *graph.Graph, s *pattern.Schedule, chip a
 		}
 		fmt.Printf("metrics: all %d conservation invariants hold\n", reg.Invariants())
 	}
-	if verify {
+	if o.verbose {
+		fmt.Printf("task latency by depth:\n%s", summary.String())
+		fmt.Printf("PE occupancy timeline:\n%s", timeline.Render(72))
+		fmt.Printf("conservative transitions: %d\n", res.ConservativeTransitions)
+		fmt.Printf("peak live sets:           %d\n", res.PeakLiveSets)
+		fmt.Printf("events processed:         %d\n", res.Events)
+		fmt.Printf("intermediate lines/task:  %.2f\n", res.IntermediateLinesPerTask)
+		p0 := cl.Chips()[0].PEs()[0]
+		fmt.Printf("phase avgs (pe0): decode=%.1f spm+disp=%.1f fetch=%.1f compute=%.1f wb=%.1f spawnw=%.1f leaf=%.1f residency=%.1f\n",
+			p0.PhaseDecode.Avg(), p0.PhaseSPM.Avg(), p0.PhaseFetch.Avg(), p0.PhaseCompute.Avg(), p0.PhaseWB.Avg(), p0.PhaseSpawnWait.Avg(), p0.PhaseLeaf.Avg(), p0.SlotResidency.Avg())
+		for c, a := range cl.Chips() {
+			for _, pe := range a.PEs() {
+				fmt.Printf("  pe%d: tasks=%d last=%d iu=%.1f%% l1hit=%.1f%% slotavg=%.2f decode=%.1f%% dispatch=%.1f%% wb=%.1f%% spawn=%.1f%%\n",
+					c*o.pes+pe.ID, pe.TasksExecuted.Total, pe.LastActive,
+					pe.IUPool.Utilization(res.Cycles)*100,
+					pe.L1.HitRate()*100,
+					pe.Slots.AvgOccupancy(res.Cycles),
+					pe.DecodeUtil(res.Cycles)*100, pe.DispatchUtil(res.Cycles)*100,
+					pe.WritebackUtil(res.Cycles)*100, pe.SpawnUtil(res.Cycles)*100)
+			}
+		}
+	}
+	if o.verify {
 		want := mine.Count(g, s)
 		if want != res.Embeddings {
-			return fmt.Errorf("VERIFY FAILED: cluster found %d embeddings, software miner %d", res.Embeddings, want)
+			return fmt.Errorf("VERIFY FAILED: simulator found %d embeddings, software miner %d", res.Embeddings, want)
 		}
 		fmt.Printf("verify: OK (software miner agrees: %d)\n", want)
 	}

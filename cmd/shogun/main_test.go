@@ -3,13 +3,13 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"shogun/internal/accel"
 )
@@ -36,32 +36,21 @@ func writeTestGraph(t *testing.T, dir string) string {
 	return path
 }
 
-// runArgs bundles run's long positional parameter list with defaults so
-// each case only states what it changes.
-type runArgs struct {
-	dataset, graphArg, pat, scheme         string
-	pes, width, l1KB, l2KB, tok, bunch     int
-	split, merge, verify, verbose, metrics bool
-	traceOut, chromeOut, cfgPath           string
-	dumpCfg                                bool
-	deadline, maxEvents                    int64
-	maxWall                                time.Duration
-	tf                                     telemetryFlags
-	cf                                     clusterFlags
-}
-
-func defaultArgs() runArgs {
-	return runArgs{
-		pat: "tc", scheme: "shogun",
-		pes: 4, width: 8, l1KB: 32, bunch: 4,
-		verify: true,
-		cf:     clusterFlags{chips: 1, steal: true},
+// parseArgs parses a command line the way main does, at test scale (4
+// PEs unless the arguments say otherwise).
+func parseArgs(t *testing.T, args ...string) options {
+	t.Helper()
+	fs := flag.NewFlagSet("shogun", flag.ContinueOnError)
+	o := bindFlags(fs)
+	if err := fs.Parse(append([]string{"-pes", "4"}, args...)); err != nil {
+		t.Fatal(err)
 	}
+	return *o
 }
 
 // quietRun invokes run with stdout parked on /dev/null so the CLI's
 // report does not drown the test log.
-func quietRun(t *testing.T, a runArgs) error {
+func quietRun(t *testing.T, o options) error {
 	t.Helper()
 	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
 	if err != nil {
@@ -71,33 +60,27 @@ func quietRun(t *testing.T, a runArgs) error {
 	old := os.Stdout
 	os.Stdout = devnull
 	defer func() { os.Stdout = old }()
-	return run(context.Background(), a.dataset, a.graphArg, a.pat, a.scheme,
-		a.pes, a.width, a.l1KB, a.l2KB, a.tok, a.bunch,
-		a.split, a.merge, a.verify, a.verbose, a.metrics,
-		a.traceOut, a.chromeOut, a.cfgPath, a.dumpCfg,
-		a.deadline, a.maxEvents, a.maxWall, a.tf, a.cf)
+	return run(context.Background(), o)
 }
 
 func TestRunFlagValidation(t *testing.T) {
 	cases := []struct {
 		name string
-		mut  func(*runArgs)
+		args []string
 	}{
-		{"negative sample-every", func(a *runArgs) { a.tf.sampleEvery = -1 }},
-		{"timeseries without sampler", func(a *runArgs) { a.tf.timeseriesOut = "x.json" }},
-		{"bad http addr", func(a *runArgs) { a.tf.httpAddr = "no-port-here" }},
-		{"zero chips", func(a *runArgs) { a.cf.chips = 0 }},
-		{"bad partition mode", func(a *runArgs) { a.cf.chips = 2; a.cf.partition = "metis" }},
-		{"no input graph", func(a *runArgs) {}},
-		{"unknown dataset", func(a *runArgs) { a.dataset = "nope" }},
-		{"missing graph file", func(a *runArgs) { a.graphArg = "/nonexistent/g.txt" }},
-		{"unknown pattern", func(a *runArgs) { a.dataset = "wi"; a.pat = "octagon" }},
+		{"negative sample-every", []string{"-sample-every", "-1"}},
+		{"timeseries without sampler", []string{"-timeseries-out", "x.json"}},
+		{"bad http addr", []string{"-http", "no-port-here"}},
+		{"zero chips", []string{"-chips", "0"}},
+		{"bad partition mode", []string{"-chips", "2", "-partition", "metis"}},
+		{"no input graph", nil},
+		{"unknown dataset", []string{"-dataset", "nope"}},
+		{"missing graph file", []string{"-graph", "/nonexistent/g.txt"}},
+		{"unknown pattern", []string{"-dataset", "wi", "-pattern", "octagon"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			a := defaultArgs()
-			tc.mut(&a)
-			if err := quietRun(t, a); err == nil {
+			if err := quietRun(t, parseArgs(t, tc.args...)); err == nil {
 				t.Errorf("%s: run accepted bad flags", tc.name)
 			}
 		})
@@ -105,10 +88,8 @@ func TestRunFlagValidation(t *testing.T) {
 }
 
 func TestRunDumpConfig(t *testing.T) {
-	a := defaultArgs()
-	a.graphArg = writeTestGraph(t, t.TempDir())
-	a.dumpCfg = true
-	if err := quietRun(t, a); err != nil {
+	o := parseArgs(t, "-graph", writeTestGraph(t, t.TempDir()), "-dumpconfig")
+	if err := quietRun(t, o); err != nil {
 		t.Fatalf("dumpconfig: %v", err)
 	}
 }
@@ -128,17 +109,12 @@ func TestRunSingleChip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a := defaultArgs()
-	a.graphArg = writeTestGraph(t, dir)
-	a.cfgPath = cfgPath
-	a.split, a.merge = true, true
-	a.tok, a.l2KB = 8, 256
-	a.verbose, a.metrics = true, true
-	a.traceOut = filepath.Join(dir, "trace.jsonl")
-	a.chromeOut = filepath.Join(dir, "chrome.json")
-	a.deadline, a.maxEvents, a.maxWall = 1<<40, 1<<40, time.Minute
-	a.tf = telemetryFlags{sampleEvery: 256, timeseriesOut: filepath.Join(dir, "ts.json"), httpAddr: "127.0.0.1:0"}
-	if err := quietRun(t, a); err != nil {
+	o := parseArgs(t, "-graph", writeTestGraph(t, dir), "-config", cfgPath,
+		"-split", "-merge", "-tokens", "8", "-l2", "256", "-v", "-metrics",
+		"-trace", filepath.Join(dir, "trace.jsonl"), "-trace-out", filepath.Join(dir, "chrome.json"),
+		"-deadline", "1099511627776", "-maxevents", "1099511627776", "-maxwall", "1m",
+		"-sample-every", "256", "-timeseries-out", filepath.Join(dir, "ts.json"), "-http", "127.0.0.1:0")
+	if err := quietRun(t, o); err != nil {
 		t.Fatalf("single-chip run: %v", err)
 	}
 	for _, f := range []string{"trace.jsonl", "chrome.json", "ts.json"} {
@@ -148,32 +124,87 @@ func TestRunSingleChip(t *testing.T) {
 	}
 
 	// CSV telemetry export goes through the other writeTimeSeries branch.
-	a.tf.timeseriesOut = filepath.Join(dir, "ts.csv")
-	a.cfgPath, a.traceOut, a.chromeOut = "", "", ""
-	a.verbose, a.metrics = false, false
-	a.tf.httpAddr = ""
-	if err := quietRun(t, a); err != nil {
+	o.timeseriesOut = filepath.Join(dir, "ts.csv")
+	o.cfgPath, o.traceOut, o.chromeOut = "", "", ""
+	o.verbose, o.metrics = false, false
+	o.httpAddr = ""
+	if err := quietRun(t, o); err != nil {
 		t.Fatalf("csv telemetry run: %v", err)
 	}
 }
 
-// TestRunCluster drives the multi-chip CLI path end to end: partition
-// summary, per-chip report, cluster metrics verification, telemetry
-// export, and the software-miner cross-check.
+// TestRunCluster drives the CLI at 3 chips end to end: partition
+// summary, per-chip report, cluster metrics verification, both trace
+// writers with machine-wide PE ids, the -v per-PE lines for every
+// chip, live inspection, telemetry export, and the software-miner
+// cross-check.
 func TestRunCluster(t *testing.T) {
 	dir := t.TempDir()
-	a := defaultArgs()
-	a.graphArg = writeTestGraph(t, dir)
-	a.split = true
-	a.metrics = true
-	a.cf = clusterFlags{chips: 3, partition: "hash", seed: 42, steal: true}
-	a.tf = telemetryFlags{sampleEvery: 256, timeseriesOut: filepath.Join(dir, "cts.csv")}
-	if err := quietRun(t, a); err != nil {
-		t.Fatalf("cluster run: %v", err)
+	o := parseArgs(t, "-graph", writeTestGraph(t, dir), "-pes", "2", "-split", "-metrics", "-v",
+		"-chips", "3", "-partition", "hash", "-partition-seed", "42",
+		"-trace", filepath.Join(dir, "c3.jsonl"), "-trace-out", filepath.Join(dir, "c3.json"),
+		"-sample-every", "256", "-timeseries-out", filepath.Join(dir, "cts.csv"), "-http", "127.0.0.1:0")
+	out := captureRun(t, o)
+	for _, f := range []string{"c3.jsonl", "c3.json", "cts.csv"} {
+		if st, err := os.Stat(filepath.Join(dir, f)); err != nil || st.Size() == 0 {
+			t.Errorf("%s missing or empty (err=%v)", f, err)
+		}
 	}
-	if st, err := os.Stat(filepath.Join(dir, "cts.csv")); err != nil || st.Size() == 0 {
-		t.Errorf("cluster telemetry missing or empty (err=%v)", err)
+	// Every chip's PEs print a -v line and own Chrome trace tracks.
+	raw, err := os.ReadFile(filepath.Join(dir, "c3.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
+	var chrome struct {
+		TraceEvents []struct {
+			Ph  string `json:"ph"`
+			Tid int    `json:"tid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &chrome); err != nil {
+		t.Fatal(err)
+	}
+	tids := map[int]bool{}
+	for _, ev := range chrome.TraceEvents {
+		if ev.Ph == "X" {
+			tids[ev.Tid] = true
+		}
+	}
+	for id := 0; id < o.chips*o.pes; id++ {
+		if !strings.Contains(out, fmt.Sprintf("\n  pe%d: tasks=", id)) {
+			t.Errorf("-v printed no line for pe%d", id)
+		}
+		if !tids[id] {
+			t.Errorf("chrome trace has no task track for machine-wide pe%d", id)
+		}
+	}
+	for _, want := range []string{"chips=3", "chip2:", "verify: OK", "conservation invariants hold"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report lacks %q", want)
+		}
+	}
+}
+
+// captureRun invokes run and returns what it printed.
+func captureRun(t *testing.T, o options) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	old := os.Stdout
+	os.Stdout = f
+	err = run(context.Background(), o)
+	os.Stdout = old
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
 }
 
 func TestWriteTimeSeriesNil(t *testing.T) {

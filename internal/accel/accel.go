@@ -191,17 +191,21 @@ func (a *Accelerator) Act(op int, arg any) {
 	}
 }
 
-// New builds an accelerator for graph g and schedule s.
+// New builds an accelerator for graph g and schedule s: a private
+// engine, every vertex a root.
 func New(g *graph.Graph, s *pattern.Schedule, cfg Config) (*Accelerator, error) {
-	return NewShared(g, s, cfg, nil, nil)
+	roots := make([]graph.VertexID, g.NumVertices())
+	for i := range roots {
+		roots[i] = graph.VertexID(i)
+	}
+	return NewShared(g, s, cfg, sim.NewEngine(), roots)
 }
 
-// NewShared builds an accelerator on a caller-owned engine — the
-// multi-chip cluster (internal/cluster) drives N chips on one shared
-// clock. A nil eng allocates a private engine (the single-chip path).
-// roots, when non-nil, replaces the default all-vertices root assignment
-// with the given list (the cluster's graph partitioner owns vertex
-// placement); nil keeps every vertex.
+// NewShared builds an accelerator on a caller-owned engine whose system
+// scheduler deals exactly the given roots — the multi-chip cluster
+// (internal/cluster) drives N chips on one shared clock, and its graph
+// partitioner owns vertex placement. An empty roots list leaves the
+// chip without work of its own.
 func NewShared(g *graph.Graph, s *pattern.Schedule, cfg Config, eng *sim.Engine, roots []graph.VertexID) (*Accelerator, error) {
 	if cfg.NumPEs < 1 {
 		return nil, fmt.Errorf("accel: need at least one PE")
@@ -219,9 +223,6 @@ func NewShared(g *graph.Graph, s *pattern.Schedule, cfg Config, eng *sim.Engine,
 		// Auto-size the fabric: two concurrent line transfers per PE,
 		// matching a banked-L2 crossbar that scales with the PE array.
 		cfg.NoC.Links = 2 * cfg.NumPEs
-	}
-	if eng == nil {
-		eng = sim.NewEngine()
 	}
 	a := &Accelerator{
 		cfg:  cfg,
@@ -242,15 +243,13 @@ func NewShared(g *graph.Graph, s *pattern.Schedule, cfg Config, eng *sim.Engine,
 	// vertices"). Static assignment is what makes end-of-run load
 	// imbalance possible — and task-tree splitting (§4.1) valuable.
 	const rootChunk = 8
+	count := make([]int, cfg.NumPEs) // sizes each PE's list exactly
+	for base := 0; base < len(roots); base += rootChunk {
+		count[(base/rootChunk)%cfg.NumPEs] += min(rootChunk, len(roots)-base)
+	}
 	a.peRoots = make([]*policy.SliceRoots, cfg.NumPEs)
 	for i := range a.peRoots {
-		a.peRoots[i] = &policy.SliceRoots{}
-	}
-	if roots == nil {
-		roots = make([]graph.VertexID, g.NumVertices())
-		for i := range roots {
-			roots[i] = graph.VertexID(i)
-		}
+		a.peRoots[i] = &policy.SliceRoots{Vertices: make([]graph.VertexID, 0, count[i])}
 	}
 	for base := 0; base < len(roots); base += rootChunk {
 		pe := (base / rootChunk) % cfg.NumPEs
@@ -272,7 +271,7 @@ func NewShared(g *graph.Graph, s *pattern.Schedule, cfg Config, eng *sim.Engine,
 		}
 		p.SetPolicy(pol)
 		if cfg.ForceConservative {
-			pol.SetConservative(true)
+			p.ForceConservative(true)
 		}
 		p.Tracer = cfg.Tracer
 		p.OnIdle = a.onPEIdle
@@ -515,9 +514,7 @@ func (a *Accelerator) CheckConservation() error {
 
 // Collect aggregates the post-run Result (exposed for the cluster
 // driver, which runs the shared engine itself).
-func (a *Accelerator) Collect() *Result { return a.collect() }
-
-func (a *Accelerator) collect() *Result {
+func (a *Accelerator) Collect() *Result {
 	// Cycles measures work completion: the latest task completion across
 	// PEs. The engine clock itself can drift past it on idle monitor
 	// events (balance/merge checks), which must not count as runtime.
@@ -541,7 +538,7 @@ func (a *Accelerator) collect() *Result {
 			Breakdown:          a.breakdownFor(i, end),
 			ConservativeCycles: p.ConservResidency(end),
 		}
-		r.Breakdown.accumulate(ps.Breakdown)
+		r.Breakdown.Add(ps.Breakdown)
 		if p.L1.Latency.TotalCount > 0 {
 			ps.L1AvgLatency = float64(p.L1.Latency.TotalSum) / float64(p.L1.Latency.TotalCount)
 		}

@@ -1,6 +1,7 @@
 package accel
 
 import (
+	"fmt"
 	"testing"
 
 	"shogun/internal/gen"
@@ -252,5 +253,47 @@ func TestFingersAlias(t *testing.T) {
 	}
 	if res.Embeddings != 56 { // C(8,3)
 		t.Errorf("count = %d", res.Embeddings)
+	}
+}
+
+// TestForceConservativePinsPEMode: a run pinned conservative from the
+// start enters the mode through the PE's own transition, so every view
+// of it agrees: each PE reports conservative residency over the whole
+// run, one transition (odd parity while the mode is on, which the
+// metrics pass inside Run checks), and a conservative gauge reading 1.
+func TestForceConservativePinsPEMode(t *testing.T) {
+	g := gen.RMAT(256, 1500, 0.6, 0.15, 0.15, 6)
+	s, err := pattern.Build(pattern.FourClique())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(SchemeShogun)
+	cfg.NumPEs = 4
+	cfg.EnableSplitting, cfg.EnableMerging = true, true
+	cfg.ForceConservative = true
+	cfg.SampleEvery = 256
+	a, err := New(g, s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := a.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := mine.Count(g, s); res.Embeddings != want {
+		t.Fatalf("count %d != %d", res.Embeddings, want)
+	}
+	end := a.EndTime()
+	for i, p := range a.PEs() {
+		if !p.Conservative() || p.ConservResidency(end) != end || res.PerPE[i].ConservativeCycles != end {
+			t.Errorf("pe%d: conservative=%t residency=%d (result %d), want the whole run %d",
+				i, p.Conservative(), p.ConservResidency(end), res.PerPE[i].ConservativeCycles, end)
+		}
+		if n := p.ConservativeTransitions.Total; n != 1 {
+			t.Errorf("pe%d: %d conservative transitions, want 1", i, n)
+		}
+		if v, ok := a.Telemetry().Sampler.Last(fmt.Sprintf("pe%d/conservative", i)); !ok || v != 1 {
+			t.Errorf("pe%d: conservative gauge = %d (%t), want 1", i, v, ok)
+		}
 	}
 }

@@ -101,15 +101,11 @@ func (a *Accelerator) balanceCheck() {
 }
 
 func (a *Accelerator) armBalanceIfNeeded() {
-	anyBusy := false
 	for _, p := range a.pes {
 		if !p.Idle() || p.HasWork() {
-			anyBusy = true
-			break
+			a.armBalance()
+			return
 		}
-	}
-	if anyBusy {
-		a.armBalance()
 	}
 }
 

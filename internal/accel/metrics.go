@@ -32,7 +32,8 @@ func (b CycleBreakdown) Busy() int64 {
 	return b.Compute + b.MemStall + b.Scheduling
 }
 
-func (b *CycleBreakdown) accumulate(o CycleBreakdown) {
+// Add folds another attribution into b (the all-PE and all-chip sums).
+func (b *CycleBreakdown) Add(o CycleBreakdown) {
 	b.Compute += o.Compute
 	b.MemStall += o.MemStall
 	b.Scheduling += o.Scheduling

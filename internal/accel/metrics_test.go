@@ -87,7 +87,7 @@ func TestMetricsAttributionPartition(t *testing.T) {
 			t.Errorf("pe%d: busy = %d, want slot residency %d",
 				i, ps.Breakdown.Busy(), a.pes[i].SlotResidency.TotalSum)
 		}
-		sum.accumulate(ps.Breakdown)
+		sum.Add(ps.Breakdown)
 	}
 	if sum != res.Breakdown {
 		t.Errorf("Result.Breakdown = %+v, want Σ per-PE = %+v", res.Breakdown, sum)

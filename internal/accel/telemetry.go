@@ -25,31 +25,21 @@ type Telemetry struct {
 	SplitLines *telemetry.Histogram // cache lines per §4.1 split transfer
 }
 
-// MergedLifetime folds the per-PE task-lifetime shards into one digest.
-func (t *Telemetry) MergedLifetime() *telemetry.Histogram {
-	m := telemetry.NewHistogram()
-	for _, h := range t.TaskLifetime {
-		m.Merge(h)
+// Digests folds the run's histograms into one fresh digest per name:
+// the per-PE shards merge into chip-wide task-lifetime, queue-wait and
+// L1-latency digests beside the shared L2-latency and split-size ones.
+// The caller owns the result (a cluster merges its chips' digests).
+func (t *Telemetry) Digests() map[string]*telemetry.Histogram {
+	out := map[string]*telemetry.Histogram{}
+	for name, shards := range map[string][]*telemetry.Histogram{
+		"l2-latency": {t.L2Latency}, "split-lines": {t.SplitLines},
+		"task-lifetime": t.TaskLifetime, "queue-wait": t.QueueWait, "l1-latency": t.MemLatency,
+	} {
+		out[name] = telemetry.NewHistogram()
+		for _, h := range shards {
+			out[name].Merge(h)
+		}
 	}
-	return m
-}
-
-// Histograms returns the named digest map a live inspection server or a
-// JSON snapshot serves.
-func (t *Telemetry) Histograms() map[string]telemetry.HistSummary {
-	out := map[string]telemetry.HistSummary{
-		"l2-latency":  t.L2Latency.Summary(),
-		"split-lines": t.SplitLines.Summary(),
-	}
-	life, wait, lat := telemetry.NewHistogram(), telemetry.NewHistogram(), telemetry.NewHistogram()
-	for i := range t.TaskLifetime {
-		life.Merge(t.TaskLifetime[i])
-		wait.Merge(t.QueueWait[i])
-		lat.Merge(t.MemLatency[i])
-	}
-	out["task-lifetime"] = life.Summary()
-	out["queue-wait"] = wait.Summary()
-	out["l1-latency"] = lat.Summary()
 	return out
 }
 
@@ -137,18 +127,8 @@ func (a *Accelerator) samplerTick() {
 	a.samplerArmed = false
 	a.tel.Sampler.Sample(int64(a.eng.Now()))
 	// Cluster runs keep every chip sampling until the whole cluster
-	// drains, so the per-chip epoch columns stay aligned.
-	if a.KeepSampling != nil && a.KeepSampling() {
-		a.armSampler()
-		return
-	}
-	for _, p := range a.pes {
-		if !p.Idle() || p.HasWork() {
-			a.armSampler()
-			return
-		}
-	}
-	if a.splitsInFlight > 0 {
+	// drains, so the chips' epoch columns stay aligned.
+	if !a.ChipIdle() || (a.KeepSampling != nil && a.KeepSampling()) {
 		a.armSampler()
 	}
 }

@@ -43,15 +43,15 @@ func TestTelemetryShardsMatchTraceStream(t *testing.T) {
 	for _, ev := range col.events {
 		global.Observe(int64(ev.Done - ev.Start))
 	}
-	merged := tel.MergedLifetime()
+	merged := tel.Digests()["task-lifetime"]
 	if merged.Count() == 0 {
 		t.Fatal("no task lifetimes observed")
 	}
 	if !merged.Equal(global) {
 		t.Fatalf("merged per-PE shards differ from global trace stream:\n merged: %s\n global: %s", merged, global)
 	}
-	if hs := tel.Histograms(); hs["task-lifetime"].Count != merged.Count() {
-		t.Fatalf("Histograms() digest count %d != %d", hs["task-lifetime"].Count, merged.Count())
+	if hs := telemetry.Summaries(tel.Digests()); hs["task-lifetime"].Count != merged.Count() {
+		t.Fatalf("digest summary count %d != %d", hs["task-lifetime"].Count, merged.Count())
 	}
 }
 

@@ -18,29 +18,29 @@ func Ablation(o Options) (*Table, error) {
 		name string
 		mk   func() accel.Config
 	}{
-		{"full", func() accel.Config { return baseConfig(accel.SchemeShogun) }},
+		{"full", func() accel.Config { return accel.DefaultConfig(accel.SchemeShogun) }},
 		{"no-sibling", func() accel.Config {
-			c := baseConfig(accel.SchemeShogun)
+			c := accel.DefaultConfig(accel.SchemeShogun)
 			c.Tree.NoSiblingPreference = true
 			return c
 		}},
 		{"no-monitor", func() accel.Config {
-			c := baseConfig(accel.SchemeShogun)
+			c := accel.DefaultConfig(accel.SchemeShogun)
 			c.PE.MonitorPeriod = 0
 			return c
 		}},
 		{"conservative", func() accel.Config {
-			c := baseConfig(accel.SchemeShogun)
+			c := accel.DefaultConfig(accel.SchemeShogun)
 			c.ForceConservative = true
 			return c
 		}},
 		{"tokens=2", func() accel.Config {
-			c := baseConfig(accel.SchemeShogun)
+			c := accel.DefaultConfig(accel.SchemeShogun)
 			c.TokensPerDepth = 2
 			return c
 		}},
 		{"bunches=1", func() accel.Config {
-			c := baseConfig(accel.SchemeShogun)
+			c := accel.DefaultConfig(accel.SchemeShogun)
 			c.Tree.BunchesPerDepth = 1
 			return c
 		}},

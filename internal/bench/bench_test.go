@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"shogun/internal/telemetry"
 )
 
 func TestTableFormatting(t *testing.T) {
@@ -138,14 +140,20 @@ func TestQuickExperimentsRun(t *testing.T) {
 // the quick dataset and checks the table shape plus the monotone facts
 // we can assert without pinning cycle counts: every row verified against
 // the software miner (inside ClusterScaling), 1-chip row is the speedup
-// baseline, and occupancy ratios are well-formed percentages.
+// baseline, and occupancy ratios are well-formed percentages. The sweep
+// runs on the shared bounded pool, so one worker still records all five
+// cells on the progress page.
 func TestQuickClusterScalingRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	tbl, err := ClusterScaling(Options{Quick: true})
+	prog := telemetry.NewProgress()
+	tbl, err := ClusterScaling(Options{Quick: true, Workers: 1, Progress: prog})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if done, failed, total := prog.Counts(); done != 5 || failed != 0 || total != 5 {
+		t.Errorf("progress done/failed/total = %d/%d/%d, want 5/0/5", done, failed, total)
 	}
 	if len(tbl.Rows) != 5 {
 		t.Fatalf("cluster rows = %d, want 5", len(tbl.Rows))

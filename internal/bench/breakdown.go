@@ -35,7 +35,7 @@ func Breakdown(o Options) (*Table, error) {
 	for _, ds := range dss {
 		g := o.dataset(ds)
 		for _, v := range variants {
-			cfg := baseConfig(v.scheme)
+			cfg := accel.DefaultConfig(v.scheme)
 			if v.mutate != nil {
 				v.mutate(&cfg)
 			}

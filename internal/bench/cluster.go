@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 
 	"shogun/internal/accel"
 	"shogun/internal/cluster"
@@ -26,34 +25,28 @@ func ClusterScaling(o Options) (*Table, error) {
 		err   error
 	}
 	outs := make([]outcome, len(chipCounts))
-	var wg sync.WaitGroup
-	for i, n := range chipCounts {
-		i, n := i, n
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			chip := baseConfig(accel.SchemeShogun)
-			chip.NumPEs = 4
-			chip.EnableSplitting = true
-			if o.CellMaxEvents > 0 {
-				chip.MaxEvents = o.CellMaxEvents
-			}
-			if o.CellTimeout > 0 {
-				chip.MaxWall = o.CellTimeout
-			}
-			cfg := cluster.DefaultConfig(accel.SchemeShogun, n)
-			cfg.Chip = chip
-			cfg.Partition = cluster.ModeHash
-			cl, err := cluster.New(g, s, cfg)
-			if err != nil {
-				outs[i] = outcome{n, nil, err}
-				return
-			}
-			res, err := cl.RunContext(o.ctx())
-			outs[i] = outcome{n, res, err}
-		}()
-	}
-	wg.Wait()
+	runPool(o, len(chipCounts), func(i int) (string, error) {
+		n := chipCounts[i]
+		chip := accel.DefaultConfig(accel.SchemeShogun)
+		chip.NumPEs = 4
+		chip.EnableSplitting = true
+		if o.CellMaxEvents > 0 {
+			chip.MaxEvents = o.CellMaxEvents
+		}
+		if o.CellTimeout > 0 {
+			chip.MaxWall = o.CellTimeout
+		}
+		cfg := cluster.DefaultConfig(accel.SchemeShogun, n)
+		cfg.Chip = chip
+		cfg.Partition = cluster.ModeHash
+		outs[i].chips = n
+		cl, err := cluster.New(g, s, cfg)
+		if err == nil {
+			outs[i].res, err = cl.RunContext(o.ctx())
+		}
+		outs[i].err = err
+		return fmt.Sprintf("cluster/chips=%d", n), err
+	})
 
 	t := &Table{
 		ID:     "cluster",

@@ -11,7 +11,7 @@ import (
 // widthConfig builds a Table 3 config with a given task execution width
 // (tokens per depth track the width, §3.2.3).
 func widthConfig(scheme accel.Scheme, width, pes int) accel.Config {
-	cfg := baseConfig(scheme)
+	cfg := accel.DefaultConfig(scheme)
 	cfg.NumPEs = pes
 	cfg.PE.Width = width
 	cfg.TokensPerDepth = width
@@ -113,8 +113,8 @@ func gridCells(o Options, scheme string, mk func(ds, wl string) accel.Config) []
 // optimizations disabled) and Fig. 10 (Shogun IU utilization) from one
 // set of runs over the full evaluation grid.
 func Fig9And10(o Options) (*Table, *Table, error) {
-	cells := gridCells(o, "fingers", func(ds, wl string) accel.Config { return baseConfig(accel.SchemePseudoDFS) })
-	cells = append(cells, gridCells(o, "shogun", func(ds, wl string) accel.Config { return baseConfig(accel.SchemeShogun) })...)
+	cells := gridCells(o, "fingers", func(ds, wl string) accel.Config { return accel.DefaultConfig(accel.SchemePseudoDFS) })
+	cells = append(cells, gridCells(o, "shogun", func(ds, wl string) accel.Config { return accel.DefaultConfig(accel.SchemeShogun) })...)
 	grid, err := runCells(o, cells)
 	if err != nil {
 		return nil, nil, err
@@ -175,7 +175,7 @@ func Fig11(o Options) (*Table, error) {
 	pes := 20
 	var cells []cell
 	for _, wl := range Workloads() {
-		cfgOff := baseConfig(accel.SchemeShogun)
+		cfgOff := accel.DefaultConfig(accel.SchemeShogun)
 		cfgOff.NumPEs = pes
 		cfgOn := cfgOff
 		cfgOn.EnableSplitting = true
@@ -214,9 +214,9 @@ func Fig11(o Options) (*Table, error) {
 
 // Fig12 reproduces Fig. 12: search-tree merging on/off across the grid.
 func Fig12(o Options) (*Table, error) {
-	mkOff := func(ds, wl string) accel.Config { return baseConfig(accel.SchemeShogun) }
+	mkOff := func(ds, wl string) accel.Config { return accel.DefaultConfig(accel.SchemeShogun) }
 	mkOn := func(ds, wl string) accel.Config {
-		c := baseConfig(accel.SchemeShogun)
+		c := accel.DefaultConfig(accel.SchemeShogun)
 		c.EnableMerging = true
 		return c
 	}
@@ -311,7 +311,7 @@ func Fig13b(o Options) (*Table, error) {
 	var cells []cell
 	for _, b := range bunches {
 		for _, sc := range subset {
-			cfg := baseConfig(accel.SchemeShogun)
+			cfg := accel.DefaultConfig(accel.SchemeShogun)
 			cfg.Tree.BunchesPerDepth = b
 			cells = append(cells, cell{fmt.Sprintf("b%d/%s", b, sc.key), sc.g, sc.s, cfg})
 		}

@@ -32,9 +32,9 @@ func TestGridDegradesGracefully(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good1 := baseConfig(accel.SchemeShogun)
-	good2 := baseConfig(accel.SchemePseudoDFS)
-	bad := baseConfig(accel.SchemeShogun)
+	good1 := accel.DefaultConfig(accel.SchemeShogun)
+	good2 := accel.DefaultConfig(accel.SchemePseudoDFS)
+	bad := accel.DefaultConfig(accel.SchemeShogun)
 	bad.Tracer = &boomTracer{n: 20}
 	cells := []cell{
 		{"good/shogun", g, s, good1},
@@ -76,7 +76,7 @@ func TestGridCellBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := []cell{{"budgeted", g, s, baseConfig(accel.SchemeShogun)}}
+	cells := []cell{{"budgeted", g, s, accel.DefaultConfig(accel.SchemeShogun)}}
 	grid, err := runCells(Options{Workers: 1, CellMaxEvents: 100}, cells)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestGridCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	cells := []cell{{"c0", g, s, baseConfig(accel.SchemeShogun)}}
+	cells := []cell{{"c0", g, s, accel.DefaultConfig(accel.SchemeShogun)}}
 	_, err = runCells(Options{Workers: 1, Ctx: ctx}, cells)
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

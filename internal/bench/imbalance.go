@@ -62,7 +62,7 @@ func imbalanceData(o Options) (*Grid, map[string][]telemetry.ImbalancePoint, err
 	if o.Quick {
 		sampleEvery = 512
 	}
-	cfgOff := baseConfig(accel.SchemeShogun)
+	cfgOff := accel.DefaultConfig(accel.SchemeShogun)
 	cfgOff.NumPEs = 20
 	cfgOff.SampleEvery = sampleEvery
 	cfgOff.SampleCap = 256

@@ -153,55 +153,55 @@ type cell struct {
 // the remaining cells complete. The only returned error is whole-run
 // cancellation via Options.Ctx.
 func runCells(o Options, cells []cell) (*Grid, error) {
-	type outcome struct {
-		key string
-		res *accel.Result
-		err error
-	}
-	workers := o.workers()
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	if o.Progress != nil {
-		o.Progress.Add(len(cells))
-	}
-	jobs := make(chan cell)
-	outs := make(chan outcome, len(cells))
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for c := range jobs {
-				res, err := runOne(o, c)
-				if o.Progress != nil {
-					o.Progress.Cell(c.key, err)
-				}
-				outs <- outcome{c.key, res, err}
-			}
-		}()
-	}
-	ctx := o.ctx()
-	for _, c := range cells {
-		jobs <- c
-	}
-	close(jobs)
-	wg.Wait()
-	close(outs)
+	res := make([]*accel.Result, len(cells))
+	errs := make([]error, len(cells))
+	runPool(o, len(cells), func(i int) (string, error) {
+		res[i], errs[i] = runOne(o, cells[i])
+		return cells[i].key, errs[i]
+	})
 	grid := &Grid{res: map[string]*accel.Result{}}
-	for out := range outs {
-		if out.err != nil {
-			o.logf("  FAILED %-24s %v", out.key, out.err)
-			grid.failures = append(grid.failures, CellFailure{Key: out.key, Err: out.err})
+	for i, c := range cells {
+		if errs[i] != nil {
+			o.logf("  FAILED %-24s %v", c.key, errs[i])
+			grid.failures = append(grid.failures, CellFailure{Key: c.key, Err: errs[i]})
 			continue
 		}
-		grid.res[out.key] = out.res
+		grid.res[c.key] = res[i]
 	}
 	grid.sortFailures()
-	if err := ctx.Err(); err != nil {
+	if err := o.ctx().Err(); err != nil {
 		return grid, fmt.Errorf("bench: run cancelled: %w", err)
 	}
 	return grid, nil
+}
+
+// runPool runs job(i) for every i < n on a fixed pool of o.workers()
+// goroutines draining a job channel, and reports each finished job's
+// key and error to o.Progress: the one bounded pool every sweep's cells
+// run on.
+func runPool(o Options, n int, job func(i int) (key string, err error)) {
+	if o.Progress != nil {
+		o.Progress.Add(n)
+	}
+	jobs := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < min(o.workers(), n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				key, err := job(i)
+				if o.Progress != nil {
+					o.Progress.Cell(key, err)
+				}
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		jobs <- i
+	}
+	close(jobs)
+	wg.Wait()
 }
 
 var (
@@ -330,9 +330,4 @@ func writeCellTrace(dir, key string, c *trace.Chrome) error {
 		return err
 	}
 	return f.Close()
-}
-
-// baseConfig returns the Table 3 configuration for a scheme.
-func baseConfig(scheme accel.Scheme) accel.Config {
-	return accel.DefaultConfig(scheme)
 }

@@ -122,7 +122,7 @@ func TestCellTraceAndMetricsDigest(t *testing.T) {
 	dir := t.TempDir()
 	var log bytes.Buffer
 	o := Options{Quick: true, TraceDir: dir, Metrics: true, Log: &log}
-	grid, err := runCells(o, []cell{{"rmat/tc/shogun", g, s, baseConfig(accel.SchemeShogun)}})
+	grid, err := runCells(o, []cell{{"rmat/tc/shogun", g, s, accel.DefaultConfig(accel.SchemeShogun)}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,9 +21,9 @@ func Scaling(o Options) (*Table, error) {
 
 	var cells []cell
 	for _, n := range pes {
-		cfgF := baseConfig(accel.SchemePseudoDFS)
+		cfgF := accel.DefaultConfig(accel.SchemePseudoDFS)
 		cfgF.NumPEs = n
-		cfgS := baseConfig(accel.SchemeShogun)
+		cfgS := accel.DefaultConfig(accel.SchemeShogun)
 		cfgS.NumPEs = n
 		cfgSplit := cfgS
 		cfgSplit.EnableSplitting = true

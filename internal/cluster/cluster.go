@@ -11,6 +11,7 @@ import (
 	"shogun/internal/pattern"
 	"shogun/internal/sim"
 	"shogun/internal/telemetry"
+	"shogun/internal/trace"
 )
 
 // Config parameterizes a multi-chip cluster.
@@ -120,12 +121,13 @@ func New(g *graph.Graph, s *pattern.Schedule, cfg Config) (*Cluster, error) {
 	if cfg.Interconnect.Links <= 0 {
 		cfg.Interconnect.Links = cfg.Chips
 	}
-	if cfg.Steal && cfg.Chip.Scheme != accel.SchemeShogun {
-		// Chip-level splitting rides the Shogun task tree; other schemes
-		// run partitioned but cannot migrate subtrees.
+	if cfg.Chip.Scheme != accel.SchemeShogun || cfg.Chips < 2 {
+		// Chip-level splitting rides the Shogun task tree and needs a
+		// second chip; other schemes run partitioned but cannot migrate
+		// subtrees.
 		cfg.Steal = false
 	}
-	if cfg.Steal && cfg.Chips > 1 && cfg.Chip.BalancePeriod < 1 {
+	if cfg.Steal && cfg.Chip.BalancePeriod < 1 {
 		return nil, fmt.Errorf("cluster: stealing needs Chip.BalancePeriod >= 1 cycle, got %d", cfg.Chip.BalancePeriod)
 	}
 	part, err := NewPartition(g, mode, cfg.Chips, cfg.PartitionSeed)
@@ -140,31 +142,40 @@ func New(g *graph.Graph, s *pattern.Schedule, cfg Config) (*Cluster, error) {
 		adoptBusy: make([]bool, cfg.Chips),
 	}
 	for i := 0; i < cfg.Chips; i++ {
-		roots := part.Roots[i]
-		if cfg.Chips == 1 {
-			// The 1-chip replicated baseline hands accel the nil default
-			// so the root-dealing code path is byte-for-byte the
-			// single-chip engine's.
-			roots = nil
+		chipCfg := cfg.Chip
+		if chipCfg.Tracer != nil {
+			chipCfg.Tracer = chipTracer{chipCfg.Tracer, i * chipCfg.NumPEs}
 		}
-		chip, err := accel.NewShared(g, s, cfg.Chip, c.eng, roots)
+		chip, err := accel.NewShared(g, s, chipCfg, c.eng, part.Roots[i])
 		if err != nil {
 			return nil, fmt.Errorf("cluster: chip %d: %w", i, err)
 		}
-		if cfg.Chips > 1 {
-			chip.KeepSampling = c.busy
-			if cfg.Steal {
-				chip.OnChipIdle = c.armSteal
-			}
+		chip.KeepSampling = c.Busy
+		if cfg.Steal {
+			chip.OnChipIdle = c.armSteal
 		}
 		c.chips = append(c.chips, chip)
 	}
 	return c, nil
 }
 
-// busy reports whether any chip still holds work or a migration is in
-// flight — the sampler keep-alive and steal-loop re-arm predicate.
-func (c *Cluster) busy() bool {
+// chipTracer numbers a chip's trace events machine-wide: chip c's PE p
+// reports as PE c×NumPEs+p, the order Result.Machine lists PerPE in, so
+// one shared trace writer keeps every chip's PEs on their own tracks.
+type chipTracer struct {
+	t    trace.Tracer
+	base int
+}
+
+func (ct chipTracer) TaskDone(ev trace.Event) {
+	ev.PE += ct.base
+	ct.t.TaskDone(ev)
+}
+
+// Busy reports whether any chip still holds work or a migration is in
+// flight — the sampler keep-alive, steal-loop re-arm and chaos-harness
+// tick predicate.
+func (c *Cluster) Busy() bool {
 	if c.inFlight > 0 {
 		return true
 	}
@@ -179,7 +190,7 @@ func (c *Cluster) busy() bool {
 // armSteal schedules one work-stealing check (debounced), mirroring the
 // intra-chip balance loop one level up.
 func (c *Cluster) armSteal() {
-	if c.stealArmed || !c.cfg.Steal || c.cfg.Chips < 2 {
+	if c.stealArmed || !c.cfg.Steal {
 		return
 	}
 	c.stealArmed = true
@@ -187,7 +198,7 @@ func (c *Cluster) armSteal() {
 }
 
 func (c *Cluster) armStealIfNeeded() {
-	if c.busy() {
+	if c.Busy() {
 		c.armSteal()
 	}
 }
@@ -221,7 +232,7 @@ func (c *Cluster) stealCheck() {
 			h++
 		}
 	}
-	if c.busy() {
+	if c.Busy() {
 		c.eng.PostAfter(c.cfg.Chip.BalancePeriod, c, opArmStealIfNeeded, nil)
 	}
 }
@@ -260,7 +271,7 @@ func (c *Cluster) deliverMigration(m *migration) {
 // busy; delivery retries until a PE accepts. Reports whether a migration
 // was initiated. Only meaningful when stealing is enabled.
 func (c *Cluster) ForceMigrate() bool {
-	if !c.cfg.Steal || c.cfg.Chips < 2 {
+	if !c.cfg.Steal {
 		return false
 	}
 	for v := range c.chips {
@@ -285,10 +296,6 @@ func (c *Cluster) ForceMigrate() bool {
 	return false
 }
 
-// Busy reports whether the cluster still holds work (chaos-harness tick
-// predicate).
-func (c *Cluster) Busy() bool { return c.busy() }
-
 // Engine exposes the shared event engine.
 func (c *Cluster) Engine() *sim.Engine { return c.eng }
 
@@ -302,14 +309,11 @@ func (c *Cluster) Chips() []*accel.Accelerator { return c.chips }
 // Partition exposes the static vertex partition.
 func (c *Cluster) Partition() *Partition { return c.part }
 
-// ChipStats is the per-chip slice of a cluster Result.
+// ChipStats is the cluster's view of one chip, beside its full Result
+// in ChipResults.
 type ChipStats struct {
-	Vertices    int
-	Embeddings  int64
-	Tasks       int64
-	LeafTasks   int64
-	Cycles      sim.Time // this chip's last task completion
-	Occupancy   float64  // busy slot-cycles / (capacity × cluster cycles)
+	Vertices    int     // roots the partition dealt it
+	Occupancy   float64 // busy slot-cycles / (capacity × cluster cycles)
 	MigratedOut int64
 	MigratedIn  int64
 }
@@ -339,8 +343,11 @@ type Result struct {
 	PerChip []ChipStats
 	// ChipResults carries each chip's full single-chip Result.
 	ChipResults []*accel.Result
-	// Telemetry is the cluster-scope epoch series (one occupancy column
-	// per chip; nil when sampling was off).
+	// Telemetry is the machine series (nil when sampling was off): every
+	// chip's sampled columns on one epoch grid, per-PE columns numbered
+	// machine-wide (chip c's PE p is pe{c×PEs+p}), chip-scope columns
+	// summed over chips, engine/events counted once. At one chip it is
+	// that chip's series, sharing its columns.
 	Telemetry *telemetry.TimeSeries `json:",omitempty"`
 }
 
@@ -420,10 +427,6 @@ func (c *Cluster) collect() *Result {
 		r.ChipResults = append(r.ChipResults, cr)
 		st := ChipStats{
 			Vertices:    len(c.part.Roots[i]),
-			Embeddings:  cr.Embeddings,
-			Tasks:       cr.Tasks,
-			LeafTasks:   cr.LeafTasks,
-			Cycles:      cr.Cycles,
 			MigratedOut: chip.MigratedOut.Total,
 			MigratedIn:  chip.MigratedIn.Total,
 		}
@@ -441,7 +444,11 @@ func (c *Cluster) collect() *Result {
 		r.LeafTasks += cr.LeafTasks
 	}
 	r.MeanOccupancy = occSum / float64(len(c.chips))
-	r.Telemetry = c.timeSeries()
+	series := make([]*telemetry.TimeSeries, len(r.ChipResults))
+	for i, cr := range r.ChipResults {
+		series[i] = cr.Telemetry
+	}
+	r.Telemetry = machineSeries(series, c.cfg.Chip.NumPEs)
 	return r
 }
 
@@ -452,4 +459,40 @@ func (r *Result) ImbalanceRatio() float64 {
 		return 0
 	}
 	return r.MaxOccupancy / r.MeanOccupancy
+}
+
+// Machine folds the per-chip results into one machine-level
+// accel.Result, the report of a run at any chip count. Counts and cycle
+// attributions are summed and rates averaged over chips; Cycles and
+// Events are the cluster's (one shared clock); PeakLiveSets is the
+// largest chip's; PerPE lists every chip's PEs in machine-wide order
+// (chip c's PE p at c×PEs+p, the numbering trace events carry); and
+// Telemetry is the cluster's machine series. At one chip it equals that
+// chip's Result exactly.
+func (r *Result) Machine() *accel.Result {
+	m := &accel.Result{
+		Scheme: r.ChipResults[0].Scheme, Cycles: r.Cycles, Events: r.Events,
+		Embeddings: r.Embeddings, Tasks: r.Tasks, LeafTasks: r.LeafTasks,
+		Telemetry: r.Telemetry,
+	}
+	n := float64(len(r.ChipResults))
+	for _, c := range r.ChipResults {
+		m.IUUtil += c.IUUtil / n
+		m.SlotOccupancy += c.SlotOccupancy / n
+		m.L1HitRate += c.L1HitRate / n
+		m.L1AvgLatency += c.L1AvgLatency / n
+		m.L2HitRate += c.L2HitRate / n
+		m.DRAMBandwidth += c.DRAMBandwidth / n
+		m.IntermediateLinesPerTask += c.IntermediateLinesPerTask / n
+		m.DRAMReads += c.DRAMReads
+		m.DRAMWrites += c.DRAMWrites
+		m.NoCLines += c.NoCLines
+		m.Splits += c.Splits
+		m.Merges += c.Merges
+		m.ConservativeTransitions += c.ConservativeTransitions
+		m.PeakLiveSets = max(m.PeakLiveSets, c.PeakLiveSets)
+		m.Breakdown.Add(c.Breakdown)
+		m.PerPE = append(m.PerPE, c.PerPE...)
+	}
+	return m
 }

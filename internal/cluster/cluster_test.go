@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
 	"shogun/internal/accel"
@@ -102,6 +103,12 @@ func TestClusterDifferentialN1(t *testing.T) {
 						}
 
 						chip := res.ChipResults[0]
+						// The machine aggregate every caller reports from
+						// is the chip's Result itself at one chip.
+						mj, _ := json.Marshal(res.Machine())
+						if cj, _ := json.Marshal(chip); string(mj) != string(cj) {
+							t.Errorf("1-chip machine aggregate diverged from its chip:\nchip:    %s\nmachine: %s", cj, mj)
+						}
 						snap := cl.Chips()[0].Metrics().Snapshot()
 						if n != nil {
 							chip.Events -= n.Fired()
@@ -365,9 +372,9 @@ func TestClusterSplitLinesCountAdoptions(t *testing.T) {
 	}
 }
 
-// TestClusterTelemetryImbalance: the derived chip-scope series must
-// expose one occupancy column per chip so TimeSeries.Imbalance works at
-// cluster scope.
+// TestClusterTelemetryImbalance: the machine series must expose one
+// resident column per PE of every chip, numbered machine-wide, so
+// TimeSeries.Imbalance works at cluster scope.
 func TestClusterTelemetryImbalance(t *testing.T) {
 	g := gen.RMAT(192, 1100, 0.6, 0.15, 0.15, 7)
 	wl := workload(t, "tc")
@@ -386,9 +393,9 @@ func TestClusterTelemetryImbalance(t *testing.T) {
 	if ts == nil {
 		t.Fatal("no cluster telemetry despite SampleEvery > 0")
 	}
-	for i := 0; i < 3; i++ {
-		if ts.Col(fmt.Sprintf("chip%d/resident", i)) == nil {
-			t.Fatalf("missing chip%d/resident column", i)
+	for i := 0; i < 3*cfg.Chip.NumPEs; i++ {
+		if ts.Col(fmt.Sprintf("pe%d/resident", i)) == nil {
+			t.Fatalf("missing machine-wide pe%d/resident column", i)
 		}
 	}
 	pts := ts.Imbalance("/resident")
@@ -437,6 +444,32 @@ func TestClusterConfigErrors(t *testing.T) {
 	}
 	if m, err := cluster.ParseMode(""); err != nil || m != cluster.ModeReplicate {
 		t.Errorf("ParseMode(\"\") = %v, %v; want replicate", m, err)
+	}
+}
+
+// TestClusterMoreChipsThanVertices: a chip the partition leaves empty
+// mines nothing. K4 on 8 chips counts its 4 triangles in every mode.
+func TestClusterMoreChipsThanVertices(t *testing.T) {
+	g, err := graph.ReadEdgeList(strings.NewReader("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl := workload(t, "tc")
+	for _, mode := range []cluster.Mode{cluster.ModeReplicate, cluster.ModeHash, cluster.ModeRange} {
+		cfg := cluster.DefaultConfig(accel.SchemeShogun, 8)
+		cfg.Partition = mode
+		cfg.Chip.NumPEs = 2
+		cl, err := cluster.New(g, wl.Schedule, cfg)
+		if err != nil {
+			t.Fatalf("%s: new: %v", mode, err)
+		}
+		res, err := cl.Run()
+		if err != nil {
+			t.Fatalf("%s: run: %v", mode, err)
+		}
+		if res.Embeddings != 4 {
+			t.Errorf("%s: %d triangles on 8 chips, want 4", mode, res.Embeddings)
+		}
 	}
 }
 

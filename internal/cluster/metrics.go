@@ -36,10 +36,11 @@ func (c *Cluster) Metrics() *metrics.Registry {
 		wlAdopted += val("tasks/adopted-splits")
 		splitsLocal += val("splitmerge/splits-delivered")
 		splitsRecv += val("splitmerge/splits-received")
-		r := chip.Collect()
-		peTasks += r.Tasks
-		peEmb += r.Embeddings
-		peLeaf += r.LeafTasks
+		for _, p := range chip.PEs() {
+			peTasks += p.TasksExecuted.Total
+			peEmb += p.Embeddings
+			peLeaf += p.LeafTasks.Total
+		}
 	}
 
 	x := reg.Family("cluster")
@@ -68,7 +69,7 @@ func (c *Cluster) Metrics() *metrics.Registry {
 	ic.Eq("messages == 3 × migrations", msgs, 3*(delivered+inFlight))
 	ic.Eq("lines moved == lines sent", moved, sent)
 
-	// Global totals: the PE-counter path (what Result reports) must
+	// Global totals: the PE-counter path (the counters Result sums) must
 	// equal the workload-counter path summed over chips. Executions
 	// exclude adopted subtree roots (installed pre-executed), which the
 	// adopter's PE counters also never see.

@@ -57,7 +57,7 @@ type Partition struct {
 	Seed  int64
 
 	// Owner maps each vertex to its chip.
-	Owner []int
+	Owner []int32
 	// Roots lists each chip's owned vertices in ascending order — the
 	// root set its system scheduler deals to PEs.
 	Roots [][]graph.VertexID
@@ -98,7 +98,7 @@ func NewPartition(g *graph.Graph, mode Mode, chips int, seed int64) (*Partition,
 		Mode:   mode,
 		Chips:  chips,
 		Seed:   seed,
-		Owner:  make([]int, n),
+		Owner:  make([]int32, n),
 		Roots:  make([][]graph.VertexID, chips),
 		ExtDeg: make([]int64, chips),
 		IntDeg: make([]int64, chips),
@@ -113,22 +113,28 @@ func NewPartition(g *graph.Graph, mode Mode, chips int, seed int64) (*Partition,
 			chunk = 1
 		}
 		for v := 0; v < n; v++ {
-			p.Owner[v] = (v / chunk) % chips
+			p.Owner[v] = int32((v / chunk) % chips)
 		}
 	case ModeHash:
 		for v := 0; v < n; v++ {
-			p.Owner[v] = int(splitmix64(uint64(v)^uint64(seed)) % uint64(chips))
+			p.Owner[v] = int32(splitmix64(uint64(v)^uint64(seed)) % uint64(chips))
 		}
 		p.rebalanceEmpty(n)
 	case ModeRange:
 		for v := 0; v < n; v++ {
-			p.Owner[v] = int(int64(v) * int64(chips) / int64(n))
+			p.Owner[v] = int32(int64(v) * int64(chips) / int64(n))
 		}
 	default:
 		return nil, fmt.Errorf("cluster: unknown partition mode %q", mode)
 	}
-	for v := 0; v < n; v++ {
-		c := p.Owner[v]
+	count := make([]int, chips)
+	for _, c := range p.Owner {
+		count[c]++
+	}
+	for c := range p.Roots {
+		p.Roots[c] = make([]graph.VertexID, 0, count[c])
+	}
+	for v, c := range p.Owner {
 		p.Roots[c] = append(p.Roots[c], graph.VertexID(v))
 	}
 	for v := 0; v < n; v++ {
@@ -177,8 +183,8 @@ func (p *Partition) rebalanceEmpty(n int) {
 			}
 		}
 		for v := n - 1; v >= 0; v-- {
-			if p.Owner[v] == donor {
-				p.Owner[v] = empty
+			if int(p.Owner[v]) == donor {
+				p.Owner[v] = int32(empty)
 				count[donor]--
 				count[empty]++
 				break
@@ -203,7 +209,7 @@ func (p *Partition) Validate(g *graph.Graph) error {
 			return fmt.Errorf("cluster: chip %d owns no vertices (V=%d, N=%d)", c, n, p.Chips)
 		}
 		for _, v := range roots {
-			if int(v) >= n || p.Owner[v] != c {
+			if int(v) >= n || int(p.Owner[v]) != c {
 				return fmt.Errorf("cluster: chip %d root list disagrees with Owner[%d]=%d", c, v, p.Owner[v])
 			}
 		}

@@ -396,22 +396,6 @@ func (t *Tree) takeReady(b *bunch) (*task.Node, int, bool) {
 	return nil, -1, false
 }
 
-func (t *Tree) hasReady() bool {
-	for d := range t.bunches {
-		for _, b := range t.bunches[d] {
-			if ts := t.liveTree(b.treeID); ts != nil && ts.quiesced {
-				continue
-			}
-			for i := range b.entries {
-				if b.entries[i].node != nil && b.entries[i].state == Ready {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
 // OnComplete implements pe.Policy: the spawning / extending / pruning
 // processes of Fig. 6, without inter-depth barriers — the completing task
 // proceeds immediately regardless of its siblings.

@@ -558,7 +558,6 @@ func (p *PE) ensureMonitor() {
 
 func (p *PE) monitorTick() {
 	p.monitorOn = false
-	now := p.Eng.Now()
 
 	avgLat, hasData := p.L1.WindowLatency()
 	iuBusy := p.IUPool.Busy() - p.iuBusyAtRoll
@@ -586,7 +585,6 @@ func (p *PE) monitorTick() {
 			p.Kick()
 		}
 	}
-	_ = now
 	p.ensureMonitor()
 }
 

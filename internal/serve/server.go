@@ -328,10 +328,10 @@ type Request struct {
 	Width int  `json:"width,omitempty"`
 	Split bool `json:"split,omitempty"`
 	Merge bool `json:"merge,omitempty"`
-	// Chips > 1 simulates a multi-chip cluster (simulate only): the
-	// machine above is replicated per chip and the root-vertex space is
-	// split by Partition (replicate | hash | range; default replicate)
-	// with PartitionSeed driving the hash partitioner.
+	// Chips sets the simulated machine's chip count (simulate only;
+	// default 1): the machine above is replicated per chip and the
+	// root-vertex space is split by Partition (replicate | hash | range;
+	// default replicate) with PartitionSeed driving the hash partitioner.
 	Chips         int    `json:"chips,omitempty"`
 	Partition     string `json:"partition,omitempty"`
 	PartitionSeed int64  `json:"partition_seed,omitempty"`
@@ -360,7 +360,7 @@ type Response struct {
 	Splits    int64   `json:"splits,omitempty"`
 	Merges    int64   `json:"merges,omitempty"`
 
-	// Cluster statistics (simulate with chips > 1).
+	// Cluster statistics (simulate; one chip is the 1-chip cluster).
 	Chips         int     `json:"chips,omitempty"`
 	Migrations    int64   `json:"migrations,omitempty"`
 	MaxOccupancy  float64 `json:"max_occupancy,omitempty"`
@@ -646,13 +646,45 @@ func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (*Request,
 	if req.Budget.MaxEvents < 0 || req.Budget.DeadlineCycles < 0 || req.Budget.MaxWallMS < 0 {
 		return nil, badRequestf("budget values must be non-negative")
 	}
-	if req.Chips < 0 {
-		return nil, badRequestf("chips must be non-negative (got %d)", req.Chips)
+	if err := checkShape(&req); err != nil {
+		return nil, err
 	}
 	if _, err := cluster.ParseMode(req.Partition); err != nil {
 		return nil, badRequestf("%v", err)
 	}
 	return &req, nil
+}
+
+// Machine-shape ceilings of a simulate request. cluster.New builds every
+// chip and PE up front, so an unbounded shape is an unbounded
+// allocation; checkShape refuses one before anything is built. They
+// admit every shape the repository runs: 40 PEs in the PE-scaling sweep,
+// 16 chips in the cluster sweep and the benchmark, width 16 in the
+// ablation. DESIGN "Multi-chip scale-out" gives the largest admitted
+// machine's measured footprint.
+const (
+	maxChips      = 16
+	maxChipPEs    = 64
+	maxMachinePEs = 256 // chips × PEs per chip
+	maxWidth      = 32
+)
+
+// checkShape rejects a negative machine shape as a bad request and one
+// over a ceiling as too large. A zero field takes its default (1 chip,
+// the Table 3 chip's PEs), which is what the ceilings count.
+func checkShape(req *Request) error {
+	if req.Chips < 0 || req.PEs < 0 || req.Width < 0 {
+		return badRequestf("chips, pes and width must be non-negative (got %d, %d, %d)", req.Chips, req.PEs, req.Width)
+	}
+	chips, pes := max(req.Chips, 1), req.PEs
+	if pes == 0 {
+		pes = accel.DefaultConfig(accel.SchemeShogun).NumPEs
+	}
+	if chips > maxChips || pes > maxChipPEs || chips*pes > maxMachinePEs || req.Width > maxWidth {
+		return tooLargef("%d chips × %d PEs at width %d is over the limits of %d chips, %d PEs a chip, %d PEs a machine and width %d",
+			chips, pes, req.Width, maxChips, maxChipPEs, maxMachinePEs, maxWidth)
+	}
+	return nil
 }
 
 // resolveGraph returns the request's graph through the shared cache.
@@ -789,33 +821,23 @@ func (s *Server) execute(reqCtx context.Context, op Op, req *Request, sp *obs.Sp
 				resp.LinesPerTask = res.AvgIntermediateLinesPerTask()
 			}
 		case OpSimulate:
-			if req.Chips > 1 {
-				res, err := s.simulateCluster(ctx, req, cg.g, sched, sp)
-				if err != nil {
-					return s.refineCancel(ctx, reqCtx, err)
-				}
-				resp.Embeddings = res.Embeddings
-				resp.Cycles = int64(res.Cycles)
-				resp.SimTasks = res.Tasks + res.LeafTasks
-				resp.Events = res.Events
-				resp.Chips = res.Chips
-				resp.Migrations = res.Migrations
-				resp.MaxOccupancy = res.MaxOccupancy
-				resp.MeanOccupancy = res.MeanOccupancy
-				return nil
-			}
 			res, err := s.simulate(ctx, req, cg.g, sched, sp)
 			if err != nil {
 				return s.refineCancel(ctx, reqCtx, err)
 			}
-			resp.Embeddings = res.Embeddings
-			resp.Cycles = int64(res.Cycles)
-			resp.SimTasks = res.Tasks + res.LeafTasks
-			resp.IUUtil = res.IUUtil
-			resp.L1HitRate = res.L1HitRate
-			resp.Events = res.Events
-			resp.Splits = res.Splits
-			resp.Merges = res.Merges
+			m := res.Machine()
+			resp.Embeddings = m.Embeddings
+			resp.Cycles = int64(m.Cycles)
+			resp.SimTasks = m.Tasks + m.LeafTasks
+			resp.IUUtil = m.IUUtil
+			resp.L1HitRate = m.L1HitRate
+			resp.Events = m.Events
+			resp.Splits = m.Splits
+			resp.Merges = m.Merges
+			resp.Chips = res.Chips
+			resp.Migrations = res.Migrations
+			resp.MaxOccupancy = res.MaxOccupancy
+			resp.MeanOccupancy = res.MeanOccupancy
 		default:
 			return badRequestf("unknown op %q", op)
 		}
@@ -855,45 +877,44 @@ func (s *Server) refineCancel(workCtx, reqCtx context.Context, err error) error 
 	}
 }
 
-// simConfig builds the simulated chip's config from the request's
-// machine-shape knobs and clamped budgets (shared by the single-chip
-// and cluster paths).
-func (s *Server) simConfig(req *Request) accel.Config {
+// simConfig builds the simulated machine's config from the request's
+// shape knobs and clamped budgets: req.Chips copies (default 1) of the
+// chip, root space split by the request's partition.
+func (s *Server) simConfig(req *Request) cluster.Config {
 	scheme := accel.Scheme(req.Scheme)
 	if req.Scheme == "" {
 		scheme = accel.SchemeShogun
 	}
-	cfg := accel.DefaultConfig(scheme)
+	cfg := cluster.DefaultConfig(scheme, max(req.Chips, 1))
+	cfg.Partition = cluster.Mode(req.Partition)
+	cfg.PartitionSeed = req.PartitionSeed
+	chip := &cfg.Chip
 	if req.PEs > 0 {
-		cfg.NumPEs = req.PEs
+		chip.NumPEs = req.PEs
 	}
 	if req.Width > 0 {
-		cfg.PE.Width = req.Width
-		cfg.TokensPerDepth = req.Width
-		cfg.Tree.EntriesPerBunch = req.Width
+		chip.PE.Width = req.Width
+		chip.TokensPerDepth = req.Width
+		chip.Tree.EntriesPerBunch = req.Width
 	}
-	cfg.EnableSplitting = req.Split
-	cfg.EnableMerging = req.Merge
-	cfg.MaxEvents = clampBudget(req.Budget.MaxEvents, s.cfg.MaxEvents)
+	chip.EnableSplitting = req.Split
+	chip.EnableMerging = req.Merge
+	chip.MaxEvents = clampBudget(req.Budget.MaxEvents, s.cfg.MaxEvents)
 	if req.Budget.DeadlineCycles > 0 {
-		cfg.Deadline = sim.Time(req.Budget.DeadlineCycles)
+		chip.Deadline = sim.Time(req.Budget.DeadlineCycles)
 	}
-	if s.sampleEvery > 0 && cfg.SampleEvery == 0 {
-		cfg.SampleEvery = sim.Time(s.sampleEvery)
+	if s.sampleEvery > 0 {
+		chip.SampleEvery = sim.Time(s.sampleEvery)
 	}
 	return cfg
 }
 
-// simulateCluster runs a multi-chip scale-out simulation (Chips > 1)
-// under the request's clamped budgets. Cross-chip conservation
-// identities verify by default.
-func (s *Server) simulateCluster(ctx context.Context, req *Request, g *graph.Graph, sched *pattern.Schedule, sp *obs.Span) (*cluster.Result, error) {
-	chip := s.simConfig(req)
-	ccfg := cluster.DefaultConfig(chip.Scheme, req.Chips)
-	ccfg.Chip = chip
-	ccfg.Partition = cluster.Mode(req.Partition)
-	ccfg.PartitionSeed = req.PartitionSeed
-	cl, err := cluster.New(g, sched, ccfg)
+// simulate runs the request's machine under its clamped budgets. One
+// chip is the 1-chip cluster; cross-chip conservation identities verify
+// on every run.
+func (s *Server) simulate(ctx context.Context, req *Request, g *graph.Graph, sched *pattern.Schedule, sp *obs.Span) (*cluster.Result, error) {
+	cfg := s.simConfig(req)
+	cl, err := cluster.New(g, sched, cfg)
 	if err != nil {
 		return nil, badRequestf("%v", err)
 	}
@@ -902,29 +923,13 @@ func (s *Server) simulateCluster(ctx context.Context, req *Request, g *graph.Gra
 			s.cfg.OnAccel(chip)
 		}
 	}
-	eng := cl.Engine()
-	sp.SetSnapshot(func() string { return eng.Snapshot().String() })
-	return cl.RunContext(ctx)
-}
-
-// simulate runs the accelerator under the request's clamped budgets.
-func (s *Server) simulate(ctx context.Context, req *Request, g *graph.Graph, sched *pattern.Schedule, sp *obs.Span) (*accel.Result, error) {
-	cfg := s.simConfig(req)
-	a, err := accel.New(g, sched, cfg)
-	if err != nil {
-		return nil, badRequestf("%v", err)
-	}
-	if s.cfg.OnAccel != nil {
-		s.cfg.OnAccel(a)
-	}
-	if tel := a.Telemetry(); tel != nil {
+	if cfg.Chip.SampleEvery > 0 {
 		// Joins a live /v1/requests/{id} view with the run: the
-		// sampler's columns are mutex-guarded, so reading the last
-		// epoch from another goroutine is safe while the engine keeps
-		// sampling.
-		sampler := tel.Sampler
+		// samplers' columns are mutex-guarded, so reading the last
+		// epoch of the machine series from another goroutine is safe
+		// while the engine keeps sampling.
 		sp.SetProgress(func() map[string]int64 {
-			ts := sampler.Snapshot()
+			ts := cl.Samples()
 			out := make(map[string]int64, 8)
 			out["cycle"] = ts.EndCycle()
 			out["epochs"] = int64(len(ts.Cycles))
@@ -941,9 +946,9 @@ func (s *Server) simulate(ctx context.Context, req *Request, g *graph.Graph, sch
 	// The governor snapshot rides on the slow-request log: by the time
 	// the log renders it the run has finished, so reading the engine is
 	// safe.
-	eng := a.Engine()
+	eng := cl.Engine()
 	sp.SetSnapshot(func() string { return eng.Snapshot().String() })
-	return a.RunContext(ctx)
+	return cl.RunContext(ctx)
 }
 
 // clampBudget applies "may tighten, may not exceed": zero means take

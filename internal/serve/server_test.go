@@ -137,6 +137,109 @@ func TestServeSimulateMatchesMiner(t *testing.T) {
 	}
 }
 
+// TestServeSimulateOneMachinePath pins the served simulation to the
+// chip it runs: a chips:1 request answers with the same statistics as
+// the accelerator run directly on the config the server builds, and a
+// chips:2 request (the same code path) returns the golden count.
+func TestServeSimulateOneMachinePath(t *testing.T) {
+	s, base := testServer(t, Config{})
+	req := Request{Dataset: "wi", Pattern: "tc", PEs: 4, Split: true, Merge: true, Chips: 1}
+	status, r, e, _ := post(t, base+"/v1/simulate", req)
+	if status != http.StatusOK {
+		t.Fatalf("chips:1 status=%d: %+v", status, e)
+	}
+	g, err := datasets.Get("wi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := s.resolveSchedule(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := accel.New(g, sched, s.simConfig(&req).Chip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := a.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := [...]any{r.Cycles, r.Embeddings, r.SimTasks, r.Events, r.IUUtil, r.L1HitRate, r.Splits, r.Merges}
+	exp := [...]any{int64(want.Cycles), want.Embeddings, want.Tasks + want.LeafTasks, want.Events,
+		want.IUUtil, want.L1HitRate, want.Splits, want.Merges}
+	if got != exp {
+		t.Errorf("served chips:1 {cycles emb tasks events iu l1 splits merges} = %v, accel direct = %v", got, exp)
+	}
+	if r.Chips != 1 || r.Migrations != 0 {
+		t.Errorf("chips:1 reported chips=%d migrations=%d", r.Chips, r.Migrations)
+	}
+
+	req.Chips, req.Partition = 2, "hash"
+	status, r, e, _ = post(t, base+"/v1/simulate", req)
+	if status != http.StatusOK {
+		t.Fatalf("chips:2 status=%d: %+v", status, e)
+	}
+	if gold := golden(t, "wi", "tc"); r.Embeddings != gold || r.Chips != 2 {
+		t.Errorf("chips:2 embeddings=%d chips=%d, want %d on 2 chips", r.Embeddings, r.Chips, gold)
+	}
+	if r.IUUtil <= 0 || r.L1HitRate <= 0 || r.MaxOccupancy <= 0 {
+		t.Errorf("chips:2 answered without machine statistics: %+v", r)
+	}
+}
+
+// TestServeMachineShapeLimits sends machine shapes that would make
+// cluster.New build thousands of accelerators or PEs: each gets a typed
+// 413 before anything is built (negative ones a 400), the daemon stays
+// ready, and the largest shapes the repository runs are still served.
+func TestServeMachineShapeLimits(t *testing.T) {
+	_, base := testServer(t, Config{})
+	k4 := "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
+	cases := []struct {
+		name   string
+		shape  Request
+		status int
+	}{
+		{"100000 chips", Request{Chips: 100000}, http.StatusRequestEntityTooLarge},
+		{"chips over limit", Request{Chips: maxChips + 1, PEs: 1}, http.StatusRequestEntityTooLarge},
+		{"pes over per-chip limit", Request{PEs: maxChipPEs + 1}, http.StatusRequestEntityTooLarge},
+		{"huge pes", Request{PEs: 1 << 30}, http.StatusRequestEntityTooLarge},
+		{"chips x pes over machine limit", Request{Chips: maxChips, PEs: maxMachinePEs/maxChips + 1}, http.StatusRequestEntityTooLarge},
+		{"chips x default pes over machine limit", Request{Chips: maxChips, PEs: 0, Width: 1}, http.StatusOK},
+		{"width over limit", Request{Width: maxWidth + 1}, http.StatusRequestEntityTooLarge},
+		{"huge width", Request{Width: 1 << 30}, http.StatusRequestEntityTooLarge},
+		{"negative chips", Request{Chips: -1}, http.StatusBadRequest},
+		{"negative pes", Request{PEs: -4}, http.StatusBadRequest},
+		{"negative width", Request{Width: -8}, http.StatusBadRequest},
+		{"16 chips (cluster sweep)", Request{Chips: 16, PEs: 2, Partition: "hash", Split: true}, http.StatusOK},
+		{"40 PEs (PE scaling sweep)", Request{PEs: 40}, http.StatusOK},
+		{"width 16 (ablation)", Request{Width: 16}, http.StatusOK},
+		{"largest machine", Request{Chips: maxChips, PEs: maxMachinePEs / maxChips, Width: maxWidth}, http.StatusOK},
+	}
+	for _, tc := range cases {
+		req := tc.shape
+		req.Graph, req.Pattern = k4, "tc"
+		status, r, e, _ := post(t, base+"/v1/simulate", req)
+		switch {
+		case status != tc.status:
+			t.Errorf("%s: status %d, want %d", tc.name, status, tc.status)
+		case status == http.StatusOK && r.Embeddings != 4:
+			t.Errorf("%s: %d triangles, want 4", tc.name, r.Embeddings)
+		case status == http.StatusRequestEntityTooLarge && e.Kind != "too_large":
+			t.Errorf("%s: kind %q, want too_large", tc.name, e.Kind)
+		case status == http.StatusBadRequest && e.Kind != "bad_request":
+			t.Errorf("%s: kind %q, want bad_request", tc.name, e.Kind)
+		}
+	}
+	resp, err := http.Get(base + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/readyz = %d after hostile shapes", resp.StatusCode)
+	}
+}
+
 func TestServeUploadedGraph(t *testing.T) {
 	_, base := testServer(t, Config{})
 	// K4 has 4 triangles.

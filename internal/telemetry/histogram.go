@@ -305,6 +305,16 @@ func (h *Histogram) Summary() HistSummary {
 	}
 }
 
+// Summaries renders named digests as the summaries a live inspection
+// server or a JSON snapshot serves.
+func Summaries(digests map[string]*Histogram) map[string]HistSummary {
+	out := make(map[string]HistSummary, len(digests))
+	for name, h := range digests {
+		out[name] = h.Summary()
+	}
+	return out
+}
+
 // String renders a compact one-line digest.
 func (h *Histogram) String() string {
 	s := h.Summary()
