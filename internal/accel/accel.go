@@ -83,8 +83,9 @@ type Config struct {
 	// SampleEvery, when > 0, turns on the telemetry epoch sampler: every
 	// SampleEvery cycles the run snapshots its live gauges (per-PE
 	// residency, SPM/token/bunch occupancy, MSHR and DRAM queue depths,
-	// NoC in-flight messages) and the latency histograms observe every
-	// access. Zero keeps the hot path observation-free.
+	// NoC in-flight messages) and the latency histograms record every
+	// access (cache hits are folded in at each epoch). Zero keeps the hot
+	// path observation-free.
 	SampleEvery sim.Time
 	// SampleCap bounds retained sampler epochs (0 = telemetry default);
 	// on overflow the ring decimates 2× and the epoch spacing doubles.
@@ -580,6 +581,7 @@ func (a *Accelerator) Collect() *Result {
 	}
 	r.Splits = a.Splits.Total
 	if a.tel != nil {
+		a.foldHits()
 		r.Telemetry = a.tel.Sampler.Snapshot()
 	}
 	return r
@@ -587,6 +589,9 @@ func (a *Accelerator) Collect() *Result {
 
 // PEs exposes the PEs (tests, harness).
 func (a *Accelerator) PEs() []*pe.PE { return a.pes }
+
+// L2 exposes the shared L2 cache (tests).
+func (a *Accelerator) L2() *mem.Cache { return a.l2 }
 
 // Engine exposes the event engine (chaos harness, tests).
 func (a *Accelerator) Engine() *sim.Engine { return a.eng }

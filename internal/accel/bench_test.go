@@ -70,7 +70,8 @@ func BenchmarkSimulateSamplerOn(b *testing.B) { benchSampler(b, 512) }
 // TestSamplerOffHotPathZeroAlloc pins the off-switch contract: with
 // sampling disabled, the per-event instrumentation the telemetry layer
 // added to the simulator hot paths — nil-receiver histogram observes and
-// the nil-bundle guard around split accounting — allocates nothing.
+// the nil-bundle guards around split accounting and the cache-hit fold —
+// allocates nothing. A cache hit itself observes nothing on any path.
 func TestSamplerOffHotPathZeroAlloc(t *testing.T) {
 	g := gen.Clique(8)
 	s, err := pattern.Build(pattern.Triangle())
@@ -88,14 +89,15 @@ func TestSamplerOffHotPathZeroAlloc(t *testing.T) {
 	}
 	p := a.pes[0]
 	if allocs := testing.AllocsPerRun(100, func() {
-		// The exact observation calls pe.finish/stageDispatch and the
-		// memory system make per task when sampling is off.
+		// The exact observation calls pe.finish/stageDispatch, a cache
+		// miss, a split adoption and Collect make when sampling is off.
 		p.LifetimeHist.Observe(42)
 		p.QueueWaitHist.Observe(7)
 		p.L1.LatHist.Observe(3)
 		a.l2.LatHist.Observe(9)
 		if a.tel != nil {
 			a.tel.SplitLines.Observe(4)
+			a.foldHits()
 		}
 	}); allocs != 0 {
 		t.Fatalf("sampler-off hot path allocates %.0f times per task, want 0", allocs)

@@ -12,40 +12,39 @@ import (
 // sampler over live gauges plus the log-bucketed latency/size histograms.
 // It exists only when Config.SampleEvery > 0; a nil bundle leaves every
 // hot-path observation as a nil-receiver no-op.
+//
+// There is one histogram per name for the whole chip; the PEs sharing
+// it all run on the engine's goroutine. Cache hits reach L1Latency and
+// L2Latency through mem.Cache.FoldHits, at each sampler epoch and when
+// the run's Result is collected.
 type Telemetry struct {
 	Sampler *telemetry.Sampler
 
-	// Per-PE shards (index = PE ID). Shards merge bit-identically, so
-	// fleet-wide digests are Merge folds over these.
-	TaskLifetime []*telemetry.Histogram // slot residency, dispatch→spawn-done
-	QueueWait    []*telemetry.Histogram // SPM allocation + dispatch wait
-	MemLatency   []*telemetry.Histogram // L1 access latency
-
-	L2Latency  *telemetry.Histogram // shared L2 access latency
-	SplitLines *telemetry.Histogram // cache lines per §4.1 split transfer
+	TaskLifetime *telemetry.Histogram // slot residency, dispatch→spawn-done
+	QueueWait    *telemetry.Histogram // SPM allocation + dispatch wait
+	L1Latency    *telemetry.Histogram // L1 access latency, every PE
+	L2Latency    *telemetry.Histogram // shared L2 access latency
+	SplitLines   *telemetry.Histogram // cache lines per §4.1 split transfer
 }
 
-// Digests folds the run's histograms into one fresh digest per name:
-// the per-PE shards merge into chip-wide task-lifetime, queue-wait and
-// L1-latency digests beside the shared L2-latency and split-size ones.
-// The caller owns the result (a cluster merges its chips' digests).
+// Digests copies the run's histograms into one fresh digest per name.
+// The caller owns the result (a cluster merges its chips' digests), and
+// may call it from another goroutine while the run proceeds.
 func (t *Telemetry) Digests() map[string]*telemetry.Histogram {
-	out := map[string]*telemetry.Histogram{}
-	for name, shards := range map[string][]*telemetry.Histogram{
-		"l2-latency": {t.L2Latency}, "split-lines": {t.SplitLines},
-		"task-lifetime": t.TaskLifetime, "queue-wait": t.QueueWait, "l1-latency": t.MemLatency,
+	out := make(map[string]*telemetry.Histogram, 5)
+	for name, h := range map[string]*telemetry.Histogram{
+		"task-lifetime": t.TaskLifetime, "queue-wait": t.QueueWait,
+		"l1-latency": t.L1Latency, "l2-latency": t.L2Latency, "split-lines": t.SplitLines,
 	} {
 		out[name] = telemetry.NewHistogram()
-		for _, h := range shards {
-			out[name].Merge(h)
-		}
+		out[name].Merge(h)
 	}
 	return out
 }
 
-// initTelemetry builds the bundle, attaches the histogram shards to the
-// memory system and PEs, and registers every gauge. Called from New after
-// the PEs exist; a zero SampleEvery leaves a.tel nil (sampling off).
+// initTelemetry builds the bundle, attaches the histograms to the memory
+// system and PEs, and registers every gauge. Called from New after the
+// PEs exist; a zero SampleEvery leaves a.tel nil (sampling off).
 func (a *Accelerator) initTelemetry() error {
 	if a.cfg.SampleEvery == 0 {
 		return nil
@@ -58,19 +57,18 @@ func (a *Accelerator) initTelemetry() error {
 		return fmt.Errorf("accel: %w", err)
 	}
 	t := &Telemetry{
-		Sampler:    s,
-		L2Latency:  telemetry.NewHistogram(),
-		SplitLines: telemetry.NewHistogram(),
+		Sampler:      s,
+		TaskLifetime: telemetry.NewHistogram(),
+		QueueWait:    telemetry.NewHistogram(),
+		L1Latency:    telemetry.NewHistogram(),
+		L2Latency:    telemetry.NewHistogram(),
+		SplitLines:   telemetry.NewHistogram(),
 	}
 	a.l2.LatHist = t.L2Latency
 	for _, p := range a.pes {
-		life, wait, lat := telemetry.NewHistogram(), telemetry.NewHistogram(), telemetry.NewHistogram()
-		t.TaskLifetime = append(t.TaskLifetime, life)
-		t.QueueWait = append(t.QueueWait, wait)
-		t.MemLatency = append(t.MemLatency, lat)
-		p.LifetimeHist = life
-		p.QueueWaitHist = wait
-		p.L1.LatHist = lat
+		p.LifetimeHist = t.TaskLifetime
+		p.QueueWaitHist = t.QueueWait
+		p.L1.LatHist = t.L1Latency
 	}
 
 	for i, p := range a.pes {
@@ -125,10 +123,20 @@ func (a *Accelerator) armSampler() {
 
 func (a *Accelerator) samplerTick() {
 	a.samplerArmed = false
+	a.foldHits()
 	a.tel.Sampler.Sample(int64(a.eng.Now()))
 	// Cluster runs keep every chip sampling until the whole cluster
 	// drains, so the chips' epoch columns stay aligned.
 	if !a.ChipIdle() || (a.KeepSampling != nil && a.KeepSampling()) {
 		a.armSampler()
 	}
+}
+
+// foldHits brings the cache-latency histograms up to date with the hits
+// counted since the last fold (see mem.Cache.FoldHits).
+func (a *Accelerator) foldHits() {
+	for _, p := range a.pes {
+		p.L1.FoldHits()
+	}
+	a.l2.FoldHits()
 }

@@ -14,9 +14,9 @@ type collectTracer struct{ events []trace.Event }
 
 func (c *collectTracer) TaskDone(ev trace.Event) { c.events = append(c.events, ev) }
 
-// TestTelemetryShardsMatchTraceStream is the shard-merge acceptance
-// criterion: a task-lifetime histogram merged from the per-PE shards must
-// be bit-identical to one built from the global trace event stream.
+// TestTelemetryShardsMatchTraceStream: the chip's task-lifetime digest,
+// one histogram written by every PE, must be bit-identical to one built
+// from the global trace event stream.
 func TestTelemetryShardsMatchTraceStream(t *testing.T) {
 	g := gen.RMAT(256, 1500, 0.6, 0.15, 0.15, 6)
 	s, err := pattern.Build(pattern.FourClique())
@@ -43,15 +43,15 @@ func TestTelemetryShardsMatchTraceStream(t *testing.T) {
 	for _, ev := range col.events {
 		global.Observe(int64(ev.Done - ev.Start))
 	}
-	merged := tel.Digests()["task-lifetime"]
-	if merged.Count() == 0 {
+	chip := tel.Digests()["task-lifetime"]
+	if chip.Count() == 0 {
 		t.Fatal("no task lifetimes observed")
 	}
-	if !merged.Equal(global) {
-		t.Fatalf("merged per-PE shards differ from global trace stream:\n merged: %s\n global: %s", merged, global)
+	if !chip.Equal(global) {
+		t.Fatalf("chip digest differs from global trace stream:\n chip:   %s\n global: %s", chip, global)
 	}
-	if hs := telemetry.Summaries(tel.Digests()); hs["task-lifetime"].Count != merged.Count() {
-		t.Fatalf("digest summary count %d != %d", hs["task-lifetime"].Count, merged.Count())
+	if hs := telemetry.Summaries(tel.Digests()); hs["task-lifetime"].Count != chip.Count() {
+		t.Fatalf("digest summary count %d != %d", hs["task-lifetime"].Count, chip.Count())
 	}
 }
 

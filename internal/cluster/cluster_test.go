@@ -535,3 +535,43 @@ func BenchmarkClusterSimulate(b *testing.B) {
 		})
 	}
 }
+
+// TestClusterVerifyViolationText pins what a forced violation reads
+// like through the nested chip registries: the Verify error text (chip
+// families first, then the cluster's, in declaration order), the
+// Report's violated line and a Value lookup under the chip prefix.
+func TestClusterVerifyViolationText(t *testing.T) {
+	g := gen.RMAT(192, 1100, 0.6, 0.15, 0.15, 11)
+	cfg := cluster.DefaultConfig(accel.SchemeShogun, 2)
+	cfg.Chip.NumPEs = 2
+	cfg.Chip.EnableSplitting = true
+	cl, err := cluster.New(g, workload(t, "4cl").Schedule, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Run(); err != nil {
+		t.Fatal(err)
+	}
+	l1 := cl.Chips()[1].PEs()[0].L1
+	l1.Hits.Inc(1)
+	cl.LinesSent.Inc(5)
+
+	reg := cl.Metrics()
+	sent, recv := cl.LinesSent.Total, cl.LinesRecv.Total
+	moved := cl.Interconnect().LinesMoved.Total
+	l1Detail := fmt.Sprintf("parts sum to %d, total is %d (diff 1)", l1.Hits.Total+l1.Misses.Total, l1.Accesses.Total)
+	want := "metrics: 3 invariants violated:" +
+		"\n  chip1/pe0/l1: accesses == hits + misses: " + l1Detail +
+		fmt.Sprintf("\n  cluster: interconnect lines sent == received: %d != %d (diff 5)", sent, recv) +
+		fmt.Sprintf("\n  interconnect: lines moved == lines sent: %d != %d (diff -5)", moved, sent)
+	if err := reg.Verify(); err == nil || err.Error() != want {
+		t.Errorf("Verify:\n got: %v\nwant: %s", err, want)
+	}
+	line := fmt.Sprintf("  invariant: %-40s %s\n", "accesses == hits + misses", "VIOLATED "+l1Detail)
+	if rep := reg.Report(); !strings.Contains(rep, "[chip1/pe0/l1]\n") || !strings.Contains(rep, line) {
+		t.Errorf("Report lacks the chip1/pe0/l1 family or its violated line %q", line)
+	}
+	if v, ok := reg.Value("chip1/pe0/l1/hits"); !ok || v != l1.Hits.Total {
+		t.Errorf("Value(chip1/pe0/l1/hits) = %d,%t, want %d,true", v, ok, l1.Hits.Total)
+	}
+}

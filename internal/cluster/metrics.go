@@ -24,10 +24,7 @@ func (c *Cluster) Metrics() *metrics.Registry {
 		migOut += chip.MigratedOut.Total
 		migIn += chip.MigratedIn.Total
 		sub := chip.Metrics()
-		prefix := fmt.Sprintf("chip%d/", i)
-		for _, f := range sub.Families() {
-			reg.Adopt(prefix+f.Name, f)
-		}
+		reg.Nest(fmt.Sprintf("chip%d/", i), sub)
 		val := func(path string) int64 {
 			v, _ := sub.Value(path)
 			return v

@@ -542,14 +542,7 @@ func (t *Tree) finishTree(treeID int) {
 	if t.lastBunch != nil && t.lastBunch.treeID == treeID {
 		t.lastBunch = nil
 	}
-	// Wake the quiesced tree, if any.
-	for _, ts := range t.trees {
-		if ts.quiesced {
-			ts.quiesced = false
-			t.QuiesceEvents.Inc(1)
-			break
-		}
-	}
+	t.wakeQuiesced()
 }
 
 // recycleBunch removes an empty bunch from its depth, making room for
@@ -647,10 +640,27 @@ func (t *Tree) Pending() bool {
 // non-sibling tasks are not scheduled alongside in-flight tasks, limiting
 // the working set to one bunch's sibling group. If two merged trees are
 // active, the one with the smaller maximum depth is quiesced (§4.2).
+// Leaving conservative mode wakes the quiesced tree: its partner may be
+// waiting on bunches it holds, so waiting for the partner to finish
+// could wait forever.
 func (t *Tree) SetConservative(on bool) {
 	t.conservative = on
 	if on && t.activeTrees() > 1 {
 		t.quiesceSmaller()
+	}
+	if !on {
+		t.wakeQuiesced()
+	}
+}
+
+// wakeQuiesced un-quiesces the quiesced tree, if any.
+func (t *Tree) wakeQuiesced() {
+	for _, ts := range t.trees {
+		if ts.quiesced {
+			ts.quiesced = false
+			t.QuiesceEvents.Inc(1)
+			return
+		}
 	}
 }
 

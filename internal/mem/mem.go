@@ -207,8 +207,12 @@ type Cache struct {
 	mshrs  *sim.Pool
 
 	// LatHist, when non-nil, receives every access latency (telemetry
-	// histogram; nil keeps the hot path observation-free).
+	// histogram; nil keeps the hot path observation-free). Misses are
+	// observed as they happen; hits all cost the constant HitLat and
+	// reach it only through FoldHits.
 	LatHist *telemetry.Histogram
+	// hitsFolded is Hits.Total at the last FoldHits.
+	hitsFolded int64
 
 	Accesses sim.Counter
 	Hits     sim.Counter
@@ -276,7 +280,6 @@ func (c *Cache) Access(now sim.Time, addr int64, write bool) sim.Time {
 			}
 			c.Hits.Inc(1)
 			c.Latency.Add(c.cfg.HitLat)
-			c.LatHist.Observe(int64(c.cfg.HitLat))
 			return now + c.cfg.HitLat
 		}
 	}
@@ -322,6 +325,15 @@ func (c *Cache) Access(now sim.Time, addr int64, write bool) sim.Time {
 	c.Latency.Add(done - now)
 	c.LatHist.Observe(int64(done - now))
 	return done
+}
+
+// FoldHits records the hits since the last fold into LatHist as one
+// ObserveN of the hit latency, which no perturber changes, so after a
+// final fold the histogram equals one that observed every hit. Call it
+// on the goroutine that drives the cache (Hits is a plain counter).
+func (c *Cache) FoldHits() {
+	c.LatHist.ObserveN(int64(c.cfg.HitLat), c.Hits.Total-c.hitsFolded)
+	c.hitsFolded = c.Hits.Total
 }
 
 // MSHRInFlight reports the MSHR entries still occupied past `now` (0 when

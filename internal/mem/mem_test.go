@@ -1,9 +1,11 @@
 package mem
 
 import (
+	"math/rand"
 	"testing"
 
 	"shogun/internal/sim"
+	"shogun/internal/telemetry"
 )
 
 // flat is a fixed-latency bottom level for cache unit tests.
@@ -303,5 +305,49 @@ func TestMSHRBoundsMissParallelism(t *testing.T) {
 	}
 	if last > 110 {
 		t.Fatalf("unbounded misses serialized: %d", last)
+	}
+}
+
+// TestFoldHitsMatchesPerAccessObserve keeps the per-access observation
+// as the reference: observing every Access's returned latency, hits
+// included, must give the same histogram as the cache's own (misses as
+// they happen, hits folded in), once the hits are folded. Folds land at
+// random points of a random stream over an L1 → L2 → DRAM hierarchy with
+// bounded MSHRs and dirty writebacks, so the total cannot depend on
+// where they land.
+func TestFoldHitsMatchesPerAccessObserve(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	dram := NewDRAM(DefaultDRAMConfig())
+	l2 := MustCache(CacheConfig{Name: "l2", SizeKB: 16, Ways: 4, HitLat: 18, WriteAllocNoFetch: true}, dram)
+	l1 := MustCache(CacheConfig{Name: "l1", SizeKB: 4, Ways: 4, HitLat: 2, WriteAllocNoFetch: true, MSHRs: 4}, l2)
+	l1.LatHist, l2.LatHist = telemetry.NewHistogram(), telemetry.NewHistogram()
+	ref := telemetry.NewHistogram()
+	var now sim.Time
+	for i := 0; i < 20000; i++ {
+		addr := rng.Int63n(1<<16) &^ (LineBytes - 1)
+		if rng.Intn(4) == 0 {
+			addr = rng.Int63n(1<<12) &^ (LineBytes - 1) // a hot region that hits
+		}
+		done := l1.Access(now, addr, rng.Intn(3) == 0)
+		ref.Observe(int64(done - now))
+		now += sim.Time(rng.Intn(8))
+		if rng.Intn(500) == 0 {
+			l1.FoldHits()
+		}
+	}
+	if l1.LatHist.Count() == ref.Count() {
+		t.Fatal("every hit was observed before the final fold; hits are not being folded")
+	}
+	l1.FoldHits()
+	l1.FoldHits() // a second fold with no new hits adds nothing
+	if !l1.LatHist.Equal(ref) || l1.LatHist.Min() != ref.Min() || l1.LatHist.Max() != ref.Max() {
+		t.Fatalf("folded histogram differs from per-access reference:\n folded: %s\n ref:    %s", l1.LatHist, ref)
+	}
+	if l1.Hits.Total == 0 || l1.Misses.Total == 0 {
+		t.Fatalf("stream lacks hits (%d) or misses (%d)", l1.Hits.Total, l1.Misses.Total)
+	}
+	l2.FoldHits()
+	if got, want := l2.LatHist.Count(), l2.Accesses.Total; got != want {
+		t.Fatalf("l2 histogram count %d, want one per access (%d)", got, want)
 	}
 }

@@ -55,10 +55,46 @@ type counterVal struct {
 
 // invariant is one declared identity, pre-evaluated at declaration time
 // (families are built from already-final counter values after a run).
+// It keeps its operands, so the detail text is formatted only for a
+// violation.
 type invariant struct {
-	name   string
-	ok     bool
-	detail string
+	name string
+	kind invKind
+	a, b int64 // Sum: a is Σ parts, b the total
+}
+
+type invKind uint8
+
+const (
+	invEq invKind = iota
+	invSum
+	invLE
+	invGE
+)
+
+func (inv invariant) ok() bool {
+	switch inv.kind {
+	case invLE:
+		return inv.a <= inv.b
+	case invGE:
+		return inv.a >= inv.b
+	default:
+		return inv.a == inv.b
+	}
+}
+
+func (inv invariant) detail() string {
+	a, b := inv.a, inv.b
+	switch inv.kind {
+	case invSum:
+		return fmt.Sprintf("parts sum to %d, total is %d (diff %d)", a, b, a-b)
+	case invLE:
+		return fmt.Sprintf("%d > %d (excess %d)", a, b, a-b)
+	case invGE:
+		return fmt.Sprintf("%d < %d (short %d)", a, b, b-a)
+	default:
+		return fmt.Sprintf("%d != %d (diff %d)", a, b, a-b)
+	}
 }
 
 // Family is a named group of related counters and the invariants that
@@ -78,11 +114,7 @@ func (f *Family) Counter(name string, v int64) int64 {
 
 // Eq declares the invariant a == b.
 func (f *Family) Eq(name string, a, b int64) {
-	f.invs = append(f.invs, invariant{
-		name:   name,
-		ok:     a == b,
-		detail: fmt.Sprintf("%d != %d (diff %d)", a, b, a-b),
-	})
+	f.invs = append(f.invs, invariant{name, invEq, a, b})
 }
 
 // Sum declares the invariant total == Σ parts.
@@ -91,34 +123,31 @@ func (f *Family) Sum(name string, total int64, parts ...int64) {
 	for _, p := range parts {
 		s += p
 	}
-	f.invs = append(f.invs, invariant{
-		name:   name,
-		ok:     s == total,
-		detail: fmt.Sprintf("parts sum to %d, total is %d (diff %d)", s, total, s-total),
-	})
+	f.invs = append(f.invs, invariant{name, invSum, s, total})
 }
 
 // LE declares the invariant a <= b.
 func (f *Family) LE(name string, a, b int64) {
-	f.invs = append(f.invs, invariant{
-		name:   name,
-		ok:     a <= b,
-		detail: fmt.Sprintf("%d > %d (excess %d)", a, b, a-b),
-	})
+	f.invs = append(f.invs, invariant{name, invLE, a, b})
 }
 
 // GE declares the invariant a >= b.
 func (f *Family) GE(name string, a, b int64) {
-	f.invs = append(f.invs, invariant{
-		name:   name,
-		ok:     a >= b,
-		detail: fmt.Sprintf("%d < %d (short %d)", a, b, b-a),
-	})
+	f.invs = append(f.invs, invariant{name, invGE, a, b})
 }
 
-// Registry is a set of counter families captured after one run.
+// Registry is a set of counter families captured after one run. Its
+// entries, families and nested registries, keep declaration order.
 type Registry struct {
-	fams []*Family
+	items []item
+}
+
+// item is one registry entry: a family, or a nested registry whose
+// family names all read with prefix in front.
+type item struct {
+	fam    *Family
+	prefix string
+	sub    *Registry
 }
 
 // NewRegistry returns an empty registry.
@@ -127,35 +156,48 @@ func NewRegistry() *Registry { return &Registry{} }
 // Family creates (and registers) a new named family.
 func (r *Registry) Family(name string) *Family {
 	f := &Family{Name: name}
-	r.fams = append(r.fams, f)
+	r.items = append(r.items, item{fam: f})
 	return f
 }
 
-// Families returns the registered families in declaration order.
-func (r *Registry) Families() []*Family { return r.fams }
+// Nest registers sub inside r, so a larger system can include a
+// component's registry in its own: a cluster nests each chip's registry
+// under "chip{i}/" and one Verify pass covers the whole machine. Verify,
+// Value, Snapshot and Report read sub's families in place, named
+// prefix+name; nothing is copied.
+func (r *Registry) Nest(prefix string, sub *Registry) {
+	r.items = append(r.items, item{prefix: prefix, sub: sub})
+}
 
-// Adopt registers an existing family under a new name, so a larger
-// system can nest a component's registry inside its own (a cluster run
-// prefixes each chip's families with "chip{i}/" and one Verify pass
-// covers the whole machine). The family's counters and invariants are
-// shared, not copied — families are immutable once built.
-func (r *Registry) Adopt(name string, f *Family) {
-	r.fams = append(r.fams, &Family{Name: name, counters: f.counters, invs: f.invs})
+// each calls fn on every family in declaration order, nested ones with
+// their accumulated name prefix, until fn returns false.
+func (r *Registry) each(prefix string, fn func(prefix string, f *Family) bool) bool {
+	for _, it := range r.items {
+		if it.sub != nil {
+			if !it.sub.each(prefix+it.prefix, fn) {
+				return false
+			}
+		} else if !fn(prefix, it.fam) {
+			return false
+		}
+	}
+	return true
 }
 
 // Verify checks every declared invariant and returns a *VerifyError
 // listing all violations, or nil when every identity holds.
 func (r *Registry) Verify() error {
 	var e VerifyError
-	for _, f := range r.fams {
+	r.each("", func(prefix string, f *Family) bool {
 		for _, inv := range f.invs {
-			if !inv.ok {
+			if !inv.ok() {
 				e.Violations = append(e.Violations, Violation{
-					Family: f.Name, Invariant: inv.name, Detail: inv.detail,
+					Family: prefix + f.Name, Invariant: inv.name, Detail: inv.detail(),
 				})
 			}
 		}
-	}
+		return true
+	})
 	if len(e.Violations) > 0 {
 		return &e
 	}
@@ -166,9 +208,10 @@ func (r *Registry) Verify() error {
 // a Verify pass over zero invariants proves nothing).
 func (r *Registry) Invariants() int {
 	n := 0
-	for _, f := range r.fams {
+	r.each("", func(_ string, f *Family) bool {
 		n += len(f.invs)
-	}
+		return true
+	})
 	return n
 }
 
@@ -179,28 +222,33 @@ func (r *Registry) Value(path string) (int64, bool) {
 		return 0, false
 	}
 	fam, name := path[:i], path[i+1:]
-	for _, f := range r.fams {
-		if f.Name != fam {
-			continue
+	var v int64
+	found := false
+	r.each("", func(prefix string, f *Family) bool {
+		if len(fam) != len(prefix)+len(f.Name) || fam[:len(prefix)] != prefix || fam[len(prefix):] != f.Name {
+			return true
 		}
 		for _, c := range f.counters {
 			if c.name == name {
-				return c.val, true
+				v, found = c.val, true
+				return false
 			}
 		}
-	}
-	return 0, false
+		return true
+	})
+	return v, found
 }
 
 // Snapshot flattens every counter into a "family/name" → value map
 // (regression comparisons, JSON export).
 func (r *Registry) Snapshot() map[string]int64 {
 	m := make(map[string]int64)
-	for _, f := range r.fams {
+	r.each("", func(prefix string, f *Family) bool {
 		for _, c := range f.counters {
-			m[f.Name+"/"+c.name] = c.val
+			m[prefix+f.Name+"/"+c.name] = c.val
 		}
-	}
+		return true
+	})
 	return m
 }
 
@@ -208,8 +256,8 @@ func (r *Registry) Snapshot() map[string]int64 {
 // its invariant verdicts.
 func (r *Registry) Report() string {
 	var b strings.Builder
-	for _, f := range r.fams {
-		fmt.Fprintf(&b, "[%s]\n", f.Name)
+	r.each("", func(prefix string, f *Family) bool {
+		fmt.Fprintf(&b, "[%s%s]\n", prefix, f.Name)
 		w := 0
 		for _, c := range f.counters {
 			if len(c.name) > w {
@@ -221,12 +269,13 @@ func (r *Registry) Report() string {
 		}
 		for _, inv := range f.invs {
 			mark := "ok"
-			if !inv.ok {
-				mark = "VIOLATED " + inv.detail
+			if !inv.ok() {
+				mark = "VIOLATED " + inv.detail()
 			}
 			fmt.Fprintf(&b, "  invariant: %-40s %s\n", inv.name, mark)
 		}
-	}
+		return true
+	})
 	return b.String()
 }
 

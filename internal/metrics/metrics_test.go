@@ -98,3 +98,55 @@ func TestReportMarksViolations(t *testing.T) {
 		t.Fatalf("report missing verdicts:\n%s", rep)
 	}
 }
+
+// TestNestReadsLikePrefixedFamilies pins that a nested registry reads
+// exactly as if its families had been declared in the parent under the
+// prefixed name: Verify text, Report, Snapshot, Value and Invariants.
+func TestNestReadsLikePrefixedFamilies(t *testing.T) {
+	declare := func(r *Registry, prefix string) {
+		f := r.Family(prefix + "pe0/l1")
+		acc := f.Counter("accesses", 10)
+		f.Sum("accesses == hits + misses", acc, f.Counter("hits", 8), f.Counter("misses", 3))
+		g := r.Family(prefix + "noc")
+		g.LE("in flight <= links", g.Counter("inflight", 9), 4)
+		g.GE("messages >= lines", 2, 5)
+		g.Eq("drained", 0, 0)
+	}
+	flat := NewRegistry()
+	declare(flat, "chip0/")
+	declare(flat, "chip1/")
+	flat.Family("cluster").Eq("out == in", 3, 2)
+
+	nested := NewRegistry()
+	for _, prefix := range []string{"chip0/", "chip1/"} {
+		sub := NewRegistry()
+		declare(sub, "")
+		nested.Nest(prefix, sub)
+	}
+	nested.Family("cluster").Eq("out == in", 3, 2)
+
+	if got, want := nested.Verify().Error(), flat.Verify().Error(); got != want {
+		t.Errorf("Verify text differs:\n nested: %s\n flat:   %s", got, want)
+	}
+	if got, want := nested.Report(), flat.Report(); got != want {
+		t.Errorf("Report differs:\n nested:\n%s\n flat:\n%s", got, want)
+	}
+	if d := Diff(nested.Snapshot(), flat.Snapshot()); len(d) != 0 {
+		t.Errorf("Snapshot differs at %v", d)
+	}
+	if got, want := nested.Invariants(), flat.Invariants(); got != want {
+		t.Errorf("Invariants = %d, flat %d", got, want)
+	}
+	for _, path := range []string{"chip1/pe0/l1/hits", "chip0/noc/inflight", "chip1/noc/missing", "pe0/l1/hits", "chip2/noc/inflight"} {
+		gv, gok := nested.Value(path)
+		wv, wok := flat.Value(path)
+		if gv != wv || gok != wok {
+			t.Errorf("Value(%s) = %d,%t, flat %d,%t", path, gv, gok, wv, wok)
+		}
+	}
+	outer := NewRegistry()
+	outer.Nest("rack0/", nested)
+	if v, ok := outer.Value("rack0/chip1/noc/inflight"); !ok || v != 9 {
+		t.Errorf("two-level Value = %d,%t, want 9,true", v, ok)
+	}
+}

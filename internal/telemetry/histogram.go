@@ -14,7 +14,11 @@
 //   - On is live. Histograms use atomic counters and the Sampler is
 //     mutex-guarded, so the -http inspection server can read consistent
 //     snapshots from another goroutine while the (single-threaded)
-//     simulation keeps writing.
+//     simulation keeps writing. One thing lags: a constant-valued event
+//     the simulator already counts (a cache hit's fixed latency) is
+//     folded in with ObserveN at each sampler epoch and at run end, not
+//     observed one by one, so a live reader sees it up to one epoch
+//     late. Digests read after the run are exact.
 //
 // The package depends only on the standard library; values are plain
 // int64 (the simulator's cycle type aliases int64).
@@ -88,17 +92,28 @@ func bucketLo(idx int) int64 {
 // Observe stays small enough to inline and a nil histogram costs no call.
 func (h *Histogram) Observe(v int64) {
 	if h != nil {
-		h.observe(v)
+		h.observe(v, 1)
 	}
 }
 
-func (h *Histogram) observe(v int64) {
+// ObserveN records n observations of the same value in one step; the
+// histogram ends bit-identical to n Observe(v) calls. Nil-safe, and
+// n <= 0 records nothing. It lets a writer count a constant-valued event
+// (a cache hit's fixed latency) with a plain counter and fold the count
+// in later.
+func (h *Histogram) ObserveN(v, n int64) {
+	if h != nil && n > 0 {
+		h.observe(v, n)
+	}
+}
+
+func (h *Histogram) observe(v, n int64) {
 	if v < 0 {
 		v = 0
 	}
-	atomic.AddInt64(&h.counts[bucketIdx(v)], 1)
-	atomic.AddInt64(&h.count, 1)
-	atomic.AddInt64(&h.sum, v)
+	atomic.AddInt64(&h.counts[bucketIdx(v)], n)
+	atomic.AddInt64(&h.count, n)
+	atomic.AddInt64(&h.sum, v*n)
 	for {
 		old := atomic.LoadInt64(&h.min)
 		if v >= old || atomic.CompareAndSwapInt64(&h.min, old, v) {

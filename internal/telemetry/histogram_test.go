@@ -150,6 +150,37 @@ func TestMergeBitIdentical(t *testing.T) {
 	}
 }
 
+// TestObserveNEqualsRepeatedObserve: ObserveN(v, n) leaves the same
+// state as n Observe(v) calls, whatever else the histogram holds, and
+// a nil receiver or n <= 0 records nothing.
+func TestObserveNEqualsRepeatedObserve(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	one, folded := NewHistogram(), NewHistogram()
+	for i := 0; i < 200; i++ {
+		v := rng.Int63n(1 << 20)
+		if i%3 == 0 {
+			v = -v // clamped to zero on both paths
+		}
+		n := rng.Int63n(50)
+		for j := int64(0); j < n; j++ {
+			one.Observe(v)
+		}
+		folded.ObserveN(v, n)
+	}
+	folded.ObserveN(7, 0)
+	folded.ObserveN(7, -3)
+	if !folded.Equal(one) || folded.Min() != one.Min() || folded.Max() != one.Max() {
+		t.Fatalf("ObserveN differs from repeated Observe:\n folded: %s\n one:    %s", folded, one)
+	}
+	var h *Histogram
+	h.ObserveN(5, 10) // must not panic
+	empty := NewHistogram()
+	empty.ObserveN(5, 0)
+	if empty.Count() != 0 || empty.Min() != 0 || empty.Max() != 0 {
+		t.Fatalf("ObserveN with n=0 recorded something: %s", empty)
+	}
+}
+
 func TestHistogramNilSafe(t *testing.T) {
 	var h *Histogram
 	h.Observe(42) // must not panic

@@ -19,7 +19,9 @@ type Probe func(now int64) int64
 // it is decimated 2× (every other epoch dropped) and the epoch spacing
 // doubles, so the retained samples always span the WHOLE run at uniform
 // granularity — never just its warm-up — and memory never exceeds
-// cap × (gauges + 1) int64s.
+// cap × (gauges + 1) int64s. Storage grows with the run: all columns
+// double together, so a short run holds little more than the epochs it
+// sampled.
 //
 // The Sampler does not schedule itself; the owner (the accelerator)
 // calls Sample at each epoch boundary and re-arms with the current
@@ -69,7 +71,7 @@ func (s *Sampler) Gauge(name string, p Probe) {
 	}
 	s.names = append(s.names, name)
 	s.probes = append(s.probes, p)
-	s.cols = append(s.cols, make([]int64, 0, s.cap))
+	s.cols = append(s.cols, nil)
 }
 
 // Interval reports the current epoch spacing (it doubles whenever the
@@ -91,12 +93,27 @@ func (s *Sampler) Len() int {
 func (s *Sampler) Sample(now int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if len(s.cycles) == cap(s.cycles) {
+		s.grow()
+	}
 	s.cycles = append(s.cycles, now)
 	for i, p := range s.probes {
 		s.cols[i] = append(s.cols[i], p(now))
 	}
 	if len(s.cycles) >= s.cap {
 		s.decimate()
+	}
+}
+
+// grow doubles the room of every column at once, up to cap, in one
+// allocation they share. Called with mu held.
+func (s *Sampler) grow() {
+	n := min(max(2*cap(s.cycles), 8), s.cap)
+	slab := make([]int64, n*(len(s.cols)+1))
+	s.cycles = append(slab[:0:n], s.cycles...)
+	for i, col := range s.cols {
+		lo := (i + 1) * n
+		s.cols[i] = append(slab[lo:lo:lo+n], col...)
 	}
 }
 

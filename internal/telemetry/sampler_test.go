@@ -90,6 +90,37 @@ func TestSamplerDecimation(t *testing.T) {
 	}
 }
 
+// TestSamplerStorageFollowsRun: no column is reserved at capacity up
+// front; every column's room tracks the retained epochs and never
+// exceeds the capacity, and values stay intact across growth and
+// decimation.
+func TestSamplerStorageFollowsRun(t *testing.T) {
+	const capSamples = 64
+	s, _ := NewSampler(10, capSamples)
+	s.Gauge("x", func(now int64) int64 { return now })
+	s.Gauge("y", func(now int64) int64 { return -now })
+	if c := cap(s.cols[0]); c != 0 {
+		t.Fatalf("column reserved %d epochs before the first sample", c)
+	}
+	tick := int64(0)
+	for i := 0; i < 300; i++ {
+		tick += s.Interval()
+		s.Sample(tick)
+		n := s.Len()
+		for _, col := range append([][]int64{s.cycles}, s.cols...) {
+			if len(col) != n || cap(col) > capSamples || cap(col) > max(8, 2*n) {
+				t.Fatalf("epoch %d: column len %d cap %d for %d retained epochs", i, len(col), cap(col), n)
+			}
+		}
+		ts := s.Snapshot()
+		for j, cyc := range ts.Cycles {
+			if ts.Col("x")[j] != cyc || ts.Col("y")[j] != -cyc {
+				t.Fatalf("epoch %d: row %d holds x=%d y=%d for cycle %d", i, j, ts.Col("x")[j], ts.Col("y")[j], cyc)
+			}
+		}
+	}
+}
+
 func TestGaugeAfterSamplePanics(t *testing.T) {
 	s, _ := NewSampler(10, 8)
 	s.Gauge("a", func(int64) int64 { return 0 })
