@@ -10,8 +10,15 @@
 # BenchmarkSimulateSamplerOn B/op must stay at or below the ceiling in
 # ci/sampler_bytes_ceiling.txt. One latency histogram per name per chip
 # (not per PE) and sampler columns that grow with the run took it from
-# ~1,101 KB/op to ~951 KB/op (at this script's -benchtime 3x); this
-# guard keeps telemetry storage from creeping back.
+# ~1,101 KB/op to ~951 KB/op (at this script's -benchtime 3x), and one
+# 32-bit word per cache way (not 17 bytes a line) to ~711 KB/op; this
+# guard keeps telemetry and cache storage from creeping back.
+#
+# BenchmarkClusterSimulate/chips=16 B/op must stay at or below the
+# ceiling in ci/cluster_bytes_ceiling.txt. Sixteen chips build 16 L2s
+# and 32 L1s for a short run, so cache state is most of what the run
+# allocates: one 32-bit word per way took it from ~5,689 KB/op to
+# ~2,052 KB/op; this guard keeps per-chip state from growing back.
 #
 # Tighten a ceiling when the number drops (never raise it for
 # convenience — a real regression should be fixed, not accommodated).
@@ -22,9 +29,12 @@ set -euo pipefail
 root=$(cd "$(dirname "$0")/.." && pwd)
 ceiling=$(tr -d '[:space:]' < "$root/ci/allocs_ceiling.txt")
 bytes_ceiling=$(tr -d '[:space:]' < "$root/ci/sampler_bytes_ceiling.txt")
+cluster_ceiling=$(tr -d '[:space:]' < "$root/ci/cluster_bytes_ceiling.txt")
 
 out=$(cd "$root" && go test ./internal/accel/ -run '^$' \
     -bench 'BenchmarkSimulate$|BenchmarkSimulateSamplerOn$' -benchmem -benchtime 3x)
+out+=$'\n'$(cd "$root" && go test ./internal/cluster/ -run '^$' \
+    -bench 'BenchmarkClusterSimulate/chips=16$' -benchmem -benchtime 3x)
 echo "$out"
 
 # field BENCH UNIT prints the value preceding UNIT on BENCH's line.
@@ -51,5 +61,16 @@ fi
 echo "BenchmarkSimulateSamplerOn: ${bytes} B/op (ceiling: ${bytes_ceiling})"
 if [ "$bytes" -gt "$bytes_ceiling" ]; then
     echo "FAIL: B/op ${bytes} exceeds the committed ceiling ${bytes_ceiling}" >&2
+    exit 1
+fi
+
+bytes=$(field BenchmarkClusterSimulate/chips=16 B/op)
+if [ -z "$bytes" ]; then
+    echo "FAIL: could not parse B/op for BenchmarkClusterSimulate/chips=16" >&2
+    exit 1
+fi
+echo "BenchmarkClusterSimulate/chips=16: ${bytes} B/op (ceiling: ${cluster_ceiling})"
+if [ "$bytes" -gt "$cluster_ceiling" ]; then
+    echo "FAIL: B/op ${bytes} exceeds the committed ceiling ${cluster_ceiling}" >&2
     exit 1
 fi

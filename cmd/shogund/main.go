@@ -15,7 +15,9 @@
 // Endpoints: POST /v1/count, /v1/mine, /v1/simulate; GET /healthz,
 // /readyz, /statz, /metrics (Prometheus text), /v1/requests and
 // /v1/requests/{id} (live in-flight inspection; ?format=chrome exports a
-// per-request Chrome trace). Request observability is always on: every
+// per-request Chrome trace), /debug/pprof/ and /debug/vars (process
+// profiles, whose samples carry each run's endpoint and pattern labels,
+// and expvar). Request observability is always on: every
 // response carries a trace ID and its per-phase time split, and /statz
 // and /metrics count requests from the same per-(endpoint, outcome)
 // families. See DESIGN.md "Serving & overload behavior"

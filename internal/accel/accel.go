@@ -9,6 +9,7 @@ package accel
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime/debug"
 	"time"
 
@@ -142,6 +143,9 @@ type Accelerator struct {
 	mergeArmed     bool
 	samplerArmed   bool
 	tel            *Telemetry
+	// idleScratch and busyScratch are balanceCheck's PE lists, kept
+	// between checks so a check allocates nothing.
+	idleScratch, busyScratch []*pe.PE
 
 	Splits sim.Counter
 	Merges sim.Counter
@@ -279,6 +283,9 @@ func NewShared(g *graph.Graph, s *pattern.Schedule, cfg Config, eng *sim.Engine,
 		a.pes = append(a.pes, p)
 		a.toks = append(a.toks, toks)
 	}
+	if err := a.fitAddressSpace(); err != nil {
+		return nil, err
+	}
 	if cfg.Perturb != nil {
 		a.installPerturb(cfg.Perturb)
 	}
@@ -286,6 +293,55 @@ func NewShared(g *graph.Graph, s *pattern.Schedule, cfg Config, eng *sim.Engine,
 		return nil, err
 	}
 	return a, nil
+}
+
+// fitAddressSpace checks once, at build time, that every line the chip
+// can address lies within the tag range of its caches, so Access needs
+// no check. Slot numbers are local*NumPEs + PE, with local below the
+// PE's total token capacity. BFS's effectively unbounded capacities are
+// first lowered to its share of the slots that fit: a frontier past the
+// simulated address space waits for a token instead of aliasing tags.
+func (a *Accelerator) fitAddressSpace() error {
+	caches := []*mem.Cache{a.l2}
+	for _, p := range a.pes {
+		caches = append(caches, p.L1)
+	}
+	perPE := slotsInRange(a.w.Map, caches) / int64(a.cfg.NumPEs)
+	capacity := 0
+	for d := 1; d < a.toks[0].Depths(); d++ {
+		if a.cfg.Scheme == SchemeBFS {
+			share := max(perPE/int64(a.toks[0].Depths()-1), 1)
+			for _, t := range a.toks {
+				t.SetCap(d, int(min(int64(t.Cap(d)), share)))
+			}
+		}
+		capacity += a.toks[0].Cap(d)
+	}
+	return checkAddressRange(a.w.Map, int64(capacity)*int64(a.cfg.NumPEs), caches)
+}
+
+// slotsInRange reports how many intermediate-set slots of m lie below
+// the tag range of every cache (mem.Cache.MaxLine); -1 when the graph
+// region alone does not.
+func slotsInRange(m mem.AddressMap, caches []*mem.Cache) int64 {
+	limit := int64(math.MaxInt64) >> mem.LineShift
+	for _, c := range caches {
+		limit = min(limit, c.MaxLine())
+	}
+	end := (limit + 1) << mem.LineShift // first byte past the range
+	if m.InterBase-mem.LineBytes > end {
+		return -1
+	}
+	return max(end-m.InterBase, 0) / m.SetStride
+}
+
+// checkAddressRange reports an error when m's graph region or its first
+// slots intermediate-set slots reach a line past a cache's tag range.
+func checkAddressRange(m mem.AddressMap, slots int64, caches []*mem.Cache) error {
+	if fit := slotsInRange(m, caches); slots > fit {
+		return fmt.Errorf("accel: address map %v with %d intermediate-set slots reaches past the caches' tag range (%d slots fit)", m, slots, max(fit, 0))
+	}
+	return nil
 }
 
 // installPerturb wires a service-time perturber into every contended

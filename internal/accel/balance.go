@@ -39,7 +39,7 @@ func (a *Accelerator) armBalance() {
 // naturally: the check re-arms while imbalance persists.
 func (a *Accelerator) balanceCheck() {
 	a.balanceArmed = false
-	var idle, busy []*pe.PE
+	idle, busy := a.idleScratch[:0], a.busyScratch[:0]
 	for _, p := range a.pes {
 		if p.Idle() && !p.HasWork() {
 			idle = append(idle, p)
@@ -47,6 +47,7 @@ func (a *Accelerator) balanceCheck() {
 			busy = append(busy, p)
 		}
 	}
+	a.idleScratch, a.busyScratch = idle, busy
 	if len(idle) == 0 || len(busy) == 0 {
 		if len(busy) > 0 {
 			// All busy: re-check later in case the tail imbalances.
@@ -54,8 +55,9 @@ func (a *Accelerator) balanceCheck() {
 		}
 		return
 	}
-	// Filter helpers already reserved by an in-flight transfer.
-	free := idle[:0:0]
+	// Filter helpers already reserved by an in-flight transfer (in place:
+	// idle is not read again).
+	free := idle[:0]
 	for _, h := range idle {
 		if !a.splitPending[h.ID] {
 			free = append(free, h)

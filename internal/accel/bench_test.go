@@ -67,6 +67,30 @@ func BenchmarkSimulateSamplerOff(b *testing.B) { benchSampler(b, 0) }
 // histograms attached.
 func BenchmarkSimulateSamplerOn(b *testing.B) { benchSampler(b, 512) }
 
+// TestBalanceCheckZeroAlloc pins that an imbalance check reuses its PE
+// lists: armBalance re-arms it one cycle after a PE idles, so a check
+// that allocated its lists would allocate about once per idle PE.
+func TestBalanceCheckZeroAlloc(t *testing.T) {
+	g := gen.Clique(8)
+	s, err := pattern.Build(pattern.Triangle())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(SchemeShogun)
+	cfg.NumPEs = 4
+	cfg.EnableSplitting = true
+	a, err := New(g, s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, a.balanceCheck); allocs != 0 {
+		t.Fatalf("balanceCheck allocates %.0f times per check, want 0", allocs)
+	}
+}
+
 // TestSamplerOffHotPathZeroAlloc pins the off-switch contract: with
 // sampling disabled, the per-event instrumentation the telemetry layer
 // added to the simulator hot paths — nil-receiver histogram observes and

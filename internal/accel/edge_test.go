@@ -9,6 +9,7 @@ import (
 	"shogun/internal/datasets"
 	"shogun/internal/gen"
 	"shogun/internal/graph"
+	"shogun/internal/mem"
 	"shogun/internal/pattern"
 )
 
@@ -168,5 +169,39 @@ func TestMergingDefaultTokens(t *testing.T) {
 	}
 	if !bytes.Equal(blobs[0], blobs[1]) {
 		t.Fatalf("TokensPerDepth=0 ran differently from the explicit width:\n0:     %s\nwidth: %s", blobs[0], blobs[1])
+	}
+}
+
+// TestCheckAddressRange tables the build-time tag-range guard over
+// address maps written out directly, so no graph large enough to reach
+// the range has to be built.
+func TestCheckAddressRange(t *testing.T) {
+	cfg := DefaultConfig(SchemeShogun)
+	table3 := []*mem.Cache{mem.MustCache(cfg.PE.L1, nil), mem.MustCache(cfg.L2, nil)}
+	// One set of 16 ways: the smallest tag range, 2^31-1 lines.
+	oneSet := []*mem.Cache{mem.MustCache(mem.CacheConfig{Name: "one-set", SizeKB: 1, Ways: 16, HitLat: 1}, nil)}
+	end := int64(1<<31-1) << mem.LineShift // first byte past oneSet's range
+	edge := mem.AddressMap{CSRBase: 1 << 20, InterBase: end - 10*4096, SetStride: 4096}
+	cases := []struct {
+		name   string
+		m      mem.AddressMap
+		slots  int64
+		caches []*mem.Cache
+		ok     bool
+	}{
+		{"table3 lj-sized", mem.NewAddressMap(1<<27, 1<<16), 256 * 320, table3, true},
+		{"graph region past the range", mem.AddressMap{CSRBase: 1 << 20, InterBase: 1 << 60, SetStride: 64}, 0, table3, false},
+		{"slots past the range", mem.AddressMap{CSRBase: 1 << 20, InterBase: 1 << 30, SetStride: 1 << 30}, 1 << 20, table3, false},
+		{"last slot ends on the range", edge, 10, oneSet, true},
+		{"one slot more", edge, 11, oneSet, false},
+		{"smallest cache decides", edge, 11, append(oneSet, table3...), false},
+		{"graph region ends on the range", mem.AddressMap{CSRBase: 1 << 20, InterBase: end + mem.LineBytes, SetStride: 64}, 0, oneSet, true},
+		{"graph region one line past", mem.AddressMap{CSRBase: 1 << 20, InterBase: end + 2*mem.LineBytes, SetStride: 64}, 0, oneSet, false},
+	}
+	for _, c := range cases {
+		err := checkAddressRange(c.m, c.slots, c.caches)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: checkAddressRange = %v, want ok=%v", c.name, err, c.ok)
+		}
 	}
 }

@@ -65,6 +65,9 @@ type Cluster struct {
 	stealArmed bool
 	adoptBusy  []bool // helper chip has an in-flight or retrying adoption
 	inFlight   int
+	// idleScratch and busyScratch are stealCheck's chip lists, kept
+	// between checks so a check allocates nothing.
+	idleScratch, busyScratch []int
 
 	// Migrations counts delivered chip-level subtree transfers;
 	// LinesSent/LinesRecv count interconnect payload lines at carve and
@@ -210,7 +213,7 @@ func (c *Cluster) armStealIfNeeded() {
 // naturally: the check re-arms while the cluster stays busy.
 func (c *Cluster) stealCheck() {
 	c.stealArmed = false
-	var idle, busyChips []int
+	idle, busyChips := c.idleScratch[:0], c.busyScratch[:0]
 	for i, chip := range c.chips {
 		if chip.ChipIdle() && !c.adoptBusy[i] {
 			idle = append(idle, i)
@@ -218,6 +221,7 @@ func (c *Cluster) stealCheck() {
 			busyChips = append(busyChips, i)
 		}
 	}
+	c.idleScratch, c.busyScratch = idle, busyChips
 	if len(idle) > 0 && len(busyChips) > 0 {
 		h := 0
 		for _, v := range busyChips {

@@ -11,6 +11,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 
 	"shogun/internal/sim"
 	"shogun/internal/telemetry"
@@ -196,15 +197,19 @@ type CacheConfig struct {
 }
 
 // Cache is a set-associative write-back cache with LRU replacement.
+//
+// Each way is one word, (tag+1)<<1 | dirty, where tag = line >> log2(sets)
+// (the set is implied by the way's position) and 0 is an invalid way.
+// A set's ways are kept most-recently-used first, so the LRU line is
+// always the last way: 4 host bytes per line. A tag must stay below
+// 2^31-1; MaxLine reports the largest line a cache can hold.
 type Cache struct {
-	cfg    CacheConfig
-	sets   int
-	tags   []int64 // sets*ways; -1 = invalid
-	stamps []int64 // LRU timestamps
-	dirty  []bool
-	clock  int64
-	parent Level
-	mshrs  *sim.Pool
+	cfg     CacheConfig
+	setBits uint
+	setMask int64
+	ways    []uint32 // sets*ways, each set MRU first; 0 = invalid
+	parent  Level
+	mshrs   *sim.Pool
 
 	// LatHist, when non-nil, receives every access latency (telemetry
 	// histogram; nil keeps the hot path observation-free). Misses are
@@ -238,15 +243,11 @@ func NewCache(cfg CacheConfig, parent Level) (*Cache, error) {
 		return nil, fmt.Errorf("mem: cache %s: set count %d not a power of two", cfg.Name, sets)
 	}
 	c := &Cache{
-		cfg:    cfg,
-		sets:   sets,
-		tags:   make([]int64, lines),
-		stamps: make([]int64, lines),
-		dirty:  make([]bool, lines),
-		parent: parent,
-	}
-	for i := range c.tags {
-		c.tags[i] = -1
+		cfg:     cfg,
+		setBits: uint(bits.TrailingZeros(uint(sets))),
+		setMask: int64(sets - 1),
+		ways:    make([]uint32, lines),
+		parent:  parent,
 	}
 	if cfg.MSHRs > 0 {
 		c.mshrs = sim.NewPool(cfg.Name+"-mshr", cfg.MSHRs)
@@ -263,39 +264,42 @@ func MustCache(cfg CacheConfig, parent Level) *Cache {
 	return c
 }
 
+// maxTag is the largest tag a way word holds: tag+1 shifted left by the
+// dirty bit must fit in 32 bits.
+const maxTag = 1<<31 - 2
+
+// MaxLine reports the largest line address the cache can hold. Access
+// does not check it; a machine's builder checks its address map against
+// it once.
+func (c *Cache) MaxLine() int64 {
+	return maxTag<<c.setBits | c.setMask
+}
+
 // Access serves one line read or write.
 func (c *Cache) Access(now sim.Time, addr int64, write bool) sim.Time {
 	line := addr >> LineShift
-	set := int(line) & (c.sets - 1)
-	base := set * c.cfg.Ways
-	c.clock++
+	set := line & c.setMask
+	key := uint32(line>>c.setBits+1) << 1
+	n := c.cfg.Ways
+	ways := c.ways[int(set)*n : int(set)*n+n]
 	c.Accesses.Inc(1)
 
-	// Hit path.
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.tags[base+w] == line {
-			c.stamps[base+w] = c.clock
+	// Hit path: move the line to the front.
+	for i, w := range ways {
+		if w&^1 == key {
 			if write {
-				c.dirty[base+w] = true
+				w |= 1
 			}
+			for ; i > 0; i-- {
+				ways[i] = ways[i-1]
+			}
+			ways[0] = w
 			c.Hits.Inc(1)
 			c.Latency.Add(c.cfg.HitLat)
 			return now + c.cfg.HitLat
 		}
 	}
 	c.Misses.Inc(1)
-
-	// Victim selection: invalid way first, else LRU.
-	victim := base
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.tags[base+w] == -1 {
-			victim = base + w
-			break
-		}
-		if c.stamps[base+w] < c.stamps[victim] {
-			victim = base + w
-		}
-	}
 
 	fetchDone := now + c.cfg.HitLat
 	if !write || !c.cfg.WriteAllocNoFetch {
@@ -310,16 +314,21 @@ func (c *Cache) Access(now sim.Time, addr int64, write bool) sim.Time {
 			c.mshrs.ReleaseAt(unit, fetchDone)
 		}
 	}
-	// Dirty eviction: the writeback occupies the parent off the critical
-	// path (after the fill) but consumes real bandwidth.
-	if c.tags[victim] != -1 && c.dirty[victim] {
-		victimAddr := c.tags[victim] << LineShift
-		c.parent.Access(fetchDone, victimAddr, true)
+	// The victim is the last way: invalid while the set has room, the
+	// LRU line after. A dirty eviction's writeback occupies the parent
+	// off the critical path (after the fill) but consumes real bandwidth.
+	if victim := ways[n-1]; victim&1 != 0 {
+		tag := int64(victim>>1) - 1
+		c.parent.Access(fetchDone, (tag<<c.setBits|set)<<LineShift, true)
 		c.Writebacks.Inc(1)
 	}
-	c.tags[victim] = line
-	c.stamps[victim] = c.clock
-	c.dirty[victim] = write
+	for i := n - 1; i > 0; i-- {
+		ways[i] = ways[i-1]
+	}
+	if write {
+		key |= 1
+	}
+	ways[0] = key
 
 	done := fetchDone + c.cfg.HitLat
 	c.Latency.Add(done - now)
@@ -349,10 +358,10 @@ func (c *Cache) MSHRInFlight(now sim.Time) int {
 // Contains reports whether the line holding addr is resident (test hook).
 func (c *Cache) Contains(addr int64) bool {
 	line := addr >> LineShift
-	set := int(line) & (c.sets - 1)
-	base := set * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.tags[base+w] == line {
+	set := int(line & c.setMask)
+	key := uint32(line>>c.setBits+1) << 1
+	for _, w := range c.ways[set*c.cfg.Ways : (set+1)*c.cfg.Ways] {
+		if w&^1 == key {
 			return true
 		}
 	}

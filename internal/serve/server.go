@@ -213,6 +213,9 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("/v1/count", s.handleQuery(OpCount))
 	mux.HandleFunc("/v1/mine", s.handleQuery(OpMine))
 	mux.HandleFunc("/v1/simulate", s.handleQuery(OpSimulate))
+	// Profiles on the main listener, beside /statz and /metrics: a CPU
+	// profile then sees runLabeled's endpoint and pattern labels.
+	telemetry.MountDebug(mux)
 	// The hardened constructor is shared with the telemetry inspection
 	// server: header/read/write/idle timeouts so one slow client cannot
 	// pin a connection forever.

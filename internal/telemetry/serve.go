@@ -82,16 +82,24 @@ func NewServer(addr string) (*Server, error) {
 	}
 	mux := http.NewServeMux()
 	s := &Server{ln: ln, mux: mux, srv: HardenedHTTPServer(mux)}
+	s.paths = append(s.paths, MountDebug(mux)...)
+	mux.HandleFunc("/", s.index)
+	go s.srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
+	return s, nil
+}
+
+// MountDebug registers the process debug handlers on mux, expvar at
+// /debug/vars and pprof under /debug/pprof/, and returns the index
+// paths. The inspection server and the shogund daemon mount the same
+// set.
+func MountDebug(mux *http.ServeMux) []string {
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	s.paths = append(s.paths, "/debug/vars", "/debug/pprof/")
-	mux.HandleFunc("/", s.index)
-	go s.srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
-	return s, nil
+	return []string{"/debug/vars", "/debug/pprof/"}
 }
 
 // Addr reports the bound address (resolves ":0" to the picked port).
