@@ -361,12 +361,13 @@ func run(ctx context.Context, o options) error {
 		fmt.Printf("events processed:         %d\n", res.Events)
 		fmt.Printf("intermediate lines/task:  %.2f\n", res.IntermediateLinesPerTask)
 		p0 := cl.Chips()[0].PEs()[0]
+		avg := func(sum sim.Time) float64 { return sim.Ratio(sum, p0.TasksExecuted) }
 		fmt.Printf("phase avgs (pe0): decode=%.1f spm+disp=%.1f fetch=%.1f compute=%.1f wb=%.1f spawnw=%.1f leaf=%.1f residency=%.1f\n",
-			p0.PhaseDecode.Avg(), p0.PhaseSPM.Avg(), p0.PhaseFetch.Avg(), p0.PhaseCompute.Avg(), p0.PhaseWB.Avg(), p0.PhaseSpawnWait.Avg(), p0.PhaseLeaf.Avg(), p0.SlotResidency.Avg())
+			avg(p0.PhaseDecode), avg(p0.PhaseSPM), avg(p0.PhaseFetch), avg(p0.PhaseCompute), avg(p0.PhaseWB), avg(p0.PhaseSpawnWait), avg(p0.PhaseLeaf), avg(p0.SlotResidency))
 		for c, a := range cl.Chips() {
 			for _, pe := range a.PEs() {
 				fmt.Printf("  pe%d: tasks=%d last=%d iu=%.1f%% l1hit=%.1f%% slotavg=%.2f decode=%.1f%% dispatch=%.1f%% wb=%.1f%% spawn=%.1f%%\n",
-					c*o.pes+pe.ID, pe.TasksExecuted.Total, pe.LastActive,
+					c*o.pes+pe.ID, pe.TasksExecuted, pe.LastActive,
 					pe.IUPool.Utilization(res.Cycles)*100,
 					pe.L1.HitRate()*100,
 					pe.Slots.AvgOccupancy(res.Cycles),

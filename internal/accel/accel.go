@@ -142,19 +142,23 @@ type Accelerator struct {
 	balanceArmed   bool
 	mergeArmed     bool
 	samplerArmed   bool
-	tel            *Telemetry
+	// dramLatAtRoll and dramAccessAtRoll are DRAM's latency and access
+	// totals at the last merge check; the check's bandwidth window is
+	// the delta since then.
+	dramLatAtRoll    sim.Time
+	dramAccessAtRoll int64
+	tel              *Telemetry
 	// idleScratch and busyScratch are balanceCheck's PE lists, kept
 	// between checks so a check allocates nothing.
 	idleScratch, busyScratch []*pe.PE
 
-	Splits sim.Counter
-	Merges sim.Counter
+	Splits int64
 
 	// MigratedOut / MigratedIn count chip-level split subtrees leaving /
 	// entering this chip over a cluster interconnect (internal/cluster).
 	// Zero outside cluster runs.
-	MigratedOut sim.Counter
-	MigratedIn  sim.Counter
+	MigratedOut int64
+	MigratedIn  int64
 
 	// OnChipIdle, when set, fires whenever a PE idles while the whole
 	// chip is quiet (every PE idle, no pending work or split transfers) —
@@ -532,7 +536,7 @@ func (a *Accelerator) snapshot() *sim.Snapshot {
 		s.Resources = append(s.Resources, p.Slots.Snap(), p.SPM.Snap())
 		note := fmt.Sprintf("pe%d: idle=%t hasWork=%t conservative=%t lastActive=%d tasks=%d tokens=%v",
 			i, p.Idle(), p.HasWork(), p.Conservative(), p.LastActive,
-			p.TasksExecuted.Total, a.toks[i].InUseByDepth())
+			p.TasksExecuted, a.toks[i].InUseByDepth())
 		if t, ok := p.Policy().(*core.Tree); ok {
 			note += " tree{" + t.StateSummary() + "}"
 		}
@@ -578,16 +582,16 @@ func (a *Accelerator) Collect() *Result {
 	end := a.endTime()
 	r := &Result{Scheme: a.cfg.Scheme, Cycles: end, Events: a.eng.Processed}
 	var iuBusy, iuCap sim.Time
-	var l1Hits, l1Miss, l1LatSum, l1LatCnt int64
+	var l1Hits, l1Miss, l1LatSum, l1Accesses int64
 	var slotSum float64
 	var interLines int64
 	for i, p := range a.pes {
 		ps := PEStats{
-			Tasks:         p.TasksExecuted.Total,
+			Tasks:         p.TasksExecuted,
 			Embeddings:    p.Embeddings,
 			IUUtil:        p.IUPool.Utilization(r.Cycles),
 			L1HitRate:     p.L1.HitRate(),
-			Conservative:  p.ConservativeTransitions.Total,
+			Conservative:  p.ConservativeTransitions,
 			LastActive:    p.LastActive,
 			PeakTokens:    a.toks[i].Peak(),
 			SlotOccupancy: p.Slots.AvgOccupancy(r.Cycles) / float64(a.cfg.PE.Width),
@@ -596,24 +600,22 @@ func (a *Accelerator) Collect() *Result {
 			ConservativeCycles: p.ConservResidency(end),
 		}
 		r.Breakdown.Add(ps.Breakdown)
-		if p.L1.Latency.TotalCount > 0 {
-			ps.L1AvgLatency = float64(p.L1.Latency.TotalSum) / float64(p.L1.Latency.TotalCount)
-		}
+		ps.L1AvgLatency = sim.Ratio(p.L1.LatSum, p.L1.Accesses)
 		r.PerPE = append(r.PerPE, ps)
 		r.Embeddings += p.Embeddings
-		r.Tasks += p.TasksExecuted.Total
-		r.LeafTasks += p.LeafTasks.Total
+		r.Tasks += p.TasksExecuted
+		r.LeafTasks += p.LeafTasks
 		iuBusy += p.IUPool.Busy()
 		iuCap += r.Cycles * sim.Time(a.cfg.PE.IUs)
-		l1Hits += p.L1.Hits.Total
-		l1Miss += p.L1.Misses.Total
-		l1LatSum += p.L1.Latency.TotalSum
-		l1LatCnt += p.L1.Latency.TotalCount
+		l1Hits += p.L1.Hits
+		l1Miss += p.L1.Misses
+		l1LatSum += p.L1.LatSum
+		l1Accesses += p.L1.Accesses
 		slotSum += p.Slots.AvgOccupancy(r.Cycles) / float64(a.cfg.PE.Width)
 		interLines += p.IntermediateIn
-		r.ConservativeTransitions += p.ConservativeTransitions.Total
+		r.ConservativeTransitions += p.ConservativeTransitions
 		if t, ok := p.Policy().(*core.Tree); ok {
-			r.Merges += t.MergeFeeds.Total
+			r.Merges += t.MergeFeeds
 		}
 		if pk := a.toks[i].Peak(); pk > r.PeakLiveSets {
 			r.PeakLiveSets = pk
@@ -624,18 +626,16 @@ func (a *Accelerator) Collect() *Result {
 	}
 	r.SlotOccupancy = slotSum / float64(len(a.pes))
 	r.L1HitRate = sim.Ratio(l1Hits, l1Hits+l1Miss)
-	if l1LatCnt > 0 {
-		r.L1AvgLatency = float64(l1LatSum) / float64(l1LatCnt)
-	}
+	r.L1AvgLatency = sim.Ratio(l1LatSum, l1Accesses)
 	r.L2HitRate = a.l2.HitRate()
-	r.DRAMReads = a.dram.Reads.Total
-	r.DRAMWrites = a.dram.Writes.Total
+	r.DRAMReads = a.dram.Reads
+	r.DRAMWrites = a.dram.Writes
 	r.DRAMBandwidth = a.dram.BandwidthUtilization(r.Cycles)
-	r.NoCLines = a.noc.LinesMoved.Total
+	r.NoCLines = a.noc.LinesMoved
 	if r.Tasks+r.LeafTasks > 0 {
 		r.IntermediateLinesPerTask = float64(interLines) / float64(r.Tasks+r.LeafTasks)
 	}
-	r.Splits = a.Splits.Total
+	r.Splits = a.Splits
 	if a.tel != nil {
 		a.foldHits()
 		r.Telemetry = a.tel.Sampler.Snapshot()

@@ -289,7 +289,7 @@ func TestForceConservativePinsPEMode(t *testing.T) {
 			t.Errorf("pe%d: conservative=%t residency=%d (result %d), want the whole run %d",
 				i, p.Conservative(), p.ConservResidency(end), res.PerPE[i].ConservativeCycles, end)
 		}
-		if n := p.ConservativeTransitions.Total; n != 1 {
+		if n := p.ConservativeTransitions; n != 1 {
 			t.Errorf("pe%d: %d conservative transitions, want 1", i, n)
 		}
 		if v, ok := a.Telemetry().Sampler.Last(fmt.Sprintf("pe%d/conservative", i)); !ok || v != 1 {

@@ -3,6 +3,7 @@ package accel
 import (
 	"shogun/internal/core"
 	"shogun/internal/pe"
+	"shogun/internal/sim"
 )
 
 // onPEIdle fires when a PE runs out of runnable work. Once all search
@@ -138,7 +139,7 @@ func (a *Accelerator) deliverSplit(m *splitMsg) {
 	if a.adopt(m.helper, m.x, m.slot) {
 		a.splitPending[m.helper.ID] = false
 		a.splitsInFlight--
-		a.Splits.Inc(1)
+		a.Splits++
 		return
 	}
 	a.eng.PostAfter(a.cfg.BalancePeriod, a, opDeliverSplit, m)
@@ -196,9 +197,9 @@ func (a *Accelerator) armMerge() {
 // search tree.
 func (a *Accelerator) mergeCheck() {
 	a.mergeArmed = false
-	dramLat, dramHas := a.dram.Latency.WindowAvg()
-	a.dram.Latency.Roll()
-	bwOK := !dramHas || dramLat < 3*float64(a.cfg.DRAM.RowMissLat)
+	n := a.dram.Reads + a.dram.Writes - a.dramAccessAtRoll
+	bwOK := n == 0 || sim.Ratio(a.dram.LatSum-a.dramLatAtRoll, n) < 3*float64(a.cfg.DRAM.RowMissLat)
+	a.dramLatAtRoll, a.dramAccessAtRoll = a.dram.LatSum, a.dram.Reads+a.dram.Writes
 	anyBusy := false
 	for _, p := range a.pes {
 		tree, ok := p.Policy().(*core.Tree)

@@ -75,7 +75,7 @@ func (a *Accelerator) CarveExport() (*SplitExport, bool) {
 			continue
 		}
 		if x, ok := carve(t, root, 1); ok {
-			a.MigratedOut.Inc(1)
+			a.MigratedOut++
 			return &x, true
 		}
 	}
@@ -108,7 +108,7 @@ func (a *Accelerator) TryAdopt(x *SplitExport, force bool) bool {
 			a.toks[p.ID].Release(1, slot)
 			continue
 		}
-		a.MigratedIn.Inc(1)
+		a.MigratedIn++
 		return true
 	}
 	return false
@@ -123,7 +123,7 @@ func (a *Accelerator) EndTime() sim.Time { return a.endTime() }
 func (a *Accelerator) BusySlotCycles() int64 {
 	var n int64
 	for _, p := range a.pes {
-		n += p.SlotResidency.TotalSum
+		n += p.SlotResidency
 	}
 	return n
 }

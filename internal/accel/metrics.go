@@ -43,11 +43,11 @@ func (b *CycleBreakdown) Add(o CycleBreakdown) {
 // breakdownFor derives one PE's cycle attribution at run end.
 func (a *Accelerator) breakdownFor(i int, end sim.Time) CycleBreakdown {
 	p := a.pes[i]
-	residency := p.SlotResidency.TotalSum
+	residency := p.SlotResidency
 	return CycleBreakdown{
-		Compute:    p.PhaseCompute.TotalSum,
-		MemStall:   p.PhaseSPM.TotalSum + p.PhaseFetch.TotalSum + p.PhaseWB.TotalSum,
-		Scheduling: p.PhaseDecode.TotalSum + p.PhaseSpawnWait.TotalSum + p.PhaseLeaf.TotalSum,
+		Compute:    p.PhaseCompute,
+		MemStall:   p.PhaseSPM + p.PhaseFetch + p.PhaseWB,
+		Scheduling: p.PhaseDecode + p.PhaseSpawnWait + p.PhaseLeaf,
 		Idle:       int64(end)*int64(a.cfg.PE.Width) - residency,
 	}
 }
@@ -86,14 +86,14 @@ func (a *Accelerator) Metrics() *metrics.Registry {
 	var splitsReceived, adopted int64
 	for i, p := range a.pes {
 		f := reg.Family(fmt.Sprintf("pe%d/cycles", i))
-		decode := f.Counter("decode", p.PhaseDecode.TotalSum)
-		spm := f.Counter("spm+dispatch", p.PhaseSPM.TotalSum)
-		fetch := f.Counter("fetch", p.PhaseFetch.TotalSum)
-		compute := f.Counter("compute", p.PhaseCompute.TotalSum)
-		wb := f.Counter("writeback", p.PhaseWB.TotalSum)
-		spawn := f.Counter("spawn", p.PhaseSpawnWait.TotalSum)
-		leaf := f.Counter("leaf", p.PhaseLeaf.TotalSum)
-		residency := f.Counter("slot-residency", p.SlotResidency.TotalSum)
+		decode := f.Counter("decode", p.PhaseDecode)
+		spm := f.Counter("spm+dispatch", p.PhaseSPM)
+		fetch := f.Counter("fetch", p.PhaseFetch)
+		compute := f.Counter("compute", p.PhaseCompute)
+		wb := f.Counter("writeback", p.PhaseWB)
+		spawn := f.Counter("spawn", p.PhaseSpawnWait)
+		leaf := f.Counter("leaf", p.PhaseLeaf)
+		residency := f.Counter("slot-residency", p.SlotResidency)
 		slotInt := f.Counter("slot-occupancy-integral", int64(p.Slots.OccupancyIntegral(end)))
 		f.Sum("phases partition slot residency", residency,
 			decode, spm, fetch, compute, wb, spawn, leaf)
@@ -115,33 +115,33 @@ func (a *Accelerator) Metrics() *metrics.Registry {
 		if p.Conservative() {
 			parity = 1
 		}
-		f.Eq("conservative transition parity", p.ConservativeTransitions.Total%2, parity)
+		f.Eq("conservative transition parity", p.ConservativeTransitions%2, parity)
 
 		tf := reg.Family(fmt.Sprintf("pe%d/tasks", i))
-		executed := tf.Counter("executed", p.TasksExecuted.Total)
-		tf.Counter("leaf-tasks", p.LeafTasks.Total)
-		tf.Counter("pruned-fetches", p.PrunedFetches.Total)
+		executed := tf.Counter("executed", p.TasksExecuted)
+		tf.Counter("leaf-tasks", p.LeafTasks)
+		tf.Counter("pruned-fetches", p.PrunedFetches)
 		tf.Counter("embeddings", p.Embeddings)
 		tok := a.toks[i]
 		tf.Eq("tokens acquired == released + held", tok.Acquired(), tok.Released()+int64(tok.TotalInUse()))
 		tf.Eq("no tokens held at end", int64(tok.TotalInUse()), 0)
 		if t, ok := p.Policy().(*core.Tree); ok {
-			tf.Counter("fsm-ready→executing", t.ReadyToExecuting.Total)
-			tf.Counter("fsm-executing→resting", t.ExecutingToResting.Total)
-			tf.Counter("fsm-retired", t.RetiredEntries.Total)
-			tf.Counter("quiesce-events", t.QuiesceEvents.Total)
-			tf.Eq("ready→executing == executed", t.ReadyToExecuting.Total, executed)
-			splitsReceived += t.SplitsReceived.Total
-			adopted += t.SplitsReceived.Total
+			tf.Counter("fsm-ready→executing", t.ReadyToExecuting)
+			tf.Counter("fsm-executing→resting", t.ExecutingToResting)
+			tf.Counter("fsm-retired", t.RetiredEntries)
+			tf.Counter("quiesce-events", t.QuiesceEvents)
+			tf.Eq("ready→executing == executed", t.ReadyToExecuting, executed)
+			splitsReceived += t.SplitsReceived
+			adopted += t.SplitsReceived
 		}
 
 		l1 := p.L1
 		mf := reg.Family(fmt.Sprintf("pe%d/l1", i))
-		acc := mf.Counter("accesses", l1.Accesses.Total)
-		hits := mf.Counter("hits", l1.Hits.Total)
-		miss := mf.Counter("misses", l1.Misses.Total)
-		fills := mf.Counter("miss-fetches", l1.MissFetches.Total)
-		wbs := mf.Counter("writebacks", l1.Writebacks.Total)
+		acc := mf.Counter("accesses", l1.Accesses)
+		hits := mf.Counter("hits", l1.Hits)
+		miss := mf.Counter("misses", l1.Misses)
+		fills := mf.Counter("miss-fetches", l1.MissFetches)
+		wbs := mf.Counter("writebacks", l1.Writebacks)
 		mf.Sum("accesses == hits + misses", acc, hits, miss)
 		mf.LE("miss-fetches ≤ misses", fills, miss)
 		l1Fills += fills
@@ -159,7 +159,7 @@ func (a *Accelerator) Metrics() *metrics.Registry {
 	tf.Counter("adopted-splits", adopted)
 	var peExec int64
 	for _, p := range a.pes {
-		peExec += p.TasksExecuted.Total
+		peExec += p.TasksExecuted
 	}
 	tf.Eq("created == executed + adopted", created, execs+adopted)
 	tf.Eq("released == created", released, created)
@@ -169,27 +169,27 @@ func (a *Accelerator) Metrics() *metrics.Registry {
 	// once; split transfers add three extra messages per delivery (two
 	// control messages plus the candidate-set payload, §4.1).
 	l2 := reg.Family("l2")
-	l2acc := l2.Counter("accesses", a.l2.Accesses.Total)
-	l2hits := l2.Counter("hits", a.l2.Hits.Total)
-	l2miss := l2.Counter("misses", a.l2.Misses.Total)
-	l2fills := l2.Counter("miss-fetches", a.l2.MissFetches.Total)
-	l2wbs := l2.Counter("writebacks", a.l2.Writebacks.Total)
+	l2acc := l2.Counter("accesses", a.l2.Accesses)
+	l2hits := l2.Counter("hits", a.l2.Hits)
+	l2miss := l2.Counter("misses", a.l2.Misses)
+	l2fills := l2.Counter("miss-fetches", a.l2.MissFetches)
+	l2wbs := l2.Counter("writebacks", a.l2.Writebacks)
 	l2.Sum("accesses == hits + misses", l2acc, l2hits, l2miss)
 	l2.Sum("accesses == Σ(L1 fills + L1 writebacks + CSR lines)", l2acc,
 		l1Fills, l1WBs, csrLines)
 
 	dram := reg.Family("dram")
-	reads := dram.Counter("reads", a.dram.Reads.Total)
-	writes := dram.Counter("writes", a.dram.Writes.Total)
-	rh := dram.Counter("row-hits", a.dram.RowHits.Total)
-	rm := dram.Counter("row-misses", a.dram.RowMisses.Total)
+	reads := dram.Counter("reads", a.dram.Reads)
+	writes := dram.Counter("writes", a.dram.Writes)
+	rh := dram.Counter("row-hits", a.dram.RowHits)
+	rm := dram.Counter("row-misses", a.dram.RowMisses)
 	dram.Sum("accesses == row-hits + row-misses", reads+writes, rh, rm)
 	dram.Sum("accesses == L2 fills + L2 writebacks", reads+writes, l2fills, l2wbs)
 
-	splits := a.Splits.Total
+	splits := a.Splits
 	noc := reg.Family("noc")
-	msgs := noc.Counter("messages", a.noc.Messages.Total)
-	noc.Counter("lines-moved", a.noc.LinesMoved.Total)
+	msgs := noc.Counter("messages", a.noc.Messages)
+	noc.Counter("lines-moved", a.noc.LinesMoved)
 	noc.Sum("messages == L2 accesses + 3×split transfers", msgs, l2acc, 3*splits)
 
 	// Split/merge events (§4.1, §4.2).
@@ -198,10 +198,10 @@ func (a *Accelerator) Metrics() *metrics.Registry {
 	sm.Counter("splits-received", splitsReceived)
 	var performed, merges, transitions int64
 	for _, p := range a.pes {
-		transitions += p.ConservativeTransitions.Total
+		transitions += p.ConservativeTransitions
 		if t, ok := p.Policy().(*core.Tree); ok {
-			performed += t.SplitsPerformed.Total
-			merges += t.MergeFeeds.Total
+			performed += t.SplitsPerformed
+			merges += t.MergeFeeds
 		}
 	}
 	sm.Counter("splits-carved", performed)
@@ -211,8 +211,8 @@ func (a *Accelerator) Metrics() *metrics.Registry {
 	// in the same per-tree SplitsReceived counter as local deliveries;
 	// outside cluster runs both migration counters are zero and the
 	// identity reduces to the original delivered == received.
-	migIn := sm.Counter("migrated-in", a.MigratedIn.Total)
-	sm.Counter("migrated-out", a.MigratedOut.Total)
+	migIn := sm.Counter("migrated-in", a.MigratedIn)
+	sm.Counter("migrated-out", a.MigratedOut)
 	sm.Eq("splits delivered + migrations in == splits received", splits+migIn, splitsReceived)
 	var pending int64
 	for _, flag := range a.splitPending {

@@ -83,9 +83,9 @@ func TestMetricsAttributionPartition(t *testing.T) {
 		if got := ps.Breakdown.Total(); got != want {
 			t.Errorf("pe%d: breakdown total = %d, want width×cycles = %d", i, got, want)
 		}
-		if ps.Breakdown.Busy() != a.pes[i].SlotResidency.TotalSum {
+		if ps.Breakdown.Busy() != a.pes[i].SlotResidency {
 			t.Errorf("pe%d: busy = %d, want slot residency %d",
-				i, ps.Breakdown.Busy(), a.pes[i].SlotResidency.TotalSum)
+				i, ps.Breakdown.Busy(), a.pes[i].SlotResidency)
 		}
 		sum.Add(ps.Breakdown)
 	}
@@ -101,7 +101,7 @@ func TestMetricsAttributionPartition(t *testing.T) {
 // counter after the run violates the identities that mention it.
 func TestMetricsDetectsCorruption(t *testing.T) {
 	a, _ := metricsTestRun(t, SchemeShogun, false, false)
-	a.pes[0].TasksExecuted.Inc(1)
+	a.pes[0].TasksExecuted++
 	err := a.VerifyMetrics()
 	if err == nil {
 		t.Fatal("verify passed after corrupting a counter")
@@ -134,7 +134,7 @@ func TestMetricsEnabledByDefault(t *testing.T) {
 	}
 	// A phantom split delivery: no tree received it and the NoC never
 	// carried its three messages.
-	a.eng.PostAfter(1, sim.Func(func() { a.Splits.Inc(1) }), 0, nil)
+	a.eng.PostAfter(1, sim.Func(func() { a.Splits++ }), 0, nil)
 	_, err = a.Run()
 	var ve *metrics.VerifyError
 	if !errors.As(err, &ve) {

@@ -90,15 +90,15 @@ func (a *Accelerator) initTelemetry() error {
 		}
 	}
 	s.Gauge("dram/queue", func(now int64) int64 { return int64(a.dram.QueueDepth(sim.Time(now))) })
-	s.Gauge("dram/row-hits", func(int64) int64 { return a.dram.RowHits.Total })
-	s.Gauge("dram/row-misses", func(int64) int64 { return a.dram.RowMisses.Total })
+	s.Gauge("dram/row-hits", func(int64) int64 { return a.dram.RowHits })
+	s.Gauge("dram/row-misses", func(int64) int64 { return a.dram.RowMisses })
 	s.Gauge("noc/inflight", func(now int64) int64 { return int64(a.noc.InFlight(sim.Time(now))) })
-	s.Gauge("noc/messages", func(int64) int64 { return a.noc.Messages.Total })
+	s.Gauge("noc/messages", func(int64) int64 { return a.noc.Messages })
 	s.Gauge("engine/events", func(int64) int64 { return a.eng.Processed })
 	s.Gauge("tasks/executed", func(int64) int64 {
 		var n int64
 		for _, p := range a.pes {
-			n += p.TasksExecuted.Total
+			n += p.TasksExecuted
 		}
 		return n
 	})

@@ -226,9 +226,11 @@ const (
 
 // expectedCount returns the software miner's embedding count for a
 // (graph, schedule) pair, computed once per key by the parallel miner
-// and cached across cells.
+// and cached across cells. The key holds the graph's ID, not its
+// address: a graph allocated where a collected one lived must not be
+// served the old graph's count.
 func expectedCount(g *graph.Graph, s *pattern.Schedule, workers int) int64 {
-	key := fmt.Sprintf("%p/%s", g, s.Name)
+	key := fmt.Sprintf("%d/%s", g.ID(), s.Name)
 	val, _ := countCache.Get(key, func() (int64, int64, error) {
 		atomic.AddInt64(&countComputes, 1)
 		return mine.ParallelCount(g, s, workers).Embeddings, countEntryBytes, nil

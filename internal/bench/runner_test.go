@@ -3,8 +3,10 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,6 +14,7 @@ import (
 
 	"shogun/internal/accel"
 	"shogun/internal/gen"
+	"shogun/internal/graph"
 	"shogun/internal/mine"
 	"shogun/internal/pattern"
 	"shogun/internal/serve"
@@ -61,6 +64,58 @@ func TestExpectedCountSingleFlight(t *testing.T) {
 	if got := atomic.LoadInt64(&countComputes) - before; got != 2 {
 		t.Fatalf("cache re-mined: %d computes, want 2", got)
 	}
+}
+
+// TestExpectedCountAfterAddressReuse counts a graph, frees it, and
+// allocates same-size graphs with other edges until one lands at the
+// freed graph's address: the golden cache must mine that graph afresh,
+// not serve it the freed graph's count.
+func TestExpectedCountAfterAddressReuse(t *testing.T) {
+	s, err := pattern.Build(pattern.Triangle())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A 64-vertex ring with 32 chords: chords that skip one vertex
+	// close 32 triangles, chords that skip two close none.
+	ring := func(skip graph.VertexID) []graph.Edge {
+		var e []graph.Edge
+		for v := graph.VertexID(0); v < 64; v++ {
+			e = append(e, graph.Edge{U: v, V: (v + 1) % 64})
+			if v%2 == 0 {
+				e = append(e, graph.Edge{U: v, V: (v + skip) % 64})
+			}
+		}
+		return e
+	}
+	other := ring(3)
+	// The counted graph sits among live neighbours, which keep its heap
+	// span in use, so its freed slot goes back to graph-sized objects.
+	var batch [16]*graph.Graph
+	for i := range batch {
+		batch[i] = graph.MustNew(64, ring(2))
+	}
+	if got := expectedCount(batch[8], s, 1); got != 32 {
+		t.Fatalf("counted graph: %d triangles, want 32", got)
+	}
+	addr := fmt.Sprintf("%p", batch[8])
+	batch[8] = nil
+	runtime.GC()
+	defer runtime.KeepAlive(&batch)
+	// Keep every candidate alive, so each new one takes a fresh slot
+	// until one takes the freed graph's.
+	const tries = 4096
+	held := make([]*graph.Graph, 0, tries)
+	for len(held) < tries {
+		g := graph.MustNew(64, other)
+		held = append(held, g)
+		if fmt.Sprintf("%p", g) == addr {
+			if got := expectedCount(g, s, 1); got != 0 {
+				t.Fatalf("graph at a freed graph's address: expectedCount=%d, want 0 (the freed graph had 32)", got)
+			}
+			return
+		}
+	}
+	t.Skipf("none of %d graphs reused the freed address", tries)
 }
 
 // TestExpectedCountEvictionStaysCorrect shrinks the golden cache to two

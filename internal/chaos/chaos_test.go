@@ -129,7 +129,7 @@ func TestSplitLinesUnderForcedSplits(t *testing.T) {
 		if _, err := a.Run(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if got, want := a.Telemetry().SplitLines.Count(), a.Splits.Total+a.MigratedIn.Total; got != want {
+		if got, want := a.Telemetry().SplitLines.Count(), a.Splits+a.MigratedIn; got != want {
 			t.Errorf("seed %d: split-lines count = %d, want splits + migrations in = %d", seed, got, want)
 		}
 		forced += in.Splits

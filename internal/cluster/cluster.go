@@ -72,12 +72,12 @@ type Cluster struct {
 	// Migrations counts delivered chip-level subtree transfers;
 	// LinesSent/LinesRecv count interconnect payload lines at carve and
 	// adopt time (the sent == received identity).
-	Migrations sim.Counter
-	LinesSent  sim.Counter
-	LinesRecv  sim.Counter
+	Migrations int64
+	LinesSent  int64
+	LinesRecv  int64
 	// AdoptRetries counts deliveries that found no PE able to adopt and
 	// went back to sleep (forced mid-run migrations mostly).
-	AdoptRetries sim.Counter
+	AdoptRetries int64
 }
 
 // Actor ops for the cluster scheduler's event callbacks.
@@ -247,7 +247,7 @@ func (c *Cluster) stealCheck() {
 func (c *Cluster) sendMigration(to int, x *accel.SplitExport, force bool) {
 	lines := x.Lines()
 	arrive := c.inter.SendSplit(c.eng.Now(), lines)
-	c.LinesSent.Inc(lines)
+	c.LinesSent += lines
 	c.adoptBusy[to] = true
 	c.inFlight++
 	c.eng.Post(arrive, c, opDeliverMigration, &migration{to: to, x: x, force: force})
@@ -261,11 +261,11 @@ func (c *Cluster) deliverMigration(m *migration) {
 	if c.chips[m.to].TryAdopt(m.x, m.force) {
 		c.adoptBusy[m.to] = false
 		c.inFlight--
-		c.LinesRecv.Inc(m.x.Lines())
-		c.Migrations.Inc(1)
+		c.LinesRecv += m.x.Lines()
+		c.Migrations++
 		return
 	}
-	c.AdoptRetries.Inc(1)
+	c.AdoptRetries++
 	c.eng.PostAfter(c.cfg.Chip.BalancePeriod, c, opDeliverMigration, m)
 }
 
@@ -402,10 +402,10 @@ func (c *Cluster) snapshot() *sim.Snapshot {
 	for i, chip := range c.chips {
 		s.Notes = append(s.Notes, fmt.Sprintf(
 			"chip%d: idle=%t adoptBusy=%t migratedOut=%d migratedIn=%d",
-			i, chip.ChipIdle(), c.adoptBusy[i], chip.MigratedOut.Total, chip.MigratedIn.Total))
+			i, chip.ChipIdle(), c.adoptBusy[i], chip.MigratedOut, chip.MigratedIn))
 	}
 	s.Notes = append(s.Notes, fmt.Sprintf(
-		"cluster: inFlight=%d delivered=%d retries=%d", c.inFlight, c.Migrations.Total, c.AdoptRetries.Total))
+		"cluster: inFlight=%d delivered=%d retries=%d", c.inFlight, c.Migrations, c.AdoptRetries))
 	return s
 }
 
@@ -415,10 +415,10 @@ func (c *Cluster) collect() *Result {
 		Partition:     c.cfg.Partition,
 		Scheme:        c.cfg.Chip.Scheme,
 		Events:        c.eng.Processed,
-		Migrations:    c.Migrations.Total,
-		AdoptRetries:  c.AdoptRetries.Total,
-		InterMessages: c.inter.Messages.Total,
-		InterLines:    c.inter.LinesMoved.Total,
+		Migrations:    c.Migrations,
+		AdoptRetries:  c.AdoptRetries,
+		InterMessages: c.inter.Messages,
+		InterLines:    c.inter.LinesMoved,
 	}
 	for _, chip := range c.chips {
 		if end := chip.EndTime(); end > r.Cycles {
@@ -431,8 +431,8 @@ func (c *Cluster) collect() *Result {
 		r.ChipResults = append(r.ChipResults, cr)
 		st := ChipStats{
 			Vertices:    len(c.part.Roots[i]),
-			MigratedOut: chip.MigratedOut.Total,
-			MigratedIn:  chip.MigratedIn.Total,
+			MigratedOut: chip.MigratedOut,
+			MigratedIn:  chip.MigratedIn,
 		}
 		if r.Cycles > 0 {
 			st.Occupancy = float64(chip.BusySlotCycles()) /

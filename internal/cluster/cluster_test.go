@@ -361,11 +361,11 @@ func TestClusterSplitLinesCountAdoptions(t *testing.T) {
 	var splits, migIn int64
 	for i, chip := range cl.Chips() {
 		got := chip.Telemetry().SplitLines.Count()
-		if want := chip.Splits.Total + chip.MigratedIn.Total; got != want {
+		if want := chip.Splits + chip.MigratedIn; got != want {
 			t.Errorf("chip%d: split-lines count = %d, want splits + migrations in = %d", i, got, want)
 		}
-		splits += chip.Splits.Total
-		migIn += chip.MigratedIn.Total
+		splits += chip.Splits
+		migIn += chip.MigratedIn
 	}
 	if splits == 0 || migIn == 0 {
 		t.Fatalf("splits=%d migrations in=%d: both paths must fire", splits, migIn)
@@ -553,13 +553,13 @@ func TestClusterVerifyViolationText(t *testing.T) {
 		t.Fatal(err)
 	}
 	l1 := cl.Chips()[1].PEs()[0].L1
-	l1.Hits.Inc(1)
-	cl.LinesSent.Inc(5)
+	l1.Hits++
+	cl.LinesSent += 5
 
 	reg := cl.Metrics()
-	sent, recv := cl.LinesSent.Total, cl.LinesRecv.Total
-	moved := cl.Interconnect().LinesMoved.Total
-	l1Detail := fmt.Sprintf("parts sum to %d, total is %d (diff 1)", l1.Hits.Total+l1.Misses.Total, l1.Accesses.Total)
+	sent, recv := cl.LinesSent, cl.LinesRecv
+	moved := cl.Interconnect().LinesMoved
+	l1Detail := fmt.Sprintf("parts sum to %d, total is %d (diff 1)", l1.Hits+l1.Misses, l1.Accesses)
 	want := "metrics: 3 invariants violated:" +
 		"\n  chip1/pe0/l1: accesses == hits + misses: " + l1Detail +
 		fmt.Sprintf("\n  cluster: interconnect lines sent == received: %d != %d (diff 5)", sent, recv) +
@@ -571,7 +571,7 @@ func TestClusterVerifyViolationText(t *testing.T) {
 	if rep := reg.Report(); !strings.Contains(rep, "[chip1/pe0/l1]\n") || !strings.Contains(rep, line) {
 		t.Errorf("Report lacks the chip1/pe0/l1 family or its violated line %q", line)
 	}
-	if v, ok := reg.Value("chip1/pe0/l1/hits"); !ok || v != l1.Hits.Total {
-		t.Errorf("Value(chip1/pe0/l1/hits) = %d,%t, want %d,true", v, ok, l1.Hits.Total)
+	if v, ok := reg.Value("chip1/pe0/l1/hits"); !ok || v != l1.Hits {
+		t.Errorf("Value(chip1/pe0/l1/hits) = %d,%t, want %d,true", v, ok, l1.Hits)
 	}
 }

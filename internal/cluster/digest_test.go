@@ -48,11 +48,11 @@ func hookRef(t *testing.T, chips []*accel.Accelerator) refDigests {
 func (ref refDigests) replay(chips []*accel.Accelerator, cfg accel.Config) {
 	for _, chip := range chips {
 		for _, p := range chip.PEs() {
-			for i := int64(0); i < p.L1.Hits.Total; i++ {
+			for i := int64(0); i < p.L1.Hits; i++ {
 				ref["l1-latency"].Observe(int64(cfg.PE.L1.HitLat))
 			}
 		}
-		for i := int64(0); i < chip.L2().Hits.Total; i++ {
+		for i := int64(0); i < chip.L2().Hits; i++ {
 			ref["l2-latency"].Observe(int64(cfg.L2.HitLat))
 		}
 	}
@@ -280,7 +280,7 @@ func TestLiveTelemetryReads(t *testing.T) {
 	var accesses int64
 	for _, chip := range c.Chips() {
 		for _, p := range chip.PEs() {
-			accesses += p.L1.Accesses.Total
+			accesses += p.L1.Accesses
 		}
 	}
 	if got := c.Histograms()["l1-latency"].Count; got != accesses {

@@ -21,8 +21,8 @@ func (c *Cluster) Metrics() *metrics.Registry {
 	var peTasks, peEmb, peLeaf int64  // per-chip PE-counter path
 	var splitsLocal, splitsRecv int64 // §4.1 deliveries vs tree receipts
 	for i, chip := range c.chips {
-		migOut += chip.MigratedOut.Total
-		migIn += chip.MigratedIn.Total
+		migOut += chip.MigratedOut
+		migIn += chip.MigratedIn
 		sub := chip.Metrics()
 		reg.Nest(fmt.Sprintf("chip%d/", i), sub)
 		val := func(path string) int64 {
@@ -34,20 +34,20 @@ func (c *Cluster) Metrics() *metrics.Registry {
 		splitsLocal += val("splitmerge/splits-delivered")
 		splitsRecv += val("splitmerge/splits-received")
 		for _, p := range chip.PEs() {
-			peTasks += p.TasksExecuted.Total
+			peTasks += p.TasksExecuted
 			peEmb += p.Embeddings
-			peLeaf += p.LeafTasks.Total
+			peLeaf += p.LeafTasks
 		}
 	}
 
 	x := reg.Family("cluster")
 	out := x.Counter("migrated-out", migOut)
 	in := x.Counter("migrated-in", migIn)
-	delivered := x.Counter("migrations-delivered", c.Migrations.Total)
-	x.Counter("adopt-retries", c.AdoptRetries.Total)
+	delivered := x.Counter("migrations-delivered", c.Migrations)
+	x.Counter("adopt-retries", c.AdoptRetries)
 	inFlight := x.Counter("migrations-in-flight", int64(c.inFlight))
-	sent := x.Counter("inter-lines-sent", c.LinesSent.Total)
-	recv := x.Counter("inter-lines-received", c.LinesRecv.Total)
+	sent := x.Counter("inter-lines-sent", c.LinesSent)
+	recv := x.Counter("inter-lines-received", c.LinesRecv)
 	x.Eq("tasks migrated out == tasks adopted in", out, in+inFlight)
 	x.Eq("migrations carved == delivered + in flight", out, delivered+inFlight)
 	x.Eq("no migrations in flight", inFlight, 0)
@@ -59,8 +59,8 @@ func (c *Cluster) Metrics() *metrics.Registry {
 		splitsRecv, splitsLocal+delivered)
 
 	ic := reg.Family("interconnect")
-	msgs := ic.Counter("messages", c.inter.Messages.Total)
-	moved := ic.Counter("lines-moved", c.inter.LinesMoved.Total)
+	msgs := ic.Counter("messages", c.inter.Messages)
+	moved := ic.Counter("lines-moved", c.inter.LinesMoved)
 	// Each migration is the three-message §4.1 protocol lifted one
 	// level: two zero-line control messages plus the payload transfer.
 	ic.Eq("messages == 3 × migrations", msgs, 3*(delivered+inFlight))

@@ -147,15 +147,15 @@ type Tree struct {
 	deferredPruned int
 
 	// Stats
-	MergeFeeds      sim.Counter
-	SpawnedBunches  sim.Counter
-	Extends         sim.Counter
-	NonSiblingRuns  sim.Counter
-	SiblingRuns     sim.Counter
-	DeferredSpawns  sim.Counter
-	QuiesceEvents   sim.Counter
-	SplitsReceived  sim.Counter
-	SplitsPerformed sim.Counter
+	MergeFeeds      int64
+	SpawnedBunches  int64
+	Extends         int64
+	NonSiblingRuns  int64
+	SiblingRuns     int64
+	DeferredSpawns  int64
+	QuiesceEvents   int64
+	SplitsReceived  int64
+	SplitsPerformed int64
 
 	// FSM transition counters (Fig. 4(b) census, exported to metrics):
 	// every Ready entry the scheduler promoted to Executing, every
@@ -163,9 +163,9 @@ type Tree struct {
 	// every entry freed on retirement. Conservation: ReadyToExecuting
 	// equals the PE's executed-task count, and RetiredEntries equals the
 	// nodes the tree ever held (executed + adopted splits).
-	ReadyToExecuting   sim.Counter
-	ExecutingToResting sim.Counter
-	RetiredEntries     sim.Counter
+	ReadyToExecuting   int64
+	ExecutingToResting int64
+	RetiredEntries     int64
 }
 
 var _ pe.Policy = (*Tree)(nil)
@@ -271,7 +271,7 @@ func (t *Tree) feedRoot() bool {
 		return false
 	}
 	if t.activeTrees() >= 1 {
-		t.MergeFeeds.Inc(1)
+		t.MergeFeeds++
 	}
 	t.treeSeq++
 	ts := t.allocState(t.treeSeq, v)
@@ -308,7 +308,7 @@ func (t *Tree) AdoptSplit(root graph.VertexID, cand []graph.VertexID, lo, hi, sl
 	b.used = 1
 	ts.liveWork++
 	t.bunches[0] = append(t.bunches[0], b)
-	t.SplitsReceived.Inc(1)
+	t.SplitsReceived++
 	t.requestSpawn(n)
 	return true
 }
@@ -323,7 +323,7 @@ func (t *Tree) requestSpawn(n *task.Node) {
 		t.deferredPruned += res.Pruned
 	} else {
 		t.pendingSpawn[n.Depth+1] = append(t.pendingSpawn[n.Depth+1], n)
-		t.DeferredSpawns.Inc(1)
+		t.DeferredSpawns++
 	}
 }
 
@@ -342,7 +342,7 @@ func (t *Tree) Next(now sim.Time) (*task.Node, int, bool) {
 	// 1. Sibling preference.
 	if t.lastBunch != nil && !t.cfg.NoSiblingPreference {
 		if n, slot, ok := t.takeReady(t.lastBunch); ok {
-			t.SiblingRuns.Inc(1)
+			t.SiblingRuns++
 			return n, slot, true
 		}
 	}
@@ -361,7 +361,7 @@ func (t *Tree) Next(now sim.Time) (*task.Node, int, bool) {
 			if n, slot, ok := t.takeReady(b); ok {
 				t.rrDepth = (d + 1) % depths
 				t.lastBunch = b
-				t.NonSiblingRuns.Inc(1)
+				t.NonSiblingRuns++
 				return n, slot, true
 			}
 		}
@@ -389,7 +389,7 @@ func (t *Tree) takeReady(b *bunch) (*task.Node, int, bool) {
 		}
 		e.state = Executing
 		t.executing++
-		t.ReadyToExecuting.Inc(1)
+		t.ReadyToExecuting++
 		t.lastBunch = b
 		return e.node, slot, true
 	}
@@ -418,11 +418,11 @@ func (t *Tree) OnComplete(n *task.Node, now sim.Time) pe.SpawnResult {
 	if n.HasMoreCands() {
 		// Task spawning: parent → Resting, children into a fresh bunch.
 		t.setState(b, n, Resting)
-		t.ExecutingToResting.Inc(1)
+		t.ExecutingToResting++
 		t.trackDepth(n)
 		if !t.spawnBunch(n, &res) {
 			t.pendingSpawn[n.Depth+1] = append(t.pendingSpawn[n.Depth+1], n)
-			t.DeferredSpawns.Inc(1)
+			t.DeferredSpawns++
 		}
 		return res
 	}
@@ -467,7 +467,7 @@ func (t *Tree) spawnBunch(n *task.Node, res *pe.SpawnResult) bool {
 		ts.liveWork += nb.used
 	}
 	t.bunches[d] = append(t.bunches[d], nb)
-	t.SpawnedBunches.Inc(1)
+	t.SpawnedBunches++
 	return true
 }
 
@@ -507,7 +507,7 @@ func (t *Tree) retireEntry(b *bunch, n *task.Node, res *pe.SpawnResult) {
 					ts.liveWork++
 				}
 				res.Spawned++
-				t.Extends.Inc(1)
+				t.Extends++
 				return
 			}
 		}
@@ -589,7 +589,7 @@ func (t *Tree) freeEntry(b *bunch, n *task.Node) {
 			b.entries[i].node = nil
 			b.entries[i].state = Ready // value irrelevant once node nil
 			b.used--
-			t.RetiredEntries.Inc(1)
+			t.RetiredEntries++
 			if ts := t.liveTree(n.TreeID); ts != nil {
 				ts.liveWork--
 			}
@@ -658,7 +658,7 @@ func (t *Tree) wakeQuiesced() {
 	for _, ts := range t.trees {
 		if ts.quiesced {
 			ts.quiesced = false
-			t.QuiesceEvents.Inc(1)
+			t.QuiesceEvents++
 			return
 		}
 	}
@@ -678,7 +678,7 @@ func (t *Tree) quiesceSmaller() {
 	}
 	if victim != nil {
 		victim.quiesced = true
-		t.QuiesceEvents.Inc(1)
+		t.QuiesceEvents++
 	}
 }
 
@@ -714,7 +714,7 @@ func (t *Tree) CarveSplit(root *task.Node, helpers int) (lo, hi int, ok bool) {
 	hi = root.SpawnLimit
 	lo = hi - share*helpers
 	root.SpawnLimit = lo
-	t.SplitsPerformed.Inc(1)
+	t.SplitsPerformed++
 	return lo, hi, true
 }
 

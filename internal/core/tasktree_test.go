@@ -121,8 +121,8 @@ func TestSiblingPreference(t *testing.T) {
 		}
 		w.Execute(n, sl)
 	}
-	if tr.SiblingRuns.Total < 7 {
-		t.Fatalf("sibling runs = %d, want >= 7", tr.SiblingRuns.Total)
+	if tr.SiblingRuns < 7 {
+		t.Fatalf("sibling runs = %d, want >= 7", tr.SiblingRuns)
 	}
 }
 
@@ -161,7 +161,7 @@ func TestOutOfOrderAcrossDepths(t *testing.T) {
 	if depths[1] == 0 || depths[2] == 0 {
 		t.Fatalf("no cross-depth co-scheduling: %v", depths)
 	}
-	if tr.NonSiblingRuns.Total == 0 {
+	if tr.NonSiblingRuns == 0 {
 		t.Fatal("no non-sibling selections recorded")
 	}
 }
@@ -295,7 +295,7 @@ func TestMergingTwoTrees(t *testing.T) {
 	if len(seen) < 2 {
 		t.Fatalf("merging did not engage: tree ids %v", seen)
 	}
-	if tr.MergeFeeds.Total == 0 {
+	if tr.MergeFeeds == 0 {
 		t.Fatal("merge feeds not counted")
 	}
 }
@@ -357,7 +357,7 @@ func TestBunchCapacityDefersSpawns(t *testing.T) {
 	if got != want {
 		t.Fatalf("constrained tree counted %d, want %d", got, want)
 	}
-	if tr.DeferredSpawns.Total == 0 {
+	if tr.DeferredSpawns == 0 {
 		t.Log("warning: no deferred spawns exercised (workload too small?)")
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // VertexID identifies a vertex. Graphs in this repository are bounded by
@@ -41,6 +42,23 @@ type Graph struct {
 	// lower caches the lazily built, shared LowerSplit.
 	lowerOnce sync.Once
 	lower     []int32
+	// id is the graph's identity (see ID), 0 until first asked for.
+	id atomic.Uint64
+}
+
+// lastID is the most recent identity ID handed out.
+var lastID atomic.Uint64
+
+// ID reports an identity that no other Graph in the process shares,
+// assigned on first call. Unlike the graph's address, which a later
+// graph may reuse once this one is garbage-collected, it can key caches
+// that outlive the graph.
+func (g *Graph) ID() uint64 {
+	if id := g.id.Load(); id != 0 {
+		return id
+	}
+	g.id.CompareAndSwap(0, lastID.Add(1))
+	return g.id.Load()
 }
 
 // New builds a Graph from an edge list. Self loops and duplicate edges are

@@ -25,8 +25,28 @@ type refCache struct {
 
 	LatHist *telemetry.Histogram
 
-	Accesses, Hits, Misses, MissFetches, Writebacks sim.Counter
-	Latency                                         sim.WindowStat
+	Accesses, Hits, Misses, MissFetches, Writebacks int64
+	LatSum                                          sim.Time
+	// winSum and winCount accumulate latency since the last roll, the
+	// windowed accumulator the cache itself no longer keeps.
+	winSum, winCount int64
+}
+
+// addLatency records one access's latency in the total and the window.
+func (c *refCache) addLatency(lat sim.Time) {
+	c.LatSum += lat
+	c.winSum += lat
+	c.winCount++
+}
+
+// rollWindow returns the window's average latency (ok false when the
+// window is empty) and starts a new window.
+func (c *refCache) rollWindow() (avg float64, ok bool) {
+	if c.winCount > 0 {
+		avg, ok = float64(c.winSum)/float64(c.winCount), true
+	}
+	c.winSum, c.winCount = 0, 0
+	return avg, ok
 }
 
 func newRefCache(cfg CacheConfig, parent Level) *refCache {
@@ -53,20 +73,20 @@ func (c *refCache) Access(now sim.Time, addr int64, write bool) sim.Time {
 	set := int(line) & (c.sets - 1)
 	base := set * c.cfg.Ways
 	c.clock++
-	c.Accesses.Inc(1)
+	c.Accesses++
 	for w := 0; w < c.cfg.Ways; w++ {
 		if c.tags[base+w] == line {
 			c.stamps[base+w] = c.clock
 			if write {
 				c.dirty[base+w] = true
 			}
-			c.Hits.Inc(1)
-			c.Latency.Add(c.cfg.HitLat)
+			c.Hits++
+			c.addLatency(c.cfg.HitLat)
 			c.LatHist.Observe(int64(c.cfg.HitLat))
 			return now + c.cfg.HitLat
 		}
 	}
-	c.Misses.Inc(1)
+	c.Misses++
 	victim := base
 	for w := 0; w < c.cfg.Ways; w++ {
 		if c.tags[base+w] == -1 {
@@ -79,7 +99,7 @@ func (c *refCache) Access(now sim.Time, addr int64, write bool) sim.Time {
 	}
 	fetchDone := now + c.cfg.HitLat
 	if !write || !c.cfg.WriteAllocNoFetch {
-		c.MissFetches.Inc(1)
+		c.MissFetches++
 		issueAt := now + c.cfg.HitLat
 		var unit int
 		if c.mshrs != nil {
@@ -92,13 +112,13 @@ func (c *refCache) Access(now sim.Time, addr int64, write bool) sim.Time {
 	}
 	if c.tags[victim] != -1 && c.dirty[victim] {
 		c.parent.Access(fetchDone, c.tags[victim]<<LineShift, true)
-		c.Writebacks.Inc(1)
+		c.Writebacks++
 	}
 	c.tags[victim] = line
 	c.stamps[victim] = c.clock
 	c.dirty[victim] = write
 	done := fetchDone + c.cfg.HitLat
-	c.Latency.Add(done - now)
+	c.addLatency(done - now)
 	c.LatHist.Observe(int64(done - now))
 	return done
 }
@@ -130,8 +150,10 @@ type cacheStep struct {
 
 // compareWithReference runs steps through the way-word cache and the
 // timestamp reference, each in front of its own recorder, and fails on
-// the first completion time, counter, window latency, parent access or
-// latency histogram that differs.
+// the first completion time, counter, latency total, window latency,
+// parent access or latency histogram that differs. The window latency
+// is taken every 64 accesses the way the locality monitor takes it: a
+// delta of the cache's LatSum and Accesses totals since the last roll.
 func compareWithReference(t *testing.T, cfg CacheConfig, steps []cacheStep) {
 	t.Helper()
 	var gotP, refP recorder
@@ -139,6 +161,7 @@ func compareWithReference(t *testing.T, cfg CacheConfig, steps []cacheStep) {
 	ref := newRefCache(cfg, &refP)
 	c.LatHist, ref.LatHist = telemetry.NewHistogram(), telemetry.NewHistogram()
 	var now sim.Time
+	var latAtRoll, accAtRoll int64
 	for i, s := range steps {
 		now += s.gap
 		addr := s.line << LineShift
@@ -155,9 +178,9 @@ func compareWithReference(t *testing.T, cfg CacheConfig, steps []cacheStep) {
 				t.Fatalf("%s: access %d: parent access %d = %+v, reference %+v", cfg.Name, i, j, gotP.log[j], refP.log[j])
 			}
 		}
-		type counts struct{ acc, hit, miss, fetch, wb int64 }
-		g := counts{c.Accesses.Total, c.Hits.Total, c.Misses.Total, c.MissFetches.Total, c.Writebacks.Total}
-		r := counts{ref.Accesses.Total, ref.Hits.Total, ref.Misses.Total, ref.MissFetches.Total, ref.Writebacks.Total}
+		type counts struct{ acc, hit, miss, fetch, wb, lat int64 }
+		g := counts{c.Accesses, c.Hits, c.Misses, c.MissFetches, c.Writebacks, c.LatSum}
+		r := counts{ref.Accesses, ref.Hits, ref.Misses, ref.MissFetches, ref.Writebacks, ref.LatSum}
 		if g != r {
 			t.Fatalf("%s: access %d: counters %+v, reference %+v", cfg.Name, i, g, r)
 		}
@@ -165,9 +188,10 @@ func compareWithReference(t *testing.T, cfg CacheConfig, steps []cacheStep) {
 			t.Fatalf("%s: access %d: line %#x not resident after access", cfg.Name, i, s.line)
 		}
 		if i%64 == 0 {
-			ga, gok := c.WindowLatency()
-			ra, rok := ref.Latency.WindowAvg()
-			ref.Latency.Roll()
+			n := c.Accesses - accAtRoll
+			ga, gok := sim.Ratio(c.LatSum-latAtRoll, n), n > 0
+			latAtRoll, accAtRoll = c.LatSum, c.Accesses
+			ra, rok := ref.rollWindow()
 			if ga != ra || gok != rok {
 				t.Fatalf("%s: access %d: window latency %v/%v, reference %v/%v", cfg.Name, i, ga, gok, ra, rok)
 			}
@@ -176,10 +200,6 @@ func compareWithReference(t *testing.T, cfg CacheConfig, steps []cacheStep) {
 	c.FoldHits()
 	if !c.LatHist.Equal(ref.LatHist) || c.LatHist.Min() != ref.LatHist.Min() || c.LatHist.Max() != ref.LatHist.Max() {
 		t.Fatalf("%s: latency histogram differs:\n got: %s\n ref: %s", cfg.Name, c.LatHist, ref.LatHist)
-	}
-	if c.Latency.TotalSum != ref.Latency.TotalSum || c.Latency.TotalCount != ref.Latency.TotalCount {
-		t.Fatalf("%s: lifetime latency %d/%d, reference %d/%d", cfg.Name,
-			c.Latency.TotalSum, c.Latency.TotalCount, ref.Latency.TotalSum, ref.Latency.TotalCount)
 	}
 }
 

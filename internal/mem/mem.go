@@ -91,11 +91,12 @@ type DRAM struct {
 	channels []*sim.Pool
 	lastRow  [][]int64
 
-	Reads     sim.Counter
-	Writes    sim.Counter
-	RowHits   sim.Counter
-	RowMisses sim.Counter
-	Latency   sim.WindowStat
+	Reads     int64
+	Writes    int64
+	RowHits   int64
+	RowMisses int64
+	// LatSum totals every access's latency; its count is Reads+Writes.
+	LatSum sim.Time
 }
 
 // NewDRAM builds a DRAM model.
@@ -135,19 +136,19 @@ func (d *DRAM) Access(now sim.Time, addr int64, write bool) sim.Time {
 	lat := d.cfg.RowMissLat
 	if d.lastRow[ch][bank] == row {
 		lat = d.cfg.RowHitLat
-		d.RowHits.Inc(1)
+		d.RowHits++
 	} else {
 		d.lastRow[ch][bank] = row
-		d.RowMisses.Inc(1)
+		d.RowMisses++
 	}
 	start := d.channels[ch].Acquire(now, d.cfg.BurstCycles)
 	done := start + lat + d.cfg.BurstCycles
 	if write {
-		d.Writes.Inc(1)
+		d.Writes++
 	} else {
-		d.Reads.Inc(1)
+		d.Reads++
 	}
-	d.Latency.Add(done - now)
+	d.LatSum += done - now
 	return done
 }
 
@@ -216,18 +217,19 @@ type Cache struct {
 	// observed as they happen; hits all cost the constant HitLat and
 	// reach it only through FoldHits.
 	LatHist *telemetry.Histogram
-	// hitsFolded is Hits.Total at the last FoldHits.
+	// hitsFolded is Hits at the last FoldHits.
 	hitsFolded int64
 
-	Accesses sim.Counter
-	Hits     sim.Counter
-	Misses   sim.Counter
+	Accesses int64
+	Hits     int64
+	Misses   int64
 	// MissFetches counts misses that fetched the line from the parent
 	// level (write misses under WriteAllocNoFetch allocate without
 	// fetching, so MissFetches ≤ Misses).
-	MissFetches sim.Counter
-	Writebacks  sim.Counter
-	Latency     sim.WindowStat
+	MissFetches int64
+	Writebacks  int64
+	// LatSum totals every access's latency; its count is Accesses.
+	LatSum sim.Time
 }
 
 // NewCache builds a cache in front of parent. The line count
@@ -282,7 +284,7 @@ func (c *Cache) Access(now sim.Time, addr int64, write bool) sim.Time {
 	key := uint32(line>>c.setBits+1) << 1
 	n := c.cfg.Ways
 	ways := c.ways[int(set)*n : int(set)*n+n]
-	c.Accesses.Inc(1)
+	c.Accesses++
 
 	// Hit path: move the line to the front.
 	for i, w := range ways {
@@ -294,16 +296,16 @@ func (c *Cache) Access(now sim.Time, addr int64, write bool) sim.Time {
 				ways[i] = ways[i-1]
 			}
 			ways[0] = w
-			c.Hits.Inc(1)
-			c.Latency.Add(c.cfg.HitLat)
+			c.Hits++
+			c.LatSum += c.cfg.HitLat
 			return now + c.cfg.HitLat
 		}
 	}
-	c.Misses.Inc(1)
+	c.Misses++
 
 	fetchDone := now + c.cfg.HitLat
 	if !write || !c.cfg.WriteAllocNoFetch {
-		c.MissFetches.Inc(1)
+		c.MissFetches++
 		issueAt := now + c.cfg.HitLat
 		var unit int
 		if c.mshrs != nil {
@@ -320,7 +322,7 @@ func (c *Cache) Access(now sim.Time, addr int64, write bool) sim.Time {
 	if victim := ways[n-1]; victim&1 != 0 {
 		tag := int64(victim>>1) - 1
 		c.parent.Access(fetchDone, (tag<<c.setBits|set)<<LineShift, true)
-		c.Writebacks.Inc(1)
+		c.Writebacks++
 	}
 	for i := n - 1; i > 0; i-- {
 		ways[i] = ways[i-1]
@@ -331,7 +333,7 @@ func (c *Cache) Access(now sim.Time, addr int64, write bool) sim.Time {
 	ways[0] = key
 
 	done := fetchDone + c.cfg.HitLat
-	c.Latency.Add(done - now)
+	c.LatSum += done - now
 	c.LatHist.Observe(int64(done - now))
 	return done
 }
@@ -341,8 +343,8 @@ func (c *Cache) Access(now sim.Time, addr int64, write bool) sim.Time {
 // final fold the histogram equals one that observed every hit. Call it
 // on the goroutine that drives the cache (Hits is a plain counter).
 func (c *Cache) FoldHits() {
-	c.LatHist.ObserveN(int64(c.cfg.HitLat), c.Hits.Total-c.hitsFolded)
-	c.hitsFolded = c.Hits.Total
+	c.LatHist.ObserveN(int64(c.cfg.HitLat), c.Hits-c.hitsFolded)
+	c.hitsFolded = c.Hits
 }
 
 // MSHRInFlight reports the MSHR entries still occupied past `now` (0 when
@@ -370,13 +372,5 @@ func (c *Cache) Contains(addr int64) bool {
 
 // HitRate reports the all-time hit rate.
 func (c *Cache) HitRate() float64 {
-	return sim.Ratio(c.Hits.Total, c.Hits.Total+c.Misses.Total)
-}
-
-// WindowLatency returns the average access latency over the current
-// monitoring window (the paper's thrashing signal) and rolls the window.
-func (c *Cache) WindowLatency() (avg float64, ok bool) {
-	avg, ok = c.Latency.WindowAvg()
-	c.Latency.Roll()
-	return avg, ok
+	return sim.Ratio(c.Hits, c.Hits+c.Misses)
 }

@@ -44,8 +44,8 @@ func TestCacheHitMiss(t *testing.T) {
 	if d2 != d1+2 {
 		t.Fatalf("hit latency = %d (from %d)", d2-d1, d1)
 	}
-	if c.Hits.Total != 1 || c.Misses.Total != 1 {
-		t.Fatalf("hits=%d misses=%d", c.Hits.Total, c.Misses.Total)
+	if c.Hits != 1 || c.Misses != 1 {
+		t.Fatalf("hits=%d misses=%d", c.Hits, c.Misses)
 	}
 	if !c.Contains(0x1000) || c.Contains(0x2000) {
 		t.Fatal("Contains misreports")
@@ -97,8 +97,8 @@ func TestCacheDirtyWriteback(t *testing.T) {
 	for i := 1; i <= 4; i++ {
 		now = c.Access(now, int64(i)<<10, false)
 	}
-	if c.Writebacks.Total != 1 {
-		t.Fatalf("writebacks = %d, want 1", c.Writebacks.Total)
+	if c.Writebacks != 1 {
+		t.Fatalf("writebacks = %d, want 1", c.Writebacks)
 	}
 	if f.writes != 1 {
 		t.Fatalf("parent writes = %d, want 1", f.writes)
@@ -114,6 +114,9 @@ func TestCacheConfigValidation(t *testing.T) {
 	}
 }
 
+// TestCacheWindowLatencyDetectsThrashing takes the window latency the
+// way the locality monitor does, as a delta of the LatSum and Accesses
+// totals since the reader's last roll.
 func TestCacheWindowLatencyDetectsThrashing(t *testing.T) {
 	f := &flat{lat: 200}
 	c := smallCache(t, f)
@@ -122,17 +125,16 @@ func TestCacheWindowLatencyDetectsThrashing(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		now = c.Access(now, int64(i)<<LineShift, false)
 	}
-	avg, ok := c.WindowLatency()
-	if !ok || avg < 100 {
-		t.Fatalf("window latency = %v ok=%v, want high", avg, ok)
+	if avg := sim.Ratio(c.LatSum, c.Accesses); c.Accesses != 256 || avg < 100 {
+		t.Fatalf("window latency = %v over %d accesses, want high", avg, c.Accesses)
 	}
-	// Window rolled: immediately re-reading gives pure hits.
+	// Roll: immediately re-reading the last lines gives pure hits.
+	latAt, accAt := c.LatSum, c.Accesses
 	for i := 0; i < 64; i++ {
 		now = c.Access(now, int64(i+192)<<LineShift, false)
 	}
-	avg, ok = c.WindowLatency()
-	if !ok || avg != 2 {
-		t.Fatalf("post-roll window latency = %v ok=%v, want 2", avg, ok)
+	if n, avg := c.Accesses-accAt, sim.Ratio(c.LatSum-latAt, c.Accesses-accAt); n != 64 || avg != 2 {
+		t.Fatalf("post-roll window latency = %v over %d accesses, want 2 over 64", avg, n)
 	}
 }
 
@@ -145,8 +147,8 @@ func TestDRAMRowBuffer(t *testing.T) {
 	if (a2 - a1) >= a1 {
 		t.Fatalf("row hit (%d) not cheaper than row miss (%d)", a2-a1, a1)
 	}
-	if d.RowHits.Total != 1 || d.RowMisses.Total != 1 {
-		t.Fatalf("rowHits=%d rowMisses=%d", d.RowHits.Total, d.RowMisses.Total)
+	if d.RowHits != 1 || d.RowMisses != 1 {
+		t.Fatalf("rowHits=%d rowMisses=%d", d.RowHits, d.RowMisses)
 	}
 }
 
@@ -202,8 +204,8 @@ func TestNoCTransferAndPath(t *testing.T) {
 	if d2 != 20+2+5 {
 		t.Fatalf("queued transfer done = %d, want 27", d2)
 	}
-	if noc.LinesMoved.Total != 11 || noc.Messages.Total != 2 {
-		t.Fatalf("traffic accounting: %d lines, %d msgs", noc.LinesMoved.Total, noc.Messages.Total)
+	if noc.LinesMoved != 11 || noc.Messages != 2 {
+		t.Fatalf("traffic accounting: %d lines, %d msgs", noc.LinesMoved, noc.Messages)
 	}
 
 	f := &flat{lat: 10}
@@ -225,16 +227,16 @@ func TestNoCSendSplit(t *testing.T) {
 	if got := noc.SendSplit(0, 7); got != 16+5 {
 		t.Fatalf("payload arrival = %d, want 21", got)
 	}
-	if noc.Messages.Total != 3 || noc.LinesMoved.Total != 7 {
-		t.Fatalf("after one split: %d msgs, %d lines; want 3, 7", noc.Messages.Total, noc.LinesMoved.Total)
+	if noc.Messages != 3 || noc.LinesMoved != 7 {
+		t.Fatalf("after one split: %d msgs, %d lines; want 3, 7", noc.Messages, noc.LinesMoved)
 	}
 	// An empty candidate set still sends all three messages; the payload
 	// occupies the link for the one-cycle minimum.
 	if got := noc.SendSplit(100, 0); got != 102+1+5 {
 		t.Fatalf("empty payload arrival = %d, want 108", got)
 	}
-	if noc.Messages.Total != 6 || noc.LinesMoved.Total != 7 {
-		t.Fatalf("after two splits: %d msgs, %d lines; want 6, 7", noc.Messages.Total, noc.LinesMoved.Total)
+	if noc.Messages != 6 || noc.LinesMoved != 7 {
+		t.Fatalf("after two splits: %d msgs, %d lines; want 6, 7", noc.Messages, noc.LinesMoved)
 	}
 }
 
@@ -343,11 +345,11 @@ func TestFoldHitsMatchesPerAccessObserve(t *testing.T) {
 	if !l1.LatHist.Equal(ref) || l1.LatHist.Min() != ref.Min() || l1.LatHist.Max() != ref.Max() {
 		t.Fatalf("folded histogram differs from per-access reference:\n folded: %s\n ref:    %s", l1.LatHist, ref)
 	}
-	if l1.Hits.Total == 0 || l1.Misses.Total == 0 {
-		t.Fatalf("stream lacks hits (%d) or misses (%d)", l1.Hits.Total, l1.Misses.Total)
+	if l1.Hits == 0 || l1.Misses == 0 {
+		t.Fatalf("stream lacks hits (%d) or misses (%d)", l1.Hits, l1.Misses)
 	}
 	l2.FoldHits()
-	if got, want := l2.LatHist.Count(), l2.Accesses.Total; got != want {
+	if got, want := l2.LatHist.Count(), l2.Accesses; got != want {
 		t.Fatalf("l2 histogram count %d, want one per access (%d)", got, want)
 	}
 }

@@ -17,19 +17,14 @@ type NoCConfig struct {
 	FlitCycles sim.Time
 }
 
-// DefaultNoCConfig matches a modest crossbar for 10-20 PEs.
-func DefaultNoCConfig() NoCConfig {
-	return NoCConfig{Links: 8, HopLat: 4, FlitCycles: 1}
-}
-
 // NoC models the interconnect as a link pool: requests acquire a link for
 // their payload duration and pay a fixed hop latency.
 type NoC struct {
 	cfg   NoCConfig
 	links *sim.Pool
 
-	LinesMoved sim.Counter
-	Messages   sim.Counter
+	LinesMoved int64
+	Messages   int64
 }
 
 // NewNoC builds the interconnect.
@@ -50,8 +45,8 @@ func (n *NoC) Transfer(now sim.Time, lines int64) sim.Time {
 		occ = 1
 	}
 	start := n.links.Acquire(now, occ)
-	n.LinesMoved.Inc(lines)
-	n.Messages.Inc(1)
+	n.LinesMoved += lines
+	n.Messages++
 	return start + occ + n.cfg.HopLat
 }
 

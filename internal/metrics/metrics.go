@@ -4,8 +4,10 @@
 // invariant as a modeling bug.
 //
 // The design keeps the hot path allocation-free: components accumulate
-// plain int64 fields (sim.Counter, sim.WindowStat, pool busy integrals)
-// while they run; a Registry is only materialized after the run, when
+// plain int64 totals (event counts, latency and phase cycle sums, pool
+// busy integrals) while they run, and a reader that wants a window
+// takes the delta of a total since its last roll. A Registry is only
+// materialized after the run, when
 // accel.Metrics snapshots those fields into families and declares the
 // identities that must hold between them (per-PE attributed cycles sum
 // to run cycles, tasks created = executed + adopted, cache accesses =

@@ -180,27 +180,34 @@ type PE struct {
 	kickPending  bool
 	conservative bool
 	monitorOn    bool
-	iuBusyAtRoll sim.Time
+	// The monitor's window baselines: the IU busy time and the L1's
+	// latency and access totals at the last roll. A window is the delta
+	// of each total since then.
+	iuBusyAtRoll   sim.Time
+	l1LatAtRoll    sim.Time
+	l1AccessAtRoll int64
 
-	// Stats. The seven Phase* accumulators are an exact partition of
-	// each task's slot residency: every phase span starts where the
-	// previous one ended, so per PE
+	// Stats. The seven Phase* sums are an exact partition of each
+	// task's slot residency: every phase span starts where the previous
+	// one ended, so per PE
 	//
 	//	ΣPhase* == ΣSlotResidency == Slots.OccupancyIntegral(end)
 	//
 	// — the cycle-attribution conservation law metrics.Verify checks.
+	// Each sum gains one span per executed task, so once the PE drains
+	// a phase's average is its sum over TasksExecuted.
 	LastActive     sim.Time // completion time of the latest finished task
-	PhaseDecode    sim.WindowStat
-	PhaseSPM       sim.WindowStat
-	PhaseFetch     sim.WindowStat
-	PhaseCompute   sim.WindowStat
-	PhaseWB        sim.WindowStat
-	PhaseSpawnWait sim.WindowStat
-	PhaseLeaf      sim.WindowStat
-	SlotResidency  sim.WindowStat
-	TasksExecuted  sim.Counter
-	LeafTasks      sim.Counter
-	PrunedFetches  sim.Counter
+	PhaseDecode    sim.Time
+	PhaseSPM       sim.Time
+	PhaseFetch     sim.Time
+	PhaseCompute   sim.Time
+	PhaseWB        sim.Time
+	PhaseSpawnWait sim.Time
+	PhaseLeaf      sim.Time
+	SlotResidency  sim.Time
+	TasksExecuted  int64
+	LeafTasks      int64
+	PrunedFetches  int64
 	Embeddings     int64
 	IntermediateIn int64 // intermediate input lines (Table 2 numerator)
 	// CSRLineReads counts graph-adjacency cache lines fetched over the
@@ -225,7 +232,7 @@ type PE struct {
 	LifetimeHist  *telemetry.Histogram
 	QueueWaitHist *telemetry.Histogram
 	// ConservativeTransitions counts monitor-driven mode switches.
-	ConservativeTransitions sim.Counter
+	ConservativeTransitions int64
 	// LastSample is the most recent monitor observation.
 	LastSample MonitorSample
 }
@@ -282,7 +289,7 @@ func (p *PE) ForceConservative(on bool) {
 	}
 	p.noteConservFlip(on)
 	p.conservative = on
-	p.ConservativeTransitions.Inc(1)
+	p.ConservativeTransitions++
 	p.policy.SetConservative(on)
 	if !on {
 		p.Kick()
@@ -391,12 +398,12 @@ func (p *PE) execute(n *task.Node, slot int) {
 	fl.n = n
 	fl.slotStart = now
 	fl.prof = p.w.ExecuteReuse(n, slot, fl.reads[:0])
-	p.TasksExecuted.Inc(1)
+	p.TasksExecuted++
 	p.IntermediateIn += int64(fl.prof.IntermediateLines)
 
 	// Decode.
 	tDec := p.decodeU.Acquire(now, 1) + p.Cfg.DecodeLat
-	p.PhaseDecode.Add(tDec - now)
+	p.PhaseDecode += tDec - now
 
 	// Dispatch: allocate SPM lines for inputs + output, possibly
 	// waiting. Large sets do not reserve their whole footprint: the
@@ -416,7 +423,7 @@ func (p *PE) execute(n *task.Node, slot int) {
 // stageDispatch runs the dispatch stage. fl.stageStart is the
 // decode-stage completion time: SPM-wait retries re-enter here at later
 // times, and the SPM phase must be charged from the original stage entry
-// so the phase accumulators stay an exact partition of slot residency.
+// so the phase sums stay an exact partition of slot residency.
 func (p *PE) stageDispatch(fl *inflight) {
 	now := p.Eng.Now()
 	if fl.spmNeed > 0 && !p.SPM.AcquireOrWait(now, fl.spmNeed, p, peOpDispatch, fl) {
@@ -424,7 +431,7 @@ func (p *PE) stageDispatch(fl *inflight) {
 	}
 	prof := &fl.prof
 	tDisp := p.dispatchU.Acquire(now, 1) + p.Cfg.DispatchLat
-	p.PhaseSPM.Add(tDisp - fl.stageStart)
+	p.PhaseSPM += tDisp - fl.stageStart
 	p.QueueWaitHist.Observe(int64(tDisp - fl.stageStart))
 
 	// Fetch inputs in parallel: CSR reads bypass L1 (L2 path),
@@ -443,7 +450,7 @@ func (p *PE) stageDispatch(fl *inflight) {
 		}
 	}
 
-	p.PhaseFetch.Add(dataReady - tDisp)
+	p.PhaseFetch += dataReady - tDisp
 
 	// Issue. The issue/writeback/spawn units sustain one operation per
 	// cycle — far above task arrival rates — so they are modeled as
@@ -479,8 +486,8 @@ func (p *PE) stageDispatch(fl *inflight) {
 
 	// Compute is charged from dataReady so the issue latency is part of
 	// the compute span (the phase partition must be gap-free).
-	p.PhaseCompute.Add(tComp - dataReady)
-	p.PhaseWB.Add(tWB - tComp)
+	p.PhaseCompute += tComp - dataReady
+	p.PhaseWB += tWB - tComp
 	p.Eng.Post(tWB, p, peOpFinish, fl)
 }
 
@@ -489,8 +496,8 @@ func (p *PE) finish(fl *inflight) {
 	n := fl.n
 	res := p.policy.OnComplete(n, now)
 	p.Embeddings += res.Embeddings
-	p.LeafTasks.Inc(int64(res.Leaves))
-	p.PrunedFetches.Inc(int64(res.Pruned))
+	p.LeafTasks += int64(res.Leaves)
+	p.PrunedFetches += int64(res.Pruned)
 
 	// Child generation serializes through the spawn unit; aggregated
 	// leaf-task processing runs within the completing task's execution
@@ -507,16 +514,16 @@ func (p *PE) finish(fl *inflight) {
 	}
 	p.spawnU.Acquire(now, occ)
 	tDone := now + occ + p.Cfg.SpawnBase
-	p.PhaseSpawnWait.Add(tDone - now)
+	p.PhaseSpawnWait += tDone - now
 	leafStart := tDone
 	if res.Leaves+res.Pruned > 0 {
 		// Counting the final level is a size extraction plus symmetry/
 		// distinctness boundary searches: flat cost, no enumeration.
 		tDone += p.Cfg.LeafCycles
 	}
-	p.PhaseLeaf.Add(tDone - leafStart)
+	p.PhaseLeaf += tDone - leafStart
 
-	p.SlotResidency.Add(tDone - fl.slotStart)
+	p.SlotResidency += tDone - fl.slotStart
 	p.LifetimeHist.Observe(int64(tDone - fl.slotStart))
 	if tDone > p.LastActive {
 		p.LastActive = tDone
@@ -559,7 +566,10 @@ func (p *PE) ensureMonitor() {
 func (p *PE) monitorTick() {
 	p.monitorOn = false
 
-	avgLat, hasData := p.L1.WindowLatency()
+	// The L1 window rolls only here; ensureMonitor rolls only the IU's.
+	n := p.L1.Accesses - p.l1AccessAtRoll
+	avgLat, hasData := sim.Ratio(p.L1.LatSum-p.l1LatAtRoll, n), n > 0
+	p.l1LatAtRoll, p.l1AccessAtRoll = p.L1.LatSum, p.L1.Accesses
 	iuBusy := p.IUPool.Busy() - p.iuBusyAtRoll
 	iuUtil := float64(iuBusy) / (float64(p.Cfg.MonitorPeriod) * float64(p.Cfg.IUs))
 	if iuUtil > 1 {
@@ -573,14 +583,14 @@ func (p *PE) monitorTick() {
 		if hasData && avgLat > p.Cfg.ConservLatThresh && iuUtil < p.Cfg.ConservUtilThresh {
 			p.noteConservFlip(true)
 			p.conservative = true
-			p.ConservativeTransitions.Inc(1)
+			p.ConservativeTransitions++
 			p.policy.SetConservative(true)
 		}
 	} else {
 		if !hasData || avgLat < 0.6*p.Cfg.ConservLatThresh {
 			p.noteConservFlip(false)
 			p.conservative = false
-			p.ConservativeTransitions.Inc(1)
+			p.ConservativeTransitions++
 			p.policy.SetConservative(false)
 			p.Kick()
 		}

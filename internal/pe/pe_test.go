@@ -1,6 +1,9 @@
 package pe_test
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"shogun/internal/gen"
@@ -110,15 +113,50 @@ func TestMonitorSamplesAndConservativeMode(t *testing.T) {
 	spy := &conservativeSpy{Policy: policy.NewParallelDFS(w, tokens, policy.AllRoots(g), cfg.Width)}
 	p.SetPolicy(spy)
 	p.Kick()
-	eng.Run()
-	if p.ConservativeTransitions.Total == 0 {
-		t.Fatal("monitor never transitioned despite forced thrashing")
+	// Step event by event and catch every monitor tick: only a tick
+	// overwrites LastSample, so a sentinel planted before each step
+	// shows which steps ticked.
+	sentinel := pe.MonitorSample{L1AvgLat: -1}
+	digest := fnv.New64a()
+	var ticks, withData int
+	for {
+		p.LastSample = sentinel
+		if !eng.Step() {
+			break
+		}
+		smp := p.LastSample
+		if smp == sentinel {
+			continue
+		}
+		ticks++
+		if smp.L1HasData {
+			withData++
+		}
+		var rec [25]byte
+		binary.LittleEndian.PutUint64(rec[0:], uint64(eng.Now()))
+		binary.LittleEndian.PutUint64(rec[8:], math.Float64bits(smp.L1AvgLat))
+		binary.LittleEndian.PutUint64(rec[16:], math.Float64bits(smp.IUUtil))
+		if smp.L1HasData {
+			rec[24] = 1
+		}
+		digest.Write(rec[:])
 	}
 	if !spy.sawConservative {
 		t.Fatal("policy was not informed of conservative mode")
 	}
-	// (LastSample may legitimately be empty at drain time: the final
-	// monitor window sees no accesses.)
+	// The monitor's windows decide these runs, so the exact transition
+	// count, drain time and every tick's (time, sample) are pinned.
+	type pin struct {
+		transitions     int64
+		lastActive      sim.Time
+		ticks, withData int
+		digest          uint64
+	}
+	got := pin{p.ConservativeTransitions, p.LastActive, ticks, withData, digest.Sum64()}
+	want := pin{transitions: 746, lastActive: 3741539, ticks: 14616, withData: 14615, digest: 13232589506586217999}
+	if got != want {
+		t.Fatalf("monitor run = %+v, want %+v", got, want)
+	}
 }
 
 type conservativeSpy struct {
@@ -178,7 +216,7 @@ func TestL1SeesIntermediateTraffic(t *testing.T) {
 	p := runWorkload(t, pe.DefaultConfig(), func(w *task.Workload, tk *policy.Tokens) pe.Policy {
 		return policy.NewDFS(w, tk, policy.AllRoots(g))
 	}, g, w)
-	if p.L1.Hits.Total+p.L1.Misses.Total == 0 {
+	if p.L1.Hits+p.L1.Misses == 0 {
 		t.Fatal("L1 never accessed")
 	}
 	if p.IntermediateIn == 0 {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -23,9 +24,10 @@ type LoadOptions struct {
 	URL string
 	// Body is the JSON request sent on every query.
 	Body []byte
-	// QPS is the open-loop arrival rate: requests launch on a fixed
-	// clock regardless of completions (that is what makes saturation
-	// visible — a closed loop would self-throttle and hide the knee).
+	// QPS is the open-loop arrival rate: request i is due i/QPS after
+	// the start regardless of completions (that is what makes
+	// saturation visible — a closed loop would self-throttle and hide
+	// the knee).
 	QPS float64
 	// Duration is how long to offer load.
 	Duration time.Duration
@@ -40,14 +42,14 @@ type LoadOptions struct {
 }
 
 // LoadReport summarizes one load level. Latencies are client-observed,
-// in microseconds, split by outcome: Latency covers accepted (2xx)
-// responses, ShedLatency covers 429s (sheds must be fast — that is the
-// point of shedding).
+// in microseconds from each request's due time, split by outcome:
+// Latency covers accepted (2xx) responses, ShedLatency covers 429s
+// (sheds must be fast — that is the point of shedding).
 type LoadReport struct {
 	QPS        float64       `json:"qps"`
 	Duration   time.Duration `json:"-"`
 	DurationMS int64         `json:"duration_ms"`
-	Offered    int64         `json:"offered"`     // arrivals the clock generated
+	Offered    int64         `json:"offered"`     // arrivals the schedule made due
 	Sent       int64         `json:"sent"`        // requests actually issued
 	Dropped    int64         `json:"dropped"`     // generator in-flight cap hit
 	Accepted   int64         `json:"accepted"`    // 2xx
@@ -96,8 +98,8 @@ func (r *LoadReport) ShedRate() float64 {
 // only if ctx is cancelled; server-side rejections are data, not
 // errors.
 func RunLoad(ctx context.Context, opts LoadOptions) (*LoadReport, error) {
-	if opts.QPS <= 0 {
-		return nil, fmt.Errorf("serve: load QPS must be positive (got %g)", opts.QPS)
+	if !(opts.QPS > 0) || math.IsInf(opts.QPS, 1) {
+		return nil, fmt.Errorf("serve: load QPS must be positive and finite (got %g)", opts.QPS)
 	}
 	if opts.Duration <= 0 {
 		return nil, fmt.Errorf("serve: load duration must be positive (got %v)", opts.Duration)
@@ -131,55 +133,50 @@ func RunLoad(ctx context.Context, opts LoadOptions) (*LoadReport, error) {
 	var inflight atomic.Int64
 	var wg sync.WaitGroup
 
-	interval := time.Duration(float64(time.Second) / opts.QPS)
-	if interval <= 0 {
-		interval = time.Microsecond
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	deadline := time.NewTimer(opts.Duration)
-	defer deadline.Stop()
-
-	var cancelled bool
-loop:
-	for {
-		select {
-		case <-ctx.Done():
-			cancelled = true
-			break loop
-		case <-deadline.C:
-			break loop
-		case <-ticker.C:
-			rep.Offered++
-			if inflight.Load() >= int64(opts.MaxInFlight) {
-				rep.Dropped++
-				continue
-			}
-			rep.Sent++
-			inflight.Add(1)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer inflight.Add(-1)
-				status, emb := oneRequest(ctx, client, opts, accLat, shedLat, &phases)
-				mu.Lock()
-				rep.StatusCounts[status]++
-				switch {
-				case status >= 200 && status < 300:
-					rep.Accepted++
-					rep.Embeddings[emb]++
-				case status == http.StatusTooManyRequests:
-					rep.Shed++
-				case status == http.StatusServiceUnavailable:
-					rep.Unavail++
-				case status == http.StatusRequestTimeout || status == http.StatusUnprocessableEntity:
-					rep.Budgeted++
-				default:
-					rep.Failed++
-				}
-				mu.Unlock()
-			}()
+	// Arrival i is due at start + i/QPS, whenever earlier requests come
+	// back. A generator that falls behind sends what it owes at once,
+	// and each request is timed from its due time, so the lag shows in
+	// the latencies instead of thinning the offered load.
+	start := time.Now()
+	cancelled := false
+	for i := 0; ; i++ {
+		at := time.Duration(float64(i) * float64(time.Second) / opts.QPS)
+		if at >= opts.Duration {
+			break
 		}
+		due := start.Add(at)
+		if cancelled = !sleepUntil(ctx, due); cancelled {
+			break
+		}
+		rep.Offered++
+		if inflight.Load() >= int64(opts.MaxInFlight) {
+			rep.Dropped++
+			continue
+		}
+		rep.Sent++
+		inflight.Add(1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer inflight.Add(-1)
+			status, emb := oneRequest(ctx, client, opts, due, accLat, shedLat, &phases)
+			mu.Lock()
+			rep.StatusCounts[status]++
+			switch {
+			case status >= 200 && status < 300:
+				rep.Accepted++
+				rep.Embeddings[emb]++
+			case status == http.StatusTooManyRequests:
+				rep.Shed++
+			case status == http.StatusServiceUnavailable:
+				rep.Unavail++
+			case status == http.StatusRequestTimeout || status == http.StatusUnprocessableEntity:
+				rep.Budgeted++
+			default:
+				rep.Failed++
+			}
+			mu.Unlock()
+		}()
 	}
 	wg.Wait()
 	rep.Latency = accLat.Summary()
@@ -189,6 +186,18 @@ loop:
 		return rep, ctx.Err()
 	}
 	return rep, nil
+}
+
+// sleepUntil waits until t, and reports false if ctx ends first.
+func sleepUntil(ctx context.Context, t time.Time) bool {
+	timer := time.NewTimer(time.Until(t))
+	defer timer.Stop()
+	select {
+	case <-ctx.Done():
+		return false
+	case <-timer.C:
+		return true
+	}
 }
 
 // phaseHists aggregates the server-reported phase attribution from 2xx
@@ -223,10 +232,10 @@ func (p *phaseHists) summaries() map[string]telemetry.HistSummary {
 	return out
 }
 
-// oneRequest issues a single query, recording latency by outcome.
-// Status 0 means the request never produced an HTTP response.
-func oneRequest(ctx context.Context, client *http.Client, opts LoadOptions, accLat, shedLat *telemetry.Histogram, phases *phaseHists) (status int, embeddings int64) {
-	t0 := time.Now()
+// oneRequest issues a single query, recording its latency from its due
+// time by outcome. Status 0 means the request never produced an HTTP
+// response.
+func oneRequest(ctx context.Context, client *http.Client, opts LoadOptions, due time.Time, accLat, shedLat *telemetry.Histogram, phases *phaseHists) (status int, embeddings int64) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, opts.URL, bytes.NewReader(opts.Body))
 	if err != nil {
 		return 0, 0
@@ -241,7 +250,7 @@ func oneRequest(ctx context.Context, client *http.Client, opts LoadOptions, accL
 		return 0, 0
 	}
 	defer resp.Body.Close()
-	lat := time.Since(t0).Microseconds()
+	lat := time.Since(due).Microseconds()
 	switch {
 	case resp.StatusCode >= 200 && resp.StatusCode < 300:
 		accLat.Observe(lat)

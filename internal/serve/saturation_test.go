@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -130,4 +132,59 @@ func TestRunLoadValidation(t *testing.T) {
 	if _, err := RunLoad(context.Background(), LoadOptions{QPS: 10, Duration: 0}); err == nil {
 		t.Fatal("zero duration accepted")
 	}
+}
+
+// TestRunLoadKeepsTheSchedule drives RunLoad at twice the capacity of a
+// deliberately slow handler that serves one request at a time. Offered
+// load is the schedule's arrival count, QPS × duration, and each
+// latency runs from its request's due time, so it carries all of the
+// request's lag behind the schedule.
+func TestRunLoadKeepsTheSchedule(t *testing.T) {
+	const (
+		service  = 20 * time.Millisecond
+		qps      = 100
+		duration = 300 * time.Millisecond
+		n        = 30 // qps × duration
+	)
+	var (
+		serial sync.Mutex // one request in service at a time
+		mu     sync.Mutex // guards first and done
+		first  time.Time  // the earliest arrival at the handler
+		done   []time.Time
+	)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		now := time.Now()
+		mu.Lock()
+		if first.IsZero() || now.Before(first) {
+			first = now
+		}
+		mu.Unlock()
+		serial.Lock()
+		time.Sleep(service)
+		mu.Lock()
+		done = append(done, time.Now())
+		mu.Unlock()
+		serial.Unlock()
+		w.Write([]byte(`{"embeddings":7}`)) //nolint:errcheck
+	}))
+	defer srv.Close()
+	rep, err := RunLoad(context.Background(), LoadOptions{URL: srv.URL, QPS: qps, Duration: duration})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Offered != n || rep.Sent != n || rep.Accepted != n || rep.Embeddings[7] != n {
+		t.Fatalf("offered %d, sent %d, accepted %d, embeddings %v; want %d of each", rep.Offered, rep.Sent, rep.Accepted, rep.Embeddings, n)
+	}
+	// Arrival i is due at start + i/qps, and the generator starts before
+	// any request reaches the handler, so due_i ≤ first + i/qps and the
+	// latencies sum to at least Σ done − n·first − Σ i/qps. Each latency
+	// is truncated to whole microseconds, hence the n µs of slack.
+	var bound time.Duration
+	for i, d := range done {
+		bound += d.Sub(first) - time.Duration(i)*time.Second/qps
+	}
+	if got, want := rep.Latency.Sum, bound.Microseconds()-n; got < want {
+		t.Fatalf("latencies sum to %d µs, want at least %d µs: they miss the lag behind the schedule", got, want)
+	}
+	t.Logf("%s (latency sum %d µs, bound %d µs)", rep, rep.Latency.Sum, bound.Microseconds())
 }

@@ -111,15 +111,6 @@ func BenchmarkIntersectHubBitmap(b *testing.B) {
 	}
 }
 
-func BenchmarkIntersectCountHubBitmapBound(b *testing.B) {
-	list, _, bits := hubShape(400, 6000, 22)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		IntersectCountBitmapBound(list, bits, 1<<13)
-	}
-}
-
 func BenchmarkSubtractHubMerge(b *testing.B) {
 	list, hub, _ := hubShape(400, 6000, 23)
 	dst := make([]VertexID, 0, 400)

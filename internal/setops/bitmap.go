@@ -57,12 +57,6 @@ func IntersectBitmap(dst, list []VertexID, bits []uint64) []VertexID {
 	return dst[:n]
 }
 
-// IntersectBitmapBound is IntersectBitmap restricted to elements < limit
-// (symmetry-breaking truncation).
-func IntersectBitmapBound(dst, list []VertexID, bits []uint64, limit VertexID) []VertexID {
-	return IntersectBitmap(dst, Bound(list, limit), bits)
-}
-
 // IntersectCountBitmap reports |list ∩ bits| without materializing.
 func IntersectCountBitmap(list []VertexID, bits []uint64) int {
 	n := 0
@@ -72,11 +66,6 @@ func IntersectCountBitmap(list []VertexID, bits []uint64) int {
 		}
 	}
 	return n
-}
-
-// IntersectCountBitmapBound reports |{x ∈ list ∩ bits : x < limit}|.
-func IntersectCountBitmapBound(list []VertexID, bits []uint64, limit VertexID) int {
-	return IntersectCountBitmap(Bound(list, limit), bits)
 }
 
 // SubtractBitmap appends list \ bits to dst and returns the extended
@@ -91,18 +80,7 @@ func SubtractBitmap(dst, list []VertexID, bits []uint64) []VertexID {
 	return dst[:n]
 }
 
-// SubtractBitmapBound is SubtractBitmap restricted to elements < limit.
-func SubtractBitmapBound(dst, list []VertexID, bits []uint64, limit VertexID) []VertexID {
-	return SubtractBitmap(dst, Bound(list, limit), bits)
-}
-
 // SubtractCountBitmap reports |list \ bits| without materializing.
 func SubtractCountBitmap(list []VertexID, bits []uint64) int {
 	return len(list) - IntersectCountBitmap(list, bits)
-}
-
-// SubtractCountBitmapBound reports |{x ∈ list \ bits : x < limit}|.
-func SubtractCountBitmapBound(list []VertexID, bits []uint64, limit VertexID) int {
-	b := Bound(list, limit)
-	return len(b) - IntersectCountBitmap(b, bits)
 }

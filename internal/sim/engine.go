@@ -1,7 +1,7 @@
 // Package sim provides the discrete-event simulation core: an event
 // engine with a deterministic total order, resource pools with busy-until
-// semantics and utilization accounting, counting semaphores with waiter
-// queues, and windowed monitors.
+// semantics and utilization accounting, and counting semaphores with
+// waiter queues.
 //
 // The accelerator model is event-driven rather than cycle-ticked: a task's
 // pipeline phases are scheduled as timed events, and contended resources

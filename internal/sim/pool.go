@@ -336,6 +336,14 @@ func (p *Pool) Utilization(elapsed Time) float64 {
 	return float64(p.busy) / (float64(elapsed) * float64(len(p.keys)))
 }
 
+// Ratio is part/whole, 0 when whole is 0 (hit rates and window averages).
+func Ratio(part, whole int64) float64 {
+	if whole == 0 {
+		return 0
+	}
+	return float64(part) / float64(whole)
+}
+
 // Semaphore is a counting resource with an explicit waiter queue, used for
 // resources held across an unknown span (execution slots, SPM lines,
 // address tokens). Waiters are woken FIFO when capacity frees.

@@ -175,34 +175,7 @@ func TestSemaphoreOccupancyIntegral(t *testing.T) {
 	}
 }
 
-func TestWindowStat(t *testing.T) {
-	var w WindowStat
-	w.Add(10)
-	w.Add(20)
-	if avg, ok := w.WindowAvg(); !ok || avg != 15 {
-		t.Fatalf("window avg = %v ok=%v", avg, ok)
-	}
-	w.Roll()
-	if _, ok := w.WindowAvg(); ok {
-		t.Fatal("rolled window still has samples")
-	}
-	w.AddN(30, 3)
-	if avg, _ := w.WindowAvg(); avg != 10 {
-		t.Fatalf("window avg after AddN = %v", avg)
-	}
-	if w.Avg() != 60.0/5.0 {
-		t.Fatalf("total avg = %v", w.Avg())
-	}
-}
-
-func TestCounterAndRatio(t *testing.T) {
-	var c Counter
-	c.Inc(5)
-	c.Roll()
-	c.Inc(3)
-	if c.Total != 8 || c.Window() != 3 {
-		t.Fatalf("counter = %+v win %d", c.Total, c.Window())
-	}
+func TestRatio(t *testing.T) {
 	if Ratio(1, 0) != 0 || Ratio(3, 4) != 0.75 {
 		t.Fatal("Ratio misbehaved")
 	}

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"strings"
 	"sync/atomic"
 )
 
@@ -335,29 +334,4 @@ func (h *Histogram) String() string {
 	s := h.Summary()
 	return fmt.Sprintf("n=%d avg=%.1f min=%d p50=%d p90=%d p99=%d max=%d",
 		s.Count, s.Avg, s.Min, s.P50, s.P90, s.P99, s.Max)
-}
-
-// Sparkline renders the distribution's non-empty range as an ASCII bar
-// strip over `cols` log-spaced columns (terminal diagnostics).
-func (h *Histogram) Sparkline(cols int) string {
-	bks := h.Buckets()
-	if len(bks) == 0 || cols < 1 {
-		return "(empty)"
-	}
-	groups := make([]int64, cols)
-	var peak int64
-	for i, b := range bks {
-		g := i * cols / len(bks)
-		groups[g] += b.Count
-		if groups[g] > peak {
-			peak = groups[g]
-		}
-	}
-	glyphs := " .:-=+*#%@"
-	var sb strings.Builder
-	for _, v := range groups {
-		idx := int(float64(v) / float64(peak) * float64(len(glyphs)-1))
-		sb.WriteByte(glyphs[idx])
-	}
-	return sb.String()
 }

@@ -240,16 +240,10 @@ func TestConcurrentReadDuringWrites(t *testing.T) {
 	}
 }
 
-func TestSparklineAndString(t *testing.T) {
+func TestHistogramString(t *testing.T) {
 	h := NewHistogram()
-	if h.Sparkline(10) != "(empty)" {
-		t.Fatal("empty sparkline")
-	}
 	for i := int64(0); i < 1000; i++ {
 		h.Observe(i)
-	}
-	if s := h.Sparkline(10); len(s) != 10 {
-		t.Fatalf("sparkline width %d: %q", len(s), s)
 	}
 	if s := h.String(); s == "" {
 		t.Fatal("empty String()")
