@@ -20,6 +20,14 @@
 # allocates: one 32-bit word per way took it from ~5,689 KB/op to
 # ~2,052 KB/op; this guard keeps per-chip state from growing back.
 #
+# BenchmarkClusterSimulateSampled/chips=16 B/op must stay at or below
+# the ceiling in ci/cluster_sampled_bytes_ceiling.txt. It is the same
+# 16-chip machine sampling every 512 cycles. When every chip kept its
+# own sampler and five 15 KB histograms, it allocated ~3,525 KB/op. One
+# telemetry bundle for the machine (one sampler, one tick, five
+# histograms) took it to ~2,236 KB/op; this guard keeps telemetry from
+# going back to one copy per chip.
+#
 # Tighten a ceiling when the number drops (never raise it for
 # convenience — a real regression should be fixed, not accommodated).
 #
@@ -30,11 +38,12 @@ root=$(cd "$(dirname "$0")/.." && pwd)
 ceiling=$(tr -d '[:space:]' < "$root/ci/allocs_ceiling.txt")
 bytes_ceiling=$(tr -d '[:space:]' < "$root/ci/sampler_bytes_ceiling.txt")
 cluster_ceiling=$(tr -d '[:space:]' < "$root/ci/cluster_bytes_ceiling.txt")
+sampled_ceiling=$(tr -d '[:space:]' < "$root/ci/cluster_sampled_bytes_ceiling.txt")
 
 out=$(cd "$root" && go test ./internal/accel/ -run '^$' \
     -bench 'BenchmarkSimulate$|BenchmarkSimulateSamplerOn$' -benchmem -benchtime 3x)
 out+=$'\n'$(cd "$root" && go test ./internal/cluster/ -run '^$' \
-    -bench 'BenchmarkClusterSimulate/chips=16$' -benchmem -benchtime 3x)
+    -bench '^BenchmarkClusterSimulate(Sampled)?$/^chips=16$' -benchmem -benchtime 3x)
 echo "$out"
 
 # field BENCH UNIT prints the value preceding UNIT on BENCH's line.
@@ -72,5 +81,16 @@ fi
 echo "BenchmarkClusterSimulate/chips=16: ${bytes} B/op (ceiling: ${cluster_ceiling})"
 if [ "$bytes" -gt "$cluster_ceiling" ]; then
     echo "FAIL: B/op ${bytes} exceeds the committed ceiling ${cluster_ceiling}" >&2
+    exit 1
+fi
+
+bytes=$(field BenchmarkClusterSimulateSampled/chips=16 B/op)
+if [ -z "$bytes" ]; then
+    echo "FAIL: could not parse B/op for BenchmarkClusterSimulateSampled/chips=16" >&2
+    exit 1
+fi
+echo "BenchmarkClusterSimulateSampled/chips=16: ${bytes} B/op (ceiling: ${sampled_ceiling})"
+if [ "$bytes" -gt "$sampled_ceiling" ]; then
+    echo "FAIL: B/op ${bytes} exceeds the committed ceiling ${sampled_ceiling}" >&2
     exit 1
 fi

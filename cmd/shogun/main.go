@@ -323,15 +323,7 @@ func run(ctx context.Context, o options) error {
 			o.timeseriesOut, len(series.Cycles), series.Interval)
 	}
 	if chrome != nil {
-		// Fold the sampler's system-level gauges in as counter tracks
-		// (per-PE occupancy already derives from the task spans).
-		if series != nil {
-			for _, ser := range series.Series {
-				if !strings.HasPrefix(ser.Name, "pe") {
-					chrome.AddCounterSeries(ser.Name, series.Cycles, ser.Vals)
-				}
-			}
-		}
+		chrome.AddTimeSeries(series)
 		f, err := os.Create(o.chromeOut)
 		if err != nil {
 			return err

@@ -141,7 +141,6 @@ type Accelerator struct {
 	splitsInFlight int
 	balanceArmed   bool
 	mergeArmed     bool
-	samplerArmed   bool
 	// dramLatAtRoll and dramAccessAtRoll are DRAM's latency and access
 	// totals at the last merge check; the check's bandwidth window is
 	// the delta since then.
@@ -164,20 +163,15 @@ type Accelerator struct {
 	// chip is quiet (every PE idle, no pending work or split transfers) —
 	// the cluster scheduler's work-stealing signal.
 	OnChipIdle func()
-	// KeepSampling, when set, keeps the telemetry sampler re-arming while
-	// it returns true even after this chip drains, so a cluster's epoch
-	// series stays aligned across chips that finish at different times.
-	KeepSampling func() bool
 }
 
 // Actor ops for the accelerator's event callbacks (see sim.Engine.Post):
-// the system scheduler's periodic loops — balance, merge, sampler — and
-// split deliveries schedule without per-event closure allocation.
+// the system scheduler's periodic loops — balance, merge — and split
+// deliveries schedule without per-event closure allocation.
 const (
 	opBalanceCheck = iota
 	opArmBalanceIfNeeded
 	opMergeCheck
-	opSamplerTick
 	opDeliverSplit
 )
 
@@ -191,8 +185,6 @@ func (a *Accelerator) Act(op int, arg any) {
 		a.armBalanceIfNeeded()
 	case opMergeCheck:
 		a.mergeCheck()
-	case opSamplerTick:
-		a.samplerTick()
 	case opDeliverSplit:
 		a.deliverSplit(arg.(*splitMsg))
 	default:
@@ -201,21 +193,30 @@ func (a *Accelerator) Act(op int, arg any) {
 }
 
 // New builds an accelerator for graph g and schedule s: a private
-// engine, every vertex a root.
+// engine with its own telemetry bundle, every vertex a root.
 func New(g *graph.Graph, s *pattern.Schedule, cfg Config) (*Accelerator, error) {
 	roots := make([]graph.VertexID, g.NumVertices())
 	for i := range roots {
 		roots[i] = graph.VertexID(i)
 	}
-	return NewShared(g, s, cfg, sim.NewEngine(), roots)
+	eng := sim.NewEngine()
+	var a *Accelerator
+	tel, err := NewTelemetry(cfg, eng, func() bool { return !a.ChipIdle() })
+	if err != nil {
+		return nil, err
+	}
+	a, err = NewShared(g, s, cfg, eng, roots, tel, 0)
+	return a, err
 }
 
 // NewShared builds an accelerator on a caller-owned engine whose system
 // scheduler deals exactly the given roots — the multi-chip cluster
 // (internal/cluster) drives N chips on one shared clock, and its graph
 // partitioner owns vertex placement. An empty roots list leaves the
-// chip without work of its own.
-func NewShared(g *graph.Graph, s *pattern.Schedule, cfg Config, eng *sim.Engine, roots []graph.VertexID) (*Accelerator, error) {
+// chip without work of its own. The chip records into the engine
+// owner's telemetry bundle tel (nil when sampling is off), its PEs
+// numbered from firstPE machine-wide.
+func NewShared(g *graph.Graph, s *pattern.Schedule, cfg Config, eng *sim.Engine, roots []graph.VertexID, tel *Telemetry, firstPE int) (*Accelerator, error) {
 	if cfg.NumPEs < 1 {
 		return nil, fmt.Errorf("accel: need at least one PE")
 	}
@@ -239,6 +240,7 @@ func NewShared(g *graph.Graph, s *pattern.Schedule, cfg Config, eng *sim.Engine,
 		w:    task.NewWorkload(g, s),
 		dram: mem.NewDRAM(cfg.DRAM),
 		noc:  mem.NewNoC(cfg.NoC),
+		tel:  tel,
 
 		splitPending: make([]bool, cfg.NumPEs),
 	}
@@ -293,8 +295,8 @@ func NewShared(g *graph.Graph, s *pattern.Schedule, cfg Config, eng *sim.Engine,
 	if cfg.Perturb != nil {
 		a.installPerturb(cfg.Perturb)
 	}
-	if err := a.initTelemetry(); err != nil {
-		return nil, err
+	if tel != nil {
+		tel.attach(a, firstPE)
 	}
 	return a, nil
 }
@@ -437,7 +439,7 @@ type Result struct {
 	Events int64
 
 	// Telemetry is the sampler's time-series snapshot (nil when sampling
-	// was off).
+	// was off, and on a cluster's per-chip results).
 	Telemetry *telemetry.TimeSeries `json:",omitempty"`
 }
 
@@ -476,18 +478,21 @@ func (a *Accelerator) RunContext(ctx context.Context) (res *Result, err error) {
 	if err := a.VerifyMetrics(); err != nil {
 		return nil, fmt.Errorf("accel: %w", err)
 	}
-	return a.Collect(), nil
+	res = a.Collect()
+	res.Telemetry = a.tel.Series()
+	return res, nil
 }
 
-// Start kicks every PE and arms the periodic merge/sampler loops without
-// running the engine — the cluster driver starts all chips on the shared
-// clock, then runs the engine itself. RunContext calls it internally.
+// Start kicks every PE and arms the periodic merge loop and the
+// telemetry tick without running the engine — the cluster driver starts
+// all chips on the shared clock, then runs the engine itself. RunContext
+// calls it internally.
 func (a *Accelerator) Start() {
 	for _, p := range a.pes {
 		p.Kick()
 	}
 	a.armMerge()
-	a.armSampler()
+	a.tel.arm()
 }
 
 // Budget assembles the run governor's budget from the config's watchdog
@@ -573,8 +578,10 @@ func (a *Accelerator) CheckConservation() error {
 	return fmt.Errorf("accel: resource leak(s) after run: %v", leaks)
 }
 
-// Collect aggregates the post-run Result (exposed for the cluster
-// driver, which runs the shared engine itself).
+// Collect aggregates the chip's post-run Result (exposed for the
+// cluster driver, which runs the shared engine itself). It leaves
+// Telemetry nil: the series belongs to the engine's owner, which takes
+// it from its bundle (Telemetry.Series).
 func (a *Accelerator) Collect() *Result {
 	// Cycles measures work completion: the latest task completion across
 	// PEs. The engine clock itself can drift past it on idle monitor
@@ -636,10 +643,6 @@ func (a *Accelerator) Collect() *Result {
 		r.IntermediateLinesPerTask = float64(interLines) / float64(r.Tasks+r.LeafTasks)
 	}
 	r.Splits = a.Splits
-	if a.tel != nil {
-		a.foldHits()
-		r.Telemetry = a.tel.Sampler.Snapshot()
-	}
 	return r
 }
 

@@ -114,14 +114,15 @@ func TestSamplerOffHotPathZeroAlloc(t *testing.T) {
 	p := a.pes[0]
 	if allocs := testing.AllocsPerRun(100, func() {
 		// The exact observation calls pe.finish/stageDispatch, a cache
-		// miss, a split adoption and Collect make when sampling is off.
+		// miss, a split adoption and the run-end Series make when sampling
+		// is off.
 		p.LifetimeHist.Observe(42)
 		p.QueueWaitHist.Observe(7)
 		p.L1.LatHist.Observe(3)
 		a.l2.LatHist.Observe(9)
 		if a.tel != nil {
 			a.tel.SplitLines.Observe(4)
-			a.foldHits()
+			a.tel.fold()
 		}
 	}); allocs != 0 {
 		t.Fatalf("sampler-off hot path allocates %.0f times per task, want 0", allocs)

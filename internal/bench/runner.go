@@ -288,15 +288,7 @@ func runOne(o Options, c cell) (res *accel.Result, err error) {
 		}
 	}
 	if chrome != nil {
-		// Fold the sampler's system-level gauges into the trace as counter
-		// tracks (per-PE occupancy is already derived from the task spans).
-		if res.Telemetry != nil {
-			for _, series := range res.Telemetry.Series {
-				if !strings.HasPrefix(series.Name, "pe") {
-					chrome.AddCounterSeries(series.Name, res.Telemetry.Cycles, series.Vals)
-				}
-			}
-		}
+		chrome.AddTimeSeries(res.Telemetry)
 		if err := writeCellTrace(o.TraceDir, c.key, chrome); err != nil {
 			return nil, err
 		}

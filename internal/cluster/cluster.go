@@ -61,6 +61,7 @@ type Cluster struct {
 	inter *mem.NoC
 	chips []*accel.Accelerator
 	part  *Partition
+	tel   *accel.Telemetry // the machine's one bundle (nil: sampling off)
 
 	stealArmed bool
 	adoptBusy  []bool // helper chip has an in-flight or retrying adoption
@@ -144,16 +145,18 @@ func New(g *graph.Graph, s *pattern.Schedule, cfg Config) (*Cluster, error) {
 		part:      part,
 		adoptBusy: make([]bool, cfg.Chips),
 	}
+	if c.tel, err = accel.NewTelemetry(cfg.Chip, c.eng, c.Busy); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
 	for i := 0; i < cfg.Chips; i++ {
 		chipCfg := cfg.Chip
 		if chipCfg.Tracer != nil {
 			chipCfg.Tracer = chipTracer{chipCfg.Tracer, i * chipCfg.NumPEs}
 		}
-		chip, err := accel.NewShared(g, s, chipCfg, c.eng, part.Roots[i])
+		chip, err := accel.NewShared(g, s, chipCfg, c.eng, part.Roots[i], c.tel, i*chipCfg.NumPEs)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: chip %d: %w", i, err)
 		}
-		chip.KeepSampling = c.Busy
 		if cfg.Steal {
 			chip.OnChipIdle = c.armSteal
 		}
@@ -176,8 +179,8 @@ func (ct chipTracer) TaskDone(ev trace.Event) {
 }
 
 // Busy reports whether any chip still holds work or a migration is in
-// flight — the sampler keep-alive, steal-loop re-arm and chaos-harness
-// tick predicate.
+// flight — the telemetry tick, steal-loop re-arm and chaos-harness tick
+// predicate.
 func (c *Cluster) Busy() bool {
 	if c.inFlight > 0 {
 		return true
@@ -345,13 +348,13 @@ type Result struct {
 	MeanOccupancy float64
 
 	PerChip []ChipStats
-	// ChipResults carries each chip's full single-chip Result.
+	// ChipResults carries each chip's full single-chip Result, without a
+	// series of its own.
 	ChipResults []*accel.Result
-	// Telemetry is the machine series (nil when sampling was off): every
-	// chip's sampled columns on one epoch grid, per-PE columns numbered
+	// Telemetry is the machine series, the one the machine's bundle
+	// sampled (nil when sampling was off): per-PE columns numbered
 	// machine-wide (chip c's PE p is pe{c×PEs+p}), chip-scope columns
-	// summed over chips, engine/events counted once. At one chip it is
-	// that chip's series, sharing its columns.
+	// summed over chips, engine/events counted once.
 	Telemetry *telemetry.TimeSeries `json:",omitempty"`
 }
 
@@ -448,11 +451,7 @@ func (c *Cluster) collect() *Result {
 		r.LeafTasks += cr.LeafTasks
 	}
 	r.MeanOccupancy = occSum / float64(len(c.chips))
-	series := make([]*telemetry.TimeSeries, len(r.ChipResults))
-	for i, cr := range r.ChipResults {
-		series[i] = cr.Telemetry
-	}
-	r.Telemetry = machineSeries(series, c.cfg.Chip.NumPEs)
+	r.Telemetry = c.tel.Series()
 	return r
 }
 
@@ -471,8 +470,8 @@ func (r *Result) ImbalanceRatio() float64 {
 // Events are the cluster's (one shared clock); PeakLiveSets is the
 // largest chip's; PerPE lists every chip's PEs in machine-wide order
 // (chip c's PE p at c×PEs+p, the numbering trace events carry); and
-// Telemetry is the cluster's machine series. At one chip it equals that
-// chip's Result exactly.
+// Telemetry is the cluster's machine series. At one chip it equals the
+// Result a standalone accelerator's run returns, series included.
 func (r *Result) Machine() *accel.Result {
 	m := &accel.Result{
 		Scheme: r.ChipResults[0].Scheme, Cycles: r.Cycles, Events: r.Events,

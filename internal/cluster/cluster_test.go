@@ -14,6 +14,7 @@ import (
 	"shogun/internal/graph"
 	"shogun/internal/metrics"
 	"shogun/internal/mine"
+	"shogun/internal/sim"
 	"shogun/internal/sim/simtest"
 )
 
@@ -102,22 +103,28 @@ func TestClusterDifferentialN1(t *testing.T) {
 							t.Fatalf("cluster run: %v", err)
 						}
 
-						chip := res.ChipResults[0]
 						// The machine aggregate every caller reports from
-						// is the chip's Result itself at one chip.
-						mj, _ := json.Marshal(res.Machine())
+						// is the chip's Result at one chip, plus the
+						// machine series the chip result carries no copy of.
+						m := res.Machine()
+						chip := *res.ChipResults[0]
+						if chip.Telemetry != nil {
+							t.Error("chip result carries its own copy of the series")
+						}
+						chip.Telemetry = m.Telemetry
+						mj, _ := json.Marshal(m)
 						if cj, _ := json.Marshal(chip); string(mj) != string(cj) {
 							t.Errorf("1-chip machine aggregate diverged from its chip:\nchip:    %s\nmachine: %s", cj, mj)
 						}
 						snap := cl.Chips()[0].Metrics().Snapshot()
 						if n != nil {
-							chip.Events -= n.Fired()
+							m.Events -= n.Fired()
 							snap["engine/events"] -= n.Fired()
-							n.Discount(chip.Telemetry.Cycles, chip.Telemetry.Col("engine/events"))
+							n.Discount(m.Telemetry.Cycles, m.Telemetry.Col("engine/events"))
 						}
-						cj, _ := json.Marshal(chip)
-						if string(sj) != string(cj) {
-							t.Errorf("1-chip cluster Result diverged from single-chip engine:\nsingle:  %s\ncluster: %s", sj, cj)
+						mj, _ = json.Marshal(m)
+						if string(sj) != string(mj) {
+							t.Errorf("1-chip cluster Result diverged from single-chip engine:\nsingle:  %s\ncluster: %s", sj, mj)
 						}
 						if diff := metrics.Diff(singleSnap, snap); len(diff) > 0 {
 							t.Errorf("hardware counters diverged: %v", diff)
@@ -338,10 +345,10 @@ func TestClusterStealingMovesWork(t *testing.T) {
 	}
 }
 
-// TestClusterSplitLinesCountAdoptions: every chip's split-payload
-// histogram observes once per adopted subtree, whether it arrived from a
-// PE on the same chip (§4.1) or from another chip over the
-// interconnect — the two transfers share one adopt path.
+// TestClusterSplitLinesCountAdoptions: the machine's split-payload
+// histogram observes once per adopted subtree on any chip, whether it
+// arrived from a PE on the same chip (§4.1) or from another chip over
+// the interconnect — the two transfers share one adopt path.
 func TestClusterSplitLinesCountAdoptions(t *testing.T) {
 	g := gen.PowerLawCluster(300, 6, 0.6, 43)
 	wl := workload(t, "4cl")
@@ -359,16 +366,15 @@ func TestClusterSplitLinesCountAdoptions(t *testing.T) {
 		t.Fatalf("run: %v", err)
 	}
 	var splits, migIn int64
-	for i, chip := range cl.Chips() {
-		got := chip.Telemetry().SplitLines.Count()
-		if want := chip.Splits + chip.MigratedIn; got != want {
-			t.Errorf("chip%d: split-lines count = %d, want splits + migrations in = %d", i, got, want)
-		}
+	for _, chip := range cl.Chips() {
 		splits += chip.Splits
 		migIn += chip.MigratedIn
 	}
 	if splits == 0 || migIn == 0 {
 		t.Fatalf("splits=%d migrations in=%d: both paths must fire", splits, migIn)
+	}
+	if got := cl.Histograms()["split-lines"].Count; got != splits+migIn {
+		t.Errorf("split-lines count = %d, want Σ splits + migrations in = %d", got, splits+migIn)
 	}
 }
 
@@ -506,10 +512,18 @@ func TestClusterNonShogunSchemes(t *testing.T) {
 // snapshot records: one workload at 1–16 chips, reporting speedup-
 // relevant cycle counts plus chip-occupancy balance and migration
 // volume via custom benchmark units.
-func BenchmarkClusterSimulate(b *testing.B) {
+func BenchmarkClusterSimulate(b *testing.B) { benchCluster(b, []int{1, 2, 4, 8, 16}, 0) }
+
+// BenchmarkClusterSimulateSampled is BenchmarkClusterSimulate's 16-chip
+// machine with the telemetry sampler on every 512 cycles: the machine's
+// one sampler, tick and digest set, whose bytes ci/check_allocs.sh
+// bounds.
+func BenchmarkClusterSimulateSampled(b *testing.B) { benchCluster(b, []int{16}, 512) }
+
+func benchCluster(b *testing.B, chipCounts []int, sampleEvery sim.Time) {
 	g := gen.RMAT(512, 4000, 0.57, 0.19, 0.19, 21)
 	wl := workload(b, "tc")
-	for _, chips := range []int{1, 2, 4, 8, 16} {
+	for _, chips := range chipCounts {
 		b.Run(fmt.Sprintf("chips=%d", chips), func(b *testing.B) {
 			var res *cluster.Result
 			for i := 0; i < b.N; i++ {
@@ -517,6 +531,7 @@ func BenchmarkClusterSimulate(b *testing.B) {
 				cfg.Partition = cluster.ModeHash
 				cfg.Chip.NumPEs = 2
 				cfg.Chip.EnableSplitting = true
+				cfg.Chip.SampleEvery = sampleEvery
 				cl, err := cluster.New(g, wl.Schedule, cfg)
 				if err != nil {
 					b.Fatal(err)

@@ -928,9 +928,9 @@ func (s *Server) simulate(ctx context.Context, req *Request, g *graph.Graph, sch
 	}
 	if cfg.Chip.SampleEvery > 0 {
 		// Joins a live /v1/requests/{id} view with the run: the
-		// samplers' columns are mutex-guarded, so reading the last
-		// epoch of the machine series from another goroutine is safe
-		// while the engine keeps sampling.
+		// machine's one sampler is mutex-guarded, so reading the last
+		// epoch of its series from another goroutine is safe while the
+		// engine keeps sampling.
 		sp.SetProgress(func() map[string]int64 {
 			ts := cl.Samples()
 			out := make(map[string]int64, 8)

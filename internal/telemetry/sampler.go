@@ -23,10 +23,15 @@ type Probe func(now int64) int64
 // double together, so a short run holds little more than the epochs it
 // sampled.
 //
-// The Sampler does not schedule itself; the owner (the accelerator)
-// calls Sample at each epoch boundary and re-arms with the current
-// Interval. Sample and the read-side methods are mutex-guarded so a live
-// inspection server can snapshot mid-run.
+// A column may sum several probes: Gauge under a name already registered
+// adds its probe to that column, so one machine-wide sampler holds each
+// chip-scope gauge once, summed over chips.
+//
+// The Sampler does not schedule itself; the engine owner's telemetry
+// bundle (accel.Telemetry, one per chip or per machine) calls Sample at
+// each epoch boundary and re-arms with the current Interval. Sample and
+// the read-side methods are mutex-guarded so a live inspection server
+// can snapshot mid-run.
 type Sampler struct {
 	mu    sync.Mutex
 	base  int64 // configured epoch spacing
@@ -34,7 +39,8 @@ type Sampler struct {
 	cap   int
 
 	names  []string
-	probes []Probe
+	index  map[string]int // name → column
+	probes [][]Probe      // per column; the column records their sum
 	cycles []int64
 	cols   [][]int64
 }
@@ -57,20 +63,26 @@ func NewSampler(every int64, capSamples int) (*Sampler, error) {
 	if capSamples < 2 {
 		capSamples = 2 // decimation needs at least two rows
 	}
-	return &Sampler{base: every, every: every, cap: capSamples}, nil
+	return &Sampler{base: every, every: every, cap: capSamples, index: map[string]int{}}, nil
 }
 
-// Gauge registers a named probe. Register every gauge before the first
-// Sample call; later registrations would desynchronize the columns and
-// panic.
+// Gauge registers a named probe: a new name opens a column, and a name
+// already registered adds p to its column, which records the sum of its
+// probes. Register every gauge before the first Sample call; later
+// registrations would desynchronize the columns and panic.
 func (s *Sampler) Gauge(name string, p Probe) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.cycles) > 0 {
 		panic("telemetry: Gauge registered after sampling started")
 	}
+	if i, ok := s.index[name]; ok {
+		s.probes[i] = append(s.probes[i], p)
+		return
+	}
+	s.index[name] = len(s.names)
 	s.names = append(s.names, name)
-	s.probes = append(s.probes, p)
+	s.probes = append(s.probes, []Probe{p})
 	s.cols = append(s.cols, nil)
 }
 
@@ -97,8 +109,12 @@ func (s *Sampler) Sample(now int64) {
 		s.grow()
 	}
 	s.cycles = append(s.cycles, now)
-	for i, p := range s.probes {
-		s.cols[i] = append(s.cols[i], p(now))
+	for i, ps := range s.probes {
+		var v int64
+		for _, p := range ps {
+			v += p(now)
+		}
+		s.cols[i] = append(s.cols[i], v)
 	}
 	if len(s.cycles) >= s.cap {
 		s.decimate()
@@ -142,10 +158,8 @@ func (s *Sampler) decimate() {
 func (s *Sampler) Last(name string) (int64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i, n := range s.names {
-		if n == name && len(s.cols[i]) > 0 {
-			return s.cols[i][len(s.cols[i])-1], true
-		}
+	if i, ok := s.index[name]; ok && len(s.cols[i]) > 0 {
+		return s.cols[i][len(s.cols[i])-1], true
 	}
 	return 0, false
 }

@@ -25,6 +25,28 @@ func TestNewSamplerValidates(t *testing.T) {
 	}
 }
 
+// TestSamplerGaugeSumsSameName: a probe registered under a name already
+// taken joins that column, which records the sum of its probes, and the
+// column keeps the place of its first registration.
+func TestSamplerGaugeSumsSameName(t *testing.T) {
+	s, _ := NewSampler(100, 64)
+	s.Gauge("dram/queue", func(int64) int64 { return 2 })
+	s.Gauge("pe0/resident", func(int64) int64 { return 7 })
+	s.Gauge("dram/queue", func(now int64) int64 { return now })
+	s.Sample(100)
+	s.Sample(200)
+	ts := s.Snapshot()
+	if len(ts.Series) != 2 || ts.Series[0].Name != "dram/queue" || ts.Series[1].Name != "pe0/resident" {
+		t.Fatalf("columns = %+v, want dram/queue then pe0/resident", ts.Series)
+	}
+	if got := ts.Col("dram/queue"); len(got) != 2 || got[0] != 102 || got[1] != 202 {
+		t.Fatalf("dram/queue = %v, want [102 202]", got)
+	}
+	if v, ok := s.Last("dram/queue"); !ok || v != 202 {
+		t.Fatalf("Last(dram/queue) = %d,%v", v, ok)
+	}
+}
+
 func TestSamplerColumns(t *testing.T) {
 	s, _ := NewSampler(100, 64)
 	var a, b int64

@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"sync"
+
+	"shogun/internal/telemetry"
 )
 
 // Chrome collects task events and renders them in the Chrome trace-event
@@ -15,17 +18,9 @@ import (
 // a per-PE "C" counter series tracks the number of resident tasks so
 // slot occupancy is visible as a stacked area chart.
 type Chrome struct {
-	mu       sync.Mutex
-	events   []Event
-	counters []counterSeries
-}
-
-// counterSeries is one externally supplied counter track (telemetry
-// sampler gauges), rendered under a separate "telemetry" process row.
-type counterSeries struct {
-	name   string
-	cycles []int64
-	vals   []int64
+	mu     sync.Mutex
+	events []Event
+	series []*telemetry.TimeSeries
 }
 
 // NewChrome builds an empty collector.
@@ -38,21 +33,19 @@ func (c *Chrome) TaskDone(ev Event) {
 	c.mu.Unlock()
 }
 
-// AddCounterSeries folds one sampled gauge into the trace file as a "C"
-// counter track under the "telemetry" process (pid 1), aligned to the
-// task spans' cycle timeline. cycles and vals must be parallel; the
-// shorter length wins.
-func (c *Chrome) AddCounterSeries(name string, cycles, vals []int64) {
-	n := len(cycles)
-	if len(vals) < n {
-		n = len(vals)
+// AddTimeSeries folds a sampler series into the trace file: every
+// system-level gauge becomes a "C" counter track under the "telemetry"
+// process (pid 1), aligned to the task spans' cycle timeline. Per-PE
+// columns ("pe…") are left out, as per-PE occupancy already derives
+// from the task spans, and a column longer or shorter than the cycle
+// column is cut to the shorter. A nil series adds nothing. The series
+// is kept, not copied: a TimeSeries is immutable.
+func (c *Chrome) AddTimeSeries(ts *telemetry.TimeSeries) {
+	if ts == nil {
+		return
 	}
 	c.mu.Lock()
-	c.counters = append(c.counters, counterSeries{
-		name:   name,
-		cycles: append([]int64(nil), cycles[:n]...),
-		vals:   append([]int64(nil), vals[:n]...),
-	})
+	c.series = append(c.series, ts)
 	c.mu.Unlock()
 }
 
@@ -140,19 +133,26 @@ func (c *Chrome) WriteTo(w io.Writer) (int64, error) {
 
 	// Telemetry counter tracks live under their own process row so they
 	// stack separately from the per-PE task threads.
-	if len(c.counters) > 0 {
+	tracks := false
+	for _, ts := range c.series {
+		for _, s := range ts.Series {
+			if strings.HasPrefix(s.Name, "pe") {
+				continue
+			}
+			tracks = true
+			for i, cyc := range ts.Cycles[:min(len(ts.Cycles), len(s.Vals))] {
+				out = append(out, ChromeEvent{
+					Name: s.Name, Ph: "C", Ts: cyc, Pid: 1,
+					Args: map[string]any{"value": s.Vals[i]},
+				})
+			}
+		}
+	}
+	if tracks {
 		out = append(out, ChromeEvent{
 			Name: "process_name", Ph: "M", Pid: 1,
 			Args: map[string]any{"name": "telemetry"},
 		})
-	}
-	for _, cs := range c.counters {
-		for i := range cs.cycles {
-			out = append(out, ChromeEvent{
-				Name: cs.name, Ph: "C", Ts: cs.cycles[i], Pid: 1,
-				Args: map[string]any{"value": cs.vals[i]},
-			})
-		}
 	}
 
 	// Deterministic output order: metadata first, then by (ts, tid, ph).

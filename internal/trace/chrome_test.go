@@ -8,6 +8,7 @@ import (
 	"shogun/internal/accel"
 	"shogun/internal/gen"
 	"shogun/internal/pattern"
+	"shogun/internal/telemetry"
 	"shogun/internal/trace"
 )
 
@@ -103,15 +104,23 @@ func TestChromeTraceSchema(t *testing.T) {
 	}
 }
 
-// TestChromeCounterTracks folds telemetry sampler series into the trace
-// and checks they come out as "C" events under the telemetry process
-// (pid 1), aligned to the task spans' cycle timeline.
+// TestChromeCounterTracks folds a telemetry sampler series into the
+// trace and checks its system-level gauges come out as "C" events under
+// the telemetry process (pid 1), aligned to the task spans' cycle
+// timeline, while per-PE columns and a nil series add nothing.
 func TestChromeCounterTracks(t *testing.T) {
 	chrome := trace.NewChrome()
 	chrome.TaskDone(trace.Event{PE: 0, Start: 0, Done: 100})
-	chrome.AddCounterSeries("dram/queue", []int64{10, 20, 30}, []int64{1, 4, 2})
-	// Mismatched lengths truncate to the shorter side.
-	chrome.AddCounterSeries("noc/inflight", []int64{10, 20, 30}, []int64{7})
+	chrome.AddTimeSeries(nil)
+	chrome.AddTimeSeries(&telemetry.TimeSeries{
+		Cycles: []int64{10, 20, 30},
+		Series: []telemetry.Series{
+			{Name: "pe0/resident", Vals: []int64{3, 3, 3}},
+			{Name: "dram/queue", Vals: []int64{1, 4, 2}},
+			// Mismatched lengths truncate to the shorter side.
+			{Name: "noc/inflight", Vals: []int64{7}},
+		},
+	})
 
 	var buf bytes.Buffer
 	if _, err := chrome.WriteTo(&buf); err != nil {
@@ -145,6 +154,8 @@ func TestChromeCounterTracks(t *testing.T) {
 			dram++
 		case ev.Ph == "C" && ev.Name == "noc/inflight":
 			noc++
+		case ev.Ph == "C" && ev.Pid == 1:
+			t.Fatalf("unexpected counter track %q", ev.Name)
 		}
 	}
 	if !procNamed {
