@@ -28,6 +28,16 @@
 # histograms) took it to ~2,236 KB/op; this guard keeps telemetry from
 # going back to one copy per chip.
 #
+# BenchmarkCountLJTriangleServe (one served lj x tc count) allocs/op
+# and B/op must stay at or below ci/count_serve_allocs_ceiling.txt and
+# ci/count_serve_bytes_ceiling.txt. The miner allocates its buffers once
+# per worker: before the counting leaf probed a per-parent bitset a
+# count read 21 allocs/op and ~31.7 KB/op. The leaf's scratch bitset
+# (one bit per vertex, 4 KB on lj) adds one allocation per miner, never
+# one per leaf-parent batch: 22 allocs/op and ~35.8 KB/op. This guard
+# catches a per-batch or per-sibling allocation on the golden miner's
+# hot path.
+#
 # Tighten a ceiling when the number drops (never raise it for
 # convenience — a real regression should be fixed, not accommodated).
 #
@@ -39,11 +49,15 @@ ceiling=$(tr -d '[:space:]' < "$root/ci/allocs_ceiling.txt")
 bytes_ceiling=$(tr -d '[:space:]' < "$root/ci/sampler_bytes_ceiling.txt")
 cluster_ceiling=$(tr -d '[:space:]' < "$root/ci/cluster_bytes_ceiling.txt")
 sampled_ceiling=$(tr -d '[:space:]' < "$root/ci/cluster_sampled_bytes_ceiling.txt")
+count_allocs_ceiling=$(tr -d '[:space:]' < "$root/ci/count_serve_allocs_ceiling.txt")
+count_bytes_ceiling=$(tr -d '[:space:]' < "$root/ci/count_serve_bytes_ceiling.txt")
 
 out=$(cd "$root" && go test ./internal/accel/ -run '^$' \
     -bench 'BenchmarkSimulate$|BenchmarkSimulateSamplerOn$' -benchmem -benchtime 3x)
 out+=$'\n'$(cd "$root" && go test ./internal/cluster/ -run '^$' \
     -bench '^BenchmarkClusterSimulate(Sampled)?$/^chips=16$' -benchmem -benchtime 3x)
+out+=$'\n'$(cd "$root" && go test ./internal/mine/ -run '^$' \
+    -bench '^BenchmarkCountLJTriangleServe$' -benchmem -benchtime 3x)
 echo "$out"
 
 # field BENCH UNIT prints the value preceding UNIT on BENCH's line.
@@ -92,5 +106,17 @@ fi
 echo "BenchmarkClusterSimulateSampled/chips=16: ${bytes} B/op (ceiling: ${sampled_ceiling})"
 if [ "$bytes" -gt "$sampled_ceiling" ]; then
     echo "FAIL: B/op ${bytes} exceeds the committed ceiling ${sampled_ceiling}" >&2
+    exit 1
+fi
+
+allocs=$(field BenchmarkCountLJTriangleServe allocs/op)
+bytes=$(field BenchmarkCountLJTriangleServe B/op)
+if [ -z "$allocs" ] || [ -z "$bytes" ]; then
+    echo "FAIL: could not parse allocs/op and B/op for BenchmarkCountLJTriangleServe" >&2
+    exit 1
+fi
+echo "BenchmarkCountLJTriangleServe: ${allocs} allocs/op (ceiling: ${count_allocs_ceiling}), ${bytes} B/op (ceiling: ${count_bytes_ceiling})"
+if [ "$allocs" -gt "$count_allocs_ceiling" ] || [ "$bytes" -gt "$count_bytes_ceiling" ]; then
+    echo "FAIL: BenchmarkCountLJTriangleServe exceeds a committed ceiling" >&2
     exit 1
 fi

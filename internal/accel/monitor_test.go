@@ -13,11 +13,12 @@ import (
 // TestMonitorRestartWindowAfterAdoption pins the first locality-monitor
 // sample of a helper PE that adopted a §4.1 split while its monitor was
 // off. The PE restarts the monitor when the adopted root kicks it, and
-// the restart rolls the IU window but not the L1 one, so this sample's
-// L1 window also holds the L1 accesses made while the monitor was off —
-// among them the adopted candidate set, written into the helper's L1
-// before it starts. The values are pinned as they are, not as they
-// should be: rolling the L1 window at the restart would change them.
+// the restart rolls both the IU and the L1 window, so this sample covers
+// only the period since the restart. An L1 window left unrolled would
+// also hold the L1 accesses made while the monitor was off, among them
+// the adopted candidate set written into the helper's L1 before it
+// starts: that window read 2.094488188976378 cycles here, and the
+// rolled one reads 2.0952380952380953.
 func TestMonitorRestartWindowAfterAdoption(t *testing.T) {
 	g := gen.RMAT(1<<10, 6000, 0.6, 0.15, 0.15, 5)
 	s, err := pattern.Build(pattern.FourClique())
@@ -95,10 +96,9 @@ func TestMonitorRestartWindowAfterAdoption(t *testing.T) {
 	}
 	got := pin{first.pe, restarts, first.adopted, first.tick,
 		math.Float64bits(first.sample.L1AvgLat), math.Float64bits(first.sample.IUUtil), first.sample.L1HasData}
-	// lat is 2.094488188976378 cycles; a window rolled at the restart
-	// would read 2.0952380952380953. util is 0.18033854166666666.
+	// lat is 2.0952380952380953 cycles; util is 0.18033854166666666.
 	want := pin{pe: 7, restarts: 92, adopted: 10242, tick: 10498,
-		lat: 0x4000c183060c1830, util: 0x3fc7155555555555, hasData: true}
+		lat: 0x4000c30c30c30c31, util: 0x3fc7155555555555, hasData: true}
 	if got != want {
 		t.Errorf("first post-restart sample of an adopting helper:\n got %+v\nwant %+v", got, want)
 	}

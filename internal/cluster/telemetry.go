@@ -12,6 +12,16 @@ func (c *Cluster) Samples() *telemetry.TimeSeries {
 	return c.tel.Sampler.Snapshot()
 }
 
+// Sampler is the machine's one sampler (nil when sampling is off). It is
+// mutex-guarded, so another goroutine may read its last epoch mid-run
+// without copying the series.
+func (c *Cluster) Sampler() *telemetry.Sampler {
+	if c.tel == nil {
+		return nil
+	}
+	return c.tel.Sampler
+}
+
 // Histograms is the live machine digest set, the summaries of the
 // machine's histograms (nil when sampling is off).
 func (c *Cluster) Histograms() map[string]telemetry.HistSummary {

@@ -7,9 +7,10 @@ import (
 )
 
 // storedBitsMinLen is the smallest stored candidate set worth mirroring
-// into a scratch bitset: building and later clearing cost 2·|set|, which
-// a single bitmap probe against it already roughly repays, and stored
-// sets are typically probed once per sibling task.
+// into a scratch bitset for a dispatched operation: building and later
+// clearing cost 2·|set|, which a single bitmap probe against it already
+// roughly repays. The counting leaf's per-batch bitset does not use it:
+// every sibling of the batch probes that one (see countLeaves).
 const storedBitsMinLen = 64
 
 // kernelContext is the per-Miner hybrid set-kernel state: the graph's
@@ -38,6 +39,10 @@ type kernelContext struct {
 	// aliasBits[d] is the hub bitset view of sets[d] when plan d aliases
 	// a hub's full neighbor list, giving the stored set a free bitset.
 	aliasBits [][]uint64
+	// leafBits is the counting leaf's scratch bitset: it mirrors the
+	// last step's parent-constant input for one leaf-parent batch when
+	// that input has no hub or alias bits (see countLeaves).
+	leafBits []uint64
 	// lazy[d] is a prebuilt closure returning the (built-on-demand)
 	// scratch bitset of sets[d]; prebuilding avoids a closure allocation
 	// per operand in the hot loop.
@@ -71,7 +76,9 @@ func (m *Miner) initKernels() {
 // are identical either way — and exists for benchmarks and ablations.
 func (m *Miner) SetHybridKernels(on bool) { m.kern.enabled = on }
 
-// KernelStats reports which kernels the dispatcher selected so far.
+// KernelStats reports the kernels selected so far: the dispatcher's
+// choices, plus one bitmap probe per counted leaf task whose two bounded
+// inputs are both non-empty.
 func (m *Miner) KernelStats() setops.Stats { return m.kern.disp.Stats }
 
 // storedBits returns the scratch bitset mirroring sets[d], building it on
@@ -162,15 +169,21 @@ func boundedPrefix(list []graph.VertexID, n int, limit graph.VertexID) []graph.V
 // resolves the leaf plan, the part of the leaf's bound set by positions
 // below d, and every operand but N(v_d): stored sets C_j (j ≤ d) and
 // neighbour sets N(v_j) (j < d) do not change while position d's loop
-// runs. Per sibling it checks distinctness, runs the fold steps but the
-// last into scratch buffers (foldLeaf), and counts the last step with a
-// counting kernel over bounded prefixes (freeBound), minus the Distinct
-// exclusions found by membership probes. The dispatcher sees the calls a
-// materializing leaf would make, in the same order with the same bounded
-// lengths, so kernel selection and every Result statistic are
-// bit-identical to it. The statistics accrue in closed form: the stored
-// inputs' lines are a per-parent constant per leaf task.
+// runs. When no fold step but the last reads N(v_d), it also folds those
+// steps once. Of the last step's two inputs, a (the base or the fold of
+// every other step) and b (the last operand), at most one reads
+// matched[d]; the other one, P, gets one bitset for the batch (leafBits).
+// Per sibling it checks distinctness, runs any sibling-dependent fold
+// steps (foldLeaf), takes both inputs' bounded prefixes (freeBound) and
+// counts the last step with one bitmap probe: the shorter list into the
+// other side's bitset, where the sibling's N(v_d) offers hub bits, else
+// the sibling's side into P's. The Distinct exclusions are membership
+// probes. Every count is a set cardinality, so each Result statistic
+// equals the materializing leaf's; the statistics accrue in closed form.
 func (m *Miner) countLeaves(d int, cands []graph.VertexID) {
+	if len(cands) == 0 {
+		return
+	}
 	k := &m.kern
 	plan := &m.s.Plans[d+1]
 	steps := len(plan.Steps)
@@ -205,10 +218,55 @@ func (m *Miner) countLeaves(d int, cands []graph.VertexID) {
 	distinct := m.s.Plans[d].Distinct
 	var lastRef pattern.SetRef
 	var sub bool
+	var tasks, count, elems, probes int64
+	// fixed is a's list when a does not read matched[d]: the base, or the
+	// fold of every step but the last, hoisted out of the sibling loop
+	// with its per-sibling set-op elements in foldElems. Otherwise each
+	// sibling folds a itself (perSib).
+	var fixed []graph.VertexID
+	var foldElems int64
+	perSib := steps > 1 && sib >= 0 && sib < steps
+	// pIsA reports whether P is a (else b), and qIsN whether the other
+	// input is N(v_d) itself, whose hub bits a sibling may probe instead.
+	// pBits is P's bitset; filled is the prefix of P that leafBits
+	// mirrors for this batch.
+	pIsA := sib == steps
+	qIsN := pIsA || (sib == 0 && steps == 1)
+	var pBits []uint64
+	var filled []graph.VertexID
+	switch {
+	case sib == 0:
+	case steps <= 1:
+		fixed = ops[0].List
+	case !perSib:
+		fixed = m.foldLeaf(plan, sib, nil, nil, &foldElems)
+	}
 	if steps > 0 {
 		lastRef, sub = plan.Steps[steps-1].Ref, plan.Steps[steps-1].Sub
+		pList := ops[steps].List
+		pBits = ops[steps].Bits
+		if pIsA {
+			pList, pBits = fixed, nil
+			if steps == 1 {
+				pBits = ops[0].Bits
+			}
+		}
+		if pBits == nil {
+			// Only elements below a sibling's limit are ever probed, so
+			// P's prefix below the batch's largest limit suffices. This
+			// partial mirror never stands in for sets[d]'s (setLive).
+			maxLimit := limit0
+			if last := cands[len(cands)-1]; sibBound && last < maxLimit {
+				maxLimit = last
+			}
+			if k.leafBits == nil {
+				k.leafBits = make([]uint64, k.words)
+			}
+			filled = setops.Bound(pList, maxLimit)
+			setops.BitsetFill(k.leafBits, filled)
+			pBits = k.leafBits
+		}
 	}
-	var tasks, count, elems int64
 siblings:
 	for i, v := range cands {
 		for _, j := range distinct {
@@ -222,27 +280,22 @@ siblings:
 		if sibBound && v < limit {
 			limit = v
 		}
-		// The last step's inputs a and b (the base, or the fold of every
-		// other step, and the last operand) are held as bare slices: an
-		// Operand is too large to live in registers, and copying one
-		// built field by field stalls on store forwarding.
+		// The inputs are held as bare slices: an Operand is too large to
+		// live in registers, and copying one built field by field stalls
+		// on store forwarding.
 		var nl []graph.VertexID
 		var nbits []uint64
 		if sib >= 0 {
-			nl, nbits = m.g.Neighbors(v), k.hub.Bits(v)
+			nl = m.g.Neighbors(v)
 		}
-		aList, aBits, aLazy := ops[0].List, ops[0].Bits, ops[0].LazyBits
+		if perSib {
+			nbits = k.hub.Bits(v)
+		}
+		aList, al := fixed, []graph.VertexID(nil)
 		if sib == 0 {
-			aList, aBits, aLazy = nl, nbits, nil
+			aList = nl
 		}
-		bList, bBits, bLazy := ops[steps].List, ops[steps].Bits, ops[steps].LazyBits
-		if steps == sib {
-			bList, bBits, bLazy = nl, nbits, nil
-		}
-		var al []graph.VertexID
 		switch {
-		case steps == 1:
-			al = boundedPrefix(aList, m.freeBound(plan.Base, len(aList), limit), limit)
 		case steps == 0:
 			// Alias plan: candidates are a bounded prefix of an existing set.
 			c := int64(len(boundedPrefix(aList, m.freeBound(plan.Base, len(aList), limit), limit)))
@@ -253,49 +306,85 @@ siblings:
 			}
 			count += c
 			continue
+		case steps == 1:
+			al = boundedPrefix(aList, m.freeBound(plan.Base, len(aList), limit), limit)
 		default:
-			aList = m.foldLeaf(plan, setops.Operand{List: aList, Bits: aBits, LazyBits: aLazy}, sib, nl, nbits, &elems)
-			aBits, aLazy = nil, nil
+			if perSib {
+				aList = m.foldLeaf(plan, sib, nl, nbits, &elems)
+			}
 			al = aList
 			if limit != setops.NoLimit {
 				al = setops.Bound(aList, limit)
 			}
 		}
+		bList := ops[steps].List
+		if sib == steps {
+			bList = nl
+		}
+		bl := boundedPrefix(bList, m.freeBound(lastRef, len(bList), limit), limit)
 		elems += int64(len(aList) + len(bList))
+		pl, ql := bl, al
+		if pIsA {
+			pl, ql = al, bl
+		}
+		// N(v_d)'s hub bits pay off only when its list is the longer one.
+		var qBits []uint64
+		if qIsN && len(ql) > len(pl) {
+			qBits = k.hub.Bits(v)
+		}
 		var c int
+		if len(al) > 0 && len(bl) > 0 {
+			probes++
+			if qBits != nil {
+				c = setops.IntersectCountBitmap(pl, qBits)
+			} else {
+				c = setops.IntersectCountBitmap(ql, pBits)
+			}
+		}
 		if sub {
-			c = k.disp.SubtractCount(setops.Operand{List: al, Bits: aBits, LazyBits: aLazy}, setops.Operand{List: bList, Bits: bBits, LazyBits: bLazy})
-		} else {
-			bl := boundedPrefix(bList, m.freeBound(lastRef, len(bList), limit), limit)
-			c = k.disp.IntersectCount(setops.Operand{List: al, Bits: aBits, LazyBits: aLazy}, setops.Operand{List: bl, Bits: bBits, LazyBits: bLazy})
+			c = len(al) - c
 		}
 		for _, j := range plan.Distinct {
 			u := m.matched[j]
-			if u >= limit || !setops.Contains(al, u) {
+			if u >= limit {
 				continue
 			}
-			has := setops.Contains(bList, u)
-			if bBits != nil {
-				has = setops.BitsetHas(bBits, u)
+			inP, inQ := setops.BitsetHas(pBits, u), false
+			if qBits != nil {
+				inQ = setops.BitsetHas(qBits, u)
+			} else {
+				inQ = setops.Contains(ql, u)
 			}
-			if has != sub {
+			inA, inB := inQ, inP
+			if pIsA {
+				inA, inB = inP, inQ
+			}
+			if inA && inB != sub {
 				c--
 			}
 		}
 		count += int64(c)
 	}
+	if filled != nil {
+		setops.BitsetClearList(k.leafBits, filled)
+	}
+	k.disp.Stats.BitmapOps += probes
 	m.res.TasksPerDepth[d] += tasks
 	m.res.TasksPerDepth[d+1] += count
 	m.res.Embeddings += count
 	m.res.IntermediateLinesPerDepth[d] += lines * tasks
-	m.res.SetOpElements += elems
+	m.res.SetOpElements += elems + foldElems*tasks
 }
 
-// foldLeaf runs every fold step of the leaf plan but the last, from base,
-// into the scratch buffers and returns the result, advancing *elems by
-// the set-op elements the steps stream. The operand at index sib of
+// foldLeaf runs every fold step of the leaf plan but the last, from the
+// base, into the scratch buffers and returns the result, advancing *elems
+// by the set-op elements the steps stream. The operand at index sib of
 // kern.leafOps is the sibling's neighbour list nl (hub bitset nbits).
-func (m *Miner) foldLeaf(plan *pattern.Plan, cur setops.Operand, sib int, nl []graph.VertexID, nbits []uint64, elems *int64) []graph.VertexID {
+func (m *Miner) foldLeaf(plan *pattern.Plan, sib int, nl []graph.VertexID, nbits []uint64, elems *int64) []graph.VertexID {
+	cur := m.kern.leafOps[0]
+	if sib == 0 {
+		cur = setops.Operand{List: nl, Bits: nbits}
+	}
 	for j := 1; j < len(plan.Steps); j++ {
 		operand := m.kern.leafOps[j]
 		if j == sib {

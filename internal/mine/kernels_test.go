@@ -170,9 +170,68 @@ func TestHybridMatchesBaselineExactly(t *testing.T) {
 	}
 }
 
+// TestCountingLeafDifferential runs every catalog pattern, edge- and
+// vertex-induced, on skewed R-MAT graphs: the counting leaf's Result must
+// equal the merge-only miner's, and its count the visitor path's. The
+// "tiny-hubs" graph's hub index was built under a two-hub budget, so
+// long non-hub siblings probe the parent's bitset and leaf parents with
+// neither hub nor alias bits fill the scratch bitset.
+func TestCountingLeafDifferential(t *testing.T) {
+	tiny := gen.RMAT(1<<9, 3000, 0.6, 0.15, 0.15, 31)
+	n := tiny.NumVertices()
+	hub := tiny.HubIndexWithBudget(int64(4*n + 2*(8*setops.BitsetWords(n)+4)))
+	if hub == nil || hub.NumHubs() != 2 {
+		t.Fatal("the tiny budget did not build a two-hub index")
+	}
+	longNonHubs := 0
+	for v := 0; v < n; v++ {
+		if tiny.Degree(graph.VertexID(v)) >= graph.MinHubDegree && !hub.IsHub(graph.VertexID(v)) {
+			longNonHubs++
+		}
+	}
+	if longNonHubs == 0 {
+		t.Fatal("tiny-hubs has no long non-hub vertex")
+	}
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"hubby", gen.RMAT(1<<9, 2500, 0.62, 0.14, 0.14, 42)},
+		{"tiny-hubs", tiny},
+	}
+	for _, c := range graphs {
+		for _, name := range []string{"tc", "tt", "4cl", "5cl", "dia", "4cyc", "house"} {
+			p, err := pattern.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, induced := range []bool{false, true} {
+				s, err := pattern.BuildWith(p, pattern.BuildOptions{Induced: induced})
+				if err != nil {
+					t.Fatal(err)
+				}
+				hyb := NewMiner(c.g, s).Run()
+				if diff := sameResult(hyb, runBaseline(c.g, s)); diff != "" {
+					t.Errorf("%s/%s: counting leaf vs merge-only: %s", c.name, s.Name, diff)
+				}
+				var visits int64
+				v := NewMiner(c.g, s)
+				v.SetVisitor(func([]graph.VertexID) { visits++ })
+				v.Run()
+				if visits != hyb.Embeddings {
+					t.Errorf("%s/%s: counting leaf %d embeddings, visitor %d", c.name, s.Name, hyb.Embeddings, visits)
+				}
+			}
+		}
+	}
+}
+
 // TestCountingLeafPinned pins Result and KernelStats of the counting
-// miner on two served analogues, as recorded from the per-task counting
-// leaf the leaf-parent batch replaced. Any moved number fails.
+// miner on two served analogues. Result is as recorded from the per-task
+// counting leaf the leaf-parent batch replaced. KernelStats is as
+// recorded from the probe leaf: one BitmapOps per leaf task whose two
+// bounded inputs are both non-empty, plus the dispatcher's choices for
+// the candidate sets above the leaf. Any moved number fails.
 func TestCountingLeafPinned(t *testing.T) {
 	cases := []struct {
 		dataset, pattern string
@@ -180,9 +239,9 @@ func TestCountingLeafPinned(t *testing.T) {
 		stats            setops.Stats
 	}{
 		{"lj", "tc", Result{Embeddings: 230351, TasksPerDepth: []int64{32768, 154179, 230351}, IntermediateLinesPerDepth: []int64{0, 707913, 0}, SetOpElements: 33433244},
-			setops.Stats{MergeOps: 53929, GallopOps: 406, BitmapOps: 75931}},
+			setops.Stats{BitmapOps: 130266}},
 		{"lj", "4cl", Result{Embeddings: 509953, TasksPerDepth: []int64{32768, 154179, 230351, 509953}, IntermediateLinesPerDepth: []int64{0, 707913, 450182, 0}, SetOpElements: 159427264},
-			setops.Stats{MergeOps: 72255, GallopOps: 999, BitmapOps: 248318}},
+			setops.Stats{MergeOps: 64451, GallopOps: 957, BitmapOps: 256164}},
 		{"yo", "tt_e", Result{Embeddings: 40200738, TasksPerDepth: []int64{16384, 75246, 205911, 40200738}, IntermediateLinesPerDepth: []int64{0, 404363, 2639844, 0}, SetOpElements: 11608760},
 			setops.Stats{MergeOps: 38348, GallopOps: 894, BitmapOps: 36004}},
 		{"yo", "dia", Result{Embeddings: 3002609, TasksPerDepth: []int64{16384, 37623, 205911, 3002609}, IntermediateLinesPerDepth: []int64{0, 122976, 491651, 0}, SetOpElements: 5804380},
@@ -220,6 +279,14 @@ func FuzzMinerLeafBounds(f *testing.F) {
 	f.Add(uint8(6), uint8(0), uint8(0), []byte{0, 1, 0, 2, 1, 2, 2, 3, 3, 0, 1, 3})
 	f.Add(uint8(90), uint8(5), uint8(1), []byte{1, 2, 2, 3, 3, 1, 10, 11, 11, 12, 12, 10, 40, 41})
 	f.Add(uint8(200), uint8(9), uint8(200), []byte{7, 8, 8, 9, 9, 7, 7, 10, 10, 8, 100, 101, 101, 7})
+	// The probe leaf's shapes: P the stored base under a hub sibling
+	// (tc, dia_v), P the last operand (house_v), P the hoisted fold
+	// (tt_v), and P filled into the scratch bitset with no hub at all.
+	f.Add(uint8(100), uint8(0), uint8(3), []byte{1, 2, 2, 4, 4, 1, 5, 6, 6, 7, 7, 5, 5, 8, 8, 6, 90, 91})
+	f.Add(uint8(100), uint8(7), uint8(3), []byte{1, 2, 2, 4, 4, 1, 1, 5, 5, 2, 5, 6, 6, 7, 7, 5, 60, 61})
+	f.Add(uint8(120), uint8(11), uint8(9), []byte{1, 2, 2, 3, 3, 4, 4, 1, 1, 3, 10, 11, 11, 12, 12, 13, 13, 10, 40, 41})
+	f.Add(uint8(140), uint8(5), uint8(139), []byte{1, 2, 2, 3, 3, 1, 3, 4, 4, 5, 5, 3, 20, 21, 21, 22, 22, 20, 22, 23})
+	f.Add(uint8(30), uint8(2), uint8(0), []byte{0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3, 3, 4, 4, 5, 5, 3, 2, 4, 2, 5})
 	patterns := leafTestPatterns()
 	f.Fuzz(func(t *testing.T, n, pat, hub uint8, raw []byte) {
 		if n < 2 {

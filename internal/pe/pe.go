@@ -560,13 +560,13 @@ func (p *PE) ensureMonitor() {
 	}
 	p.monitorOn = true
 	p.iuBusyAtRoll = p.IUPool.Busy()
+	p.l1LatAtRoll, p.l1AccessAtRoll = p.L1.LatSum, p.L1.Accesses
 	p.Eng.PostAfter(p.Cfg.MonitorPeriod, p, peOpMonitor, nil)
 }
 
 func (p *PE) monitorTick() {
 	p.monitorOn = false
 
-	// The L1 window rolls only here; ensureMonitor rolls only the IU's.
 	n := p.L1.Accesses - p.l1AccessAtRoll
 	avgLat, hasData := sim.Ratio(p.L1.LatSum-p.l1LatAtRoll, n), n > 0
 	p.l1LatAtRoll, p.l1AccessAtRoll = p.L1.LatSum, p.L1.Accesses

@@ -926,25 +926,8 @@ func (s *Server) simulate(ctx context.Context, req *Request, g *graph.Graph, sch
 			s.cfg.OnAccel(chip)
 		}
 	}
-	if cfg.Chip.SampleEvery > 0 {
-		// Joins a live /v1/requests/{id} view with the run: the
-		// machine's one sampler is mutex-guarded, so reading the last
-		// epoch of its series from another goroutine is safe while the
-		// engine keeps sampling.
-		sp.SetProgress(func() map[string]int64 {
-			ts := cl.Samples()
-			out := make(map[string]int64, 8)
-			out["cycle"] = ts.EndCycle()
-			out["epochs"] = int64(len(ts.Cycles))
-			for _, name := range [...]string{
-				"engine/events", "tasks/executed", "dram/queue", "noc/inflight",
-			} {
-				if col := ts.Col(name); len(col) > 0 {
-					out[name] = col[len(col)-1]
-				}
-			}
-			return out
-		})
+	if smp := cl.Sampler(); smp != nil {
+		sp.SetProgress(func() map[string]int64 { return liveProgress(smp) })
 	}
 	// The governor snapshot rides on the slow-request log: by the time
 	// the log renders it the run has finished, so reading the engine is
@@ -952,6 +935,25 @@ func (s *Server) simulate(ctx context.Context, req *Request, g *graph.Graph, sch
 	eng := cl.Engine()
 	sp.SetSnapshot(func() string { return eng.Snapshot().String() })
 	return cl.RunContext(ctx)
+}
+
+// liveProgress joins a live /v1/requests/{id} view with a running
+// machine: the end cycle, the epoch count and the last value of four
+// gauges, read from its one sampler without copying the series. The
+// sampler is mutex-guarded, so another goroutine may read it while the
+// engine keeps sampling.
+func liveProgress(smp *telemetry.Sampler) map[string]int64 {
+	cycle, epochs := smp.End()
+	out := make(map[string]int64, 8)
+	out["cycle"], out["epochs"] = cycle, int64(epochs)
+	for _, name := range [...]string{
+		"engine/events", "tasks/executed", "dram/queue", "noc/inflight",
+	} {
+		if v, ok := smp.Last(name); ok {
+			out[name] = v
+		}
+	}
+	return out
 }
 
 // clampBudget applies "may tighten, may not exceed": zero means take

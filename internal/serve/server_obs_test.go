@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"reflect"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,7 +17,10 @@ import (
 	"time"
 
 	"shogun/internal/accel"
+	"shogun/internal/cluster"
+	"shogun/internal/gen"
 	"shogun/internal/obs"
+	"shogun/internal/pattern"
 )
 
 // syncBuffer is a goroutine-safe bytes.Buffer: handler goroutines append
@@ -538,5 +542,47 @@ func BenchmarkServeObsOn(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		obsRequestLifecycle(p)
+	}
+}
+
+// TestLiveProgressReadsWithoutCopy reads the live progress of a sampled
+// 3-chip machine after its run: the values equal the last epoch of the
+// machine series, and one read allocates only its small map, not a copy
+// of every column of the series.
+func TestLiveProgressReadsWithoutCopy(t *testing.T) {
+	g := gen.RMAT(1<<10, 6000, 0.6, 0.15, 0.15, 1)
+	sched, err := pattern.Build(pattern.FourClique())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := cluster.DefaultConfig(accel.SchemeShogun, 3)
+	cfg.Chip.NumPEs = 4
+	cfg.Chip.SampleEvery = 64
+	cl, err := cluster.New(g, sched, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Run(); err != nil {
+		t.Fatal(err)
+	}
+	smp := cl.Sampler()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := liveProgress(smp)
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1024 {
+		t.Errorf("one progress read allocated %d B, want < 1 KB", n)
+	}
+	ts := cl.Samples()
+	want := map[string]int64{"cycle": ts.EndCycle(), "epochs": int64(len(ts.Cycles))}
+	for _, name := range []string{"engine/events", "tasks/executed", "dram/queue", "noc/inflight"} {
+		col := ts.Col(name)
+		if len(col) == 0 {
+			t.Fatalf("machine series has no %s column", name)
+		}
+		want[name] = col[len(col)-1]
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("live progress %v, snapshot's last epoch %v", got, want)
 	}
 }

@@ -159,3 +159,24 @@ func BenchmarkDispatcherBalancedFallback(b *testing.B) {
 		dst = d.Intersect(dst[:0], a, c)
 	}
 }
+
+var countSink int
+
+// BenchmarkIntersectCountBitmap probes a list against a bitset that
+// holds about half the universe, so each probe's outcome is a coin flip:
+// the density at which a kernel that branches on the tested bit
+// mispredicts most.
+func BenchmarkIntersectCountBitmap(b *testing.B) {
+	const universe = 1 << 14
+	rng := rand.New(rand.NewSource(26))
+	list := randSet(rng, 1000, universe)
+	bits := make([]uint64, BitsetWords(universe))
+	for i := range bits {
+		bits[i] = rng.Uint64()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		countSink = IntersectCountBitmap(list, bits)
+	}
+}

@@ -58,12 +58,16 @@ func IntersectBitmap(dst, list []VertexID, bits []uint64) []VertexID {
 }
 
 // IntersectCountBitmap reports |list ∩ bits| without materializing.
+// Like IntersectBitmap it adds the tested bit instead of branching on it.
+// It is kept out of line: inlined into the miner's counting leaf, whose
+// sibling loop holds many live values, its loop state spilled to the
+// stack on every element.
+//
+//go:noinline
 func IntersectCountBitmap(list []VertexID, bits []uint64) int {
 	n := 0
 	for _, x := range list {
-		if bits[uint32(x)>>6]&(1<<(uint32(x)&63)) != 0 {
-			n++
-		}
+		n += int(bits[uint32(x)>>6] >> (uint32(x) & 63) & 1)
 	}
 	return n
 }
@@ -78,9 +82,4 @@ func SubtractBitmap(dst, list []VertexID, bits []uint64) []VertexID {
 		n += int(^bits[uint32(x)>>6] >> (uint32(x) & 63) & 1)
 	}
 	return dst[:n]
-}
-
-// SubtractCountBitmap reports |list \ bits| without materializing.
-func SubtractCountBitmap(list []VertexID, bits []uint64) int {
-	return len(list) - IntersectCountBitmap(list, bits)
 }

@@ -156,37 +156,3 @@ func (d *Dispatcher) Subtract(dst []VertexID, a, b Operand) []VertexID {
 	d.Stats.MergeOps++
 	return Subtract(dst, a.List, b.List)
 }
-
-// IntersectCount reports |a ∩ b| via the cheapest kernel. Callers that
-// count under a symmetry-breaking bound pass the bounded prefixes as the
-// lists: those are what the kernels stream, so costs are estimated on
-// them, and a full-set bitset view stays exact because only elements
-// below the bound are probed against it.
-func (d *Dispatcher) IntersectCount(a, b Operand) int {
-	if len(a.List) == 0 || len(b.List) == 0 {
-		return 0
-	}
-	if probe, bs, ok := bitmapPlan(&a, &b); ok {
-		d.Stats.BitmapOps++
-		return IntersectCountBitmap(probe, bs.bitset())
-	}
-	d.countListKernel(len(a.List), len(b.List))
-	return IntersectCount(a.List, b.List)
-}
-
-// SubtractCount reports |a \ b| via the cheapest kernel; a bounded count
-// passes a's bounded prefix as a.List, as for IntersectCount.
-func (d *Dispatcher) SubtractCount(a, b Operand) int {
-	if len(a.List) == 0 {
-		return 0
-	}
-	if len(b.List) == 0 {
-		return len(a.List)
-	}
-	if b.hasBits() {
-		d.Stats.BitmapOps++
-		return SubtractCountBitmap(a.List, b.bitset())
-	}
-	d.countListKernel(len(a.List), len(b.List))
-	return len(a.List) - IntersectCount(a.List, b.List)
-}

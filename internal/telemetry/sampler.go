@@ -94,13 +94,6 @@ func (s *Sampler) Interval() int64 {
 	return s.every
 }
 
-// Len reports the number of retained epochs.
-func (s *Sampler) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.cycles)
-}
-
 // Sample records one epoch: the timestamp plus every gauge.
 func (s *Sampler) Sample(now int64) {
 	s.mu.Lock()
@@ -162,6 +155,17 @@ func (s *Sampler) Last(name string) (int64, bool) {
 		return s.cols[i][len(s.cols[i])-1], true
 	}
 	return 0, false
+}
+
+// End returns the last sampled timestamp (0 when empty) and the number
+// of retained epochs, without copying the series.
+func (s *Sampler) End() (cycle int64, epochs int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.cycles); n > 0 {
+		return s.cycles[n-1], n
+	}
+	return 0, 0
 }
 
 // Snapshot deep-copies the retained series. Safe to call from another

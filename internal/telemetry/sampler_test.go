@@ -57,8 +57,8 @@ func TestSamplerColumns(t *testing.T) {
 		s.Sample(100 * (i + 1))
 	}
 	ts := s.Snapshot()
-	if len(ts.Cycles) != 5 || s.Len() != 5 {
-		t.Fatalf("epochs = %d", len(ts.Cycles))
+	if cycle, n := s.End(); len(ts.Cycles) != 5 || n != 5 || cycle != 500 {
+		t.Fatalf("epochs = %d, End() = (%d, %d)", len(ts.Cycles), cycle, n)
 	}
 	if got := ts.Col("a"); got[4] != 4 {
 		t.Fatalf("a = %v", got)
@@ -91,8 +91,8 @@ func TestSamplerDecimation(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		tick += s.Interval()
 		s.Sample(tick)
-		if s.Len() >= cap {
-			t.Fatalf("ring exceeded capacity: %d", s.Len())
+		if _, n := s.End(); n >= cap {
+			t.Fatalf("ring exceeded capacity: %d", n)
 		}
 	}
 	ts := s.Snapshot()
@@ -128,7 +128,7 @@ func TestSamplerStorageFollowsRun(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		tick += s.Interval()
 		s.Sample(tick)
-		n := s.Len()
+		_, n := s.End()
 		for _, col := range append([][]int64{s.cycles}, s.cols...) {
 			if len(col) != n || cap(col) > capSamples || cap(col) > max(8, 2*n) {
 				t.Fatalf("epoch %d: column len %d cap %d for %d retained epochs", i, len(col), cap(col), n)
