@@ -11,8 +11,10 @@
 # ci/sampler_bytes_ceiling.txt. One latency histogram per name per chip
 # (not per PE) and sampler columns that grow with the run took it from
 # ~1,101 KB/op to ~951 KB/op (at this script's -benchtime 3x), and one
-# 32-bit word per cache way (not 17 bytes a line) to ~711 KB/op; this
-# guard keeps telemetry and cache storage from creeping back.
+# 32-bit word per cache way (not 17 bytes a line) to ~711 KB/op, and
+# histograms that allocate a power-of-two range's buckets on first touch
+# (not a dense 15 KB array each) to ~633 KB/op; this guard keeps
+# telemetry and cache storage from creeping back.
 #
 # BenchmarkClusterSimulate/chips=16 B/op must stay at or below the
 # ceiling in ci/cluster_bytes_ceiling.txt. Sixteen chips build 16 L2s
@@ -38,6 +40,16 @@
 # catches a per-batch or per-sibling allocation on the golden miner's
 # hot path.
 #
+# BenchmarkReadEdgeListUpload (parse and build one served upload's text:
+# R-MAT, 2048 vertices, 12,000 edges) allocs/op and B/op must stay at or
+# below ci/read_upload_allocs_ceiling.txt and
+# ci/read_upload_bytes_ceiling.txt. A reader that made a string and a
+# fields slice per line and a builder that sorted each row with
+# sort.Slice read 22,551 allocs/op and ~1,047 KB/op; the byte-level
+# reader and the counting-sort build read 26 allocs/op and ~622 KB/op.
+# This guard catches a per-line or per-row allocation coming back on the
+# upload path.
+#
 # Tighten a ceiling when the number drops (never raise it for
 # convenience — a real regression should be fixed, not accommodated).
 #
@@ -51,6 +63,8 @@ cluster_ceiling=$(tr -d '[:space:]' < "$root/ci/cluster_bytes_ceiling.txt")
 sampled_ceiling=$(tr -d '[:space:]' < "$root/ci/cluster_sampled_bytes_ceiling.txt")
 count_allocs_ceiling=$(tr -d '[:space:]' < "$root/ci/count_serve_allocs_ceiling.txt")
 count_bytes_ceiling=$(tr -d '[:space:]' < "$root/ci/count_serve_bytes_ceiling.txt")
+read_allocs_ceiling=$(tr -d '[:space:]' < "$root/ci/read_upload_allocs_ceiling.txt")
+read_bytes_ceiling=$(tr -d '[:space:]' < "$root/ci/read_upload_bytes_ceiling.txt")
 
 out=$(cd "$root" && go test ./internal/accel/ -run '^$' \
     -bench 'BenchmarkSimulate$|BenchmarkSimulateSamplerOn$' -benchmem -benchtime 3x)
@@ -58,6 +72,8 @@ out+=$'\n'$(cd "$root" && go test ./internal/cluster/ -run '^$' \
     -bench '^BenchmarkClusterSimulate(Sampled)?$/^chips=16$' -benchmem -benchtime 3x)
 out+=$'\n'$(cd "$root" && go test ./internal/mine/ -run '^$' \
     -bench '^BenchmarkCountLJTriangleServe$' -benchmem -benchtime 3x)
+out+=$'\n'$(cd "$root" && go test ./internal/graph/ -run '^$' \
+    -bench '^BenchmarkReadEdgeListUpload$' -benchmem -benchtime 3x)
 echo "$out"
 
 # field BENCH UNIT prints the value preceding UNIT on BENCH's line.
@@ -118,5 +134,17 @@ fi
 echo "BenchmarkCountLJTriangleServe: ${allocs} allocs/op (ceiling: ${count_allocs_ceiling}), ${bytes} B/op (ceiling: ${count_bytes_ceiling})"
 if [ "$allocs" -gt "$count_allocs_ceiling" ] || [ "$bytes" -gt "$count_bytes_ceiling" ]; then
     echo "FAIL: BenchmarkCountLJTriangleServe exceeds a committed ceiling" >&2
+    exit 1
+fi
+
+allocs=$(field BenchmarkReadEdgeListUpload allocs/op)
+bytes=$(field BenchmarkReadEdgeListUpload B/op)
+if [ -z "$allocs" ] || [ -z "$bytes" ]; then
+    echo "FAIL: could not parse allocs/op and B/op for BenchmarkReadEdgeListUpload" >&2
+    exit 1
+fi
+echo "BenchmarkReadEdgeListUpload: ${allocs} allocs/op (ceiling: ${read_allocs_ceiling}), ${bytes} B/op (ceiling: ${read_bytes_ceiling})"
+if [ "$allocs" -gt "$read_allocs_ceiling" ] || [ "$bytes" -gt "$read_bytes_ceiling" ]; then
+    echo "FAIL: BenchmarkReadEdgeListUpload exceeds a committed ceiling" >&2
     exit 1
 fi

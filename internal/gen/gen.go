@@ -43,26 +43,33 @@ func RMAT(n, m int, a, b, c float64, seed int64) *graph.Graph {
 	for 1<<levels < n {
 		levels++
 	}
+	// Each level draws one r and picks a quadrant: [0, a) top-left (no
+	// bit), [a, ab) top-right (v's bit), [ab, abc) bottom-left (u's bit),
+	// [abc, 1) bottom-right (both). With b, c >= 0 the cut points ascend,
+	// so u's bit is r >= ab and v's bit is the parity of the cut points
+	// at or below r, which sets the bits without a branch.
+	ab := a + b
+	abc := ab + c
 	edges := make([]graph.Edge, 0, m)
 	for i := 0; i < m; i++ {
 		var u, v int
 		for l := 0; l < levels; l++ {
 			r := rng.Float64()
-			switch {
-			case r < a:
-				// top-left: no bits set
-			case r < a+b:
-				v |= 1 << l
-			case r < a+b+c:
-				u |= 1 << l
-			default:
-				u |= 1 << l
-				v |= 1 << l
-			}
+			u |= bit(r >= ab) << l
+			v |= (bit(r >= a) ^ bit(r >= ab) ^ bit(r >= abc)) << l
 		}
 		edges = append(edges, graph.Edge{U: graph.VertexID(u % n), V: graph.VertexID(v % n)})
 	}
 	return graph.MustNew(n, edges)
+}
+
+// bit is 1 for true and 0 for false; the compiler emits a flag move, not
+// a branch.
+func bit(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // BarabasiAlbert generates a preferential-attachment graph: each new vertex

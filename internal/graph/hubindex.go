@@ -1,6 +1,9 @@
 package graph
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // DefaultHubBudgetBytes is the memory budget of the lazily built hub
 // index: the top-K selection shrinks K until the whole index (bitsets
@@ -73,12 +76,11 @@ func buildHubIndex(g *Graph, budgetBytes int64) *HubIndex {
 	if len(cands) == 0 {
 		return nil
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		di, dj := g.Degree(cands[i]), g.Degree(cands[j])
-		if di != dj {
-			return di > dj
+	slices.SortFunc(cands, func(a, b VertexID) int {
+		if c := cmp.Compare(g.Degree(b), g.Degree(a)); c != 0 {
+			return c
 		}
-		return cands[i] < cands[j]
+		return cmp.Compare(a, b)
 	})
 	if len(cands) > maxHubs {
 		cands = cands[:maxHubs]

@@ -707,10 +707,18 @@ func (s *Server) resolveGraph(req *Request) (cachedGraph, error) {
 	// serve one tenant's graph to another.
 	key := "upload/" + hex.EncodeToString(sum[:])
 	return s.graphs.Get(key, func() (cachedGraph, int64, error) {
-		g, err := graph.ReadEdgeList(strings.NewReader(req.Graph), uploadVertexCap(s.graphs.budget))
+		n, edges, err := graph.ParseEdgeList(strings.NewReader(req.Graph), uploadVertexCap(s.graphs.budget))
 		if errors.Is(err, graph.ErrVertexCap) {
 			return cachedGraph{}, 0, tooLargef("graph upload: %v", err)
 		}
+		if err != nil {
+			return cachedGraph{}, 0, badRequestf("graph upload: %v", err)
+		}
+		if est := csrBytes(n, int64(len(edges))); est > s.graphs.budget {
+			return cachedGraph{}, 0, tooLargef("graph upload: %d vertices and %d edges need about %d bytes, over the graph cache's budget of %d",
+				n, len(edges), est, s.graphs.budget)
+		}
+		g, err := graph.New(n, edges)
 		if err != nil {
 			return cachedGraph{}, 0, badRequestf("graph upload: %v", err)
 		}
@@ -720,8 +728,8 @@ func (s *Server) resolveGraph(req *Request) (cachedGraph, error) {
 
 // uploadVertexCap is the vertex cap of a graph upload: the smallest
 // vertex count whose CSR offsets alone (graphBytes) overflow the graph
-// cache's budget. ReadEdgeList refuses an upload that reaches it before
-// graph.Build sizes anything by the count.
+// cache's budget. ParseEdgeList refuses an upload that reaches it before
+// anything is sized by the count.
 func uploadVertexCap(graphBudget int64) int {
 	return int(max(graphBudget/8, 1))
 }
@@ -730,8 +738,16 @@ func uploadVertexCap(graphBudget int64) int {
 // neighbors int32 stored in both directions) plus a fixed overhead for
 // the lazily built hub index that rides on cached graphs.
 func graphBytes(g *graph.Graph) int64 {
+	return csrBytes(g.NumVertices(), g.NumEdges())
+}
+
+// csrBytes is graphBytes for n vertices and m edges. Charged with an
+// upload's parsed edge count, before graph.New drops self loops and
+// duplicates, it is at least the built graph's graphBytes, so an upload
+// the cache could never hold is refused before it is built.
+func csrBytes(n int, m int64) int64 {
 	const structOverhead = 512
-	return int64(g.NumVertices()+1)*8 + g.NumEdges()*2*4 + structOverhead
+	return int64(n+1)*8 + m*2*4 + structOverhead
 }
 
 // resolveSchedule returns the request's schedule through the shared

@@ -7,13 +7,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"shogun/internal/accel"
 	"shogun/internal/datasets"
+	"shogun/internal/graph"
 	"shogun/internal/mine"
 	"shogun/internal/pattern"
 )
@@ -299,14 +302,22 @@ func TestServeBadRequests(t *testing.T) {
 }
 
 // TestServeUploadVertexCap sends hostile uploads whose vertex count, from
-// one line, would make graph.Build allocate tens of GiB: each gets a typed
+// one line, would make graph.New allocate tens of GiB: each gets a typed
 // 413 before anything is sized by the count, and the daemon stays ready.
-// A graph just under the cap derived from the cache budget still counts.
+// A graph just under the cap derived from the cache budget is parsed, but
+// its CSR estimate (offsets alone fill the budget) is over the budget, so
+// it is refused before it is built; the largest graph whose estimate fits
+// still counts.
 func TestServeUploadVertexCap(t *testing.T) {
 	s, base := testServer(t, Config{CacheBytes: 1 << 20})
 	vertexCap := uploadVertexCap(s.graphs.budget)
 	if want := int(s.graphs.budget / 8); vertexCap != want {
 		t.Fatalf("vertex cap %d, want %d (graph cache budget / 8)", vertexCap, want)
+	}
+	triangle := "0 1\n1 2\n2 0\n"
+	fits := int((s.graphs.budget - csrBytes(0, 3)) / 8) // largest n whose estimate fits
+	if csrBytes(fits, 3) > s.graphs.budget || csrBytes(fits+1, 3) <= s.graphs.budget {
+		t.Fatalf("%d vertices is not the largest triangle upload that fits %d bytes", fits, s.graphs.budget)
 	}
 	cases := []struct {
 		name   string
@@ -317,7 +328,9 @@ func TestServeUploadVertexCap(t *testing.T) {
 		{"huge header", "# vertices=2000000000\n0 1\n", http.StatusRequestEntityTooLarge},
 		{"header at the cap", fmt.Sprintf("# vertices=%d\n0 1\n", vertexCap), http.StatusRequestEntityTooLarge},
 		{"id at the cap", fmt.Sprintf("0 %d\n", vertexCap-1), http.StatusRequestEntityTooLarge},
-		{"just under the cap", fmt.Sprintf("# vertices=%d\n0 1\n1 2\n2 0\n", vertexCap-1), http.StatusOK},
+		{"just under the cap", fmt.Sprintf("# vertices=%d\n%s", vertexCap-1, triangle), http.StatusRequestEntityTooLarge},
+		{"estimate one over the budget", fmt.Sprintf("# vertices=%d\n%s", fits+1, triangle), http.StatusRequestEntityTooLarge},
+		{"estimate at the budget", fmt.Sprintf("# vertices=%d\n%s", fits, triangle), http.StatusOK},
 	}
 	for _, tc := range cases {
 		status, r, e, _ := post(t, base+"/v1/count", Request{Graph: tc.graph, Pattern: "tc"})
@@ -337,6 +350,63 @@ func TestServeUploadVertexCap(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/readyz = %d after hostile uploads", resp.StatusCode)
+	}
+}
+
+// TestServeUploadEstimate pins the upload charge made before the build:
+// on random uploads with duplicates and self loops, csrBytes of the
+// parsed vertex and edge counts is at least graphBytes of the graph
+// graph.New builds from them; and an upload whose estimate is over a
+// small graph budget gets a typed 413 while allocating far less than the
+// CSR it would have built.
+func TestServeUploadEstimate(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for i := 0; i < 20; i++ {
+		n := 1 + rng.Intn(5000)
+		var text strings.Builder
+		m := rng.Intn(30000)
+		for j := 0; j < m; j++ {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if j%7 == 0 {
+				v = u // self loop
+			}
+			fmt.Fprintf(&text, "%d %d\n", u, v)
+			if j%5 == 0 {
+				fmt.Fprintf(&text, "%d %d\n", v, u) // duplicate
+			}
+		}
+		pn, edges, err := graph.ParseEdgeList(strings.NewReader(text.String()), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := graph.New(pn, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est, built := csrBytes(pn, int64(len(edges))), graphBytes(g); est < built {
+			t.Fatalf("upload %d (%d vertices, %d edges): estimate %d < built %d", i, pn, len(edges), est, built)
+		}
+	}
+
+	s, base := testServer(t, Config{CacheBytes: 8 << 20})
+	n := uploadVertexCap(s.graphs.budget) - 1 // parses: under the vertex cap
+	est := csrBytes(n, 1)
+	if est <= s.graphs.budget {
+		t.Fatalf("estimate %d fits the budget %d", est, s.graphs.budget)
+	}
+	body := Request{Graph: fmt.Sprintf("# vertices=%d\n0 1\n", n), Pattern: "tc"}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	status, _, e, _ := post(t, base+"/v1/count", body)
+	runtime.ReadMemStats(&after)
+	if status != http.StatusRequestEntityTooLarge || e.Kind != "too_large" {
+		t.Fatalf("oversize upload: status %d kind %q (%s), want 413 too_large", status, e.Kind, e.Error)
+	}
+	if alloc := int64(after.TotalAlloc - before.TotalAlloc); alloc > est/8 {
+		t.Fatalf("oversize upload allocated %d bytes around the request, want far below its %d-byte CSR", alloc, est)
+	}
+	if st := s.graphs.Stats(); st.Oversize != 0 || st.Entries != 0 {
+		t.Fatalf("oversize upload reached the graph cache: %+v", st)
 	}
 }
 

@@ -39,22 +39,32 @@ import (
 const (
 	subBits  = 5
 	subCount = 1 << subBits
-	// numBuckets covers every non-negative int64: singleton buckets for
-	// [0, 2^subBits) plus subCount sub-buckets per exponent 5..62.
-	numBuckets = (64 - subBits) << subBits
+	// numChunks covers every non-negative int64: one chunk of singleton
+	// buckets for [0, 2^subBits) plus one chunk of subCount sub-buckets
+	// per exponent 5..62.
+	numChunks  = 64 - subBits
+	numBuckets = numChunks << subBits
 )
+
+// chunk holds the subCount buckets of one power-of-two range.
+type chunk [subCount]int64
 
 // Histogram is a mergeable HDR-style histogram over non-negative int64
 // observations (negative values are clamped to zero). The zero value is
-// not usable; call NewHistogram. All methods are safe for one writer and
-// any number of concurrent readers; a nil receiver ignores writes and
+// not usable; call NewHistogram. All methods are safe for any number of
+// concurrent writers and readers; a nil receiver ignores writes and
 // reports an empty distribution.
+//
+// Bucket idx lives in chunk idx>>subBits at idx&(subCount-1). A chunk is
+// allocated on its range's first observation and installed by CAS, so a
+// histogram costs its touched ranges (256 bytes each) instead of all
+// numBuckets counters; an absent chunk reads as zeros.
 type Histogram struct {
-	counts [numBuckets]int64 // atomic
-	count  int64             // atomic
-	sum    int64             // atomic
-	min    int64             // atomic; math.MaxInt64 when empty
-	max    int64             // atomic
+	chunks [numChunks]atomic.Pointer[chunk]
+	count  int64 // atomic
+	sum    int64 // atomic
+	min    int64 // atomic; math.MaxInt64 when empty
+	max    int64 // atomic
 }
 
 // NewHistogram returns an empty histogram.
@@ -72,6 +82,26 @@ func bucketIdx(v int64) int {
 	exp := bits.Len64(uint64(v)) - 1
 	sub := int((uint64(v) >> uint(exp-subBits)) & (subCount - 1))
 	return ((exp - subBits + 1) << subBits) + sub
+}
+
+// bucket returns the counter of bucket idx, installing its chunk if no
+// writer has yet.
+func (h *Histogram) bucket(idx int) *int64 {
+	p := &h.chunks[idx>>subBits]
+	c := p.Load()
+	if c == nil {
+		p.CompareAndSwap(nil, new(chunk)) // a losing writer uses the winner's chunk
+		c = p.Load()
+	}
+	return &c[idx&(subCount-1)]
+}
+
+// load reads bucket idx; an absent chunk is all zeros.
+func (h *Histogram) load(idx int) int64 {
+	if c := h.chunks[idx>>subBits].Load(); c != nil {
+		return atomic.LoadInt64(&c[idx&(subCount-1)])
+	}
+	return 0
 }
 
 // bucketLo returns the smallest value mapping to bucket idx. Buckets
@@ -110,7 +140,7 @@ func (h *Histogram) observe(v, n int64) {
 	if v < 0 {
 		v = 0
 	}
-	atomic.AddInt64(&h.counts[bucketIdx(v)], n)
+	atomic.AddInt64(h.bucket(bucketIdx(v)), n)
 	atomic.AddInt64(&h.count, n)
 	atomic.AddInt64(&h.sum, v*n)
 	for {
@@ -187,8 +217,8 @@ func (h *Histogram) Quantile(q float64) int64 {
 		rank = n
 	}
 	var cum int64
-	for i := range h.counts {
-		cum += atomic.LoadInt64(&h.counts[i])
+	for i := 0; i < numBuckets; i++ {
+		cum += h.load(i)
 		if cum >= rank {
 			return bucketLo(i)
 		}
@@ -204,9 +234,9 @@ func (h *Histogram) Merge(o *Histogram) {
 	if h == nil || o == nil {
 		return
 	}
-	for i := range o.counts {
-		if c := atomic.LoadInt64(&o.counts[i]); c != 0 {
-			atomic.AddInt64(&h.counts[i], c)
+	for i := 0; i < numBuckets; i++ {
+		if c := o.load(i); c != 0 {
+			atomic.AddInt64(h.bucket(i), c)
 		}
 	}
 	oc := atomic.LoadInt64(&o.count)
@@ -239,8 +269,8 @@ func (h *Histogram) Equal(o *Histogram) bool {
 	if h.Count() != o.Count() || h.Sum() != o.Sum() {
 		return false
 	}
-	for i := range h.counts {
-		if atomic.LoadInt64(&h.counts[i]) != atomic.LoadInt64(&o.counts[i]) {
+	for i := 0; i < numBuckets; i++ {
+		if h.load(i) != o.load(i) {
 			return false
 		}
 	}
@@ -259,8 +289,8 @@ func (h *Histogram) Buckets() []Bucket {
 		return nil
 	}
 	var out []Bucket
-	for i := range h.counts {
-		if c := atomic.LoadInt64(&h.counts[i]); c != 0 {
+	for i := 0; i < numBuckets; i++ {
+		if c := h.load(i); c != 0 {
 			out = append(out, Bucket{Lo: bucketLo(i), Count: c})
 		}
 	}
@@ -286,8 +316,8 @@ func (h *Histogram) Cumulative() []CumBucket {
 	}
 	var out []CumBucket
 	var cum int64
-	for i := range h.counts {
-		if c := atomic.LoadInt64(&h.counts[i]); c != 0 {
+	for i := 0; i < numBuckets; i++ {
+		if c := h.load(i); c != 0 {
 			cum += c
 			upper := int64(math.MaxInt64)
 			if i+1 < numBuckets {

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -247,5 +248,54 @@ func TestHistogramString(t *testing.T) {
 	}
 	if s := h.String(); s == "" {
 		t.Fatal("empty String()")
+	}
+}
+
+// TestConcurrentWritersMatchSerial has several writers observe into
+// fresh power-of-two ranges at once, so they race to install the same
+// chunks; every count must survive, leaving the histogram equal to one
+// writer observing the same streams.
+func TestConcurrentWritersMatchSerial(t *testing.T) {
+	const writers, per = 4, 20000
+	stream := func(w int, observe func(int64)) {
+		rng := rand.New(rand.NewSource(int64(w)))
+		for i := 0; i < per; i++ {
+			observe(rng.Int63() >> rng.Intn(63))
+		}
+	}
+	h, ref := NewHistogram(), NewHistogram()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			stream(w, h.Observe)
+		}(w)
+	}
+	wg.Wait()
+	for w := 0; w < writers; w++ {
+		stream(w, ref.Observe)
+	}
+	if !h.Equal(ref) || h.Summary() != ref.Summary() {
+		t.Fatalf("concurrent writers %v, one writer %v", h, ref)
+	}
+}
+
+// TestChunksOnFirstTouch pins the sparse storage: only the power-of-two
+// ranges that received an observation hold buckets.
+func TestChunksOnFirstTouch(t *testing.T) {
+	h := NewHistogram()
+	for v := int64(100); v < 200; v++ {
+		h.Observe(v) // exponents 6 and 7
+	}
+	h.Observe(3) // the singleton range
+	var touched []int
+	for i := range h.chunks {
+		if h.chunks[i].Load() != nil {
+			touched = append(touched, i)
+		}
+	}
+	if want := []int{0, 2, 3}; !slices.Equal(touched, want) {
+		t.Fatalf("chunks %v installed, want %v", touched, want)
 	}
 }
