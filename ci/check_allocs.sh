@@ -3,9 +3,11 @@
 #
 # BenchmarkSimulate allocs/op must stay at or below the ceiling in
 # ci/allocs_ceiling.txt. The calendar-queue/pooled-event engine brought
-# the run from ~253k allocs/op to ~2.4k (BENCH_0006.json); this guard
-# catches any change that quietly reintroduces per-event or per-task
-# allocation.
+# the run from ~253k allocs/op to ~2.4k (BENCH_0006.json), and recycled
+# split messages, pooled split snapshots that the adopter takes over and
+# an in-place deferred-spawn pop took it from ~2,091 to ~860; this guard
+# catches any change that quietly reintroduces per-event, per-task or
+# per-split allocation.
 #
 # BenchmarkSimulateSamplerOn B/op must stay at or below the ceiling in
 # ci/sampler_bytes_ceiling.txt. One latency histogram per name per chip
@@ -13,22 +15,26 @@
 # ~1,101 KB/op to ~951 KB/op (at this script's -benchtime 3x), and one
 # 32-bit word per cache way (not 17 bytes a line) to ~711 KB/op, and
 # histograms that allocate a power-of-two range's buckets on first touch
-# (not a dense 15 KB array each) to ~633 KB/op; this guard keeps
-# telemetry and cache storage from creeping back.
+# (not a dense 15 KB array each) to ~633 KB/op, and allocation-free
+# splits and deferred spawns to ~608 KB/op; this guard keeps telemetry
+# and cache storage from creeping back.
 #
 # BenchmarkClusterSimulate/chips=16 B/op must stay at or below the
 # ceiling in ci/cluster_bytes_ceiling.txt. Sixteen chips build 16 L2s
 # and 32 L1s for a short run, so cache state is most of what the run
 # allocates: one 32-bit word per way took it from ~5,689 KB/op to
-# ~2,052 KB/op; this guard keeps per-chip state from growing back.
+# ~2,052 KB/op, and one candidate-buffer pool for the machine with
+# allocation-free splits, migrations and deferred spawns to ~1,916 KB/op;
+# this guard keeps per-chip state from growing back.
 #
 # BenchmarkClusterSimulateSampled/chips=16 B/op must stay at or below
 # the ceiling in ci/cluster_sampled_bytes_ceiling.txt. It is the same
 # 16-chip machine sampling every 512 cycles. When every chip kept its
 # own sampler and five 15 KB histograms, it allocated ~3,525 KB/op. One
 # telemetry bundle for the machine (one sampler, one tick, five
-# histograms) took it to ~2,236 KB/op; this guard keeps telemetry from
-# going back to one copy per chip.
+# histograms) took it to ~2,236 KB/op, and the allocation-free split,
+# migration and deferred-spawn paths to ~2,038 KB/op; this guard keeps
+# telemetry from going back to one copy per chip.
 #
 # BenchmarkCountLJTriangleServe (one served lj x tc count) allocs/op
 # and B/op must stay at or below ci/count_serve_allocs_ceiling.txt and

@@ -150,6 +150,8 @@ type Accelerator struct {
 	// idleScratch and busyScratch are balanceCheck's PE lists, kept
 	// between checks so a check allocates nothing.
 	idleScratch, busyScratch []*pe.PE
+	// splitFree recycles delivered split messages.
+	splitFree []*splitMsg
 
 	Splits int64
 
@@ -193,7 +195,8 @@ func (a *Accelerator) Act(op int, arg any) {
 }
 
 // New builds an accelerator for graph g and schedule s: a private
-// engine with its own telemetry bundle, every vertex a root.
+// engine with its own telemetry bundle and candidate-buffer pool, every
+// vertex a root.
 func New(g *graph.Graph, s *pattern.Schedule, cfg Config) (*Accelerator, error) {
 	roots := make([]graph.VertexID, g.NumVertices())
 	for i := range roots {
@@ -205,7 +208,7 @@ func New(g *graph.Graph, s *pattern.Schedule, cfg Config) (*Accelerator, error) 
 	if err != nil {
 		return nil, err
 	}
-	a, err = NewShared(g, s, cfg, eng, roots, tel, 0)
+	a, err = NewShared(g, s, cfg, eng, roots, tel, task.NewCandPool(g), 0)
 	return a, err
 }
 
@@ -214,9 +217,10 @@ func New(g *graph.Graph, s *pattern.Schedule, cfg Config) (*Accelerator, error) 
 // (internal/cluster) drives N chips on one shared clock, and its graph
 // partitioner owns vertex placement. An empty roots list leaves the
 // chip without work of its own. The chip records into the engine
-// owner's telemetry bundle tel (nil when sampling is off), its PEs
-// numbered from firstPE machine-wide.
-func NewShared(g *graph.Graph, s *pattern.Schedule, cfg Config, eng *sim.Engine, roots []graph.VertexID, tel *Telemetry, firstPE int) (*Accelerator, error) {
+// owner's telemetry bundle tel (nil when sampling is off) and draws its
+// candidate buffers from the owner's pool cands (one per machine, built
+// for g), its PEs numbered from firstPE machine-wide.
+func NewShared(g *graph.Graph, s *pattern.Schedule, cfg Config, eng *sim.Engine, roots []graph.VertexID, tel *Telemetry, cands *task.CandPool, firstPE int) (*Accelerator, error) {
 	if cfg.NumPEs < 1 {
 		return nil, fmt.Errorf("accel: need at least one PE")
 	}
@@ -237,7 +241,7 @@ func NewShared(g *graph.Graph, s *pattern.Schedule, cfg Config, eng *sim.Engine,
 	a := &Accelerator{
 		cfg:  cfg,
 		eng:  eng,
-		w:    task.NewWorkload(g, s),
+		w:    task.NewWorkload(g, s, cands),
 		dram: mem.NewDRAM(cfg.DRAM),
 		noc:  mem.NewNoC(cfg.NoC),
 		tel:  tel,

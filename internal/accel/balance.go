@@ -81,20 +81,18 @@ func (a *Accelerator) balanceCheck() {
 		if k > a.cfg.MaxHelpersPerSplit {
 			k = a.cfg.MaxHelpersPerSplit
 		}
-		x, ok := carve(tree, root, k)
+		lo, hi, ok := tree.CarveSplit(root, k)
 		if !ok {
 			continue
 		}
 		// CarveSplit cut exactly one equal share per helper.
-		share := (x.Hi - x.Lo) / k
+		share := (hi - lo) / k
 		for i, h := range free[helpersUsed : helpersUsed+k] {
 			slot, ok := a.toks[h.ID].TryAcquire(1)
 			if !ok {
 				panic("accel: idle helper has no free depth-1 token")
 			}
-			part := x
-			part.Lo, part.Hi = x.Lo+i*share, x.Lo+(i+1)*share
-			a.sendSplit(h, slot, &part)
+			a.sendSplit(h, slot, a.export(root, lo+i*share, lo+(i+1)*share))
 		}
 		helpersUsed += k
 	}
@@ -114,32 +112,43 @@ func (a *Accelerator) armBalanceIfNeeded() {
 
 // splitMsg is one in-flight §4.1 split transfer to a helper PE holding
 // depth-1 token slot for the payload, carried as the delivery event's
-// argument (and re-carried across adoption retries). Splits are rare —
-// a handful per run — so the message itself may allocate; the candidate
-// snapshot it carries must anyway.
+// argument (and re-carried across adoption retries). A dense graph
+// splits often (3,716 times in one Orkut-analogue triangle run on the
+// Table-3 chip), so messages are recycled through the accelerator's
+// free list.
 type splitMsg struct {
 	helper *pe.PE
 	slot   int
-	x      *SplitExport
+	x      SplitExport
 }
 
 // sendSplit ships a carved payload to helper h over the NoC (§4.1's
 // three messages) and reserves h until the delivery adopts it.
-func (a *Accelerator) sendSplit(h *pe.PE, slot int, x *SplitExport) {
+func (a *Accelerator) sendSplit(h *pe.PE, slot int, x SplitExport) {
+	var m *splitMsg
+	if k := len(a.splitFree); k > 0 {
+		m = a.splitFree[k-1]
+		a.splitFree = a.splitFree[:k-1]
+	} else {
+		m = new(splitMsg)
+	}
+	*m = splitMsg{helper: h, slot: slot, x: x}
 	arrive := a.noc.SendSplit(a.eng.Now(), x.Lines())
 	a.splitPending[h.ID] = true
 	a.splitsInFlight++
-	a.eng.Post(arrive, a, opDeliverSplit, &splitMsg{helper: h, slot: slot, x: x})
+	a.eng.Post(arrive, a, opDeliverSplit, m)
 }
 
 // deliverSplit installs a split subtree on the helper, retrying if the
 // helper's depth-0 capacity is momentarily occupied — the carved range
-// must never be dropped.
+// must never be dropped. An adopted message goes back to the free list.
 func (a *Accelerator) deliverSplit(m *splitMsg) {
-	if a.adopt(m.helper, m.x, m.slot) {
+	if a.adopt(m.helper, &m.x, m.slot) {
 		a.splitPending[m.helper.ID] = false
 		a.splitsInFlight--
 		a.Splits++
+		*m = splitMsg{}
+		a.splitFree = append(a.splitFree, m)
 		return
 	}
 	a.eng.PostAfter(a.cfg.BalancePeriod, a, opDeliverSplit, m)
@@ -170,12 +179,12 @@ func (a *Accelerator) ForceSplit() bool {
 			if !ok {
 				continue
 			}
-			x, ok := carve(tree, root, 1)
+			lo, hi, ok := tree.CarveSplit(root, 1)
 			if !ok {
 				a.toks[h.ID].Release(1, slot)
 				return false // this victim's root is not carvable; done
 			}
-			a.sendSplit(h, slot, &x)
+			a.sendSplit(h, slot, a.export(root, lo, hi))
 			return true
 		}
 	}

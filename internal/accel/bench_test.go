@@ -4,8 +4,10 @@ import (
 	"testing"
 
 	"shogun/internal/gen"
+	"shogun/internal/graph"
 	"shogun/internal/pattern"
 	"shogun/internal/sim"
+	"shogun/internal/task"
 )
 
 // BenchmarkSimulate measures whole-accelerator simulation throughput
@@ -126,5 +128,49 @@ func TestSamplerOffHotPathZeroAlloc(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("sampler-off hot path allocates %.0f times per task, want 0", allocs)
+	}
+}
+
+// TestForcedSplitRoundTripZeroAlloc pins that a split allocates
+// nothing once the pools are warm: the message comes from the
+// accelerator's free list, the snapshot from the candidate pool, and the
+// adopting tree takes the snapshot over. PE 0 holds the only root (the
+// 511 candidates of a 512-clique's top vertex) and PE 1 adopts; each
+// round trip steps the engine until the split is carvable, forces it,
+// then steps until it is adopted. Splitting is off, so no balance round
+// carves beside the forced ones.
+func TestForcedSplitRoundTripZeroAlloc(t *testing.T) {
+	g := gen.Clique(512)
+	cfg := DefaultConfig(SchemeShogun)
+	cfg.NumPEs = 2
+	a, err := NewShared(g, triSchedule(t), cfg, sim.NewEngine(), []graph.VertexID{511}, nil, task.NewCandPool(g), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Start()
+	roundTrip := func() {
+		for !a.ForceSplit() {
+			if !a.eng.Step() {
+				t.Fatal("run drained before a split was carvable")
+			}
+		}
+		for a.splitsInFlight > 0 {
+			a.eng.Step()
+		}
+	}
+	roundTrip() // warm the message and candidate free lists
+	if allocs := testing.AllocsPerRun(4, roundTrip); allocs != 0 {
+		t.Fatalf("a forced split round trip allocates %.0f times, want 0", allocs)
+	}
+	if a.Splits != 6 {
+		t.Fatalf("delivered %d splits, want 6", a.Splits)
+	}
+	a.eng.Run()
+	if err := a.VerifyMetrics(); err != nil {
+		t.Fatal(err)
+	}
+	// The triangles whose top vertex is 511: C(511, 2).
+	if got := a.Collect().Embeddings; got != 511*510/2 {
+		t.Fatalf("embeddings = %d, want %d", got, 511*510/2)
 	}
 }

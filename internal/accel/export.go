@@ -15,7 +15,9 @@ import (
 // [Lo, Hi) of that set, which becomes the adopted root's spawn window.
 // PE-to-PE splits and chip-to-chip migrations carry the same payload.
 // The candidate set is a snapshot because the victim's root node may be
-// recycled before the transfer lands.
+// recycled before the transfer lands. It is a buffer from the machine's
+// candidate pool (task.Workload.CopyCand), which the adopting tree takes
+// over.
 type SplitExport struct {
 	RootVertex graph.VertexID
 	Cand       []graph.VertexID
@@ -26,26 +28,18 @@ type SplitExport struct {
 // root+range and set-size control messages ride as zero-line transfers).
 func (x *SplitExport) Lines() int64 { return int64(setops.Lines(len(x.Cand))) }
 
-// carve cuts one split off root's spawn window for `helpers` adopters
-// (CarveSplit) and snapshots it as a payload spanning every share.
-func carve(tree *core.Tree, root *task.Node, helpers int) (SplitExport, bool) {
-	lo, hi, ok := tree.CarveSplit(root, helpers)
-	if !ok {
-		return SplitExport{}, false
-	}
-	return SplitExport{
-		RootVertex: root.Vertex,
-		Cand:       append([]graph.VertexID(nil), root.Cand...),
-		Lo:         lo,
-		Hi:         hi,
-	}, true
+// export snapshots root's candidate set, while root is still live, as
+// the payload of its carved range [lo, hi).
+func (a *Accelerator) export(root *task.Node, lo, hi int) SplitExport {
+	return SplitExport{RootVertex: root.Vertex, Cand: a.w.CopyCand(root.Cand), Lo: lo, Hi: hi}
 }
 
 // adopt installs a delivered payload on PE p, which holds depth-1 token
-// slot for the transferred set: the tree adopts the spawn window, the set
-// is copied once into p's L1 (the PE-to-PE copy the paper argues for over
-// proxy access), and p is kicked. It reports false when p's tree has no
-// depth-0 room right now; the caller still owns the token.
+// slot for the transferred set: the tree adopts the spawn window and
+// takes over the snapshot, the set is copied once into p's L1 (the
+// PE-to-PE copy the paper argues for over proxy access), and p is
+// kicked. It reports false when p's tree has no depth-0 room right now;
+// the caller still owns the token and the payload.
 func (a *Accelerator) adopt(p *pe.PE, x *SplitExport, slot int) bool {
 	if !p.Policy().(*core.Tree).AdoptSplit(x.RootVertex, x.Cand, x.Lo, x.Hi, slot) {
 		return false
@@ -64,9 +58,9 @@ func (a *Accelerator) adopt(p *pe.PE, x *SplitExport, slot int) bool {
 // scheme is not Shogun). The carved range is owned by the returned
 // payload — the caller must eventually deliver it to an adopter or the
 // subtree's embeddings are lost.
-func (a *Accelerator) CarveExport() (*SplitExport, bool) {
+func (a *Accelerator) CarveExport() (SplitExport, bool) {
 	if a.cfg.Scheme != SchemeShogun {
-		return nil, false
+		return SplitExport{}, false
 	}
 	for _, p := range a.pes {
 		t := p.Policy().(*core.Tree)
@@ -74,12 +68,12 @@ func (a *Accelerator) CarveExport() (*SplitExport, bool) {
 		if root == nil {
 			continue
 		}
-		if x, ok := carve(t, root, 1); ok {
+		if lo, hi, ok := t.CarveSplit(root, 1); ok {
 			a.MigratedOut++
-			return &x, true
+			return a.export(root, lo, hi), true
 		}
 	}
-	return nil, false
+	return SplitExport{}, false
 }
 
 // TryAdopt installs a migrated subtree onto one of this chip's PEs at
@@ -88,7 +82,7 @@ func (a *Accelerator) CarveExport() (*SplitExport, bool) {
 // force relaxes that to any PE with a free depth-1 token (the chaos
 // harness's mid-run forced migration). Returns false when no PE can
 // accept now — the caller retries, because the carved range must never
-// be dropped.
+// be dropped. On success the adopting tree owns x.Cand.
 func (a *Accelerator) TryAdopt(x *SplitExport, force bool) bool {
 	if a.cfg.Scheme != SchemeShogun {
 		return false

@@ -8,6 +8,7 @@ import (
 	"shogun/internal/gen"
 	"shogun/internal/graph"
 	"shogun/internal/pattern"
+	"shogun/internal/sim"
 )
 
 // TestQuiescedTreeWakes pins the two reproducers of the quiesced-tree
@@ -26,9 +27,10 @@ func TestQuiescedTreeWakes(t *testing.T) {
 		p      pattern.Pattern
 		pes    int
 		golden int64
+		cycles sim.Time // pinned before the per-event allocations were removed
 	}{
-		{"plc300-dia", func() *graph.Graph { return gen.PowerLawCluster(300, 6, 0.6, 43) }, pattern.Diamond(), 4, 6930},
-		{"as-tt", func() *graph.Graph { return datasets.MustGet("as") }, pattern.TailedTriangle(), 10, 17716168},
+		{"plc300-dia", func() *graph.Graph { return gen.PowerLawCluster(300, 6, 0.6, 43) }, pattern.Diamond(), 4, 6930, 10294},
+		{"as-tt", func() *graph.Graph { return datasets.MustGet("as") }, pattern.TailedTriangle(), 10, 17716168, 168526},
 	}
 	for _, c := range cells {
 		t.Run(c.name, func(t *testing.T) {
@@ -55,6 +57,9 @@ func TestQuiescedTreeWakes(t *testing.T) {
 			}
 			if res.Embeddings != c.golden {
 				t.Fatalf("embeddings = %d, golden %d", res.Embeddings, c.golden)
+			}
+			if res.Cycles != c.cycles {
+				t.Errorf("cycles = %d, pinned %d", res.Cycles, c.cycles)
 			}
 			if err := a.CheckConservation(); err != nil {
 				t.Fatal(err)

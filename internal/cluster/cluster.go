@@ -10,6 +10,7 @@ import (
 	"shogun/internal/mem"
 	"shogun/internal/pattern"
 	"shogun/internal/sim"
+	"shogun/internal/task"
 	"shogun/internal/telemetry"
 	"shogun/internal/trace"
 )
@@ -69,6 +70,8 @@ type Cluster struct {
 	// idleScratch and busyScratch are stealCheck's chip lists, kept
 	// between checks so a check allocates nothing.
 	idleScratch, busyScratch []int
+	// migFree recycles delivered migration messages.
+	migFree []*migration
 
 	// Migrations counts delivered chip-level subtree transfers;
 	// LinesSent/LinesRecv count interconnect payload lines at carve and
@@ -88,10 +91,11 @@ const (
 	opDeliverMigration
 )
 
-// migration is one in-flight chip-to-chip subtree transfer.
+// migration is one in-flight chip-to-chip subtree transfer, recycled
+// through the cluster's free list once adopted.
 type migration struct {
 	to    int
-	x     *accel.SplitExport
+	x     accel.SplitExport
 	force bool
 }
 
@@ -148,12 +152,15 @@ func New(g *graph.Graph, s *pattern.Schedule, cfg Config) (*Cluster, error) {
 	if c.tel, err = accel.NewTelemetry(cfg.Chip, c.eng, c.Busy); err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
+	// One candidate-buffer pool for the machine: a migrated snapshot is
+	// taken on the victim chip and released on the adopter.
+	cands := task.NewCandPool(g)
 	for i := 0; i < cfg.Chips; i++ {
 		chipCfg := cfg.Chip
 		if chipCfg.Tracer != nil {
 			chipCfg.Tracer = chipTracer{chipCfg.Tracer, i * chipCfg.NumPEs}
 		}
-		chip, err := accel.NewShared(g, s, chipCfg, c.eng, part.Roots[i], c.tel, i*chipCfg.NumPEs)
+		chip, err := accel.NewShared(g, s, chipCfg, c.eng, part.Roots[i], c.tel, cands, i*chipCfg.NumPEs)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: chip %d: %w", i, err)
 		}
@@ -247,13 +254,21 @@ func (c *Cluster) stealCheck() {
 // sendMigration ships a carved payload over the interconnect (§4.1's
 // three messages), then posts a delivery event on the adopting chip at
 // the payload's arrival.
-func (c *Cluster) sendMigration(to int, x *accel.SplitExport, force bool) {
+func (c *Cluster) sendMigration(to int, x accel.SplitExport, force bool) {
+	var m *migration
+	if k := len(c.migFree); k > 0 {
+		m = c.migFree[k-1]
+		c.migFree = c.migFree[:k-1]
+	} else {
+		m = new(migration)
+	}
+	*m = migration{to: to, x: x, force: force}
 	lines := x.Lines()
 	arrive := c.inter.SendSplit(c.eng.Now(), lines)
 	c.LinesSent += lines
 	c.adoptBusy[to] = true
 	c.inFlight++
-	c.eng.Post(arrive, c, opDeliverMigration, &migration{to: to, x: x, force: force})
+	c.eng.Post(arrive, c, opDeliverMigration, m)
 }
 
 // deliverMigration installs the migrated subtree on the adopting chip,
@@ -261,11 +276,13 @@ func (c *Cluster) sendMigration(to int, x *accel.SplitExport, force bool) {
 // dropped. Retries always terminate: once the cluster otherwise drains,
 // every PE on the adopter is idle and adoption succeeds.
 func (c *Cluster) deliverMigration(m *migration) {
-	if c.chips[m.to].TryAdopt(m.x, m.force) {
+	if c.chips[m.to].TryAdopt(&m.x, m.force) {
 		c.adoptBusy[m.to] = false
 		c.inFlight--
 		c.LinesRecv += m.x.Lines()
 		c.Migrations++
+		*m = migration{}
+		c.migFree = append(c.migFree, m)
 		return
 	}
 	c.AdoptRetries++

@@ -288,7 +288,12 @@ func (t *Tree) feedRoot() bool {
 // AdoptSplit installs a received split subtree (§4.1): a copy of a remote
 // PE's depth-0 root whose spawn window is the carved range [lo, hi) of
 // cand. The caller models the transfer and the L1 install; slot is a
-// local token for the transferred candidate set.
+// local token for the transferred candidate set. On success the adopted
+// root takes cand over as its candidate set, and releasing the root
+// returns it to the candidate pool. So cand must be a snapshot from the
+// machine's pool (task.Workload.CopyCand): a buffer from anywhere else
+// would enter the pool without the capacity set kernels rely on. When
+// AdoptSplit reports false the caller still owns cand.
 func (t *Tree) AdoptSplit(root graph.VertexID, cand []graph.VertexID, lo, hi, slot int) bool {
 	if len(t.bunches[0]) >= t.bunchCap(0) || t.activeTrees() >= t.cfg.MaxTrees {
 		return false
@@ -298,7 +303,7 @@ func (t *Tree) AdoptSplit(root graph.VertexID, cand []graph.VertexID, lo, hi, sl
 	t.trees = append(t.trees, ts)
 	n := t.w.NewNode(0, root, nil, ts.id)
 	n.Executed = true
-	n.Cand = t.w.CopyCand(cand)
+	n.Cand = cand
 	n.NextCand, n.SpawnLimit = lo, hi
 	n.Slot = slot
 	b := t.allocBunch(0, nil, ts.id)
@@ -562,8 +567,11 @@ func (t *Tree) recycleBunch(b *bunch) {
 	t.freeBunch(b) // b may be reused by the spawn below; use depth from here
 	// Serve one pending spawner at this depth.
 	if q := t.pendingSpawn[depth]; len(q) > 0 {
+		// Pop in place, so the queue's array is reused by later pushes.
 		parent := q[0]
-		t.pendingSpawn[depth] = q[1:]
+		copy(q, q[1:])
+		q[len(q)-1] = nil
+		t.pendingSpawn[depth] = q[:len(q)-1]
 		var res pe.SpawnResult
 		if t.spawnBunch(parent, &res) {
 			// Charge the spawn-unit work to the next completion.

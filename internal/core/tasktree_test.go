@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 
 func newTree(t *testing.T, g *graph.Graph, s *pattern.Schedule, cfg TreeConfig, roots policy.RootSource) (*Tree, *task.Workload, *policy.Tokens) {
 	t.Helper()
-	w := task.NewWorkload(g, s)
+	w := task.NewWorkload(g, s, task.NewCandPool(g))
 	tokens := policy.NewTokens(0, 1, s.Depth(), cfg.EntriesPerBunch)
 	if roots == nil {
 		roots = policy.AllRoots(g)
@@ -226,7 +227,7 @@ func TestCarveSplitAndAdopt(t *testing.T) {
 	// Adopt the carved range on a second tree (fresh PE).
 	tr2, w2, tok2 := newTree(t, g, s, DefaultTreeConfig(8), &policy.SliceRoots{})
 	slot2, _ := tok2.TryAcquire(1)
-	if !tr2.AdoptSplit(sp.Vertex, sp.Cand, lo, hi, slot2) {
+	if !tr2.AdoptSplit(sp.Vertex, w.CopyCand(sp.Cand), lo, hi, slot2) {
 		t.Fatal("adopt failed")
 	}
 
@@ -242,7 +243,7 @@ func TestCarveSplitAndAdopt(t *testing.T) {
 	}
 	tr3, w3, tok3 := newTree(t, g, s, DefaultTreeConfig(8), &policy.SliceRoots{})
 	slot3, _ := tok3.TryAcquire(1)
-	if !tr3.AdoptSplit(sp2.Vertex, sp2.Cand, lo2, hi2, slot3) {
+	if !tr3.AdoptSplit(sp2.Vertex, w2.CopyCand(sp2.Cand), lo2, hi2, slot3) {
 		t.Fatal("second adopt failed")
 	}
 	counts := []int64{
@@ -252,7 +253,7 @@ func TestCarveSplitAndAdopt(t *testing.T) {
 	}
 
 	// Together the three parts must count the whole tree.
-	wFull := task.NewWorkload(g, s)
+	wFull := task.NewWorkload(g, s, task.NewCandPool(g))
 	full := NewTree(wFull, policy.NewTokens(0, 1, s.Depth(), 8), &policy.SliceRoots{Vertices: []graph.VertexID{23}}, DefaultTreeConfig(8))
 	want := drive(t, full, wFull, 8, "fifo")
 	if counts[0]+counts[1]+counts[2] != want {
@@ -398,5 +399,94 @@ func TestDebugStringShowsOccupancy(t *testing.T) {
 	out := tr.DebugString()
 	if out == "" || !strings.Contains(out, "depth 1") {
 		t.Fatalf("DebugString = %q", out)
+	}
+}
+
+// gatedRoots hands out vertex v once per grant.
+type gatedRoots struct {
+	v     graph.VertexID
+	grant int
+}
+
+func (r *gatedRoots) NextRoot() (graph.VertexID, bool) {
+	if r.grant == 0 {
+		return 0, false
+	}
+	r.grant--
+	return r.v, true
+}
+
+// TestDeferredSpawnFIFOZeroAlloc pins the deferred-spawn queue: a parent
+// that finds its child depth's bunches full waits, parents are served in
+// arrival order, and popping reuses the queue's array, so a warm tree
+// runs a whole search tree with deferred spawns without allocating.
+// Each run explores 4-cliques under the top vertex of a 24-clique, whose
+// 23 depth-1 parents compete for the 4 depth-2 bunches.
+func TestDeferredSpawnFIFOZeroAlloc(t *testing.T) {
+	g := gen.Clique(24)
+	s, err := pattern.Build(pattern.FourClique())
+	if err != nil {
+		t.Fatal(err)
+	}
+	roots := &gatedRoots{v: 23}
+	tr, w, _ := newTree(t, g, s, DefaultTreeConfig(8), roots)
+	var inflight [8]*task.Node
+	var slots [8]int
+	reads := make([]task.Read, 0, 4)
+	var model [][]*task.Node // queue copies for the FIFO check (nil: skip)
+	runTree := func() (embeddings int64) {
+		roots.grant = 1
+		for {
+			k := 0
+			for k < len(inflight) && inflight[k] != nil {
+				k++
+			}
+			for ; k < len(inflight); k++ {
+				n, slot, ok := tr.Next(0)
+				if !ok {
+					break
+				}
+				w.ExecuteReuse(n, slot, reads[:0])
+				inflight[k], slots[k] = n, slot
+			}
+			n := inflight[0]
+			if n == nil {
+				return embeddings
+			}
+			copy(inflight[:], inflight[1:])
+			inflight[len(inflight)-1] = nil
+			if model != nil {
+				for d := range model {
+					model[d] = append(model[d][:0], tr.pendingSpawn[d]...)
+				}
+			}
+			embeddings += tr.OnComplete(n, 0).Embeddings
+			for d := range model {
+				// FIFO: pops take the head, a push appends the completed node.
+				old, q := model[d], tr.pendingSpawn[d]
+				if len(q) > len(old) && q[len(q)-1] == n {
+					q = q[:len(q)-1]
+				}
+				if len(q) > len(old) || !slices.Equal(q, old[len(old)-len(q):]) {
+					t.Fatalf("depth %d queue %v is not the FIFO successor of %v", d, tr.pendingSpawn[d], old)
+				}
+			}
+		}
+	}
+	model = make([][]*task.Node, len(tr.pendingSpawn))
+	want := runTree()
+	if want != 23*22*21/6 {
+		t.Fatalf("counted %d 4-cliques under vertex 23, want C(23, 3)", want)
+	}
+	if tr.DeferredSpawns == 0 {
+		t.Fatal("no spawn was deferred; the test covers no queue")
+	}
+	model = nil
+	if allocs := testing.AllocsPerRun(5, func() {
+		if got := runTree(); got != want {
+			t.Fatalf("counted %d, want %d", got, want)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a warm search tree allocates %.0f times, want 0", allocs)
 	}
 }

@@ -53,7 +53,7 @@ func TestPEDrivesDFSPolicyToExactCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := task.NewWorkload(g, s)
+		w := task.NewWorkload(g, s, task.NewCandPool(g))
 		want := mine.Count(g, s)
 		p := runWorkload(t, pe.DefaultConfig(), func(w *task.Workload, tk *policy.Tokens) pe.Policy {
 			return policy.NewDFS(w, tk, policy.AllRoots(g))
@@ -79,7 +79,7 @@ func TestWidthScalesParallelDFS(t *testing.T) {
 	run := func(width int) sim.Time {
 		cfg := pe.DefaultConfig()
 		cfg.Width = width
-		w := task.NewWorkload(g, s)
+		w := task.NewWorkload(g, s, task.NewCandPool(g))
 		p := buildPE(t, cfg, w)
 		tokens := policy.NewTokens(0, 1, s.Depth(), width)
 		p.SetPolicy(policy.NewParallelDFS(w, tokens, policy.AllRoots(g), width))
@@ -103,7 +103,7 @@ func TestMonitorSamplesAndConservativeMode(t *testing.T) {
 	cfg.MonitorPeriod = 256
 	cfg.ConservLatThresh = 5
 
-	w := task.NewWorkload(g, s)
+	w := task.NewWorkload(g, s, task.NewCandPool(g))
 	eng := sim.NewEngine()
 	p, err := pe.New(0, eng, cfg, w, flatMem{lat: 120})
 	if err != nil {
@@ -178,7 +178,7 @@ func TestSPMNeverSerializesBelowWidth(t *testing.T) {
 	s, _ := pattern.Build(pattern.FourClique())
 	cfg := pe.DefaultConfig()
 	cfg.SPMLines = 16 // window = 2 lines per task
-	w := task.NewWorkload(g, s)
+	w := task.NewWorkload(g, s, task.NewCandPool(g))
 	want := mine.Count(g, s)
 	p := runWorkload(t, cfg, func(w *task.Workload, tk *policy.Tokens) pe.Policy {
 		return policy.NewParallelDFS(w, tk, policy.AllRoots(g), cfg.Width)
@@ -194,7 +194,7 @@ func TestSPMNeverSerializesBelowWidth(t *testing.T) {
 func TestIUPoolAccountsComputeWork(t *testing.T) {
 	g := gen.Clique(32)
 	s, _ := pattern.Build(pattern.FourClique())
-	w := task.NewWorkload(g, s)
+	w := task.NewWorkload(g, s, task.NewCandPool(g))
 	p := runWorkload(t, pe.DefaultConfig(), func(w *task.Workload, tk *policy.Tokens) pe.Policy {
 		return policy.NewDFS(w, tk, policy.AllRoots(g))
 	}, g, w)
@@ -212,7 +212,7 @@ func TestIUPoolAccountsComputeWork(t *testing.T) {
 func TestL1SeesIntermediateTraffic(t *testing.T) {
 	g := gen.Clique(32)
 	s, _ := pattern.Build(pattern.FourClique())
-	w := task.NewWorkload(g, s)
+	w := task.NewWorkload(g, s, task.NewCandPool(g))
 	p := runWorkload(t, pe.DefaultConfig(), func(w *task.Workload, tk *policy.Tokens) pe.Policy {
 		return policy.NewDFS(w, tk, policy.AllRoots(g))
 	}, g, w)

@@ -85,7 +85,7 @@ func TestPoliciesCountCorrectly(t *testing.T) {
 				},
 			}
 			for name, build := range builders {
-				w := task.NewWorkload(g, s)
+				w := task.NewWorkload(g, s, task.NewCandPool(g))
 				tokens := NewTokens(0, 1, s.Depth(), 8)
 				pol := build(w, tokens)
 				got := drive(t, pol, w, 8, completion)
@@ -105,7 +105,7 @@ func TestPoliciesCountCorrectly(t *testing.T) {
 func TestDFSUsesOneSlot(t *testing.T) {
 	g := gen.Clique(10)
 	s, _ := pattern.Build(pattern.FourClique())
-	w := task.NewWorkload(g, s)
+	w := task.NewWorkload(g, s, task.NewCandPool(g))
 	pol := NewDFS(w, NewTokens(0, 1, s.Depth(), 8), AllRoots(g))
 	n, slot, ok := pol.Next(0)
 	if !ok {
@@ -124,7 +124,7 @@ func TestDFSUsesOneSlot(t *testing.T) {
 func TestPseudoDFSBarrier(t *testing.T) {
 	g := gen.Clique(12)
 	s, _ := pattern.Build(pattern.FourClique())
-	w := task.NewWorkload(g, s)
+	w := task.NewWorkload(g, s, task.NewCandPool(g))
 	// Root 11 has 11 candidates after symmetry truncation (v1 < 11).
 	pol := NewPseudoDFS(w, NewTokens(0, 1, s.Depth(), 8), &SliceRoots{Vertices: []graph.VertexID{11}}, 4)
 
@@ -172,7 +172,7 @@ func TestPseudoDFSBarrier(t *testing.T) {
 func TestBFSAdvancesByDepth(t *testing.T) {
 	g := gen.Clique(8)
 	s, _ := pattern.Build(pattern.FourClique())
-	w := task.NewWorkload(g, s)
+	w := task.NewWorkload(g, s, task.NewCandPool(g))
 	tokens := NewTokens(0, 1, s.Depth(), 8)
 	pol := NewBFS(w, tokens, AllRoots(g))
 	pol.RootsPerWave = 8
@@ -212,7 +212,7 @@ func TestBFSAdvancesByDepth(t *testing.T) {
 func TestParallelDFSLanesIndependent(t *testing.T) {
 	g := gen.Clique(10)
 	s, _ := pattern.Build(pattern.Triangle())
-	w := task.NewWorkload(g, s)
+	w := task.NewWorkload(g, s, task.NewCandPool(g))
 	pol := NewParallelDFS(w, NewTokens(0, 1, s.Depth(), 4), AllRoots(g), 4)
 	var roots []*task.Node
 	for {

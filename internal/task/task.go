@@ -150,7 +150,7 @@ type Workload struct {
 	scratchA []graph.VertexID
 	scratchB []graph.VertexID
 	pathBuf  []graph.VertexID
-	free     [][]graph.VertexID // Cand slice free list
+	cands    *CandPool
 	nodeFree []*Node
 
 	// Task-flow hardware counters (metrics.Verify conservation: every
@@ -161,11 +161,35 @@ type Workload struct {
 	Executions    int64
 }
 
-// NewWorkload creates a workload; slots are the total number of
-// intermediate-set storage slots across all PEs (sizing the address map's
-// intermediate region implicitly — slots beyond it would alias, so the
-// caller passes the true total).
-func NewWorkload(g *graph.Graph, s *pattern.Schedule) *Workload {
+// CandPool is a free list of candidate buffers, each with capacity for
+// g's largest neighbour set, so set kernels never grow one. A machine
+// has one pool, which all its chips' workloads draw from: a split or
+// migrated snapshot is taken from the pool on the victim chip and
+// released into it by the adopting one, and per-chip pools would drain
+// busy chips' buffers onto idle ones. Like the event loop that uses it,
+// a pool is single-threaded.
+type CandPool struct {
+	size int
+	free [][]graph.VertexID
+}
+
+// NewCandPool returns an empty pool of candidate buffers for g.
+func NewCandPool(g *graph.Graph) *CandPool { return &CandPool{size: g.MaxDegree()} }
+
+func (p *CandPool) get() []graph.VertexID {
+	if k := len(p.free); k > 0 {
+		b := p.free[k-1]
+		p.free = p.free[:k-1]
+		return b
+	}
+	return make([]graph.VertexID, 0, p.size)
+}
+
+func (p *CandPool) put(b []graph.VertexID) { p.free = append(p.free, b[:0]) }
+
+// NewWorkload creates a workload whose candidate buffers come from
+// cands, a pool built for g.
+func NewWorkload(g *graph.Graph, s *pattern.Schedule, cands *CandPool) *Workload {
 	maxSet := g.MaxDegree()
 	return &Workload{
 		G:        g,
@@ -175,6 +199,7 @@ func NewWorkload(g *graph.Graph, s *pattern.Schedule) *Workload {
 		scratchA: make([]graph.VertexID, 0, maxSet),
 		scratchB: make([]graph.VertexID, 0, maxSet),
 		pathBuf:  make([]graph.VertexID, s.Depth()),
+		cands:    cands,
 	}
 }
 
@@ -210,7 +235,7 @@ func (w *Workload) NewNode(depth int, v graph.VertexID, parent *Node, treeID int
 func (w *Workload) Release(n *Node) *Node {
 	if n.Cand != nil {
 		if !n.SharedCand {
-			w.free = append(w.free, n.Cand[:0])
+			w.cands.put(n.Cand)
 		}
 		n.Cand = nil
 	}
@@ -227,21 +252,14 @@ func (w *Workload) Release(n *Node) *Node {
 	return parent
 }
 
-// CopyCand returns a copy of cand in a pooled candidate buffer, which
-// Release recycles with the node. Every candidate buffer therefore holds
-// the largest set, so set kernels never grow one; an adopted split root
-// takes its copied set this way.
+// CopyCand returns a copy of cand in a buffer from the machine's pool,
+// which Release recycles with the node that owns it. Every pooled buffer
+// holds the largest set, so set kernels never grow one. A split or
+// migration snapshot is taken this way on the victim chip, and the
+// adopting tree takes the buffer over as its root's candidate set
+// (core.Tree.AdoptSplit) without copying it again.
 func (w *Workload) CopyCand(cand []graph.VertexID) []graph.VertexID {
-	return append(w.candBuf(), cand...)
-}
-
-func (w *Workload) candBuf() []graph.VertexID {
-	if k := len(w.free); k > 0 {
-		b := w.free[k-1]
-		w.free = w.free[:k-1]
-		return b
-	}
-	return make([]graph.VertexID, 0, w.G.MaxDegree())
+	return append(w.cands.get(), cand...)
 }
 
 // resolve returns the actual set named by ref for the node's path, plus
@@ -345,7 +363,7 @@ func (w *Workload) ExecuteReuse(n *Node, slot int, reads []Read) Profile {
 			last := i == len(plan.Steps)-1
 			switch {
 			case last:
-				dst = w.candBuf()
+				dst = w.cands.get()
 			case i%2 == 0:
 				dst = w.scratchA[:0]
 			default:

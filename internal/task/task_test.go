@@ -16,7 +16,7 @@ func buildWorkload(t *testing.T, g *graph.Graph, p pattern.Pattern, induced bool
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewWorkload(g, s)
+	return NewWorkload(g, s, NewCandPool(g))
 }
 
 func TestNodePathAndAncestor(t *testing.T) {
@@ -328,6 +328,46 @@ func TestExecuteReuseHubKernelsIdentical(t *testing.T) {
 		}
 		if st := ref.disp.Stats; st.BitmapOps != 0 {
 			t.Fatalf("%s: reference ran a bitmap kernel (%+v)", tc.name, st)
+		}
+	}
+}
+
+// TestPooledBuffersHoldLargestSet pins the pool's invariant: every buffer
+// Release pools can hold the graph's largest neighbour set, so no set
+// kernel ever grows one. A full search over each pattern releases every
+// computed set, and a root's snapshot (CopyCand, as a split takes it) is
+// released by the node that adopted it.
+func TestPooledBuffersHoldLargestSet(t *testing.T) {
+	g := gen.RMAT(256, 1500, 0.6, 0.15, 0.15, 3)
+	for _, p := range []pattern.Pattern{pattern.Triangle(), pattern.FourClique(), pattern.Diamond(), pattern.TailedTriangle(), pattern.FourCycle()} {
+		w := buildWorkload(t, g, p, true)
+		var walk func(n *Node)
+		walk = func(n *Node) {
+			w.Execute(n, 0)
+			if n.Depth == 0 {
+				adopted := w.NewNode(0, n.Vertex, nil, 2)
+				adopted.Executed, adopted.Cand = true, w.CopyCand(n.Cand)
+				w.Release(adopted)
+			}
+			for {
+				v, _, ok := w.NextChild(n)
+				if !ok {
+					break
+				}
+				walk(w.NewNode(n.Depth+1, v, n, 1))
+			}
+			w.Release(n)
+		}
+		for v := 0; v < g.NumVertices(); v++ {
+			walk(w.NewNode(0, graph.VertexID(v), nil, 1))
+		}
+		if len(w.cands.free) == 0 {
+			t.Fatalf("%s: nothing was pooled", p.Name())
+		}
+		for _, b := range w.cands.free {
+			if cap(b) < g.MaxDegree() {
+				t.Fatalf("%s: a pooled buffer holds %d ids, the largest set %d", p.Name(), cap(b), g.MaxDegree())
+			}
 		}
 	}
 }
