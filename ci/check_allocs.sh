@@ -9,6 +9,14 @@
 # catches any change that quietly reintroduces per-event, per-task or
 # per-split allocation.
 #
+# BenchmarkSimulate B/op must stay at or below the ceiling in
+# ci/simulate_bytes_ceiling.txt. The run samples nothing but carries the
+# telemetry bundle: five histograms whose power-of-two ranges are
+# allocated on first touch, folded once at run end, and the Result's
+# digest summaries. Building them on every run took it from ~425.8 KB/op
+# to ~431.4 KB/op; this guard keeps the unsampled run's telemetry at the
+# size of its touched ranges.
+#
 # BenchmarkSimulateSamplerOn B/op must stay at or below the ceiling in
 # ci/sampler_bytes_ceiling.txt. One latency histogram per name per chip
 # (not per PE) and sampler columns that grow with the run took it from
@@ -65,6 +73,7 @@ set -euo pipefail
 root=$(cd "$(dirname "$0")/.." && pwd)
 ceiling=$(tr -d '[:space:]' < "$root/ci/allocs_ceiling.txt")
 bytes_ceiling=$(tr -d '[:space:]' < "$root/ci/sampler_bytes_ceiling.txt")
+sim_bytes_ceiling=$(tr -d '[:space:]' < "$root/ci/simulate_bytes_ceiling.txt")
 cluster_ceiling=$(tr -d '[:space:]' < "$root/ci/cluster_bytes_ceiling.txt")
 sampled_ceiling=$(tr -d '[:space:]' < "$root/ci/cluster_sampled_bytes_ceiling.txt")
 count_allocs_ceiling=$(tr -d '[:space:]' < "$root/ci/count_serve_allocs_ceiling.txt")
@@ -95,6 +104,17 @@ fi
 echo "BenchmarkSimulate: ${allocs} allocs/op (ceiling: ${ceiling})"
 if [ "$allocs" -gt "$ceiling" ]; then
     echo "FAIL: allocs/op ${allocs} exceeds the committed ceiling ${ceiling}" >&2
+    exit 1
+fi
+
+bytes=$(field BenchmarkSimulate B/op)
+if [ -z "$bytes" ]; then
+    echo "FAIL: could not parse B/op for BenchmarkSimulate" >&2
+    exit 1
+fi
+echo "BenchmarkSimulate: ${bytes} B/op (ceiling: ${sim_bytes_ceiling})"
+if [ "$bytes" -gt "$sim_bytes_ceiling" ]; then
+    echo "FAIL: B/op ${bytes} exceeds the committed ceiling ${sim_bytes_ceiling}" >&2
     exit 1
 fi
 

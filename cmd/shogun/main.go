@@ -259,10 +259,10 @@ func run(ctx context.Context, o options) error {
 		})
 		telemetry.PublishVar("run", func() any {
 			info := map[string]any{"scheme": o.scheme, "pattern": s.Name, "pes": o.pes, "chips": o.chips}
-			if ts := cl.Samples(); ts != nil {
+			if smp := cl.Sampler(); smp != nil {
 				for _, name := range [...]string{"engine/events", "tasks/executed"} {
-					if col := ts.Col(name); len(col) > 0 {
-						info[name] = col[len(col)-1]
+					if v, ok := smp.Last(name); ok {
+						info[name] = v
 					}
 				}
 			}
@@ -305,6 +305,11 @@ func run(ctx context.Context, o options) error {
 		cr := cres.ChipResults[i]
 		fmt.Printf("  chip%d: %d roots, %d tasks, %d embeddings, occ %.1f%%, migrated out=%d in=%d\n",
 			i, st.Vertices, cr.Tasks, cr.Embeddings, st.Occupancy*100, st.MigratedOut, st.MigratedIn)
+	}
+	fmt.Printf("digests (cycles; split-lines in cache lines):\n")
+	for _, name := range [...]string{"task-lifetime", "queue-wait", "l1-latency", "l2-latency", "split-lines"} {
+		d := res.Digests[name]
+		fmt.Printf("  %-13s n=%d p50=%d p99=%d max=%d\n", name, d.Count, d.P50, d.P99, d.Max)
 	}
 	// Multi.Err surfaces the first deferred failure from any attached
 	// writer (a full disk mid-run must not pass silently as a short trace).

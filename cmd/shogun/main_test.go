@@ -185,6 +185,21 @@ func TestRunCluster(t *testing.T) {
 	}
 }
 
+// TestRunPrintsDigests: an unsampled run prints every simulation
+// digest's count, p50, p99 and max.
+func TestRunPrintsDigests(t *testing.T) {
+	o := parseArgs(t, "-graph", writeTestGraph(t, t.TempDir()), "-pes", "2", "-split")
+	out := captureRun(t, o)
+	for _, name := range []string{"l1-latency", "l2-latency", "queue-wait", "split-lines", "task-lifetime"} {
+		if !strings.Contains(out, "\n  "+name+" ") {
+			t.Errorf("report prints no %s digest:\n%s", name, out)
+		}
+	}
+	if strings.Contains(out, "task-lifetime n=0 ") {
+		t.Errorf("task-lifetime digest is empty:\n%s", out)
+	}
+}
+
 // captureRun invokes run and returns what it printed.
 func captureRun(t *testing.T, o options) string {
 	t.Helper()

@@ -84,9 +84,9 @@ type Config struct {
 	// SampleEvery, when > 0, turns on the telemetry epoch sampler: every
 	// SampleEvery cycles the run snapshots its live gauges (per-PE
 	// residency, SPM/token/bunch occupancy, MSHR and DRAM queue depths,
-	// NoC in-flight messages) and the latency histograms record every
-	// access (cache hits are folded in at each epoch). Zero keeps the hot
-	// path observation-free.
+	// NoC in-flight messages) and folds cache hits into the latency
+	// histograms. The histograms record on every run; zero samples no
+	// gauges and folds the hits once, at run end.
 	SampleEvery sim.Time
 	// SampleCap bounds retained sampler epochs (0 = telemetry default);
 	// on overflow the ring decimates 2× and the epoch spacing doubles.
@@ -217,9 +217,9 @@ func New(g *graph.Graph, s *pattern.Schedule, cfg Config) (*Accelerator, error) 
 // (internal/cluster) drives N chips on one shared clock, and its graph
 // partitioner owns vertex placement. An empty roots list leaves the
 // chip without work of its own. The chip records into the engine
-// owner's telemetry bundle tel (nil when sampling is off) and draws its
-// candidate buffers from the owner's pool cands (one per machine, built
-// for g), its PEs numbered from firstPE machine-wide.
+// owner's telemetry bundle tel (NewTelemetry) and draws its candidate
+// buffers from the owner's pool cands (one per machine, built for g),
+// its PEs numbered from firstPE machine-wide.
 func NewShared(g *graph.Graph, s *pattern.Schedule, cfg Config, eng *sim.Engine, roots []graph.VertexID, tel *Telemetry, cands *task.CandPool, firstPE int) (*Accelerator, error) {
 	if cfg.NumPEs < 1 {
 		return nil, fmt.Errorf("accel: need at least one PE")
@@ -299,9 +299,7 @@ func NewShared(g *graph.Graph, s *pattern.Schedule, cfg Config, eng *sim.Engine,
 	if cfg.Perturb != nil {
 		a.installPerturb(cfg.Perturb)
 	}
-	if tel != nil {
-		tel.attach(a, firstPE)
-	}
+	tel.attach(a, firstPE)
 	return a, nil
 }
 
@@ -445,6 +443,9 @@ type Result struct {
 	// Telemetry is the sampler's time-series snapshot (nil when sampling
 	// was off, and on a cluster's per-chip results).
 	Telemetry *telemetry.TimeSeries `json:",omitempty"`
+	// Digests summarises the run's histograms by name (Telemetry.Digests)
+	// on every run; nil on a cluster's per-chip results.
+	Digests map[string]telemetry.HistSummary `json:",omitempty"`
 }
 
 // Run simulates to completion and returns the result. It is
@@ -484,6 +485,7 @@ func (a *Accelerator) RunContext(ctx context.Context) (res *Result, err error) {
 	}
 	res = a.Collect()
 	res.Telemetry = a.tel.Series()
+	res.Digests = telemetry.Summaries(a.tel.Digests())
 	return res, nil
 }
 
@@ -584,8 +586,8 @@ func (a *Accelerator) CheckConservation() error {
 
 // Collect aggregates the chip's post-run Result (exposed for the
 // cluster driver, which runs the shared engine itself). It leaves
-// Telemetry nil: the series belongs to the engine's owner, which takes
-// it from its bundle (Telemetry.Series).
+// Telemetry and Digests nil: they belong to the engine's owner, which
+// takes them from its bundle after the last fold (Telemetry.Series).
 func (a *Accelerator) Collect() *Result {
 	// Cycles measures work completion: the latest task completion across
 	// PEs. The engine clock itself can drift past it on idle monitor

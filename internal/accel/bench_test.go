@@ -60,9 +60,9 @@ func benchSampler(b *testing.B, sampleEvery sim.Time) {
 	}
 }
 
-// BenchmarkSimulateSamplerOff is the telemetry-off baseline: every hot
-// path crosses a nil-histogram Observe or a nil-bundle check and nothing
-// else.
+// BenchmarkSimulateSamplerOff is the sampler-off baseline: the
+// histograms record every observation and the hits are folded once, at
+// run end, but no gauge is sampled.
 func BenchmarkSimulateSamplerOff(b *testing.B) { benchSampler(b, 0) }
 
 // BenchmarkSimulateSamplerOn samples every 512 cycles with live
@@ -93,11 +93,12 @@ func TestBalanceCheckZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSamplerOffHotPathZeroAlloc pins the off-switch contract: with
-// sampling disabled, the per-event instrumentation the telemetry layer
-// added to the simulator hot paths — nil-receiver histogram observes and
-// the nil-bundle guards around split accounting and the cache-hit fold —
-// allocates nothing. A cache hit itself observes nothing on any path.
+// TestSamplerOffHotPathZeroAlloc pins the one digest path with the
+// sampler off: the bundle exists without a sampler, a run fills its
+// digests and reports them, and the per-event observations — a task's
+// lifetime and queue wait, a cache miss, a split adoption — plus the
+// run-end fold allocate nothing once their buckets are touched. A cache
+// hit itself observes nothing on any path.
 func TestSamplerOffHotPathZeroAlloc(t *testing.T) {
 	g := gen.Clique(8)
 	s, err := pattern.Build(pattern.Triangle())
@@ -110,22 +111,28 @@ func TestSamplerOffHotPathZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.tel != nil {
-		t.Fatal("SampleEvery=0 must leave the telemetry bundle nil")
+	if a.tel == nil || a.tel.Sampler != nil {
+		t.Fatal("SampleEvery=0 must build the bundle without a sampler")
+	}
+	res, err := a.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"task-lifetime", "queue-wait", "l1-latency", "l2-latency"} {
+		if n := a.tel.Digests()[name].Count(); n == 0 || res.Digests[name].Count != n {
+			t.Fatalf("%s: digest holds %d, result reports %d; want the same, above 0", name, n, res.Digests[name].Count)
+		}
 	}
 	p := a.pes[0]
 	if allocs := testing.AllocsPerRun(100, func() {
 		// The exact observation calls pe.finish/stageDispatch, a cache
-		// miss, a split adoption and the run-end Series make when sampling
-		// is off.
+		// miss, a split adoption and the run-end Series make.
 		p.LifetimeHist.Observe(42)
 		p.QueueWaitHist.Observe(7)
 		p.L1.LatHist.Observe(3)
 		a.l2.LatHist.Observe(9)
-		if a.tel != nil {
-			a.tel.SplitLines.Observe(4)
-			a.tel.fold()
-		}
+		a.tel.SplitLines.Observe(4)
+		a.tel.Series()
 	}); allocs != 0 {
 		t.Fatalf("sampler-off hot path allocates %.0f times per task, want 0", allocs)
 	}
@@ -143,7 +150,12 @@ func TestForcedSplitRoundTripZeroAlloc(t *testing.T) {
 	g := gen.Clique(512)
 	cfg := DefaultConfig(SchemeShogun)
 	cfg.NumPEs = 2
-	a, err := NewShared(g, triSchedule(t), cfg, sim.NewEngine(), []graph.VertexID{511}, nil, task.NewCandPool(g), 0)
+	eng := sim.NewEngine()
+	tel, err := NewTelemetry(cfg, eng, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewShared(g, triSchedule(t), cfg, eng, []graph.VertexID{511}, tel, task.NewCandPool(g), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,9 +45,7 @@ func (a *Accelerator) adopt(p *pe.PE, x *SplitExport, slot int) bool {
 		return false
 	}
 	mem.AccessRange(p.L1, a.eng.Now(), a.w.Map.SetAddr(slot), int64(len(x.Cand))*4, true)
-	if a.tel != nil {
-		a.tel.SplitLines.Observe(x.Lines())
-	}
+	a.tel.SplitLines.Observe(x.Lines())
 	p.Kick()
 	return true
 }

@@ -10,18 +10,18 @@ import (
 )
 
 // Telemetry bundles one engine's time-resolved instrumentation: the
-// epoch sampler over live gauges plus the log-bucketed latency/size
-// histograms. The engine's owner builds it — New for a chip's private
-// engine, cluster.New for a machine — and every chip on that engine
-// records into it. It exists only when Config.SampleEvery > 0; a nil
-// bundle leaves every hot-path observation as a nil-receiver no-op.
+// log-bucketed latency/size histograms plus, when Config.SampleEvery >
+// 0, the epoch sampler over live gauges. The engine's owner builds it —
+// New for a chip's private engine, cluster.New for a machine — and every
+// chip on that engine records into it. The histograms exist on every
+// run; Sampler is nil when sampling is off.
 //
 // There is one histogram per name for the whole machine; the PEs and
 // caches sharing it all run on the engine's goroutine. Cache hits reach
 // L1Latency and L2Latency through mem.Cache.FoldHits, at each sampler
 // epoch and when the owner takes the run's series.
 type Telemetry struct {
-	Sampler *telemetry.Sampler
+	Sampler *telemetry.Sampler // nil when SampleEvery is 0
 
 	TaskLifetime *telemetry.Histogram // slot residency, dispatch→spawn-done
 	QueueWait    *telemetry.Histogram // SPM allocation + dispatch wait
@@ -35,23 +35,12 @@ type Telemetry struct {
 	armed  bool
 }
 
-// NewTelemetry builds the bundle for the owner of eng from cfg's
-// sampling fields (nil when SampleEvery is 0). Each tick re-arms while
-// busy reports work remaining, so the event queue still drains at run
-// end.
+// NewTelemetry builds the bundle for the owner of eng, with a sampler
+// from cfg's sampling fields when SampleEvery > 0. Each tick re-arms
+// while busy reports work remaining, so the event queue still drains at
+// run end.
 func NewTelemetry(cfg Config, eng *sim.Engine, busy func() bool) (*Telemetry, error) {
-	if cfg.SampleEvery == 0 {
-		return nil, nil
-	}
-	if cfg.SampleEvery < 0 {
-		return nil, fmt.Errorf("accel: SampleEvery must be >= 0 cycles, got %d", cfg.SampleEvery)
-	}
-	s, err := telemetry.NewSampler(int64(cfg.SampleEvery), cfg.SampleCap)
-	if err != nil {
-		return nil, fmt.Errorf("accel: %w", err)
-	}
-	return &Telemetry{
-		Sampler:      s,
+	t := &Telemetry{
 		TaskLifetime: telemetry.NewHistogram(),
 		QueueWait:    telemetry.NewHistogram(),
 		L1Latency:    telemetry.NewHistogram(),
@@ -59,7 +48,15 @@ func NewTelemetry(cfg Config, eng *sim.Engine, busy func() bool) (*Telemetry, er
 		SplitLines:   telemetry.NewHistogram(),
 		eng:          eng,
 		busy:         busy,
-	}, nil
+	}
+	if cfg.SampleEvery != 0 { // NewSampler rejects a negative interval
+		s, err := telemetry.NewSampler(int64(cfg.SampleEvery), cfg.SampleCap)
+		if err != nil {
+			return nil, fmt.Errorf("accel: SampleEvery: %w", err)
+		}
+		t.Sampler = s
+	}
+	return t, nil
 }
 
 // Digests names the bundle's histograms. They are the live digests, not
@@ -72,9 +69,9 @@ func (t *Telemetry) Digests() map[string]*telemetry.Histogram {
 }
 
 // attach wires chip a into the bundle: its PEs and caches record into
-// the shared histograms, and its gauges join the sampler. Per-PE gauges
-// take machine-wide numbers, PE p reporting as pe{base+p}; chip-scope
-// gauges register under one name per bundle and so sum over chips.
+// the shared histograms, and its gauges join the sampler, if any. Per-PE
+// gauges take machine-wide numbers, PE p reporting as pe{base+p};
+// chip-scope gauges register under one name per bundle, summing chips.
 func (t *Telemetry) attach(a *Accelerator, base int) {
 	a.l2.LatHist = t.L2Latency
 	for _, p := range a.pes {
@@ -86,6 +83,9 @@ func (t *Telemetry) attach(a *Accelerator, base int) {
 	t.caches = append(t.caches, a.l2)
 
 	s := t.Sampler
+	if s == nil {
+		return
+	}
 	for i, p := range a.pes {
 		p, toks, id := p, a.toks[i], base+i
 		s.Gauge(fmt.Sprintf("pe%d/resident", id), func(int64) int64 { return int64(p.Slots.InUse()) })
@@ -122,15 +122,15 @@ func (t *Telemetry) attach(a *Accelerator, base int) {
 	})
 }
 
-// Telemetry exposes the instrumentation bundle the chip records into
-// (its engine owner's; nil when sampling is off).
+// Telemetry exposes the instrumentation bundle the chip records into,
+// its engine owner's.
 func (a *Accelerator) Telemetry() *Telemetry { return a.tel }
 
-// arm schedules the next sampling epoch unless one is pending; every
-// chip's Start calls it, so the first to start arms the engine's one
-// tick. Nil-safe.
+// arm schedules the next sampling epoch unless one is pending or there
+// is no sampler; every chip's Start calls it, so the first to start arms
+// the engine's one tick.
 func (t *Telemetry) arm() {
-	if t == nil || t.armed {
+	if t.Sampler == nil || t.armed {
 		return
 	}
 	t.armed = true
@@ -157,11 +157,11 @@ func (t *Telemetry) fold() {
 }
 
 // Series folds the last hits into the digests and snapshots the run's
-// sampled series; the owner calls it once the run ends. Nil-safe.
+// series, nil without a sampler; the owner calls it once the run ends.
 func (t *Telemetry) Series() *telemetry.TimeSeries {
-	if t == nil {
+	t.fold()
+	if t.Sampler == nil {
 		return nil
 	}
-	t.fold()
 	return t.Sampler.Snapshot()
 }

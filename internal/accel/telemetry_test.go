@@ -104,8 +104,8 @@ func TestSamplerProducesSeries(t *testing.T) {
 	}
 }
 
-// TestSamplerOffIsNil checks the off path: no bundle, no result series,
-// and the per-PE histogram hooks stay nil (the hot-path no-op contract).
+// TestSamplerOffIsNil checks the off path: a bundle without a sampler,
+// no result series, and the per-PE histogram hooks still attached.
 func TestSamplerOffIsNil(t *testing.T) {
 	g := gen.Clique(8)
 	s, err := pattern.Build(pattern.Triangle())
@@ -118,12 +118,13 @@ func TestSamplerOffIsNil(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Telemetry() != nil {
-		t.Fatal("telemetry bundle exists with SampleEvery=0")
+	tel := a.Telemetry()
+	if tel == nil || tel.Sampler != nil {
+		t.Fatal("SampleEvery=0 must build the bundle without a sampler")
 	}
 	for _, p := range a.PEs() {
-		if p.LifetimeHist != nil || p.QueueWaitHist != nil {
-			t.Fatal("PE histogram hooks set with sampling off")
+		if p.LifetimeHist != tel.TaskLifetime || p.QueueWaitHist != tel.QueueWait {
+			t.Fatal("PE histogram hooks not attached with sampling off")
 		}
 	}
 	res, err := a.Run()

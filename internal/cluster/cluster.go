@@ -62,7 +62,7 @@ type Cluster struct {
 	inter *mem.NoC
 	chips []*accel.Accelerator
 	part  *Partition
-	tel   *accel.Telemetry // the machine's one bundle (nil: sampling off)
+	tel   *accel.Telemetry // the machine's one bundle
 
 	stealArmed bool
 	adoptBusy  []bool // helper chip has an in-flight or retrying adoption
@@ -373,6 +373,8 @@ type Result struct {
 	// machine-wide (chip c's PE p is pe{c×PEs+p}), chip-scope columns
 	// summed over chips, engine/events counted once.
 	Telemetry *telemetry.TimeSeries `json:",omitempty"`
+	// Digests summarises the machine's histograms, one set for all chips.
+	Digests map[string]telemetry.HistSummary `json:",omitempty"`
 }
 
 // Run simulates to completion. See RunContext.
@@ -469,6 +471,7 @@ func (c *Cluster) collect() *Result {
 	}
 	r.MeanOccupancy = occSum / float64(len(c.chips))
 	r.Telemetry = c.tel.Series()
+	r.Digests = c.Histograms()
 	return r
 }
 
@@ -487,13 +490,13 @@ func (r *Result) ImbalanceRatio() float64 {
 // Events are the cluster's (one shared clock); PeakLiveSets is the
 // largest chip's; PerPE lists every chip's PEs in machine-wide order
 // (chip c's PE p at c×PEs+p, the numbering trace events carry); and
-// Telemetry is the cluster's machine series. At one chip it equals the
-// Result a standalone accelerator's run returns, series included.
+// Telemetry and Digests are the cluster's. At one chip it equals the
+// Result a standalone accelerator's run returns, series and digests too.
 func (r *Result) Machine() *accel.Result {
 	m := &accel.Result{
 		Scheme: r.ChipResults[0].Scheme, Cycles: r.Cycles, Events: r.Events,
 		Embeddings: r.Embeddings, Tasks: r.Tasks, LeafTasks: r.LeafTasks,
-		Telemetry: r.Telemetry,
+		Telemetry: r.Telemetry, Digests: r.Digests,
 	}
 	n := float64(len(r.ChipResults))
 	for _, c := range r.ChipResults {

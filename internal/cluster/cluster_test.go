@@ -105,13 +105,14 @@ func TestClusterDifferentialN1(t *testing.T) {
 
 						// The machine aggregate every caller reports from
 						// is the chip's Result at one chip, plus the
-						// machine series the chip result carries no copy of.
+						// machine series and digests the chip result
+						// carries no copy of.
 						m := res.Machine()
 						chip := *res.ChipResults[0]
-						if chip.Telemetry != nil {
-							t.Error("chip result carries its own copy of the series")
+						if chip.Telemetry != nil || chip.Digests != nil {
+							t.Error("chip result carries its own copy of the series or digests")
 						}
-						chip.Telemetry = m.Telemetry
+						chip.Telemetry, chip.Digests = m.Telemetry, m.Digests
 						mj, _ := json.Marshal(m)
 						if cj, _ := json.Marshal(chip); string(mj) != string(cj) {
 							t.Errorf("1-chip machine aggregate diverged from its chip:\nchip:    %s\nmachine: %s", cj, mj)

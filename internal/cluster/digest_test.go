@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"testing"
 
@@ -11,28 +12,31 @@ import (
 	"shogun/internal/datasets"
 	"shogun/internal/gen"
 	"shogun/internal/pattern"
+	"shogun/internal/sim"
 	"shogun/internal/telemetry"
 )
 
-// refDigests is the reference for the sampled runs' latency digests: the
+// refDigests is the reference for the runs' latency digests: the
 // observation as it was before cache hits were folded. Test-owned
-// histograms take the bundle's place on a run with sampling off, so no
-// fold ever touches them and every miss, task lifetime and queue wait is
-// observed as the run makes it. After the run, replay observes the hit
-// latency once per counted hit, as Cache.Access once did on its hit
-// path.
+// histograms take the bundle's place on an unsampled run that the test
+// drives itself, without the run-end fold, so no fold ever touches them
+// and every miss, task lifetime and queue wait is observed as the run
+// makes it. After the run, replay observes the hit latency once per
+// counted hit, as Cache.Access once did on its hit path.
 type refDigests map[string]*telemetry.Histogram
 
 var refNames = []string{"task-lifetime", "queue-wait", "l1-latency", "l2-latency"}
 
-func hookRef(t *testing.T, chips []*accel.Accelerator) refDigests {
+// refRun hooks the reference histograms into chips, which share eng
+// and have sampling off, runs them to the end and replays their hits.
+func refRun(t *testing.T, eng *sim.Engine, chips []*accel.Accelerator, cfg accel.Config) refDigests {
 	t.Helper()
 	ref := refDigests{}
 	for _, name := range refNames {
 		ref[name] = telemetry.NewHistogram()
 	}
 	for _, chip := range chips {
-		if chip.Telemetry() != nil {
+		if chip.Telemetry().Sampler != nil {
 			t.Fatal("reference run must have sampling off")
 		}
 		chip.L2().LatHist = ref["l2-latency"]
@@ -42,11 +46,14 @@ func hookRef(t *testing.T, chips []*accel.Accelerator) refDigests {
 			p.L1.LatHist = ref["l1-latency"]
 		}
 	}
-	return ref
-}
-
-func (ref refDigests) replay(chips []*accel.Accelerator, cfg accel.Config) {
 	for _, chip := range chips {
+		chip.Start()
+	}
+	eng.Run()
+	for _, chip := range chips {
+		if err := chip.Drained(); err != nil {
+			t.Fatal(err)
+		}
 		for _, p := range chip.PEs() {
 			for i := int64(0); i < p.L1.Hits; i++ {
 				ref["l1-latency"].Observe(int64(cfg.PE.L1.HitLat))
@@ -56,6 +63,7 @@ func (ref refDigests) replay(chips []*accel.Accelerator, cfg accel.Config) {
 			ref["l2-latency"].Observe(int64(cfg.L2.HitLat))
 		}
 	}
+	return ref
 }
 
 func sameDigests(t *testing.T, cell string, got map[string]*telemetry.Histogram, ref refDigests) {
@@ -71,11 +79,27 @@ func sameDigests(t *testing.T, cell string, got map[string]*telemetry.Histogram,
 	}
 }
 
+// sampledIsUnsampled is the one-path identity: a sampled and an
+// unsampled run of one cell leave all five histograms bit-identical,
+// and each run's Result reports its histograms' summaries.
+func sampledIsUnsampled(t *testing.T, cell string, on, off map[string]*telemetry.Histogram, onRes, offRes map[string]telemetry.HistSummary) {
+	t.Helper()
+	for name, h := range on {
+		if o := off[name]; !h.Equal(o) || h.Min() != o.Min() || h.Max() != o.Max() {
+			t.Errorf("%s: %s digest differs with sampling on:\n on: %s\noff: %s", cell, name, h, o)
+		}
+	}
+	if want := telemetry.Summaries(on); !maps.Equal(onRes, want) || !maps.Equal(offRes, want) {
+		t.Errorf("%s: Result digests sampled %v, unsampled %v, want %v", cell, onRes, offRes, want)
+	}
+}
+
 // TestDigestsMatchPerHitReference: folding cache hits in at sampler
 // epochs and at run end leaves every digest bit-identical (bucket
 // counts, count, sum, min, max) to observing each hit as it happens,
-// over the conformance matrix with sampling on, a 3-chip cluster, and
-// chaos runs with latency jitter.
+// with sampling on and off, over the conformance matrix, 1- and 3-chip
+// clusters, and chaos runs with latency jitter. Each cell also checks
+// that its sampled and unsampled runs report the same five digests.
 func TestDigestsMatchPerHitReference(t *testing.T) {
 	t.Run("conformance-matrix", func(t *testing.T) {
 		for _, gr := range []struct {
@@ -93,7 +117,7 @@ func TestDigestsMatchPerHitReference(t *testing.T) {
 					if v.mutate != nil {
 						v.mutate(&cfg)
 					}
-					run := func(sample bool) *accel.Accelerator {
+					build := func(sample bool) *accel.Accelerator {
 						c := cfg
 						if sample {
 							c.SampleEvery = 512
@@ -105,15 +129,20 @@ func TestDigestsMatchPerHitReference(t *testing.T) {
 						return a
 					}
 					cell := fmt.Sprintf("%s/%s/%s", gr.name, wl.Name, v.name)
-					on, off := run(true), run(false)
-					ref := hookRef(t, []*accel.Accelerator{off})
-					for _, a := range []*accel.Accelerator{on, off} {
-						if _, err := a.Run(); err != nil {
+					r := build(false)
+					ref := refRun(t, r.Engine(), []*accel.Accelerator{r}, cfg)
+					var res [2]*accel.Result
+					var tel [2]*accel.Telemetry
+					for i, sample := range []bool{true, false} {
+						a := build(sample)
+						var err error
+						if res[i], err = a.Run(); err != nil {
 							t.Fatalf("%s: %v", cell, err)
 						}
+						tel[i] = a.Telemetry()
+						sameDigests(t, fmt.Sprintf("%s (sampled %t)", cell, sample), tel[i].Digests(), ref)
 					}
-					ref.replay([]*accel.Accelerator{off}, cfg)
-					sameDigests(t, cell, on.Telemetry().Digests(), ref)
+					sampledIsUnsampled(t, cell, tel[0].Digests(), tel[1].Digests(), res[0].Digests, res[1].Digests)
 				}
 			}
 		}
@@ -128,13 +157,13 @@ func TestDigestsMatchPerHitReference(t *testing.T) {
 		name   string
 		chips  int
 		jitter bool
-	}{{"3-chip", 3, false}, {"3-chip-jitter", 3, true}, {"1-chip-jitter", 1, true}} {
+	}{{"1-chip", 1, false}, {"3-chip", 3, false}, {"3-chip-jitter", 3, true}, {"1-chip-jitter", 1, true}} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := cluster.DefaultConfig(accel.SchemeShogun, c.chips)
 			cfg.Chip.NumPEs = 4
 			cfg.Chip.EnableSplitting = true
 			cfg.Chip.EnableMerging = true
-			run := func(sample bool) *cluster.Cluster {
+			build := func(sample bool) *cluster.Cluster {
 				cc := cfg
 				if sample {
 					cc.Chip.SampleEvery = 512
@@ -148,22 +177,30 @@ func TestDigestsMatchPerHitReference(t *testing.T) {
 				}
 				return cl
 			}
-			on, off := run(true), run(false)
-			ref := hookRef(t, off.Chips())
-			for _, cl := range []*cluster.Cluster{on, off} {
-				if _, err := cl.Run(); err != nil {
+			r := build(false)
+			ref := refRun(t, r.Engine(), r.Chips(), cfg.Chip)
+			var res [2]*cluster.Result
+			var digests [2]map[string]*telemetry.Histogram
+			for i, sample := range []bool{true, false} {
+				cl := build(sample)
+				if res[i], err = cl.Run(); err != nil {
 					t.Fatal(err)
 				}
-			}
-			ref.replay(off.Chips(), cfg.Chip)
-			// Every chip records into the machine's one bundle.
-			sameDigests(t, c.name, on.Chips()[0].Telemetry().Digests(), ref)
-			live := on.Histograms()
-			for name, w := range telemetry.Summaries(ref) {
-				if live[name] != w {
-					t.Errorf("Cluster.Histograms()[%s] = %+v, reference %+v", name, live[name], w)
+				// Every chip records into the machine's one bundle.
+				digests[i] = cl.Chips()[0].Telemetry().Digests()
+				sameDigests(t, fmt.Sprintf("%s (sampled %t)", c.name, sample), digests[i], ref)
+				live := cl.Histograms()
+				for name, w := range telemetry.Summaries(ref) {
+					if live[name] != w {
+						t.Errorf("sampled %t: Cluster.Histograms()[%s] = %+v, reference %+v", sample, name, live[name], w)
+					}
+				}
+				if !maps.Equal(res[i].Machine().Digests, res[i].Digests) || res[i].ChipResults[0].Digests != nil {
+					t.Errorf("sampled %t: machine digests %v, cluster %v, chip 0 %v; want the cluster's on the machine only",
+						sample, res[i].Machine().Digests, res[i].Digests, res[i].ChipResults[0].Digests)
 				}
 			}
+			sampledIsUnsampled(t, c.name, digests[0], digests[1], res[0].Digests, res[1].Digests)
 		})
 	}
 
@@ -177,7 +214,7 @@ func TestDigestsMatchPerHitReference(t *testing.T) {
 			cfg := accel.DefaultConfig(accel.SchemeShogun)
 			cfg.EnableSplitting = true
 			cfg.EnableMerging = true
-			run := func(sample bool) *accel.Accelerator {
+			build := func(sample bool) *accel.Accelerator {
 				c := cfg
 				if sample {
 					c.SampleEvery = 512
@@ -191,15 +228,20 @@ func TestDigestsMatchPerHitReference(t *testing.T) {
 				in.Attach(a)
 				return a
 			}
-			on, off := run(true), run(false)
-			ref := hookRef(t, []*accel.Accelerator{off})
-			for _, a := range []*accel.Accelerator{on, off} {
-				if _, err := a.Run(); err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
+			cell := fmt.Sprintf("seed %d", seed)
+			r := build(false)
+			ref := refRun(t, r.Engine(), []*accel.Accelerator{r}, cfg)
+			var res [2]*accel.Result
+			var tel [2]*accel.Telemetry
+			for i, sample := range []bool{true, false} {
+				a := build(sample)
+				if res[i], err = a.Run(); err != nil {
+					t.Fatalf("%s: %v", cell, err)
 				}
+				tel[i] = a.Telemetry()
+				sameDigests(t, fmt.Sprintf("%s (sampled %t)", cell, sample), tel[i].Digests(), ref)
 			}
-			ref.replay([]*accel.Accelerator{off}, cfg)
-			sameDigests(t, fmt.Sprintf("seed %d", seed), on.Telemetry().Digests(), ref)
+			sampledIsUnsampled(t, cell, tel[0].Digests(), tel[1].Digests(), res[0].Digests, res[1].Digests)
 		}
 	})
 }

@@ -212,10 +212,10 @@ type Cache struct {
 	parent  Level
 	mshrs   *sim.Pool
 
-	// LatHist, when non-nil, receives every access latency (telemetry
-	// histogram; nil keeps the hot path observation-free). Misses are
-	// observed as they happen; hits all cost the constant HitLat and
-	// reach it only through FoldHits.
+	// LatHist receives every access latency: a chip's telemetry bundle
+	// attaches its machine histogram on every run, and a cache built on
+	// its own may leave it nil. Misses are observed as they happen; hits
+	// all cost the constant HitLat and reach it only through FoldHits.
 	LatHist *telemetry.Histogram
 	// hitsFolded is Hits at the last FoldHits.
 	hitsFolded int64

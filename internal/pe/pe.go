@@ -226,9 +226,10 @@ type PE struct {
 	OnIdle func(p *PE)
 	// Tracer, when set, receives one event per completed task.
 	Tracer trace.Tracer
-	// LifetimeHist and QueueWaitHist, when non-nil, receive each task's
-	// slot residency (dispatch→spawn-done) and its SPM+dispatch wait span.
-	// Nil histograms make the observations free (nil-receiver no-ops).
+	// LifetimeHist and QueueWaitHist receive each task's slot residency
+	// (dispatch→spawn-done) and its SPM+dispatch wait span. A chip's
+	// telemetry bundle attaches them on every run; a PE built on its own
+	// may leave them nil (nil-receiver no-ops).
 	LifetimeHist  *telemetry.Histogram
 	QueueWaitHist *telemetry.Histogram
 	// ConservativeTransitions counts monitor-driven mode switches.

@@ -8,9 +8,9 @@
 //
 // Everything here is designed around two constraints:
 //
-//   - Off is free. A disabled sampler schedules no events and a nil
-//     *Histogram's Observe is a nil-check no-op, so the simulation hot
-//     path pays nothing when telemetry is not requested.
+//   - Observing is cheap. A disabled sampler schedules no events, and
+//     an observation is two atomic adds and two min/max compares that
+//     allocate nothing once its power-of-two range is touched.
 //   - On is live. Histograms use atomic counters and the Sampler is
 //     mutex-guarded, so the -http inspection server can read consistent
 //     snapshots from another goroutine while the (single-threaded)
@@ -58,10 +58,10 @@ type chunk [subCount]int64
 // Bucket idx lives in chunk idx>>subBits at idx&(subCount-1). A chunk is
 // allocated on its range's first observation and installed by CAS, so a
 // histogram costs its touched ranges (256 bytes each) instead of all
-// numBuckets counters; an absent chunk reads as zeros.
+// numBuckets counters; an absent chunk reads as zeros. The count is the
+// sum of the buckets, so an observation adds to one counter, not two.
 type Histogram struct {
 	chunks [numChunks]atomic.Pointer[chunk]
-	count  int64 // atomic
 	sum    int64 // atomic
 	min    int64 // atomic; math.MaxInt64 when empty
 	max    int64 // atomic
@@ -116,9 +116,9 @@ func bucketLo(idx int) int64 {
 	return int64(1)<<exp | int64(sub)<<(exp-subBits)
 }
 
-// Observe records one value. Safe on a nil receiver (no-op) — telemetry
-// hooks sit on simulator hot paths guarded only by this nil check, so
-// Observe stays small enough to inline and a nil histogram costs no call.
+// Observe records one value. Safe on a nil receiver (no-op), so a
+// simulator component built on its own, with no histogram attached,
+// needs no guard; Observe stays small enough to inline.
 func (h *Histogram) Observe(v int64) {
 	if h != nil {
 		h.observe(v, 1)
@@ -141,7 +141,6 @@ func (h *Histogram) observe(v, n int64) {
 		v = 0
 	}
 	atomic.AddInt64(h.bucket(bucketIdx(v)), n)
-	atomic.AddInt64(&h.count, n)
 	atomic.AddInt64(&h.sum, v*n)
 	for {
 		old := atomic.LoadInt64(&h.min)
@@ -157,12 +156,20 @@ func (h *Histogram) observe(v, n int64) {
 	}
 }
 
-// Count reports the number of observations.
+// Count reports the number of observations: the touched buckets' sum.
 func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
 	}
-	return atomic.LoadInt64(&h.count)
+	var n int64
+	for i := range h.chunks {
+		if c := h.chunks[i].Load(); c != nil {
+			for j := range c {
+				n += atomic.LoadInt64(&c[j])
+			}
+		}
+	}
+	return n
 }
 
 // Sum reports the exact sum of observations (after negative clamping).
@@ -178,10 +185,10 @@ func (h *Histogram) Min() int64 {
 	if h == nil {
 		return 0
 	}
-	if atomic.LoadInt64(&h.count) == 0 {
-		return 0
+	if m := atomic.LoadInt64(&h.min); m != math.MaxInt64 || h.Count() != 0 {
+		return m
 	}
-	return atomic.LoadInt64(&h.min)
+	return 0 // the empty sentinel
 }
 
 // Max reports the largest observation (0 when empty).
@@ -239,11 +246,6 @@ func (h *Histogram) Merge(o *Histogram) {
 			atomic.AddInt64(h.bucket(i), c)
 		}
 	}
-	oc := atomic.LoadInt64(&o.count)
-	if oc == 0 {
-		return
-	}
-	atomic.AddInt64(&h.count, oc)
 	atomic.AddInt64(&h.sum, atomic.LoadInt64(&o.sum))
 	for {
 		om, hm := atomic.LoadInt64(&o.min), atomic.LoadInt64(&h.min)
@@ -260,13 +262,13 @@ func (h *Histogram) Merge(o *Histogram) {
 }
 
 // Equal reports whether two histograms hold bit-identical state: every
-// bucket count, the total count and the exact sum (the merged-shards
-// conformance check).
+// bucket count, and so the total count, and the exact sum (the
+// merged-shards conformance check).
 func (h *Histogram) Equal(o *Histogram) bool {
 	if h == nil || o == nil {
 		return h.Count() == 0 && o.Count() == 0
 	}
-	if h.Count() != o.Count() || h.Sum() != o.Sum() {
+	if h.Sum() != o.Sum() {
 		return false
 	}
 	for i := 0; i < numBuckets; i++ {

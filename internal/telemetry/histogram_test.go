@@ -299,3 +299,12 @@ func TestChunksOnFirstTouch(t *testing.T) {
 		t.Fatalf("chunks %v installed, want %v", touched, want)
 	}
 }
+
+// BenchmarkObserve is the cost of one simulator observation into a
+// histogram whose ranges are already touched.
+func BenchmarkObserve(b *testing.B) {
+	h := NewHistogram()
+	for i := 0; i < b.N; i++ {
+		h.Observe(int64(i & 1023))
+	}
+}
