@@ -36,10 +36,11 @@ func BenchmarkSimulate(b *testing.B) {
 	b.ReportMetric(float64(tasks), "tasks/op")
 }
 
-// benchSampler is the shared body of the sampler on/off benchmark pair:
-// the same fixed workload with the epoch sampler enabled or disabled, so
-// `benchstat` on the two bounds the telemetry overhead directly.
-func benchSampler(b *testing.B, sampleEvery sim.Time) {
+// BenchmarkSimulateSamplerOn is BenchmarkSimulate's workload sampled
+// every 512 cycles with live histograms attached; benchstat against
+// BenchmarkSimulate, which samples nothing, bounds the sampler's
+// overhead.
+func BenchmarkSimulateSamplerOn(b *testing.B) {
 	g := gen.RMAT(1<<10, 6000, 0.6, 0.15, 0.15, 5)
 	s, err := pattern.Build(pattern.FourClique())
 	if err != nil {
@@ -47,7 +48,7 @@ func benchSampler(b *testing.B, sampleEvery sim.Time) {
 	}
 	cfg := DefaultConfig(SchemeShogun)
 	cfg.NumPEs = 4
-	cfg.SampleEvery = sampleEvery
+	cfg.SampleEvery = 512
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		a, err := New(g, s, cfg)
@@ -59,15 +60,6 @@ func benchSampler(b *testing.B, sampleEvery sim.Time) {
 		}
 	}
 }
-
-// BenchmarkSimulateSamplerOff is the sampler-off baseline: the
-// histograms record every observation and the hits are folded once, at
-// run end, but no gauge is sampled.
-func BenchmarkSimulateSamplerOff(b *testing.B) { benchSampler(b, 0) }
-
-// BenchmarkSimulateSamplerOn samples every 512 cycles with live
-// histograms attached.
-func BenchmarkSimulateSamplerOn(b *testing.B) { benchSampler(b, 512) }
 
 // TestBalanceCheckZeroAlloc pins that an imbalance check reuses its PE
 // lists: armBalance re-arms it one cycle after a PE idles, so a check

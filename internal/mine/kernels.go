@@ -1,6 +1,9 @@
 package mine
 
 import (
+	"math/bits"
+	"slices"
+
 	"shogun/internal/graph"
 	"shogun/internal/pattern"
 	"shogun/internal/setops"
@@ -50,7 +53,33 @@ type kernelContext struct {
 	// leafOps holds the counting leaf's operands, base first, resolved
 	// once per leaf parent (see countLeaves).
 	leafOps []setops.Operand
+	// batched reports that the counting leaf runs in leaf-parent
+	// batches (countLeaves): its plan's base is not N(v_d), the leaf
+	// parent's own neighbour list. Only a depth-2 pattern's leaf, among
+	// the census and catalog schedules, has that base; extend
+	// materializes it.
+	batched bool
+	// clique is the schedule's depth when it has clique shape and depth
+	// 3 or 4, so counting roots run the local-graph pass (countTriangles,
+	// countFourCliques), else 0.
+	clique int
+	// The 4-clique pass's scratch, allocated on first use: local[x] is
+	// 1 + x's index in the root's N(v) (0 outside it), rows holds one
+	// bitset row over the root's lower neighbours L per element of L,
+	// and deg[i] is |N(L[i])|.
+	local []int32
+	rows  []uint64
+	deg   []int32
+	// rowBound is the largest |L| the 4-clique pass takes (localRowBound;
+	// tests lower it); a root with more lower neighbours runs the list
+	// path.
+	rowBound int
 }
+
+// localRowBound bounds the 4-clique pass's rows to localRowBound² bits
+// (32 KB) per miner. Every analogue's largest lower degree is below it
+// (or's is 477).
+const localRowBound = 512
 
 func (m *Miner) initKernels() {
 	k := &m.kern
@@ -68,17 +97,25 @@ func (m *Miner) initKernels() {
 		k.lazy[d] = func() []uint64 { return m.storedBits(d) }
 	}
 	k.leafOps = make([]setops.Operand, 1+len(m.s.Plans[n-1].Steps))
+	leaf := m.s.Plans[n-1].Base
+	k.batched = leaf.Kind != pattern.RefNeighbor || leaf.Pos != n-2
+	if (n == 3 || n == 4) && cliqueShaped(m.s) {
+		k.clique = n
+	}
+	k.rowBound = localRowBound
 }
 
-// SetHybridKernels toggles the hybrid bitmap/gallop kernel layer and the
-// counting-only leaf path (on by default). Disabling reproduces the
-// merge/gallop-only baseline exactly — counts and all Result statistics
-// are identical either way — and exists for benchmarks and ablations.
+// SetHybridKernels toggles the hybrid bitmap/gallop kernel layer, the
+// counting-only leaf path and the local-graph clique pass (on by
+// default). Disabling reproduces the merge/gallop-only baseline exactly
+// — counts and all Result statistics are identical either way — and
+// exists for benchmarks and ablations.
 func (m *Miner) SetHybridKernels(on bool) { m.kern.enabled = on }
 
 // KernelStats reports the kernels selected so far: the dispatcher's
 // choices, plus one bitmap probe per counted leaf task whose two bounded
-// inputs are both non-empty.
+// inputs are both non-empty (tc's local-graph pass counts the same), and
+// one bitmap op per position-2 task of the 4-clique pass.
 func (m *Miner) KernelStats() setops.Stats { return m.kern.disp.Stats }
 
 // storedBits returns the scratch bitset mirroring sets[d], building it on
@@ -196,8 +233,9 @@ func (m *Miner) countLeaves(d int, cands []graph.VertexID) {
 		}
 	}
 	// ops[0] is the base and ops[j] step j-1's operand. sib indexes the
-	// operand N(v_d), if any, which each sibling resolves itself (a plan
-	// reads each N(v_j) at most once).
+	// step operand N(v_d), if any, which each sibling resolves itself (a
+	// plan reads each N(v_j) at most once; the base is never N(v_d),
+	// see batched).
 	ops, sib := k.leafOps, -1
 	var lines int64
 	for j := range ops {
@@ -225,17 +263,15 @@ func (m *Miner) countLeaves(d int, cands []graph.VertexID) {
 	// sibling folds a itself (perSib).
 	var fixed []graph.VertexID
 	var foldElems int64
-	perSib := steps > 1 && sib >= 0 && sib < steps
-	// pIsA reports whether P is a (else b), and qIsN whether the other
-	// input is N(v_d) itself, whose hub bits a sibling may probe instead.
-	// pBits is P's bitset; filled is the prefix of P that leafBits
-	// mirrors for this batch.
+	perSib := steps > 1 && sib > 0 && sib < steps
+	// pIsA reports whether P is a (else b); then the other input is
+	// N(v_d) itself, whose hub bits a sibling may probe instead. pBits is
+	// P's bitset; filled is the prefix of P that leafBits mirrors for
+	// this batch.
 	pIsA := sib == steps
-	qIsN := pIsA || (sib == 0 && steps == 1)
 	var pBits []uint64
 	var filled []graph.VertexID
 	switch {
-	case sib == 0:
 	case steps <= 1:
 		fixed = ops[0].List
 	case !perSib:
@@ -292,9 +328,6 @@ siblings:
 			nbits = k.hub.Bits(v)
 		}
 		aList, al := fixed, []graph.VertexID(nil)
-		if sib == 0 {
-			aList = nl
-		}
 		switch {
 		case steps == 0:
 			// Alias plan: candidates are a bounded prefix of an existing set.
@@ -329,7 +362,7 @@ siblings:
 		}
 		// N(v_d)'s hub bits pay off only when its list is the longer one.
 		var qBits []uint64
-		if qIsN && len(ql) > len(pl) {
+		if pIsA && len(ql) > len(pl) {
 			qBits = k.hub.Bits(v)
 		}
 		var c int
@@ -382,9 +415,6 @@ siblings:
 // kern.leafOps is the sibling's neighbour list nl (hub bitset nbits).
 func (m *Miner) foldLeaf(plan *pattern.Plan, sib int, nl []graph.VertexID, nbits []uint64, elems *int64) []graph.VertexID {
 	cur := m.kern.leafOps[0]
-	if sib == 0 {
-		cur = setops.Operand{List: nl, Bits: nbits}
-	}
 	for j := 1; j < len(plan.Steps); j++ {
 		operand := m.kern.leafOps[j]
 		if j == sib {
@@ -410,4 +440,168 @@ func (m *Miner) foldLeaf(plan *pattern.Plan, sib int, nl []graph.VertexID, nbits
 		cur = setops.Operand{List: dst}
 	}
 	return cur.List
+}
+
+// cliqueShaped reports whether s has the clique shape the local-graph
+// pass counts: position 1 is N(v0) bounded by v0, and each later
+// position d is C_{d-1} ∩ N(v_{d-1}) bounded by v_{d-1}, with no Distinct
+// exclusions. The shape, not the pattern's name, picks the pass. Any
+// other bound on such a position is implied, since v_{d-1} is below
+// every earlier matched vertex.
+func cliqueShaped(s *pattern.Schedule) bool {
+	for d := 1; d < s.Depth(); d++ {
+		p := &s.Plans[d]
+		base, steps := pattern.SetRef{Kind: pattern.RefNeighbor, Pos: 0}, 0
+		if d > 1 {
+			base, steps = pattern.SetRef{Kind: pattern.RefStored, Pos: d - 1}, 1
+		}
+		if p.Base != base || len(p.Steps) != steps || len(p.Distinct) > 0 || !slices.Contains(p.BoundBy, d-1) {
+			return false
+		}
+		if steps == 1 && p.Steps[0] != (pattern.Op{Ref: pattern.SetRef{Kind: pattern.RefNeighbor, Pos: d - 1}}) {
+			return false
+		}
+	}
+	return true
+}
+
+// countTriangles counts the search tree of root v of a depth-3 clique
+// schedule in one pass over v's local graph, G²Miner's local-graph search
+// (LGS): L = N(v)[:lower[v]] are v's candidates for position 1, marked
+// once in leafBits, and each u = L[i] counts its leaves as
+// |L[:i] ∩ N(u)[:lower[u]]| with one probe: L[:i] into u's hub bits when
+// u is a hub and L[:i] is the shorter side, else u's lower neighbours
+// into L's bits (only elements below u are probed, and those of L are
+// exactly L[:i]). The Result statistics are the list
+// path's, in closed form: each u's task read the stored C1 = N(v) (its
+// lines and |N(v)| elements) and N(u) (|N(u)| elements). A probe is
+// counted in KernelStats when both bounded inputs are non-empty.
+func (m *Miner) countTriangles(v graph.VertexID) {
+	k := &m.kern
+	m.res.TasksPerDepth[0]++
+	nv := m.g.Neighbors(v)
+	l := nv[:k.lower[v]]
+	if len(l) == 0 {
+		return
+	}
+	if k.leafBits == nil {
+		k.leafBits = make([]uint64, k.words)
+	}
+	bits := k.leafBits
+	setops.BitsetFill(bits, l)
+	var count, probes, elems int
+	for i, u := range l {
+		nu := m.g.Neighbors(u)
+		elems += len(nu)
+		lo := nu[:k.lower[u]]
+		if i == 0 || len(lo) == 0 {
+			continue
+		}
+		probes++
+		if i < len(lo) {
+			if hb := k.hub.Bits(u); hb != nil {
+				count += setops.IntersectCountBitmap(l[:i], hb)
+				continue
+			}
+		}
+		count += setops.IntersectCountBitmap(lo, bits)
+	}
+	setops.BitsetClearList(bits, l)
+	tasks := int64(len(l))
+	k.disp.Stats.BitmapOps += int64(probes)
+	m.res.TasksPerDepth[1] += tasks
+	m.res.TasksPerDepth[2] += int64(count)
+	m.res.Embeddings += int64(count)
+	m.res.IntermediateLinesPerDepth[1] += int64(setops.Lines(len(nv))) * tasks
+	m.res.SetOpElements += int64(len(nv))*tasks + int64(elems)
+}
+
+// countFourCliques counts the search tree of root v of a depth-4 clique
+// schedule over v's local graph with G²Miner's rows, and reports false,
+// counting nothing, when v has more than rowBound lower neighbours. With
+// L = N(v)[:lower[v]], row[i] is the bitset over L's indices of
+// L ∩ N(L[i])[:lower[L[i]]], built through the local index map; its
+// members j are L[i]'s position-2 candidates, and each one's leaves are
+// popcount(row[i] & row[j]). The Result statistics are the list path's
+// in closed form. They read the unbounded |C2| = |N(v) ∩ N(L[i])|, which
+// rows over lower neighbours do not give, so a position-1 task with
+// children also counts N(L[i])'s upper part against the map. KernelStats
+// counts one bitmap op per position-2 task.
+func (m *Miner) countFourCliques(v graph.VertexID) bool {
+	k := &m.kern
+	nv := m.g.Neighbors(v)
+	l := nv[:k.lower[v]]
+	d := len(l)
+	if d > k.rowBound {
+		return false
+	}
+	m.res.TasksPerDepth[0]++
+	if d == 0 {
+		return true
+	}
+	if k.local == nil {
+		k.local = make([]int32, m.g.NumVertices())
+	}
+	w := setops.BitsetWords(d)
+	if len(k.deg) < d {
+		// Sized for 64·w rows, so the scratch grows at most
+		// rowBound/64 times.
+		k.rows = make([]uint64, 64*w*w)
+		k.deg = make([]int32, 64*w)
+	}
+	local, rows, deg := k.local, k.rows, k.deg
+	for j, x := range nv {
+		local[x] = int32(j + 1)
+	}
+	var tasks2, lines2, count, elems int64
+	for i, u := range l {
+		nu := m.g.Neighbors(u)
+		deg[i] = int32(len(nu))
+		elems += int64(len(nu))
+		row := rows[i*w:][:i>>6+1]
+		clear(row)
+		split := k.lower[u]
+		r := 0
+		for _, x := range nu[:split] {
+			if p := local[x]; p != 0 {
+				row[(p-1)>>6] |= 1 << ((p - 1) & 63)
+				r++
+			}
+		}
+		if r == 0 {
+			continue
+		}
+		c2 := r
+		for _, x := range nu[split:] {
+			if local[x] != 0 {
+				c2++
+			}
+		}
+		tasks2 += int64(r)
+		lines2 += int64(setops.Lines(c2) * r)
+		elems += int64(c2 * r)
+		for t, word := range row {
+			for word != 0 {
+				j := t<<6 | bits.TrailingZeros64(word)
+				word &= word - 1
+				elems += int64(deg[j])
+				for s, rw := range rows[j*w:][:j>>6+1] {
+					count += int64(bits.OnesCount64(rw & row[s]))
+				}
+			}
+		}
+	}
+	for _, x := range nv {
+		local[x] = 0
+	}
+	k.disp.Stats.BitmapOps += tasks2
+	nd := int64(d)
+	m.res.TasksPerDepth[1] += nd
+	m.res.TasksPerDepth[2] += tasks2
+	m.res.TasksPerDepth[3] += count
+	m.res.Embeddings += count
+	m.res.IntermediateLinesPerDepth[1] += int64(setops.Lines(len(nv))) * nd
+	m.res.IntermediateLinesPerDepth[2] += lines2
+	m.res.SetOpElements += int64(len(nv))*nd + elems
+	return true
 }

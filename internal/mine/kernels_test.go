@@ -50,7 +50,10 @@ func sameResult(a, b *Result) string {
 // lower split, or a search. The plan may read a stored base C_d of the
 // parent position d, the sibling's N(v_d), and operands keyed on a
 // position below d; it may fold several steps, alias a set (no steps),
-// exclude Distinct positions, or sit right under the root (depth 2).
+// exclude Distinct positions, or sit right under the root (depth 2; its
+// base is the parent's own N(v_0), so extend materializes it instead).
+// tc and 4cl run the local-graph pass, not countLeaves, but their shapes
+// still count here.
 func leafShapes(s *pattern.Schedule) map[string]bool {
 	d := s.Depth() - 2
 	plan := &s.Plans[d+1]
@@ -226,12 +229,98 @@ func TestCountingLeafDifferential(t *testing.T) {
 	}
 }
 
+// TestLocalGraphMatchesListPath runs every catalog pattern on the six
+// analogues. Exactly the clique-shaped schedules (tc and 4cl, either
+// semantics) take the local-graph pass, and each of those must report
+// the merge-only miner's whole Result. The other schedules run the list
+// path the other tests compare; their merge-only runs on the analogues
+// take minutes, so they are not repeated here. A vertex-induced clique
+// schedule with the edge-induced one's plans is mined once.
+func TestLocalGraphMatchesListPath(t *testing.T) {
+	for _, name := range datasets.Names() {
+		g, err := datasets.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pname := range []string{"tc", "tt", "4cl", "5cl", "dia", "4cyc", "house"} {
+			p, err := pattern.ByName(pname)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mined *pattern.Schedule
+			for _, induced := range []bool{false, true} {
+				s, err := pattern.BuildWith(p, pattern.BuildOptions{Induced: induced})
+				if err != nil {
+					t.Fatal(err)
+				}
+				m := NewMiner(g, s)
+				if clique := pname == "tc" || pname == "4cl"; (m.kern.clique != 0) != clique {
+					t.Fatalf("%s: local-graph pass selected %v, want %v", s.Name, m.kern.clique != 0, clique)
+				}
+				if m.kern.clique == 0 || mined != nil && reflect.DeepEqual(mined.Plans, s.Plans) {
+					continue
+				}
+				mined = s
+				if diff := sameResult(m.Run(), runBaseline(g, s)); diff != "" {
+					t.Errorf("%s/%s: local graph vs merge-only: %s", name, s.Name, diff)
+				}
+			}
+		}
+	}
+}
+
+// FuzzLocalGraphCliques mines fuzzer-chosen graphs for tc and 4cl with
+// the local-graph pass and compares the whole Result with the merge-only
+// miner's. Like FuzzMinerLeafBounds it may add a hub adjacent to every
+// vertex, so the pass probes hub bits; the row bound is fuzzed down to
+// 0..15, so 4cl roots with more lower neighbours take the list path.
+func FuzzLocalGraphCliques(f *testing.F) {
+	f.Add(uint8(6), uint8(0), uint8(0), uint8(0), []byte{0, 1, 0, 2, 1, 2, 2, 3, 3, 0, 1, 3})
+	f.Add(uint8(120), uint8(1), uint8(100), uint8(3), []byte{1, 2, 2, 3, 3, 1, 1, 4, 4, 2, 4, 3, 110, 111, 111, 112, 112, 110})
+	f.Add(uint8(200), uint8(0), uint8(150), uint8(2), []byte{7, 8, 8, 9, 9, 7, 160, 170, 170, 180, 180, 160, 190, 7})
+	f.Add(uint8(90), uint8(3), uint8(0), uint8(1), []byte{0, 1, 0, 2, 0, 3, 0, 4, 1, 2, 1, 3, 1, 4, 2, 3, 2, 4, 3, 4, 4, 5, 5, 0})
+	f.Fuzz(func(t *testing.T, n, pat, hub, bound uint8, raw []byte) {
+		if n < 2 {
+			n = 2
+		}
+		var edges []graph.Edge
+		for i := 0; i+1 < len(raw); i += 2 {
+			edges = append(edges, graph.Edge{U: graph.VertexID(raw[i] % n), V: graph.VertexID(raw[i+1] % n)})
+		}
+		if hub != 0 {
+			h := graph.VertexID(hub % n)
+			for v := 0; v < int(n); v++ {
+				edges = append(edges, graph.Edge{U: h, V: graph.VertexID(v)})
+			}
+		}
+		g := graph.MustNew(int(n), edges)
+		p := pattern.Triangle()
+		if pat%2 == 1 {
+			p = pattern.FourClique()
+		}
+		s, err := pattern.BuildWith(p, pattern.BuildOptions{Induced: pat/2%2 == 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := NewMiner(g, s)
+		if m.kern.clique == 0 {
+			t.Fatalf("%s: local-graph pass not selected", s.Name)
+		}
+		m.kern.rowBound = int(bound % 16)
+		if diff := sameResult(m.Run(), runBaseline(g, s)); diff != "" {
+			t.Fatalf("%s: local graph vs merge-only: %s", s.Name, diff)
+		}
+	})
+}
+
 // TestCountingLeafPinned pins Result and KernelStats of the counting
 // miner on two served analogues. Result is as recorded from the per-task
 // counting leaf the leaf-parent batch replaced. KernelStats is as
 // recorded from the probe leaf: one BitmapOps per leaf task whose two
 // bounded inputs are both non-empty, plus the dispatcher's choices for
-// the candidate sets above the leaf. Any moved number fails.
+// the candidate sets above the leaf. The local-graph pass counts tc's
+// probes the same way, and one BitmapOps per position-2 task of 4cl,
+// whose row AND counts that task's leaves. Any moved number fails.
 func TestCountingLeafPinned(t *testing.T) {
 	cases := []struct {
 		dataset, pattern string
@@ -241,7 +330,7 @@ func TestCountingLeafPinned(t *testing.T) {
 		{"lj", "tc", Result{Embeddings: 230351, TasksPerDepth: []int64{32768, 154179, 230351}, IntermediateLinesPerDepth: []int64{0, 707913, 0}, SetOpElements: 33433244},
 			setops.Stats{BitmapOps: 130266}},
 		{"lj", "4cl", Result{Embeddings: 509953, TasksPerDepth: []int64{32768, 154179, 230351, 509953}, IntermediateLinesPerDepth: []int64{0, 707913, 450182, 0}, SetOpElements: 159427264},
-			setops.Stats{MergeOps: 64451, GallopOps: 957, BitmapOps: 256164}},
+			setops.Stats{BitmapOps: 230351}},
 		{"yo", "tt_e", Result{Embeddings: 40200738, TasksPerDepth: []int64{16384, 75246, 205911, 40200738}, IntermediateLinesPerDepth: []int64{0, 404363, 2639844, 0}, SetOpElements: 11608760},
 			setops.Stats{MergeOps: 38348, GallopOps: 894, BitmapOps: 36004}},
 		{"yo", "dia", Result{Embeddings: 3002609, TasksPerDepth: []int64{16384, 37623, 205911, 3002609}, IntermediateLinesPerDepth: []int64{0, 122976, 491651, 0}, SetOpElements: 5804380},
@@ -280,7 +369,8 @@ func FuzzMinerLeafBounds(f *testing.F) {
 	f.Add(uint8(90), uint8(5), uint8(1), []byte{1, 2, 2, 3, 3, 1, 10, 11, 11, 12, 12, 10, 40, 41})
 	f.Add(uint8(200), uint8(9), uint8(200), []byte{7, 8, 8, 9, 9, 7, 7, 10, 10, 8, 100, 101, 101, 7})
 	// The probe leaf's shapes: P the stored base under a hub sibling
-	// (tc, dia_v), P the last operand (house_v), P the hoisted fold
+	// (dia_v; tc's local-graph pass probes a hub u the same way), P the
+	// last operand (house_v), P the hoisted fold
 	// (tt_v), and P filled into the scratch bitset with no hub at all.
 	f.Add(uint8(100), uint8(0), uint8(3), []byte{1, 2, 2, 4, 4, 1, 5, 6, 6, 7, 7, 5, 5, 8, 8, 6, 90, 91})
 	f.Add(uint8(100), uint8(7), uint8(3), []byte{1, 2, 2, 4, 4, 1, 1, 5, 5, 2, 5, 6, 6, 7, 7, 5, 60, 61})

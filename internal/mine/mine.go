@@ -114,11 +114,20 @@ func (m *Miner) Run() *Result {
 }
 
 // RunRoot explores the single search tree rooted at vertex root
-// (matching position 0). Results accumulate across calls.
+// (matching position 0). Results accumulate across calls. A counting
+// miner whose schedule has clique shape counts the tree in one pass over
+// the root's local graph (see cliqueShaped).
 func (m *Miner) RunRoot(root graph.VertexID) {
-	// Position 0's one candidate is the root itself, so a depth-2
-	// pattern's counting leaf is a batch of one.
 	m.matched[0] = root
+	if m.kern.enabled && m.visitor == nil {
+		switch {
+		case m.kern.clique == 3:
+			m.countTriangles(root)
+			return
+		case m.kern.clique == 4 && m.countFourCliques(root):
+			return
+		}
+	}
 	m.enumerate(0, m.matched[:1])
 }
 
@@ -220,8 +229,9 @@ func (m *Miner) extend(d int) {
 		m.enumerate(d, cands)
 		return
 	}
-	// A materialized last position: the visitor path, or counting with
-	// hybrid kernels disabled (the counting leaf is batched by enumerate).
+	// A materialized last position: the visitor path, counting with
+	// hybrid kernels disabled, or a leaf that is not batched (see
+	// kernelContext.batched).
 	if m.visitor == nil {
 		// All bounded candidates match except the (few) already-matched
 		// vertices, found by binary search.
@@ -250,7 +260,7 @@ func (m *Miner) extend(d int) {
 // candidates, and recurses. When position d+1 is the counting leaf the
 // whole sibling loop is one leaf-parent batch (countLeaves).
 func (m *Miner) enumerate(d int, cands []graph.VertexID) {
-	if d+1 == m.s.Depth()-1 && m.visitor == nil && m.kern.enabled {
+	if d+1 == m.s.Depth()-1 && m.visitor == nil && m.kern.enabled && m.kern.batched {
 		m.countLeaves(d, cands)
 		return
 	}
