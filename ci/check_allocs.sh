@@ -50,9 +50,11 @@
 # per worker: before the counting leaf probed a per-parent bitset a
 # count read 21 allocs/op and ~31.7 KB/op. The leaf's scratch bitset
 # (one bit per vertex, 4 KB on lj) adds one allocation per miner, never
-# one per leaf-parent batch: 22 allocs/op and ~35.8 KB/op. This guard
-# catches a per-batch or per-sibling allocation on the golden miner's
-# hot path.
+# one per leaf-parent batch: 22 allocs/op and ~35.8 KB/op. Candidate
+# and scratch buffers that grow on first use (not five MaxDegree-sized
+# lists per miner, which tc's local-graph pass never touches) took it
+# to 17 allocs/op and ~5.2 KB/op. This guard catches a per-batch or
+# per-sibling allocation on the golden miner's hot path.
 #
 # BenchmarkReadEdgeListUpload (parse and build one served upload's text:
 # R-MAT, 2048 vertices, 12,000 edges) allocs/op and B/op must stay at or

@@ -1,5 +1,5 @@
 // Command graphgen generates deterministic synthetic graphs and writes
-// them as edge lists (or the compact binary CSR format).
+// them as edge lists.
 //
 // Usage:
 //
@@ -33,17 +33,16 @@ func main() {
 		maxDeg = flag.Int("maxdeg", 1000, "Chung-Lu expected-degree cap")
 		seed   = flag.Int64("seed", 1, "random seed")
 		out    = flag.String("o", "", "output file (default stdout)")
-		binary = flag.Bool("binary", false, "write compact binary CSR instead of text")
 		stats  = flag.Bool("stats", false, "print graph statistics to stderr")
 	)
 	flag.Parse()
-	if err := run(*kind, *name, *n, *m, *k, *a, *b, *c, *p, *alpha, *maxDeg, *seed, *out, *binary, *stats); err != nil {
+	if err := run(*kind, *name, *n, *m, *k, *a, *b, *c, *p, *alpha, *maxDeg, *seed, *out, *stats); err != nil {
 		fmt.Fprintln(os.Stderr, "graphgen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(kind, name string, n, m, k int, a, b, c, p, alpha float64, maxDeg int, seed int64, out string, binary, stats bool) error {
+func run(kind, name string, n, m, k int, a, b, c, p, alpha float64, maxDeg int, seed int64, out string, stats bool) error {
 	var g *graph.Graph
 	var err error
 	// Validate up front so bad flags produce a CLI error, not the
@@ -108,9 +107,6 @@ func run(kind, name string, n, m, k int, a, b, c, p, alpha float64, maxDeg int, 
 			return err
 		}
 		defer w.Close()
-	}
-	if binary {
-		return g.WriteBinary(w)
 	}
 	return g.WriteEdgeList(w)
 }

@@ -660,6 +660,3 @@ func (a *Accelerator) L2() *mem.Cache { return a.l2 }
 
 // Engine exposes the event engine (chaos harness, tests).
 func (a *Accelerator) Engine() *sim.Engine { return a.eng }
-
-// Workload exposes the bound workload.
-func (a *Accelerator) Workload() *task.Workload { return a.w }

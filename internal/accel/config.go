@@ -30,17 +30,8 @@ func (c *Config) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// SaveConfig writes the configuration as indented JSON.
-func SaveConfig(path string, cfg Config) error {
-	b, err := json.MarshalIndent(cfg, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// LoadConfig reads a configuration JSON written by SaveConfig (or by
-// hand), layered on top of the scheme's defaults: absent fields keep
+// LoadConfig reads a configuration JSON written by `shogun -dumpconfig`
+// (or by hand), layered on top of the scheme's defaults: absent fields keep
 // their default values only if present in the file's scheme defaults —
 // practically, start from `shogun -dumpconfig`, edit, reload.
 func LoadConfig(path string) (Config, error) {

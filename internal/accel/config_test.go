@@ -23,7 +23,11 @@ func TestConfigRoundTrip(t *testing.T) {
 	cfg.PE.Width = 4
 	cfg.EnableMerging = true
 	cfg.Tree.BunchesPerDepth = 2
-	if err := SaveConfig(path, cfg); err != nil {
+	b, err := json.MarshalIndent(cfg, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadConfig(path)

@@ -126,10 +126,6 @@ func (a *Accelerator) SlotCapacityPerCycle() int64 {
 	return int64(a.cfg.NumPEs) * int64(a.cfg.PE.Width)
 }
 
-// Scheme reports the configured scheduling scheme (after alias
-// normalization).
-func (a *Accelerator) Scheme() Scheme { return a.cfg.Scheme }
-
 // InstallPerturb wires a service-time perturber into this chip's FU,
 // DRAM and NoC pools after construction — equivalent to building with
 // Config.Perturb, for callers (the cluster chaos harness) that need a

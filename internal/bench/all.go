@@ -73,11 +73,8 @@ func Lookup(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("bench: unknown experiment %q (have %v)", id, ids)
 }
 
-// RunAll executes every experiment (fig10 skipped: bundled with fig9)
-// and writes the tables to w.
-func RunAll(o Options, w io.Writer) error { return RunAllFormat(o, w, "text") }
-
-// RunAllFormat is RunAll with an output format (text|csv|markdown).
+// RunAllFormat executes every experiment (fig10 skipped: bundled with
+// fig9) and writes the tables to w in format (text|csv|markdown).
 func RunAllFormat(o Options, w io.Writer, format string) error {
 	for _, e := range Experiments() {
 		if e.ID == "fig10" {

@@ -28,9 +28,6 @@ type Grid struct {
 // Res returns a cell's result, or nil if it failed or was never run.
 func (g *Grid) Res(key string) *accel.Result { return g.res[key] }
 
-// Failures lists the failed cells in deterministic (key) order.
-func (g *Grid) Failures() []CellFailure { return g.failures }
-
 // ratio returns num.Cycles/den.Cycles when both cells succeeded.
 func (g *Grid) ratio(num, den string) (float64, bool) {
 	n, d := g.res[num], g.res[den]

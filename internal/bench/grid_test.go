@@ -48,7 +48,7 @@ func TestGridDegradesGracefully(t *testing.T) {
 	if grid.Res("good/shogun") == nil || grid.Res("good/pseudo-dfs") == nil {
 		t.Fatal("healthy cells did not complete alongside the poisoned one")
 	}
-	fails := grid.Failures()
+	fails := grid.failures
 	if len(fails) != 1 || fails[0].Key != "bad/poisoned" {
 		t.Fatalf("failures = %+v, want exactly bad/poisoned", fails)
 	}
@@ -81,7 +81,7 @@ func TestGridCellBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fails := grid.Failures()
+	fails := grid.failures
 	if len(fails) != 1 || !errors.Is(fails[0].Err, sim.ErrEventBudget) {
 		t.Fatalf("failures = %+v, want one ErrEventBudget", fails)
 	}

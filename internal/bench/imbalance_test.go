@@ -21,7 +21,7 @@ func TestImbalanceSplitLowersTail(t *testing.T) {
 	}
 	for _, key := range []string{"off", "on"} {
 		if grid.Res(key) == nil {
-			t.Fatalf("cell %q failed: %v", key, grid.Failures())
+			t.Fatalf("cell %q failed: %v", key, grid.failures)
 		}
 		if len(series[key]) == 0 {
 			t.Fatalf("cell %q produced no imbalance series", key)

@@ -181,7 +181,7 @@ func TestCellTraceAndMetricsDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f := grid.Failures(); len(f) != 0 {
+	if f := grid.failures; len(f) != 0 {
 		t.Fatalf("cell failed: %v", f)
 	}
 	b, err := os.ReadFile(filepath.Join(dir, "rmat_tc_shogun.trace.json"))

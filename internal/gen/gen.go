@@ -275,14 +275,3 @@ func Grid(rows, cols int) *graph.Graph {
 	}
 	return graph.MustNew(rows*cols, edges)
 }
-
-// SkewTarget estimates the R-MAT `a` parameter needed to reach a desired
-// degree skewness at a given scale; used by the dataset analogues. It is a
-// coarse monotone map, adequate for picking qualitative regimes.
-func SkewTarget(skew float64) (a, b, c float64) {
-	// Map skew in [0, 30] to a in [0.25 (uniform), 0.72 (very skewed)].
-	t := math.Min(math.Max(skew/30, 0), 1)
-	a = 0.25 + 0.47*t
-	rest := (1 - a) / 3
-	return a, rest, rest
-}

@@ -111,20 +111,6 @@ func TestCliqueAndGrid(t *testing.T) {
 	}
 }
 
-func TestSkewTargetMonotone(t *testing.T) {
-	prev := -1.0
-	for s := 0.0; s <= 30; s += 5 {
-		a, b, c := SkewTarget(s)
-		if a <= prev {
-			t.Errorf("SkewTarget not monotone at %v", s)
-		}
-		if a+b+c >= 1 {
-			t.Errorf("SkewTarget(%v) params sum to >= 1", s)
-		}
-		prev = a
-	}
-}
-
 func TestChungLuShape(t *testing.T) {
 	g := ChungLu(4000, 30000, 0.6, 150, 7)
 	s := g.ComputeStats()

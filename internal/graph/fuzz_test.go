@@ -64,70 +64,3 @@ func FuzzReadEdgeList(f *testing.F) {
 		}
 	})
 }
-
-// FuzzBinaryRoundTrip builds a graph from fuzzer-chosen edges and
-// requires WriteBinary→ReadBinary to reproduce it exactly.
-func FuzzBinaryRoundTrip(f *testing.F) {
-	f.Add(uint8(4), []byte{0, 1, 1, 2})
-	f.Add(uint8(1), []byte{})
-	f.Add(uint8(16), []byte{0, 0, 3, 3, 5, 9, 15, 2})
-	f.Fuzz(func(t *testing.T, n uint8, raw []byte) {
-		if n == 0 {
-			n = 1
-		}
-		edges := make([]Edge, 0, len(raw)/2)
-		for i := 0; i+1 < len(raw); i += 2 {
-			edges = append(edges, Edge{
-				U: VertexID(int(raw[i]) % int(n)),
-				V: VertexID(int(raw[i+1]) % int(n)),
-			})
-		}
-		g, err := New(int(n), edges)
-		if err != nil {
-			t.Fatalf("valid edges rejected: %v", err)
-		}
-		var buf bytes.Buffer
-		if err := g.WriteBinary(&buf); err != nil {
-			t.Fatalf("write: %v", err)
-		}
-		got, err := ReadBinary(&buf)
-		if err != nil {
-			t.Fatalf("read back own output: %v", err)
-		}
-		if got.NumVertices() != g.NumVertices() || got.NumEdges() != g.NumEdges() {
-			t.Fatalf("shape changed: %d/%d vs %d/%d",
-				g.NumVertices(), g.NumEdges(), got.NumVertices(), got.NumEdges())
-		}
-		for v := 0; v < g.NumVertices(); v++ {
-			a, b := g.Neighbors(VertexID(v)), got.Neighbors(VertexID(v))
-			if len(a) != len(b) {
-				t.Fatalf("vertex %d: degree %d vs %d", v, len(a), len(b))
-			}
-			for j := range a {
-				if a[j] != b[j] {
-					t.Fatalf("vertex %d: neighbors differ", v)
-				}
-			}
-		}
-	})
-}
-
-// FuzzReadBinary hardens the binary decoder against corrupt inputs.
-func FuzzReadBinary(f *testing.F) {
-	var buf bytes.Buffer
-	_ = MustNew(4, []Edge{{0, 1}, {1, 2}}).WriteBinary(&buf)
-	f.Add(buf.Bytes())
-	f.Add([]byte{})
-	f.Add([]byte("garbage"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadBinary(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// Decoded graphs must be internally consistent.
-		for v := 0; v < g.NumVertices(); v++ {
-			_ = g.Degree(VertexID(v))
-		}
-		_ = g.NumEdges()
-	})
-}

@@ -196,29 +196,6 @@ func TestEdgeListVertexCap(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := MustNew(64, randomEdges(rng, 64, 400))
-	var buf bytes.Buffer
-	if err := g.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameGraph(t, g, g2)
-	if g2.MaxDegree() != g.MaxDegree() {
-		t.Errorf("MaxDegree lost: %d != %d", g2.MaxDegree(), g.MaxDegree())
-	}
-}
-
-func TestBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte("not a graph at all, sorry!"))); err == nil {
-		t.Fatal("ReadBinary accepted garbage")
-	}
-}
-
 // Property: for any random edge multiset, the CSR invariants hold.
 func TestCSRInvariantsProperty(t *testing.T) {
 	f := func(seed int64, nRaw uint8, mRaw uint16) bool {
@@ -294,21 +271,12 @@ func checkLowerSplit(t *testing.T, name string, g *Graph) {
 func TestLowerSplit(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	random := MustNew(200, randomEdges(rng, 200, 1500))
-	var buf bytes.Buffer
-	if err := random.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	roundTrip, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for name, g := range map[string]*Graph{
 		"zero value":  {},
 		"no vertices": MustNew(0, nil),
 		"isolated":    MustNew(6, []Edge{{2, 4}}),
 		"star":        MustNew(5, []Edge{{4, 0}, {4, 1}, {4, 2}, {4, 3}}),
 		"random":      random,
-		"round trip":  roundTrip,
 	} {
 		checkLowerSplit(t, name, g)
 	}

@@ -3,7 +3,6 @@ package graph
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -155,124 +154,4 @@ func (g *Graph) WriteEdgeList(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-const binaryMagic = 0x53474e53 // "SGNS": Shogun Graph, Native byte Stream
-
-// WriteBinary serializes the CSR arrays in a compact little-endian format.
-func (g *Graph) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	hdr := [3]uint64{binaryMagic, uint64(g.NumVertices()), uint64(len(g.neighbors))}
-	for _, h := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.offsets); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.neighbors); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ReadBinary deserializes a graph written by WriteBinary.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	var hdr [3]uint64
-	for i := range hdr {
-		if err := binary.Read(br, binary.LittleEndian, &hdr[i]); err != nil {
-			return nil, err
-		}
-	}
-	if hdr[0] != binaryMagic {
-		return nil, fmt.Errorf("graph: bad magic %#x", hdr[0])
-	}
-	const maxElems = int64(1) << 31
-	if hdr[1] >= uint64(maxElems) || hdr[2] >= uint64(maxElems) {
-		return nil, fmt.Errorf("graph: implausible header (n=%d, m=%d)", hdr[1], hdr[2])
-	}
-	n, m := int(hdr[1]), int(hdr[2])
-	// Read in bounded chunks so corrupt headers fail on EOF before any
-	// oversized allocation happens.
-	offsets, err := readInt64s(br, n+1)
-	if err != nil {
-		return nil, err
-	}
-	neighbors, err := readInt32s(br, m)
-	if err != nil {
-		return nil, err
-	}
-	g := &Graph{offsets: offsets, neighbors: neighbors}
-	if g.offsets[0] != 0 {
-		return nil, fmt.Errorf("graph: corrupt offsets origin %d", g.offsets[0])
-	}
-	for v := 0; v < n; v++ {
-		if g.offsets[v] > g.offsets[v+1] || g.offsets[v+1] > int64(m) {
-			return nil, fmt.Errorf("graph: corrupt offsets at vertex %d", v)
-		}
-		if d := int(g.offsets[v+1] - g.offsets[v]); d > g.maxDegree {
-			g.maxDegree = d
-		}
-	}
-	for _, u := range g.neighbors {
-		if u < 0 || int(u) >= n {
-			return nil, fmt.Errorf("graph: neighbor id %d out of range [0,%d)", u, n)
-		}
-	}
-	return g, nil
-}
-
-const readChunk = 1 << 16
-
-// readInt64s reads exactly k little-endian int64s, growing the slice in
-// bounded chunks so truncated or hostile inputs fail before large
-// allocations.
-func readInt64s(r io.Reader, k int) ([]int64, error) {
-	out := make([]int64, 0, min64(k, readChunk))
-	buf := make([]int64, 0)
-	for len(out) < k {
-		c := k - len(out)
-		if c > readChunk {
-			c = readChunk
-		}
-		if cap(buf) < c {
-			buf = make([]int64, c)
-		}
-		buf = buf[:c]
-		if err := binary.Read(r, binary.LittleEndian, buf); err != nil {
-			return nil, err
-		}
-		out = append(out, buf...)
-	}
-	return out, nil
-}
-
-// readInt32s reads exactly k little-endian int32s in bounded chunks.
-func readInt32s(r io.Reader, k int) ([]VertexID, error) {
-	out := make([]VertexID, 0, min64(k, readChunk))
-	buf := make([]VertexID, 0)
-	for len(out) < k {
-		c := k - len(out)
-		if c > readChunk {
-			c = readChunk
-		}
-		if cap(buf) < c {
-			buf = make([]VertexID, c)
-		}
-		buf = buf[:c]
-		if err := binary.Read(r, binary.LittleEndian, buf); err != nil {
-			return nil, err
-		}
-		out = append(out, buf...)
-	}
-	return out, nil
-}
-
-func min64(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

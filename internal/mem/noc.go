@@ -62,11 +62,6 @@ func (n *NoC) SendSplit(now sim.Time, lines int64) sim.Time {
 	return n.Transfer(now, lines)
 }
 
-// Utilization reports link occupancy over elapsed cycles.
-func (n *NoC) Utilization(elapsed sim.Time) float64 {
-	return n.links.Utilization(elapsed)
-}
-
 // InFlight reports the links still occupied past `now` — the in-flight
 // message gauge a telemetry sampler reads at an epoch boundary.
 func (n *NoC) InFlight(now sim.Time) int {

@@ -2,7 +2,6 @@ package mine
 
 import (
 	"fmt"
-	"math/big"
 
 	"shogun/internal/graph"
 	"shogun/internal/pattern"
@@ -42,160 +41,4 @@ func Census(g *graph.Graph, k, workers int) ([]CensusEntry, error) {
 		})
 	}
 	return out, nil
-}
-
-// ConnectedInducedTotal verifies a census invariant: the vertex-induced
-// counts of all connected k-patterns sum to the number of connected
-// k-vertex induced subgraphs of g (every connected k-set realizes exactly
-// one pattern). Exposed for tests and sanity checks.
-func ConnectedInducedTotal(entries []CensusEntry) int64 {
-	var total int64
-	for _, e := range entries {
-		total += e.Induced
-	}
-	return total
-}
-
-// CountConnectedKSets counts k-vertex subsets of g that induce a
-// connected subgraph, by direct enumeration over connected extensions —
-// an independent oracle for the census invariant. Exponential; intended
-// for small graphs.
-func CountConnectedKSets(g *graph.Graph, k int) (int64, error) {
-	n := g.NumVertices()
-	if n > 2000 {
-		return 0, fmt.Errorf("mine: graph too large for k-set enumeration")
-	}
-	// Enumerate connected sets via the standard "extension from a root
-	// with forbidden smaller vertices" method (Wernicke's ESU).
-	var count int64
-	var extend func(sub []graph.VertexID, ext map[graph.VertexID]bool, root graph.VertexID)
-	extend = func(sub []graph.VertexID, ext map[graph.VertexID]bool, root graph.VertexID) {
-		if len(sub) == k {
-			count++
-			return
-		}
-		// Iterate a snapshot: ext mutates during recursion.
-		keys := make([]graph.VertexID, 0, len(ext))
-		for v := range ext {
-			keys = append(keys, v)
-		}
-		sortVertexIDs(keys)
-		for i, v := range keys {
-			// New extension: remaining keys beyond v plus v's exclusive
-			// neighbors greater than root and not adjacent to sub.
-			next := map[graph.VertexID]bool{}
-			for _, u := range keys[i+1:] {
-				next[u] = true
-			}
-			inSub := map[graph.VertexID]bool{}
-			for _, u := range sub {
-				inSub[u] = true
-			}
-			adjSub := map[graph.VertexID]bool{}
-			for _, u := range sub {
-				for _, w := range g.Neighbors(u) {
-					adjSub[w] = true
-				}
-			}
-			for _, w := range g.Neighbors(v) {
-				if w > root && !inSub[w] && w != v && !adjSub[w] {
-					next[w] = true
-				}
-			}
-			extend(append(sub, v), next, root)
-		}
-	}
-	for v := 0; v < n; v++ {
-		root := graph.VertexID(v)
-		ext := map[graph.VertexID]bool{}
-		for _, u := range g.Neighbors(root) {
-			if u > root {
-				ext[u] = true
-			}
-		}
-		extend([]graph.VertexID{root}, ext, root)
-	}
-	return count, nil
-}
-
-func sortVertexIDs(v []graph.VertexID) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
-}
-
-// EdgeInducedFromInduced verifies the Möbius-style relation between the
-// two census columns: the edge-induced count of pattern P equals the sum
-// over catalog patterns Q of (number of subgraphs of Q isomorphic to P,
-// spanning all of Q's vertices) × induced count of Q. Returns the
-// predicted edge-induced counts in catalog order. big.Int avoids overflow
-// for dense graphs.
-func EdgeInducedFromInduced(entries []CensusEntry) ([]*big.Int, error) {
-	k := 0
-	if len(entries) > 0 {
-		k = entries[0].Pattern.N()
-	}
-	cat := make([]pattern.Pattern, len(entries))
-	for i, e := range entries {
-		if e.Pattern.N() != k {
-			return nil, fmt.Errorf("mine: mixed pattern sizes in census")
-		}
-		cat[i] = e.Pattern
-	}
-	out := make([]*big.Int, len(entries))
-	for i, p := range cat {
-		sum := big.NewInt(0)
-		for j, q := range cat {
-			c := spanningCopies(p, q)
-			if c == 0 {
-				continue
-			}
-			term := big.NewInt(entries[j].Induced)
-			term.Mul(term, big.NewInt(c))
-			sum.Add(sum, term)
-		}
-		out[i] = sum
-		_ = p
-	}
-	return out, nil
-}
-
-// spanningCopies counts subgraphs of q isomorphic to p using all of q's
-// vertices: permutations σ with p's edges ⊆ σ(q)'s edges, divided by
-// |Aut(p)|.
-func spanningCopies(p, q pattern.Pattern) int64 {
-	n := p.N()
-	perm := make([]int, n)
-	used := make([]bool, n)
-	var maps int64
-	var rec func(pos int)
-	rec = func(pos int) {
-		if pos == n {
-			maps++
-			return
-		}
-		for v := 0; v < n; v++ {
-			if used[v] {
-				continue
-			}
-			ok := true
-			for prev := 0; prev < pos; prev++ {
-				if p.HasEdge(prev, pos) && !q.HasEdge(perm[prev], v) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			used[v] = true
-			perm[pos] = v
-			rec(pos + 1)
-			used[v] = false
-		}
-	}
-	rec(0)
-	return maps / int64(len(p.Automorphisms()))
 }

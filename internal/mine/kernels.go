@@ -112,12 +112,6 @@ func (m *Miner) initKernels() {
 // exists for benchmarks and ablations.
 func (m *Miner) SetHybridKernels(on bool) { m.kern.enabled = on }
 
-// KernelStats reports the kernels selected so far: the dispatcher's
-// choices, plus one bitmap probe per counted leaf task whose two bounded
-// inputs are both non-empty (tc's local-graph pass counts the same), and
-// one bitmap op per position-2 task of the 4-clique pass.
-func (m *Miner) KernelStats() setops.Stats { return m.kern.disp.Stats }
-
 // storedBits returns the scratch bitset mirroring sets[d], building it on
 // first use after each invalidation. Only the dispatcher calls it (via
 // kern.lazy), and only once it has decided a bitmap probe is cheapest.
@@ -256,7 +250,7 @@ func (m *Miner) countLeaves(d int, cands []graph.VertexID) {
 	distinct := m.s.Plans[d].Distinct
 	var lastRef pattern.SetRef
 	var sub bool
-	var tasks, count, elems, probes int64
+	var tasks, count, elems int64
 	// fixed is a's list when a does not read matched[d]: the base, or the
 	// fold of every step but the last, hoisted out of the sibling loop
 	// with its per-sibling set-op elements in foldElems. Otherwise each
@@ -367,7 +361,6 @@ siblings:
 		}
 		var c int
 		if len(al) > 0 && len(bl) > 0 {
-			probes++
 			if qBits != nil {
 				c = setops.IntersectCountBitmap(pl, qBits)
 			} else {
@@ -401,7 +394,6 @@ siblings:
 	if filled != nil {
 		setops.BitsetClearList(k.leafBits, filled)
 	}
-	k.disp.Stats.BitmapOps += probes
 	m.res.TasksPerDepth[d] += tasks
 	m.res.TasksPerDepth[d+1] += count
 	m.res.Embeddings += count
@@ -474,8 +466,7 @@ func cliqueShaped(s *pattern.Schedule) bool {
 // into L's bits (only elements below u are probed, and those of L are
 // exactly L[:i]). The Result statistics are the list
 // path's, in closed form: each u's task read the stored C1 = N(v) (its
-// lines and |N(v)| elements) and N(u) (|N(u)| elements). A probe is
-// counted in KernelStats when both bounded inputs are non-empty.
+// lines and |N(v)| elements) and N(u) (|N(u)| elements).
 func (m *Miner) countTriangles(v graph.VertexID) {
 	k := &m.kern
 	m.res.TasksPerDepth[0]++
@@ -489,7 +480,7 @@ func (m *Miner) countTriangles(v graph.VertexID) {
 	}
 	bits := k.leafBits
 	setops.BitsetFill(bits, l)
-	var count, probes, elems int
+	var count, elems int
 	for i, u := range l {
 		nu := m.g.Neighbors(u)
 		elems += len(nu)
@@ -497,7 +488,6 @@ func (m *Miner) countTriangles(v graph.VertexID) {
 		if i == 0 || len(lo) == 0 {
 			continue
 		}
-		probes++
 		if i < len(lo) {
 			if hb := k.hub.Bits(u); hb != nil {
 				count += setops.IntersectCountBitmap(l[:i], hb)
@@ -508,7 +498,6 @@ func (m *Miner) countTriangles(v graph.VertexID) {
 	}
 	setops.BitsetClearList(bits, l)
 	tasks := int64(len(l))
-	k.disp.Stats.BitmapOps += int64(probes)
 	m.res.TasksPerDepth[1] += tasks
 	m.res.TasksPerDepth[2] += int64(count)
 	m.res.Embeddings += int64(count)
@@ -525,8 +514,7 @@ func (m *Miner) countTriangles(v graph.VertexID) {
 // popcount(row[i] & row[j]). The Result statistics are the list path's
 // in closed form. They read the unbounded |C2| = |N(v) ∩ N(L[i])|, which
 // rows over lower neighbours do not give, so a position-1 task with
-// children also counts N(L[i])'s upper part against the map. KernelStats
-// counts one bitmap op per position-2 task.
+// children also counts N(L[i])'s upper part against the map.
 func (m *Miner) countFourCliques(v graph.VertexID) bool {
 	k := &m.kern
 	nv := m.g.Neighbors(v)
@@ -594,7 +582,6 @@ func (m *Miner) countFourCliques(v graph.VertexID) bool {
 	for _, x := range nv {
 		local[x] = 0
 	}
-	k.disp.Stats.BitmapOps += tasks2
 	nd := int64(d)
 	m.res.TasksPerDepth[1] += nd
 	m.res.TasksPerDepth[2] += tasks2

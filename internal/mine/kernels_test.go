@@ -22,11 +22,11 @@ func runBaseline(g *graph.Graph, s *pattern.Schedule) *Result {
 
 // runSearched mines with every leaf bound found by binary search: the
 // reference that the free positional and lower-split bounds must
-// reproduce, kernel selections included.
-func runSearched(g *graph.Graph, s *pattern.Schedule) (*Result, setops.Stats) {
+// reproduce.
+func runSearched(g *graph.Graph, s *pattern.Schedule) *Result {
 	m := NewMiner(g, s)
 	m.kern.searchBounds = true
-	return m.Run(), m.KernelStats()
+	return m.Run()
 }
 
 // sameResult reports the first statistic on which a and b differ, or "".
@@ -123,7 +123,7 @@ func leafTestPatterns() []pattern.Pattern {
 // number — embeddings, per-depth task counts, intermediate-line
 // accounting, or set-op element accounting. The counting leaf, batched
 // per leaf parent, must match the materializing merge-only miner, and
-// its free bounds must select exactly the kernels a binary search would.
+// its free bounds must give the Result a binary search would.
 func TestHybridMatchesBaselineExactly(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"rmat-skewed": gen.RMAT(1<<10, 9000, 0.45, 0.22, 0.22, 106),
@@ -148,20 +148,15 @@ func TestHybridMatchesBaselineExactly(t *testing.T) {
 				for shape, ok := range leafShapes(s) {
 					seen[shape] = seen[shape] || ok
 				}
-				m := NewMiner(g, s)
-				hyb := m.Run()
+				hyb := NewMiner(g, s).Run()
 				if diff := sameResult(hyb, runBaseline(g, s)); diff != "" {
 					t.Errorf("%s/%s: hybrid vs baseline: %s", gname, s.Name, diff)
 				}
 				if len(s.Plans[s.Depth()-1].BoundBy) == 0 {
 					continue // unbounded leaf: nothing to search
 				}
-				ref, refStats := runSearched(g, s)
-				if diff := sameResult(hyb, ref); diff != "" {
+				if diff := sameResult(hyb, runSearched(g, s)); diff != "" {
 					t.Errorf("%s/%s: free vs searched bounds: %s", gname, s.Name, diff)
-				}
-				if got := m.KernelStats(); got != refStats {
-					t.Errorf("%s/%s: KernelStats %+v, searched bounds %+v", gname, s.Name, got, refStats)
 				}
 			}
 		}
@@ -313,28 +308,19 @@ func FuzzLocalGraphCliques(f *testing.F) {
 	})
 }
 
-// TestCountingLeafPinned pins Result and KernelStats of the counting
-// miner on two served analogues. Result is as recorded from the per-task
-// counting leaf the leaf-parent batch replaced. KernelStats is as
-// recorded from the probe leaf: one BitmapOps per leaf task whose two
-// bounded inputs are both non-empty, plus the dispatcher's choices for
-// the candidate sets above the leaf. The local-graph pass counts tc's
-// probes the same way, and one BitmapOps per position-2 task of 4cl,
-// whose row AND counts that task's leaves. Any moved number fails.
+// TestCountingLeafPinned pins the Result of the counting miner on two
+// served analogues, as recorded from the per-task counting leaf the
+// leaf-parent batch and the local-graph pass replaced. Any moved number
+// fails.
 func TestCountingLeafPinned(t *testing.T) {
 	cases := []struct {
 		dataset, pattern string
 		want             Result
-		stats            setops.Stats
 	}{
-		{"lj", "tc", Result{Embeddings: 230351, TasksPerDepth: []int64{32768, 154179, 230351}, IntermediateLinesPerDepth: []int64{0, 707913, 0}, SetOpElements: 33433244},
-			setops.Stats{BitmapOps: 130266}},
-		{"lj", "4cl", Result{Embeddings: 509953, TasksPerDepth: []int64{32768, 154179, 230351, 509953}, IntermediateLinesPerDepth: []int64{0, 707913, 450182, 0}, SetOpElements: 159427264},
-			setops.Stats{BitmapOps: 230351}},
-		{"yo", "tt_e", Result{Embeddings: 40200738, TasksPerDepth: []int64{16384, 75246, 205911, 40200738}, IntermediateLinesPerDepth: []int64{0, 404363, 2639844, 0}, SetOpElements: 11608760},
-			setops.Stats{MergeOps: 38348, GallopOps: 894, BitmapOps: 36004}},
-		{"yo", "dia", Result{Embeddings: 3002609, TasksPerDepth: []int64{16384, 37623, 205911, 3002609}, IntermediateLinesPerDepth: []int64{0, 122976, 491651, 0}, SetOpElements: 5804380},
-			setops.Stats{MergeOps: 19174, GallopOps: 447, BitmapOps: 18002}},
+		{"lj", "tc", Result{Embeddings: 230351, TasksPerDepth: []int64{32768, 154179, 230351}, IntermediateLinesPerDepth: []int64{0, 707913, 0}, SetOpElements: 33433244}},
+		{"lj", "4cl", Result{Embeddings: 509953, TasksPerDepth: []int64{32768, 154179, 230351, 509953}, IntermediateLinesPerDepth: []int64{0, 707913, 450182, 0}, SetOpElements: 159427264}},
+		{"yo", "tt_e", Result{Embeddings: 40200738, TasksPerDepth: []int64{16384, 75246, 205911, 40200738}, IntermediateLinesPerDepth: []int64{0, 404363, 2639844, 0}, SetOpElements: 11608760}},
+		{"yo", "dia", Result{Embeddings: 3002609, TasksPerDepth: []int64{16384, 37623, 205911, 3002609}, IntermediateLinesPerDepth: []int64{0, 122976, 491651, 0}, SetOpElements: 5804380}},
 	}
 	for _, c := range cases {
 		g, err := datasets.Get(c.dataset)
@@ -349,12 +335,8 @@ func TestCountingLeafPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := NewMiner(g, s)
-		if diff := sameResult(m.Run(), &c.want); diff != "" {
+		if diff := sameResult(NewMiner(g, s).Run(), &c.want); diff != "" {
 			t.Errorf("%s/%s: %s", c.dataset, c.pattern, diff)
-		}
-		if got := m.KernelStats(); got != c.stats {
-			t.Errorf("%s/%s: KernelStats %+v, pinned %+v", c.dataset, c.pattern, got, c.stats)
 		}
 	}
 }
@@ -363,7 +345,7 @@ func TestCountingLeafPinned(t *testing.T) {
 // hub adjacent to every vertex, so hub bitsets come into play) for each
 // test pattern: the hybrid miner, whose counting leaf runs in leaf-parent
 // batches, must match the merge-only baseline on every Result statistic
-// and the searched-bound reference on KernelStats.
+// and the searched-bound reference.
 func FuzzMinerLeafBounds(f *testing.F) {
 	f.Add(uint8(6), uint8(0), uint8(0), []byte{0, 1, 0, 2, 1, 2, 2, 3, 3, 0, 1, 3})
 	f.Add(uint8(90), uint8(5), uint8(1), []byte{1, 2, 2, 3, 3, 1, 10, 11, 11, 12, 12, 10, 40, 41})
@@ -398,19 +380,20 @@ func FuzzMinerLeafBounds(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := NewMiner(g, s)
-		hyb := m.Run()
+		hyb := NewMiner(g, s).Run()
 		if diff := sameResult(hyb, runBaseline(g, s)); diff != "" {
 			t.Fatalf("%s: hybrid vs baseline: %s", s.Name, diff)
 		}
-		if _, refStats := runSearched(g, s); m.KernelStats() != refStats {
-			t.Fatalf("%s: KernelStats %+v, searched bounds %+v", s.Name, m.KernelStats(), refStats)
+		if diff := sameResult(hyb, runSearched(g, s)); diff != "" {
+			t.Fatalf("%s: free vs searched bounds: %s", s.Name, diff)
 		}
 	})
 }
 
-// TestHybridUsesBitmapKernels pins that the dispatcher actually selects
-// bitmap kernels on a hub-heavy graph (otherwise the layer is dead code).
+// TestHybridUsesBitmapKernels pins that the hybrid miner actually runs
+// its bitmap kernels on a hub-heavy graph (otherwise the layer is dead
+// code): tc's local-graph pass builds the scratch bitset it probes, and
+// the merge-only miner builds none.
 func TestHybridUsesBitmapKernels(t *testing.T) {
 	g := gen.RMAT(1<<11, 24000, 0.55, 0.17, 0.17, 105)
 	if g.HubIndex() == nil {
@@ -422,15 +405,14 @@ func TestHybridUsesBitmapKernels(t *testing.T) {
 	}
 	m := NewMiner(g, s)
 	m.Run()
-	if st := m.KernelStats(); st.BitmapOps == 0 {
-		t.Fatalf("no bitmap kernels selected on a hubby graph: %+v", st)
+	if m.kern.leafBits == nil {
+		t.Fatal("no bitmap kernel ran on a hubby graph")
 	}
-	// Disabled miner must select none.
 	m2 := NewMiner(g, s)
 	m2.SetHybridKernels(false)
 	m2.Run()
-	if st := m2.KernelStats(); st.BitmapOps != 0 {
-		t.Fatalf("baseline miner used bitmap kernels: %+v", st)
+	if m2.kern.leafBits != nil {
+		t.Fatal("baseline miner built a bitmap kernel's bitset")
 	}
 }
 

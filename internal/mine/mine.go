@@ -67,7 +67,9 @@ type Miner struct {
 	s *pattern.Schedule
 
 	matched []graph.VertexID
-	// sets[d] stores the candidate set computed for position d.
+	// sets[d] stores the candidate set computed for position d. It and
+	// the scratch buffers grow on first use: the local-graph pass never
+	// touches them.
 	sets [][]graph.VertexID
 	// idx[d] is the index of matched[d] in sets[d] while position d's
 	// loop (enumerate or countLeaves) runs, so sets[d][:idx[d]] is
@@ -91,11 +93,6 @@ func NewMiner(g *graph.Graph, s *pattern.Schedule) *Miner {
 		sets:    make([][]graph.VertexID, n),
 		idx:     make([]int, n),
 	}
-	for d := range m.sets {
-		m.sets[d] = make([]graph.VertexID, 0, g.MaxDegree())
-	}
-	m.scratch = make([]graph.VertexID, 0, g.MaxDegree())
-	m.scratch2 = make([]graph.VertexID, 0, g.MaxDegree())
 	m.res.TasksPerDepth = make([]int64, n)
 	m.res.IntermediateLinesPerDepth = make([]int64, n)
 	m.initKernels()

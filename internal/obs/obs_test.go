@@ -23,7 +23,7 @@ func TestSpanAttributionConservative(t *testing.T) {
 		sp.To(ph)
 	}
 	time.Sleep(time.Millisecond)
-	id := sp.ID()
+	id := sp.id
 	sp.End(http.StatusOK, "ok", "")
 
 	v, ok := p.Lookup(id)
@@ -33,7 +33,7 @@ func TestSpanAttributionConservative(t *testing.T) {
 	if !v.Done || v.Phase != "done" {
 		t.Fatalf("view not done: %+v", v)
 	}
-	if sum := v.PhasesNS.Sum(); sum != v.WallNS {
+	if sum := sumPhases(v.PhasesNS); sum != v.WallNS {
 		t.Fatalf("phases sum %dns != wall %dns (drift %dns)", sum, v.WallNS, v.WallNS-sum)
 	}
 	// Every phase the span passed through picked up its sleep.
@@ -67,7 +67,7 @@ func TestSpanLiveView(t *testing.T) {
 	if v.PhasesNS.Run < int64(time.Millisecond) {
 		t.Fatalf("live run phase %dns, want >= ~2ms", v.PhasesNS.Run)
 	}
-	if sum := v.PhasesNS.Sum(); sum != v.WallNS {
+	if sum := sumPhases(v.PhasesNS); sum != v.WallNS {
 		t.Fatalf("live phases sum %d != live wall %d", sum, v.WallNS)
 	}
 	sp.End(http.StatusOK, "ok", "")
@@ -109,10 +109,10 @@ func TestPlaneRegistryAndRing(t *testing.T) {
 		t.Fatalf("InFlight = %d, want 1", p.InFlight())
 	}
 	live := p.Snapshot()
-	if len(live) != 1 || live[0].ID != sp.ID() || live[0].Done {
+	if len(live) != 1 || live[0].ID != sp.id || live[0].Done {
 		t.Fatalf("snapshot wrong: %+v", live)
 	}
-	if _, ok := p.Lookup(sp.ID()); !ok {
+	if _, ok := p.Lookup(sp.id); !ok {
 		t.Fatal("live span not found by Lookup")
 	}
 	sp.End(200, "ok", "")
@@ -124,7 +124,7 @@ func TestPlaneRegistryAndRing(t *testing.T) {
 	var ids []uint64
 	for i := 0; i < 6; i++ {
 		s := p.Begin("mine", "", time.Now())
-		ids = append(ids, s.ID())
+		ids = append(ids, s.id)
 		s.End(200, "ok", "")
 	}
 	rec := p.Recent()
@@ -160,7 +160,7 @@ func TestProgressJoinLiveOnly(t *testing.T) {
 		t.Fatalf("live FillProgress: calls=%d progress=%v", calls, v.Progress)
 	}
 
-	id := sp.ID()
+	id := sp.id
 	sp.End(200, "ok", "")
 	done, _ := p.Lookup(id)
 	done.FillProgress()
@@ -198,7 +198,7 @@ func TestInspectionDuringChurn(t *testing.T) {
 						t.Error("snapshot returned a completed span as live")
 						return
 					}
-					if sum := v.PhasesNS.Sum(); sum != v.WallNS {
+					if sum := sumPhases(v.PhasesNS); sum != v.WallNS {
 						t.Errorf("live view does not telescope: sum %d wall %d", sum, v.WallNS)
 						return
 					}
@@ -439,7 +439,7 @@ func TestChromeExport(t *testing.T) {
 	sp.To(PhaseRun)
 	time.Sleep(2 * time.Millisecond)
 	sp.To(PhaseEncode)
-	id := sp.ID()
+	id := sp.id
 	sp.End(200, "ok", "")
 	v, _ := p.Lookup(id)
 
@@ -524,4 +524,9 @@ func TestMetricsWriterExposition(t *testing.T) {
 			t.Errorf("malformed sample line %q", line)
 		}
 	}
+}
+
+// sumPhases totals a phase breakdown.
+func sumPhases(p Phases) int64 {
+	return p.Parse + p.Queue + p.Graph + p.Schedule + p.Run + p.Encode
 }

@@ -57,11 +57,6 @@ type Phases struct {
 	Encode   int64 `json:"encode"`
 }
 
-// Sum totals the breakdown.
-func (p Phases) Sum() int64 {
-	return p.Parse + p.Queue + p.Graph + p.Schedule + p.Run + p.Encode
-}
-
 // phasesFrom packs a per-phase array into the named struct, dividing by
 // div (1 for ns, 1000 for µs).
 func phasesFrom(a [NumPhases]int64, div int64) Phases {
@@ -132,11 +127,6 @@ func (s *Span) TraceID() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return string(s.trace[:s.traceLen])
-}
-
-// ID returns the span's registry ID.
-func (s *Span) ID() uint64 {
-	return s.id
 }
 
 // To moves the span into phase ph, charging the time since the previous

@@ -148,25 +148,3 @@ func Parse(name, spec string) (Pattern, error) {
 	}
 	return NewPattern(name, maxID+1, edges)
 }
-
-// CompleteBipartite returns the K_{a,b} pattern (e.g. K_{2,2} is the
-// 4-cycle).
-func CompleteBipartite(a, b int) Pattern {
-	var edges [][2]int
-	for i := 0; i < a; i++ {
-		for j := 0; j < b; j++ {
-			edges = append(edges, [2]int{i, a + j})
-		}
-	}
-	return mustPattern(fmt.Sprintf("k%d%d", a, b), a+b, edges)
-}
-
-// Wheel returns a cycle of k vertices plus a hub adjacent to all of them.
-func Wheel(k int) Pattern {
-	var edges [][2]int
-	for i := 0; i < k; i++ {
-		edges = append(edges, [2]int{i, (i + 1) % k})
-		edges = append(edges, [2]int{i, k})
-	}
-	return mustPattern(fmt.Sprintf("wheel%d", k), k+1, edges)
-}

@@ -35,7 +35,7 @@ func TestEstimateCostPrefersDensePrefix(t *testing.T) {
 
 func TestOptimizePicksConnectedLowCostOrder(t *testing.T) {
 	shape := ShapeOf(100000, 500000)
-	for _, p := range []Pattern{Triangle(), FourClique(), TailedTriangle(), Diamond(), FourCycle(), House(), Wheel(4)} {
+	for _, p := range []Pattern{Triangle(), FourClique(), TailedTriangle(), Diamond(), FourCycle(), House(), wheel4()} {
 		s, err := Optimize(p, shape, false)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
@@ -81,8 +81,13 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// wheel4 is a 4-cycle plus a hub adjacent to all of its vertices.
+func wheel4() Pattern {
+	return mustPattern("wheel4", 5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 4}, {1, 4}, {2, 4}, {3, 4}})
+}
+
 func TestCompleteBipartiteAndWheel(t *testing.T) {
-	k22 := CompleteBipartite(2, 2)
+	k22 := mustPattern("k22", 4, [][2]int{{0, 2}, {0, 3}, {1, 2}, {1, 3}})
 	if k22.N() != 4 || k22.NumEdges() != 4 {
 		t.Fatalf("K22: %s", k22)
 	}
@@ -90,7 +95,7 @@ func TestCompleteBipartiteAndWheel(t *testing.T) {
 	if got := len(k22.Automorphisms()); got != 8 {
 		t.Fatalf("|Aut(K22)| = %d", got)
 	}
-	w4 := Wheel(4)
+	w4 := wheel4()
 	if w4.N() != 5 || w4.NumEdges() != 8 {
 		t.Fatalf("wheel4: %s", w4)
 	}

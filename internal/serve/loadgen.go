@@ -77,22 +77,6 @@ type LoadReport struct {
 	Embeddings map[int64]int64 `json:"embeddings"`
 }
 
-// AcceptRate reports accepted / sent.
-func (r *LoadReport) AcceptRate() float64 {
-	if r.Sent == 0 {
-		return 0
-	}
-	return float64(r.Accepted) / float64(r.Sent)
-}
-
-// ShedRate reports shed / sent.
-func (r *LoadReport) ShedRate() float64 {
-	if r.Sent == 0 {
-		return 0
-	}
-	return float64(r.Shed) / float64(r.Sent)
-}
-
 // RunLoad offers opts.QPS of identical queries for opts.Duration and
 // reports what came back. It returns early (with the partial report)
 // only if ctx is cancelled; server-side rejections are data, not

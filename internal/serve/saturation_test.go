@@ -119,8 +119,8 @@ func TestLoadReportBookkeeping(t *testing.T) {
 	if len(rep.Embeddings) != 1 {
 		t.Fatalf("embeddings not uniform: %v", rep.Embeddings)
 	}
-	if rep.AcceptRate() <= 0 || rep.AcceptRate() > 1 {
-		t.Fatalf("accept rate %g", rep.AcceptRate())
+	if rep.Accepted > rep.Sent {
+		t.Fatalf("accepted %d of %d sent", rep.Accepted, rep.Sent)
 	}
 }
 

@@ -284,10 +284,6 @@ func (s *Server) Close() error {
 	return err
 }
 
-// Obs exposes the observability plane — tests and embedders inspect
-// completed spans through it.
-func (s *Server) Obs() *obs.Plane { return s.plane }
-
 // Op names a query kind.
 type Op string
 

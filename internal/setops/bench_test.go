@@ -30,15 +30,6 @@ func BenchmarkIntersectGallop(b *testing.B) {
 	}
 }
 
-func BenchmarkIntersectCount(b *testing.B) {
-	x, y := benchSets(1000, 1200, 8000, 3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		IntersectCount(x, y)
-	}
-}
-
 func BenchmarkSubtract(b *testing.B) {
 	x, y := benchSets(1000, 1200, 8000, 4)
 	dst := make([]VertexID, 0, 1000)

@@ -15,11 +15,6 @@ import "slices"
 // universe [0, n) occupies.
 func BitsetWords(n int) int { return (n + 63) / 64 }
 
-// BitsetAdd sets bit x.
-func BitsetAdd(bits []uint64, x VertexID) {
-	bits[uint32(x)>>6] |= 1 << (uint32(x) & 63)
-}
-
 // BitsetHas reports whether bit x is set.
 func BitsetHas(bits []uint64, x VertexID) bool {
 	return bits[uint32(x)>>6]&(1<<(uint32(x)&63)) != 0

@@ -15,10 +15,7 @@ func buildBits(list []VertexID, universe int) []uint64 {
 
 func TestBitsetBasics(t *testing.T) {
 	bits := make([]uint64, BitsetWords(200))
-	BitsetAdd(bits, 0)
-	BitsetAdd(bits, 63)
-	BitsetAdd(bits, 64)
-	BitsetAdd(bits, 199)
+	BitsetFill(bits, set(0, 63, 64, 199))
 	for _, x := range []VertexID{0, 63, 64, 199} {
 		if !BitsetHas(bits, x) {
 			t.Errorf("BitsetHas(%d) = false after add", x)
@@ -162,24 +159,14 @@ func TestDispatcherPicksBitmapForHubOperand(t *testing.T) {
 	universe := 8192
 	small := randSet(rng, 200, universe)
 	hub := randSet(rng, 4000, universe)
-	var d Dispatcher
-	d.Intersect(nil, Operand{List: small}, Operand{List: hub, Bits: buildBits(hub, universe)})
-	if d.Stats.BitmapOps != 1 {
-		t.Fatalf("hub intersect used kernels %+v, want 1 bitmap op", d.Stats)
+	a, b := Operand{List: small}, Operand{List: hub, Bits: buildBits(hub, universe)}
+	if probe, bs, ok := bitmapPlan(&a, &b); !ok || bs != &b || !equal(probe, small) {
+		t.Fatalf("hub intersect: bitmapPlan ok=%v, want the small list probing the hub's bits", ok)
 	}
 	// Without a bitset view the same shapes must fall back to a list
 	// kernel.
-	d = Dispatcher{}
-	d.Intersect(nil, Operand{List: small}, Operand{List: hub})
-	if d.Stats.BitmapOps != 0 || d.Stats.MergeOps+d.Stats.GallopOps != 1 {
-		t.Fatalf("list fallback used kernels %+v", d.Stats)
-	}
-}
-
-func TestStatsAdd(t *testing.T) {
-	a := Stats{MergeOps: 1, GallopOps: 2, BitmapOps: 3}
-	a.Add(Stats{MergeOps: 10, GallopOps: 20, BitmapOps: 30})
-	if a != (Stats{MergeOps: 11, GallopOps: 22, BitmapOps: 33}) {
-		t.Fatalf("Stats.Add = %+v", a)
+	b.Bits = nil
+	if _, _, ok := bitmapPlan(&a, &b); ok {
+		t.Fatal("list-only operands: bitmapPlan chose a bitmap kernel")
 	}
 }

@@ -11,7 +11,7 @@ const NoLimit = VertexID(1<<31 - 1)
 
 // gallopRatio is the size imbalance beyond which the list kernels switch
 // from a merge walk to galloping; it mirrors the threshold inside
-// Intersect/IntersectCount.
+// Intersect.
 const gallopRatio = 32
 
 // Operand is one input of a dispatched set operation: an ascending vertex
@@ -40,23 +40,6 @@ func (o *Operand) bitset() []uint64 {
 	return o.LazyBits()
 }
 
-// Stats counts kernel selections made by a Dispatcher. It is plain data:
-// callers that share a Dispatcher across goroutines must merge per-worker
-// copies instead (mine.ParallelCount gives each worker its own Miner and
-// therefore its own Dispatcher).
-type Stats struct {
-	MergeOps  int64
-	GallopOps int64
-	BitmapOps int64
-}
-
-// Add accumulates other into s (for merging per-worker copies).
-func (s *Stats) Add(other Stats) {
-	s.MergeOps += other.MergeOps
-	s.GallopOps += other.GallopOps
-	s.BitmapOps += other.BitmapOps
-}
-
 // Dispatcher adaptively routes set operations to the merge, gallop, or
 // bitmap kernel by comparing per-kernel cost estimates: a merge walk
 // streams both lists (cost |a|+|b|), galloping binary-searches the smaller
@@ -66,11 +49,8 @@ func (s *Stats) Add(other Stats) {
 // bitsets are free at operation time, and lazy bitsets are amortized by
 // the caller across sibling operations.
 //
-// The zero value is ready to use. Dispatchers are not safe for concurrent
-// use; give each worker its own.
-type Dispatcher struct {
-	Stats Stats
-}
+// The zero value is ready to use. A Dispatcher keeps no state.
+type Dispatcher struct{}
 
 // log2 returns ⌈log₂ n⌉ for n ≥ 1 (bit length), the per-element cost
 // factor of a galloping search.
@@ -90,20 +70,6 @@ func listCost(la, lb int) int {
 		}
 	}
 	return cost
-}
-
-// countListKernel attributes the fallback list kernel in Stats using the
-// same imbalance rule the list kernels apply internally.
-func (d *Dispatcher) countListKernel(la, lb int) {
-	small, big := la, lb
-	if small > big {
-		small, big = big, small
-	}
-	if big > gallopRatio*small {
-		d.Stats.GallopOps++
-	} else {
-		d.Stats.MergeOps++
-	}
 }
 
 // bitmapPlan picks the cheaper bitmap formulation (probe a's list against
@@ -132,10 +98,8 @@ func (d *Dispatcher) Intersect(dst []VertexID, a, b Operand) []VertexID {
 		return dst
 	}
 	if probe, bs, ok := bitmapPlan(&a, &b); ok {
-		d.Stats.BitmapOps++
 		return IntersectBitmap(dst, probe, bs.bitset())
 	}
-	d.countListKernel(len(a.List), len(b.List))
 	return Intersect(dst, a.List, b.List)
 }
 
@@ -150,9 +114,7 @@ func (d *Dispatcher) Subtract(dst []VertexID, a, b Operand) []VertexID {
 		return append(dst, a.List...)
 	}
 	if b.hasBits() {
-		d.Stats.BitmapOps++
 		return SubtractBitmap(dst, a.List, b.bitset())
 	}
-	d.Stats.MergeOps++
 	return Subtract(dst, a.List, b.List)
 }

@@ -73,44 +73,6 @@ func gallopIntersect(dst, small, big []VertexID) []VertexID {
 	return dst
 }
 
-// IntersectCount reports |a ∩ b| without materializing the result.
-func IntersectCount(a, b []VertexID) int {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	if len(b) > 32*len(a) {
-		n := 0
-		lo := 0
-		for _, x := range a {
-			k := lo + lowerBound(b[lo:], x)
-			if k < len(b) && b[k] == x {
-				n++
-				lo = k + 1
-			} else {
-				lo = k
-			}
-			if lo >= len(b) {
-				break
-			}
-		}
-		return n
-	}
-	i, j, n := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
-	}
-	return n
-}
-
 // Subtract appends a \ b to dst and returns the extended slice.
 func Subtract(dst, a, b []VertexID) []VertexID {
 	i, j := 0, 0
@@ -150,26 +112,6 @@ func lowerBound(s []VertexID, x VertexID) int {
 // truncation is a binary search, not a scan.
 func Bound(s []VertexID, limit VertexID) []VertexID {
 	return s[:lowerBound(s, limit)]
-}
-
-// LowerBound returns the suffix of s whose elements are strictly greater
-// than limit.
-func LowerBound(s []VertexID, limit VertexID) []VertexID {
-	k := lowerBound(s, limit)
-	if k < len(s) && s[k] == limit {
-		k++
-	}
-	return s[k:]
-}
-
-// Remove appends a with value x removed (if present) to dst.
-func Remove(dst, a []VertexID, x VertexID) []VertexID {
-	k := lowerBound(a, x)
-	dst = append(dst, a[:k]...)
-	if k < len(a) && a[k] == x {
-		k++
-	}
-	return append(dst, a[k:]...)
 }
 
 // Contains reports whether sorted set s contains x.

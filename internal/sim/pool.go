@@ -371,9 +371,6 @@ func NewSemaphore(name string, c int) *Semaphore {
 // Name returns the semaphore's name.
 func (s *Semaphore) Name() string { return s.name }
 
-// Cap returns the capacity.
-func (s *Semaphore) Cap() int { return s.cap }
-
 // SetCap adjusts capacity (used by dynamic token tuning); it does not wake
 // waiters by itself — callers should invoke Kick via TryAcquire paths.
 func (s *Semaphore) SetCap(c int) { s.cap = c }

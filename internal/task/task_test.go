@@ -242,8 +242,9 @@ func TestReleaseUnderflowPanics(t *testing.T) {
 // walkCompare runs the same depth-first task tree on w and ref (a copy
 // of w's setup without a hub index, so every set operation takes the
 // list kernels) and fails on the first node whose candidate set, spawn
-// limit or profile differs.
-func walkCompare(t *testing.T, name string, w, ref *Workload, n, rn *Node) {
+// limit or profile differs. It returns how many set-operation operands
+// with a bitset view each side's walk handed to its dispatcher.
+func walkCompare(t *testing.T, name string, w, ref *Workload, n, rn *Node) (bits, refBits int) {
 	t.Helper()
 	slot := n.Depth
 	if n.Depth == w.LeafDepth() {
@@ -257,6 +258,7 @@ func walkCompare(t *testing.T, name string, w, ref *Workload, n, rn *Node) {
 		t.Fatalf("%s depth %d vertex %d: cand %v limit %d, list kernels %v limit %d",
 			name, n.Depth, n.Vertex, n.Cand, n.SpawnLimit, rn.Cand, rn.SpawnLimit)
 	}
+	bits, refBits = bitOperands(w, n), bitOperands(ref, rn)
 	for n.Depth < w.LeafDepth() {
 		v, _, ok := w.NextChild(n)
 		rv, _, rok := ref.NextChild(rn)
@@ -267,10 +269,36 @@ func walkCompare(t *testing.T, name string, w, ref *Workload, n, rn *Node) {
 			break
 		}
 		c, rc := w.NewNode(n.Depth+1, v, n, n.TreeID), ref.NewNode(n.Depth+1, v, rn, n.TreeID)
-		walkCompare(t, name, w, ref, c, rc)
+		b, rb := walkCompare(t, name, w, ref, c, rc)
+		bits, refBits = bits+b, refBits+rb
 		w.Release(c)
 		ref.Release(rc)
 	}
+	return bits, refBits
+}
+
+// bitOperands counts the operands of the executed node n's set
+// operations that carry a bitset view.
+func bitOperands(w *Workload, n *Node) int {
+	if n.Depth == w.LeafDepth() || w.PlanIsAlias(n.Depth+1) {
+		return 0
+	}
+	plan := &w.S.Plans[n.Depth+1]
+	if len(plan.Steps) == 0 {
+		return 0 // a copy, not a set operation
+	}
+	path := n.Path(make([]graph.VertexID, w.S.Depth()))
+	refs := []pattern.SetRef{plan.Base}
+	for _, op := range plan.Steps {
+		refs = append(refs, op.Ref)
+	}
+	c := 0
+	for _, ref := range refs {
+		if op, _ := w.resolve(n, ref, path); op.Bits != nil {
+			c++
+		}
+	}
+	return c
 }
 
 // TestExecuteReuseHubKernelsIdentical checks that routing ExecuteReuse's
@@ -316,18 +344,20 @@ func TestExecuteReuseHubKernelsIdentical(t *testing.T) {
 		}
 		// Hubs are the low ids of an R-MAT graph; roots are taken from
 		// the top so deep trees stay small but still reach hub operands.
+		bits, refBits := 0, 0
 		for r := 0; r < tc.roots; r++ {
 			v := graph.VertexID(tc.g.NumVertices() - 1 - r)
 			n, rn := w.NewNode(0, v, nil, r), ref.NewNode(0, v, nil, r)
-			walkCompare(t, tc.name, w, ref, n, rn)
+			b, rb := walkCompare(t, tc.name, w, ref, n, rn)
+			bits, refBits = bits+b, refBits+rb
 			w.Release(n)
 			ref.Release(rn)
 		}
-		if st := w.disp.Stats; tc.g == skewed && st.BitmapOps == 0 {
-			t.Fatalf("%s: no bitmap kernel ran (%+v)", tc.name, st)
+		if tc.g == skewed && bits == 0 {
+			t.Fatalf("%s: the walk reached no operand with hub bits", tc.name)
 		}
-		if st := ref.disp.Stats; st.BitmapOps != 0 {
-			t.Fatalf("%s: reference ran a bitmap kernel (%+v)", tc.name, st)
+		if refBits != 0 {
+			t.Fatalf("%s: the reference walk reached %d operands with bits", tc.name, refBits)
 		}
 	}
 }

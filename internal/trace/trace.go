@@ -99,14 +99,6 @@ func (s *Summary) TaskDone(ev Event) {
 	h.Observe(ev.Done - ev.Start)
 }
 
-// Histogram exposes one depth's latency digest (nil if the depth never
-// completed a task).
-func (s *Summary) Histogram(depth int) *telemetry.Histogram {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.depths[depth]
-}
-
 // DepthReport is one row of a Summary.
 type DepthReport struct {
 	Depth  int

@@ -221,13 +221,6 @@ func TestSummaryGoldenReport(t *testing.T) {
 	if s.String() != golden {
 		t.Fatalf("String() drifted:\n got:\n%s want:\n%s", s.String(), golden)
 	}
-
-	if h := s.Histogram(0); h == nil || h.Count() != 10 {
-		t.Fatalf("depth-0 histogram missing or wrong: %v", h)
-	}
-	if s.Histogram(9) != nil {
-		t.Fatal("absent depth should have nil histogram")
-	}
 }
 
 // errTracer is a failing sink with a sticky error, used behind Multi.
