@@ -8,9 +8,10 @@
 # The scanner (ci/reachable, a stdlib-only module of its own) builds each
 # binary with inlining off in the module's packages and compares its
 # `go tool nm` symbols with a go/parser list of the declared functions.
-# It is a floor: the linker keeps exported methods of any type that
-# reaches an interface once a binary uses reflect's method lookup, as
-# html/template (internal/bench/report.go) does.
+# It also fails on a binary that links reflect's method lookup (as
+# text/template and html/template do): the linker then keeps every
+# exported method of any type that reaches an interface, and the scan
+# could not see those methods.
 #
 # Usage: ci/check_reachable.sh
 set -euo pipefail

@@ -10,8 +10,9 @@
 //
 // The linker keeps every exported method of a type that reaches an
 // interface once a binary calls reflect's Method or MethodByName (as
-// text/template does), so such a method counts as linked even when no
-// code calls it: the scan is a floor, not an exact census.
+// text/template and html/template do), so such a method would count as
+// linked even when no code calls it. The scan therefore fails on any
+// binary that links one of them.
 //
 // Usage, from this directory:
 //
@@ -53,6 +54,14 @@ type fn struct {
 	lines int
 }
 
+// reflectLookup lists reflect's method lookups by symbol.
+var reflectLookup = map[string]bool{
+	"reflect.Value.Method":          true,
+	"reflect.Value.MethodByName":    true,
+	"reflect.(*rtype).Method":       true,
+	"reflect.(*rtype).MethodByName": true,
+}
+
 type rule struct {
 	pattern    string
 	glob, used bool
@@ -86,6 +95,7 @@ func run(root string, extra []string) error {
 	defer os.RemoveAll(tmp)
 
 	var decls []fn
+	var bad []string
 	linked := map[string]bool{}
 	for i, dir := range append([]string{root}, extra...) {
 		pkgs, err := listPackages(dir)
@@ -111,16 +121,12 @@ func run(root string, extra []string) error {
 			if err != nil {
 				return err
 			}
-			for _, line := range strings.Split(syms, "\n") {
-				f := strings.SplitN(strings.TrimLeft(line, " "), " ", 3)
-				if len(f) == 3 && (f[1] == "T" || f[1] == "t") {
-					linked[symbolKey(f[2], p.ImportPath)] = true
-				}
+			if sym := linkSymbols(syms, p.ImportPath, linked); sym != "" {
+				bad = append(bad, fmt.Sprintf("%s links %s, so the linker keeps every exported method and the scan cannot see them", p.ImportPath, sym))
 			}
 		}
 	}
 
-	var bad []string
 	unreached, lines := 0, 0
 	for _, d := range decls {
 		if reached(d, linked) {
@@ -146,6 +152,24 @@ func run(root string, extra []string) error {
 		return fmt.Errorf("%d problems:\n%s", len(bad), strings.Join(bad, "\n"))
 	}
 	return nil
+}
+
+// linkSymbols marks the functions whose text symbols the `go tool nm`
+// output syms lists as linked, and returns the first of reflect's method
+// lookups it lists, or "".
+func linkSymbols(syms, mainPath string, linked map[string]bool) string {
+	lookup := ""
+	for _, line := range strings.Split(syms, "\n") {
+		f := strings.SplitN(strings.TrimLeft(line, " "), " ", 3)
+		if len(f) != 3 || f[1] != "T" && f[1] != "t" {
+			continue
+		}
+		if reflectLookup[f[2]] && lookup == "" {
+			lookup = f[2]
+		}
+		linked[symbolKey(f[2], mainPath)] = true
+	}
+	return lookup
 }
 
 func reached(d fn, linked map[string]bool) bool {

@@ -21,3 +21,24 @@ func TestSymbolKey(t *testing.T) {
 		}
 	}
 }
+
+func TestLinkSymbols(t *testing.T) {
+	linked := map[string]bool{}
+	nm := "  4dab80 T main.main\n  4e2180 T shogun/internal/graph.(*Graph).Degree\n  4f0000 R runtime.rodata\n"
+	if got := linkSymbols(nm, "shogun/cmd/mine", linked); got != "" {
+		t.Errorf("linkSymbols found a method lookup %q in a binary without one", got)
+	}
+	for _, want := range []string{"shogun/cmd/mine.main", "shogun/internal/graph.(*Graph).Degree"} {
+		if !linked[want] {
+			t.Errorf("%s not marked linked", want)
+		}
+	}
+	if linked["runtime.rodata"] {
+		t.Error("a data symbol was marked linked")
+	}
+	for sym := range reflectLookup {
+		if got := linkSymbols("  4dab80 T main.main\n  4dae20 T "+sym+"\n", "shogun/cmd/x", linked); got != sym {
+			t.Errorf("linkSymbols missed %s: got %q", sym, got)
+		}
+	}
+}

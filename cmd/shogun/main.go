@@ -42,6 +42,7 @@ type options struct {
 	partitionSeed, deadline, maxEvents, sampleEvery        int64
 	maxWall                                                time.Duration
 	traceOut, chromeOut, timeseriesOut, httpAddr           string
+	set                                                    map[string]bool // the flags the command line gave
 }
 
 // bindFlags registers the command's flags on fs and returns the options
@@ -80,9 +81,20 @@ func bindFlags(fs *flag.FlagSet) *options {
 	return o
 }
 
+// parseFlags binds the command's flags on fs, parses args and notes
+// which flags they set.
+func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
+	o := bindFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	o.set = map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { o.set[f.Name] = true })
+	return o, nil
+}
+
 func main() {
-	o := bindFlags(flag.CommandLine)
-	flag.Parse()
+	o, _ := parseFlags(flag.CommandLine, os.Args[1:]) // CommandLine exits on a parse error
 	// SIGINT/SIGTERM cancel the simulation at the next watchdog poll;
 	// the run loop flushes a diagnostic snapshot and exits non-zero.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -125,6 +137,8 @@ func (o options) validate() error {
 // machineConfig builds the machine's config: -chips copies of one chip
 // (the -config file or the scheme's Table 3 defaults, overridden by the
 // shape, budget and sampling flags), its root space split by -partition.
+// Over a -config file a shape flag applies only when the command line
+// gave it; over the defaults every shape flag applies, given or not.
 func (o options) machineConfig() (cluster.Config, error) {
 	chip := accel.DefaultConfig(accel.Scheme(o.scheme))
 	if o.cfgPath != "" {
@@ -133,20 +147,33 @@ func (o options) machineConfig() (cluster.Config, error) {
 			return cluster.Config{}, err
 		}
 	}
-	chip.NumPEs = o.pes
-	chip.PE.Width = o.width
-	chip.TokensPerDepth = o.width
+	given := func(name string) bool { return o.cfgPath == "" || o.set[name] }
+	if given("pes") {
+		chip.NumPEs = o.pes
+	}
+	if given("width") {
+		chip.PE.Width = o.width
+		chip.TokensPerDepth = o.width
+		chip.Tree.EntriesPerBunch = o.width
+	}
 	if o.tokens > 0 {
 		chip.TokensPerDepth = o.tokens
 	}
-	chip.Tree.EntriesPerBunch = o.width
-	chip.Tree.BunchesPerDepth = o.bunches
-	chip.PE.L1.SizeKB = o.l1KB
+	if given("bunches") {
+		chip.Tree.BunchesPerDepth = o.bunches
+	}
+	if given("l1") {
+		chip.PE.L1.SizeKB = o.l1KB
+	}
 	if o.l2KB > 0 {
 		chip.L2.SizeKB = o.l2KB
 	}
-	chip.EnableSplitting = o.split
-	chip.EnableMerging = o.merge
+	if given("split") {
+		chip.EnableSplitting = o.split
+	}
+	if given("merge") {
+		chip.EnableMerging = o.merge
+	}
 	if o.deadline > 0 {
 		chip.Deadline = sim.Time(o.deadline)
 	}
@@ -258,7 +285,7 @@ func run(ctx context.Context, o options) error {
 			return telemetry.RunSnapshot{Samples: cl.Samples(), Histograms: cl.Histograms()}
 		})
 		telemetry.PublishVar("run", func() any {
-			info := map[string]any{"scheme": o.scheme, "pattern": s.Name, "pes": o.pes, "chips": o.chips}
+			info := map[string]any{"scheme": o.scheme, "pattern": s.Name, "pes": cfg.Chip.NumPEs, "chips": o.chips}
 			if smp := cl.Sampler(); smp != nil {
 				for _, name := range [...]string{"engine/events", "tasks/executed"} {
 					if v, ok := smp.Last(name); ok {
@@ -281,7 +308,7 @@ func run(ctx context.Context, o options) error {
 	}
 	res := cres.Machine()
 
-	fmt.Printf("\nscheme=%s pes=%d width=%d chips=%d partition=%s\n", res.Scheme, o.pes, o.width, cres.Chips, cres.Partition)
+	fmt.Printf("\nscheme=%s pes=%d width=%d chips=%d partition=%s\n", res.Scheme, cfg.Chip.NumPEs, cfg.Chip.PE.Width, cres.Chips, cres.Partition)
 	fmt.Printf("cycles:          %d\n", res.Cycles)
 	fmt.Printf("embeddings:      %d\n", res.Embeddings)
 	fmt.Printf("tasks:           %d internal + %d leaf\n", res.Tasks, res.LeafTasks)
@@ -291,7 +318,7 @@ func run(ctx context.Context, o options) error {
 	fmt.Printf("L2 hit rate:     %.1f%%\n", res.L2HitRate*100)
 	fmt.Printf("DRAM:            %d reads, %d writes, %.1f%% bandwidth\n", res.DRAMReads, res.DRAMWrites, res.DRAMBandwidth*100)
 	fmt.Printf("NoC lines moved: %d\n", res.NoCLines)
-	if o.split || o.merge {
+	if cfg.Chip.EnableSplitting || cfg.Chip.EnableMerging {
 		fmt.Printf("splits=%d merges=%d\n", res.Splits, res.Merges)
 	}
 	fmt.Printf("cycle breakdown: compute=%.1f%% memstall=%.1f%% sched=%.1f%% idle=%.1f%%\n",
@@ -364,7 +391,7 @@ func run(ctx context.Context, o options) error {
 		for c, a := range cl.Chips() {
 			for _, pe := range a.PEs() {
 				fmt.Printf("  pe%d: tasks=%d last=%d iu=%.1f%% l1hit=%.1f%% slotavg=%.2f decode=%.1f%% dispatch=%.1f%% wb=%.1f%% spawn=%.1f%%\n",
-					c*o.pes+pe.ID, pe.TasksExecuted, pe.LastActive,
+					c*cfg.Chip.NumPEs+pe.ID, pe.TasksExecuted, pe.LastActive,
 					pe.IUPool.Utilization(res.Cycles)*100,
 					pe.L1.HitRate()*100,
 					pe.Slots.AvgOccupancy(res.Cycles),

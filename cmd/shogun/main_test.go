@@ -40,9 +40,8 @@ func writeTestGraph(t *testing.T, dir string) string {
 // PEs unless the arguments say otherwise).
 func parseArgs(t *testing.T, args ...string) options {
 	t.Helper()
-	fs := flag.NewFlagSet("shogun", flag.ContinueOnError)
-	o := bindFlags(fs)
-	if err := fs.Parse(append([]string{"-pes", "4"}, args...)); err != nil {
+	o, err := parseFlags(flag.NewFlagSet("shogun", flag.ContinueOnError), append([]string{"-pes", "4"}, args...))
+	if err != nil {
 		t.Fatal(err)
 	}
 	return *o
@@ -91,6 +90,62 @@ func TestRunDumpConfig(t *testing.T) {
 	o := parseArgs(t, "-graph", writeTestGraph(t, t.TempDir()), "-dumpconfig")
 	if err := quietRun(t, o); err != nil {
 		t.Fatalf("dumpconfig: %v", err)
+	}
+}
+
+// TestConfigFileKeepsEdits pins that the shape flags' defaults leave a
+// -config file alone: a -dumpconfig file edited to 3 PEs, splitting on
+// and a 64 KB L1 loads back as edited, and a flag the command line gives
+// still overrides the file.
+func TestConfigFileKeepsEdits(t *testing.T) {
+	dir := t.TempDir()
+	graphPath := writeTestGraph(t, dir)
+	dumpPath := filepath.Join(dir, "dump.json")
+	dump, err := os.Create(dumpPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := os.Stdout
+	os.Stdout = dump
+	err = run(context.Background(), parseArgs(t, "-graph", graphPath, "-dumpconfig"))
+	os.Stdout = old
+	dump.Close()
+	if err != nil {
+		t.Fatalf("dumpconfig: %v", err)
+	}
+	cfg, err := accel.LoadConfig(dumpPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.NumPEs, cfg.EnableSplitting, cfg.PE.L1.SizeKB = 3, true, 64
+	raw, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgPath := filepath.Join(dir, "edited.json")
+	if err := os.WriteFile(cfgPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	load := func(args ...string) accel.Config {
+		t.Helper()
+		o, err := parseFlags(flag.NewFlagSet("shogun", flag.ContinueOnError), append([]string{"-config", cfgPath}, args...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := o.machineConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.Chip
+	}
+	if c := load(); c.NumPEs != 3 || !c.EnableSplitting || c.PE.L1.SizeKB != 64 || c.PE.Width != cfg.PE.Width || c.TokensPerDepth != cfg.TokensPerDepth {
+		t.Errorf("loaded pes=%d split=%t l1=%d width=%d tokens=%d, want the file's 3, true, 64, %d, %d",
+			c.NumPEs, c.EnableSplitting, c.PE.L1.SizeKB, c.PE.Width, c.TokensPerDepth, cfg.PE.Width, cfg.TokensPerDepth)
+	}
+	if c := load("-pes", "5", "-split=false", "-l1", "16", "-width", "4"); c.NumPEs != 5 || c.EnableSplitting || c.PE.L1.SizeKB != 16 || c.PE.Width != 4 || c.TokensPerDepth != 4 {
+		t.Errorf("flags over the file: pes=%d split=%t l1=%d width=%d tokens=%d, want 5, false, 16, 4, 4",
+			c.NumPEs, c.EnableSplitting, c.PE.L1.SizeKB, c.PE.Width, c.TokensPerDepth)
 	}
 }
 

@@ -118,8 +118,11 @@ func main() {
 			if err != nil {
 				fail(err)
 			}
-			defer f.Close()
 			if err := bench.RenderHTML(f, tables); err != nil {
+				f.Close()
+				fail(fmt.Errorf("html: %w", err))
+			}
+			if err := f.Close(); err != nil {
 				fail(err)
 			}
 			fmt.Printf("HTML report written: %s\n", *html)

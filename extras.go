@@ -36,14 +36,6 @@ func ParallelCount(g *Graph, s *Schedule, workers int) *MineResult {
 	return mine.ParallelCount(g, s, workers)
 }
 
-// Degeneracy computes g's degeneracy and a degeneracy ordering.
-func Degeneracy(g *Graph) (int, []VertexID) { return g.Degeneracy() }
-
-// OrientByDegeneracy relabels g along its degeneracy ordering, which
-// typically shrinks candidate sets for clique-like patterns under the
-// schedules' symmetry breaking.
-func OrientByDegeneracy(g *Graph) (*Graph, error) { return g.OrientByDegeneracy() }
-
 // TraceEvent is one completed simulated task.
 type TraceEvent = trace.Event
 

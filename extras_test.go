@@ -41,22 +41,6 @@ func TestParallelCountAPI(t *testing.T) {
 	}
 }
 
-func TestDegeneracyAPI(t *testing.T) {
-	g := shogun.GenerateRMAT(512, 3000, 0.6, 0.15, 0.15, 8)
-	d, order := shogun.Degeneracy(g)
-	if d <= 0 || len(order) != g.NumVertices() {
-		t.Fatalf("degeneracy %d, order len %d", d, len(order))
-	}
-	h, err := shogun.OrientByDegeneracy(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, _ := shogun.BuildSchedule(shogun.Triangle(), false)
-	if shogun.Count(g, s) != shogun.Count(h, s) {
-		t.Fatal("orientation changed count")
-	}
-}
-
 func TestTraceThroughAPI(t *testing.T) {
 	g := shogun.GenerateErdosRenyi(200, 900, 6)
 	s, _ := shogun.BuildSchedule(shogun.Triangle(), false)

@@ -556,34 +556,6 @@ func (a *Accelerator) snapshot() *sim.Snapshot {
 	return s
 }
 
-// CheckConservation verifies the post-run resource invariants the chaos
-// suite asserts: every execution slot and SPM line released, every
-// address token returned. A non-nil error names each leaked resource.
-func (a *Accelerator) CheckConservation() error {
-	var leaks []string
-	for i, p := range a.pes {
-		if n := p.Slots.InUse(); n != 0 {
-			leaks = append(leaks, fmt.Sprintf("pe%d: %d execution slot(s) held", i, n))
-		}
-		if n := p.Slots.Waiters(); n != 0 {
-			leaks = append(leaks, fmt.Sprintf("pe%d: %d slot waiter(s) stranded", i, n))
-		}
-		if n := p.SPM.InUse(); n != 0 {
-			leaks = append(leaks, fmt.Sprintf("pe%d: %d SPM line(s) held", i, n))
-		}
-		if n := p.SPM.Waiters(); n != 0 {
-			leaks = append(leaks, fmt.Sprintf("pe%d: %d SPM waiter(s) stranded", i, n))
-		}
-		if n := a.toks[i].TotalInUse(); n != 0 {
-			leaks = append(leaks, fmt.Sprintf("pe%d: %d address token(s) held %v", i, n, a.toks[i].InUseByDepth()))
-		}
-	}
-	if leaks == nil {
-		return nil
-	}
-	return fmt.Errorf("accel: resource leak(s) after run: %v", leaks)
-}
-
 // Collect aggregates the chip's post-run Result (exposed for the
 // cluster driver, which runs the shared engine itself). It leaves
 // Telemetry and Digests nil: they belong to the engine's owner, which
@@ -654,9 +626,6 @@ func (a *Accelerator) Collect() *Result {
 
 // PEs exposes the PEs (tests, harness).
 func (a *Accelerator) PEs() []*pe.PE { return a.pes }
-
-// L2 exposes the shared L2 cache (tests).
-func (a *Accelerator) L2() *mem.Cache { return a.l2 }
 
 // Engine exposes the event engine (chaos harness, tests).
 func (a *Accelerator) Engine() *sim.Engine { return a.eng }

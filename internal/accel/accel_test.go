@@ -292,7 +292,7 @@ func TestForceConservativePinsPEMode(t *testing.T) {
 		if n := p.ConservativeTransitions; n != 1 {
 			t.Errorf("pe%d: %d conservative transitions, want 1", i, n)
 		}
-		if v, ok := a.Telemetry().Sampler.Last(fmt.Sprintf("pe%d/conservative", i)); !ok || v != 1 {
+		if v, ok := a.tel.Sampler.Last(fmt.Sprintf("pe%d/conservative", i)); !ok || v != 1 {
 			t.Errorf("pe%d: conservative gauge = %d (%t), want 1", i, v, ok)
 		}
 	}

@@ -169,7 +169,8 @@ func TestForcedSplitRoundTripZeroAlloc(t *testing.T) {
 	if a.Splits != 6 {
 		t.Fatalf("delivered %d splits, want 6", a.Splits)
 	}
-	a.eng.Run()
+	for a.eng.Step() {
+	}
 	if err := a.VerifyMetrics(); err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func TestQueueDifferential(t *testing.T) {
 						if n != nil {
 							res.Events -= n.Fired()
 							snap["engine/events"] -= n.Fired()
-							n.Discount(res.Telemetry.Cycles, res.Telemetry.Col("engine/events"))
+							n.Discount(res.Telemetry)
 						}
 						blob, err := json.Marshal(res)
 						if err != nil {

@@ -138,23 +138,4 @@ func TestForceSplitPreservesCount(t *testing.T) {
 	if got.Embeddings != want.Embeddings {
 		t.Fatalf("forced splits changed the count: %d vs %d (forced %d)", got.Embeddings, want.Embeddings, forced)
 	}
-	if err := a.CheckConservation(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCheckConservationCleanRun(t *testing.T) {
-	g := gen.RMAT(1<<9, 3000, 0.57, 0.17, 0.17, 17)
-	for _, scheme := range []Scheme{SchemeShogun, SchemePseudoDFS, SchemeBFS} {
-		a, err := New(g, triSchedule(t), DefaultConfig(scheme))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := a.Run(); err != nil {
-			t.Fatalf("%s: %v", scheme, err)
-		}
-		if err := a.CheckConservation(); err != nil {
-			t.Fatalf("%s: %v", scheme, err)
-		}
-	}
 }

@@ -109,6 +109,8 @@ func (a *Accelerator) Metrics() *metrics.Registry {
 			bd.Compute, bd.MemStall, bd.Scheduling, bd.Idle)
 		f.Eq("slot units acquired == released", p.Slots.UnitsAcquired(), p.Slots.UnitsReleased())
 		f.Eq("spm units acquired == released", p.SPM.UnitsAcquired(), p.SPM.UnitsReleased())
+		f.Eq("no slot waiters at end", int64(p.Slots.Waiters()), 0)
+		f.Eq("no spm waiters at end", int64(p.SPM.Waiters()), 0)
 		conserv := f.Counter("conservative-cycles", int64(p.ConservResidency(end)))
 		f.LE("conservative residency ≤ run cycles", conserv, int64(end))
 		var parity int64

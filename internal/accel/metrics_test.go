@@ -117,6 +117,28 @@ func TestMetricsDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestMetricsDetectsStrandedWaiters: a slot or SPM waiter left queued
+// after the run violates that PE's "no waiters at end" identity, and
+// nothing else.
+func TestMetricsDetectsStrandedWaiters(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		sem  func(a *Accelerator) *sim.Semaphore
+	}{
+		{"no slot waiters at end", func(a *Accelerator) *sim.Semaphore { return a.pes[1].Slots }},
+		{"no spm waiters at end", func(a *Accelerator) *sim.Semaphore { return a.pes[1].SPM }},
+	} {
+		a, _ := metricsTestRun(t, SchemeShogun, false, false)
+		sem := c.sem(a)
+		sem.AcquireOrWait(a.eng.Now(), sem.Available()+1, sim.Func(func() {}), 0, nil)
+		var ve *metrics.VerifyError
+		if err := a.VerifyMetrics(); !errors.As(err, &ve) || len(ve.Violations) != 1 ||
+			ve.Violations[0].Family != "pe1/cycles" || ve.Violations[0].Invariant != c.name {
+			t.Errorf("%s: verify = %v, want that one violation on pe1", c.name, err)
+		}
+	}
+}
+
 // TestMetricsEnabledByDefault asserts RunContext itself runs the
 // conservation pass on every run: a counter corrupted mid-run must fail
 // the run with the violation, under the default config.

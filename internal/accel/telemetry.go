@@ -122,10 +122,6 @@ func (t *Telemetry) attach(a *Accelerator, base int) {
 	})
 }
 
-// Telemetry exposes the instrumentation bundle the chip records into,
-// its engine owner's.
-func (a *Accelerator) Telemetry() *Telemetry { return a.tel }
-
 // arm schedules the next sampling epoch unless one is pending or there
 // is no sampler; every chip's Start calls it, so the first to start arms
 // the engine's one tick.

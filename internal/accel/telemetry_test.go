@@ -5,6 +5,7 @@ import (
 
 	"shogun/internal/gen"
 	"shogun/internal/pattern"
+	"shogun/internal/sim/simtest"
 	"shogun/internal/telemetry"
 	"shogun/internal/trace"
 )
@@ -35,7 +36,7 @@ func TestTelemetryShardsMatchTraceStream(t *testing.T) {
 	if _, err := a.Run(); err != nil {
 		t.Fatal(err)
 	}
-	tel := a.Telemetry()
+	tel := a.tel
 	if tel == nil {
 		t.Fatal("telemetry bundle missing with SampleEvery set")
 	}
@@ -84,13 +85,13 @@ func TestSamplerProducesSeries(t *testing.T) {
 	}
 	for _, name := range []string{"pe0/resident", "pe3/bunch-entries", "pe0/l1-mshr",
 		"dram/queue", "noc/inflight", "engine/events", "tasks/executed"} {
-		if ts.Col(name) == nil {
+		if simtest.Col(ts, name) == nil {
 			t.Fatalf("gauge %q missing from snapshot", name)
 		}
 	}
 	// tasks/executed is cumulative: its last sample must be positive and
 	// non-decreasing.
-	tasks := ts.Col("tasks/executed")
+	tasks := simtest.Col(ts, "tasks/executed")
 	for i := 1; i < len(tasks); i++ {
 		if tasks[i] < tasks[i-1] {
 			t.Fatalf("tasks/executed decreased: %v", tasks)
@@ -118,7 +119,7 @@ func TestSamplerOffIsNil(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tel := a.Telemetry()
+	tel := a.tel
 	if tel == nil || tel.Sampler != nil {
 		t.Fatal("SampleEvery=0 must build the bundle without a sampler")
 	}
@@ -172,7 +173,7 @@ func TestSplitLinesCountsEveryAdoption(t *testing.T) {
 	if a.Splits == 0 {
 		t.Fatal("no split was delivered; the test proves nothing")
 	}
-	if got, want := a.Telemetry().SplitLines.Count(), a.Splits+a.MigratedIn; got != want {
+	if got, want := a.tel.SplitLines.Count(), a.Splits+a.MigratedIn; got != want {
 		t.Fatalf("split-lines count = %d, want splits + migrations in = %d", got, want)
 	}
 }

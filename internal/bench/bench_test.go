@@ -123,7 +123,7 @@ func TestQuickExperimentsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full := abl.FindRow("full"); full == nil || full[1] != "1.00" {
+	if full := abl.Rows[0]; full[0] != "full" || full[1] != "1.00" {
 		t.Errorf("ablation baseline row = %v", full)
 	}
 	// Every table must render in every format.

@@ -72,29 +72,6 @@ func (t *Table) Format(format string) (string, error) {
 	}
 }
 
-// Cell returns the value at (row, col), or "" when out of range — a
-// convenience for the regression checker.
-func (t *Table) Cell(row, col int) string {
-	if row < 0 || row >= len(t.Rows) {
-		return ""
-	}
-	r := t.Rows[row]
-	if col < 0 || col >= len(r) {
-		return ""
-	}
-	return r[col]
-}
-
-// FindRow returns the first row whose first cell equals key, or nil.
-func (t *Table) FindRow(key string) []string {
-	for _, r := range t.Rows {
-		if len(r) > 0 && r[0] == key {
-			return r
-		}
-	}
-	return nil
-}
-
 // Chart renders column col (1-based; 0 picks the last column) of every
 // row as a horizontal ASCII bar chart, labeled by the first column —
 // the terminal rendition of the paper's bar figures. Non-numeric cells

@@ -49,19 +49,6 @@ func TestFormatDispatch(t *testing.T) {
 	}
 }
 
-func TestCellAndFindRow(t *testing.T) {
-	tbl := sampleTable()
-	if tbl.Cell(0, 0) != "1" || tbl.Cell(9, 9) != "" || tbl.Cell(-1, 0) != "" {
-		t.Error("Cell misbehaved")
-	}
-	if r := tbl.FindRow("3"); r == nil || r[1] != `quote "inside"` {
-		t.Errorf("FindRow = %v", r)
-	}
-	if tbl.FindRow("nope") != nil {
-		t.Error("FindRow found a ghost")
-	}
-}
-
 func TestChart(t *testing.T) {
 	tbl := &Table{ID: "c", Title: "chart", Header: []string{"Name", "Val"}}
 	tbl.AddRow("a", "2.00")
@@ -92,21 +79,39 @@ func TestChart(t *testing.T) {
 
 func TestRenderHTML(t *testing.T) {
 	var sb strings.Builder
-	tbl := &Table{ID: "h", Title: "html demo", Header: []string{"Name", "Speedup"}}
+	tbl := &Table{ID: `h<1>`, Title: `html & "demo"`, Header: []string{"Name", `a<b>&"c"`}}
 	tbl.AddRow("wi", "1.50")
 	tbl.AddRow("or", "excl")
-	tbl.AddNote("a <note> & things")
+	tbl.AddRow(`<x>&"y"`, "0.75")
+	tbl.AddNote(`a <note> & "things"`)
 	if err := RenderHTML(&sb, []*Table{tbl}); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"<!DOCTYPE html>", "h — html demo", "<td", "1.50", "excl", "&lt;note&gt;"} {
+	for _, want := range []string{
+		"<!DOCTYPE html>", "</html>",
+		"<h2>h&lt;1&gt; — html &amp; &#34;demo&#34;</h2>",
+		"<th>a&lt;b&gt;&amp;&#34;c&#34;</th>",
+		`<td style="background:white">&lt;x&gt;&amp;&#34;y&#34;</td>`,
+		`<p class="note">a &lt;note&gt; &amp; &#34;things&#34;</p>`,
+		`<td style="background:white">excl</td>`,
+	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("HTML missing %q", want)
 		}
 	}
-	// Numeric shading applied; excluded cells stay white.
-	if !strings.Contains(out, "rgba(66,133,244") {
-		t.Error("no shading applied")
+	for _, raw := range []string{"<1>", `"demo"`, "<b>", "<x>", "<note>"} {
+		if strings.Contains(out, raw) {
+			t.Errorf("HTML has unescaped %q", raw)
+		}
+	}
+	// Numeric shading scales by the column maximum; excluded cells stay white.
+	for _, want := range []string{
+		`<td style="background:rgba(66,133,244,0.50)">1.50</td>`,
+		`<td style="background:rgba(66,133,244,0.28)">0.75</td>`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("HTML missing shaded cell %q", want)
+		}
 	}
 }

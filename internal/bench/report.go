@@ -1,18 +1,17 @@
 package bench
 
 import (
+	"bufio"
 	"fmt"
-	"html/template"
+	"html"
 	"io"
 	"strings"
 )
 
-// reportTemplate renders a self-contained HTML report of experiment
-// tables: no external assets, printable, with numeric cells shaded by
-// magnitude within each table for quick visual scanning.
-var reportTemplate = template.Must(template.New("report").Funcs(template.FuncMap{
-	"shade": cellShade,
-}).Parse(`<!DOCTYPE html>
+// reportHead opens a self-contained HTML report of experiment tables: no
+// external assets, printable, with numeric cells shaded by magnitude
+// within each table for quick visual scanning.
+const reportHead = `<!DOCTYPE html>
 <html lang="en">
 <head>
 <meta charset="utf-8">
@@ -32,22 +31,11 @@ p.note { color: #555; font-style: italic; margin: .2rem 0; }
 <h1>Shogun: task scheduling for graph mining accelerators — reproduction report</h1>
 <p>Generated by <code>shogunbench -html</code>. Every number is deterministic;
 see EXPERIMENTS.md for the paper-vs-measured discussion.</p>
-{{range .}}
-<h2>{{.ID}} — {{.Title}}</h2>
-<table>
-<tr>{{range .Header}}<th>{{.}}</th>{{end}}</tr>
-{{$t := .}}
-{{range .Rows}}<tr>{{range $i, $c := .}}<td style="background:{{shade $t $i $c}}">{{$c}}</td>{{end}}</tr>
-{{end}}</table>
-{{range .Notes}}<p class="note">{{.}}</p>
-{{end}}{{end}}
-</body>
-</html>
-`))
+`
 
 // cellShade maps a numeric cell onto a light blue ramp scaled by its
 // column's maximum; non-numeric cells stay white.
-func cellShade(t *Table, col int, cell string) template.CSS {
+func cellShade(t *Table, col int, cell string) string {
 	if col == 0 {
 		return "white"
 	}
@@ -69,7 +57,7 @@ func cellShade(t *Table, col int, cell string) template.CSS {
 	frac := v / maxV
 	// 0 → white, 1 → medium blue.
 	alpha := 0.05 + 0.45*frac
-	return template.CSS(fmt.Sprintf("rgba(66,133,244,%.2f)", alpha))
+	return fmt.Sprintf("rgba(66,133,244,%.2f)", alpha)
 }
 
 func parseNumeric(cell string) (float64, bool) {
@@ -84,7 +72,30 @@ func parseNumeric(cell string) (float64, bool) {
 	return v, true
 }
 
-// RenderHTML writes a self-contained HTML report of the tables.
+// RenderHTML writes a self-contained HTML report of the tables. Every
+// table string is escaped with html.EscapeString.
 func RenderHTML(w io.Writer, tables []*Table) error {
-	return reportTemplate.Execute(w, tables)
+	esc := html.EscapeString
+	bw := bufio.NewWriter(w)
+	bw.WriteString(reportHead)
+	for _, t := range tables {
+		fmt.Fprintf(bw, "<h2>%s — %s</h2>\n<table>\n<tr>", esc(t.ID), esc(t.Title))
+		for _, h := range t.Header {
+			fmt.Fprintf(bw, "<th>%s</th>", esc(h))
+		}
+		bw.WriteString("</tr>\n")
+		for _, r := range t.Rows {
+			bw.WriteString("<tr>")
+			for i, c := range r {
+				fmt.Fprintf(bw, `<td style="background:%s">%s</td>`, cellShade(t, i, c), esc(c))
+			}
+			bw.WriteString("</tr>\n")
+		}
+		bw.WriteString("</table>\n")
+		for _, n := range t.Notes {
+			fmt.Fprintf(bw, "<p class=\"note\">%s</p>\n", esc(n))
+		}
+	}
+	bw.WriteString("</body>\n</html>\n")
+	return bw.Flush()
 }

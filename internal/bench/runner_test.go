@@ -157,7 +157,7 @@ func TestExpectedCountEvictionStaysCorrect(t *testing.T) {
 	if computes <= 3 {
 		t.Fatalf("no recompute after eviction: %d computes for 9 lookups over 3 keys", computes)
 	}
-	if used := countCache.Used(); used > 2*countEntryBytes {
+	if used := countCache.Stats().UsedBytes; used > 2*countEntryBytes {
 		t.Fatalf("golden cache over budget: %d bytes", used)
 	}
 	if st := countCache.Stats(); st.Evictions == 0 {

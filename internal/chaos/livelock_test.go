@@ -61,9 +61,6 @@ func TestQuiescedTreeWakes(t *testing.T) {
 			if res.Cycles != c.cycles {
 				t.Errorf("cycles = %d, pinned %d", res.Cycles, c.cycles)
 			}
-			if err := a.CheckConservation(); err != nil {
-				t.Fatal(err)
-			}
 			t.Logf("events %d, cycles %d, flips %d, splits %d", res.Events, res.Cycles, in.Flips, in.Splits)
 		})
 	}

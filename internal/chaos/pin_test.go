@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"context"
 	"testing"
 
 	"shogun/internal/accel"
@@ -84,7 +85,7 @@ func TestPerturbedRunsPinned(t *testing.T) {
 		clIn := injector(seed + 7777)
 		cl.Interconnect().SetPerturb(clIn)
 		clIn.AttachCluster(cl, 2000)
-		res, err := cl.Run()
+		res, err := cl.RunContext(context.Background())
 		if err != nil {
 			t.Fatalf("cluster seed %d: %v", seed, err)
 		}

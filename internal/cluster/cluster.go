@@ -377,9 +377,6 @@ type Result struct {
 	Digests map[string]telemetry.HistSummary `json:",omitempty"`
 }
 
-// Run simulates to completion. See RunContext.
-func (c *Cluster) Run() (*Result, error) { return c.RunContext(context.Background()) }
-
 // RunContext drives all chips on the shared clock under the run governor
 // (budgets from the chip config). Failure modes mirror accel.RunContext:
 // wrapped sim sentinels on tripped budgets or cancellation,

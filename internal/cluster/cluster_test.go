@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -98,7 +99,7 @@ func TestClusterDifferentialN1(t *testing.T) {
 						if leg == "heap" {
 							n = simtest.NewNoise(cl.Engine(), int64(i), true)
 						}
-						res, err := cl.Run()
+						res, err := cl.RunContext(context.Background())
 						if err != nil {
 							t.Fatalf("cluster run: %v", err)
 						}
@@ -121,7 +122,7 @@ func TestClusterDifferentialN1(t *testing.T) {
 						if n != nil {
 							m.Events -= n.Fired()
 							snap["engine/events"] -= n.Fired()
-							n.Discount(m.Telemetry.Cycles, m.Telemetry.Col("engine/events"))
+							n.Discount(m.Telemetry)
 						}
 						mj, _ = json.Marshal(m)
 						if string(sj) != string(mj) {
@@ -176,7 +177,7 @@ func TestClusterMetamorphicCounts(t *testing.T) {
 							if err != nil {
 								t.Fatalf("new: %v", err)
 							}
-							res, err := cl.Run()
+							res, err := cl.RunContext(context.Background())
 							if err != nil {
 								t.Fatalf("run: %v", err)
 							}
@@ -216,7 +217,7 @@ func TestClusterConservationUnderChaos(t *testing.T) {
 	if err != nil {
 		t.Fatalf("baseline new: %v", err)
 	}
-	baseline, err := cl.Run()
+	baseline, err := cl.RunContext(context.Background())
 	if err != nil {
 		t.Fatalf("baseline run: %v", err)
 	}
@@ -247,7 +248,7 @@ func TestClusterConservationUnderChaos(t *testing.T) {
 			cl.Interconnect().SetPerturb(clIn)
 			clIn.AttachCluster(cl, 2000)
 
-			res, err := cl.Run()
+			res, err := cl.RunContext(context.Background())
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
@@ -291,7 +292,7 @@ func TestClusterDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("new: %v", err)
 		}
-		res, err := cl.Run()
+		res, err := cl.RunContext(context.Background())
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}
@@ -323,7 +324,7 @@ func TestClusterStealingMovesWork(t *testing.T) {
 	if err != nil {
 		t.Fatalf("new: %v", err)
 	}
-	res, err := cl.Run()
+	res, err := cl.RunContext(context.Background())
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -363,7 +364,7 @@ func TestClusterSplitLinesCountAdoptions(t *testing.T) {
 		t.Fatalf("new: %v", err)
 	}
 	chaos.New(chaos.Config{Seed: 7}).AttachCluster(cl, 3000)
-	if _, err := cl.Run(); err != nil {
+	if _, err := cl.RunContext(context.Background()); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	var splits, migIn int64
@@ -392,7 +393,7 @@ func TestClusterTelemetryImbalance(t *testing.T) {
 	if err != nil {
 		t.Fatalf("new: %v", err)
 	}
-	res, err := cl.Run()
+	res, err := cl.RunContext(context.Background())
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -401,7 +402,7 @@ func TestClusterTelemetryImbalance(t *testing.T) {
 		t.Fatal("no cluster telemetry despite SampleEvery > 0")
 	}
 	for i := 0; i < 3*cfg.Chip.NumPEs; i++ {
-		if ts.Col(fmt.Sprintf("pe%d/resident", i)) == nil {
+		if simtest.Col(ts, fmt.Sprintf("pe%d/resident", i)) == nil {
 			t.Fatalf("missing machine-wide pe%d/resident column", i)
 		}
 	}
@@ -470,7 +471,7 @@ func TestClusterMoreChipsThanVertices(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: new: %v", mode, err)
 		}
-		res, err := cl.Run()
+		res, err := cl.RunContext(context.Background())
 		if err != nil {
 			t.Fatalf("%s: run: %v", mode, err)
 		}
@@ -495,7 +496,7 @@ func TestClusterNonShogunSchemes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("new: %v", err)
 			}
-			res, err := cl.Run()
+			res, err := cl.RunContext(context.Background())
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
@@ -537,7 +538,7 @@ func benchCluster(b *testing.B, chipCounts []int, sampleEvery sim.Time) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err = cl.Run()
+				res, err = cl.RunContext(context.Background())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -565,7 +566,7 @@ func TestClusterVerifyViolationText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Run(); err != nil {
+	if _, err := cl.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	l1 := cl.Chips()[1].PEs()[0].L1

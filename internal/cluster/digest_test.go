@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"context"
 	"fmt"
 	"maps"
 	"sync"
@@ -11,59 +12,72 @@ import (
 	"shogun/internal/cluster"
 	"shogun/internal/datasets"
 	"shogun/internal/gen"
+	"shogun/internal/graph"
 	"shogun/internal/pattern"
+	"shogun/internal/policy"
 	"shogun/internal/sim"
+	"shogun/internal/task"
 	"shogun/internal/telemetry"
 )
 
 // refDigests is the reference for the runs' latency digests: the
-// observation as it was before cache hits were folded. Test-owned
-// histograms take the bundle's place on an unsampled run that the test
-// drives itself, without the run-end fold, so no fold ever touches them
-// and every miss, task lifetime and queue wait is observed as the run
-// makes it. After the run, replay observes the hit latency once per
-// counted hit, as Cache.Access once did on its hit path.
+// observation as it was before cache hits were folded. The reference is
+// an unsampled run's own bundle, driven by the test without the run-end
+// fold (Telemetry.Series), so no fold ever touches it and every miss,
+// task lifetime and queue wait is observed as the run makes it. After
+// the run, replay observes the hit latency once per counted hit, as
+// Cache.Access once did on its hit path.
 type refDigests map[string]*telemetry.Histogram
 
 var refNames = []string{"task-lifetime", "queue-wait", "l1-latency", "l2-latency"}
 
-// refRun hooks the reference histograms into chips, which share eng
-// and have sampling off, runs them to the end and replays their hits.
-func refRun(t *testing.T, eng *sim.Engine, chips []*accel.Accelerator, cfg accel.Config) refDigests {
+// refRun runs chips, which share eng and record into tel with sampling
+// off, to the end and replays their hits into tel's histograms.
+func refRun(t *testing.T, eng *sim.Engine, chips []*accel.Accelerator, tel *accel.Telemetry, cfg accel.Config) refDigests {
 	t.Helper()
-	ref := refDigests{}
-	for _, name := range refNames {
-		ref[name] = telemetry.NewHistogram()
-	}
-	for _, chip := range chips {
-		if chip.Telemetry().Sampler != nil {
-			t.Fatal("reference run must have sampling off")
-		}
-		chip.L2().LatHist = ref["l2-latency"]
-		for _, p := range chip.PEs() {
-			p.LifetimeHist = ref["task-lifetime"]
-			p.QueueWaitHist = ref["queue-wait"]
-			p.L1.LatHist = ref["l1-latency"]
-		}
+	if tel.Sampler != nil {
+		t.Fatal("reference run must have sampling off")
 	}
 	for _, chip := range chips {
 		chip.Start()
 	}
-	eng.Run()
+	for eng.Step() {
+	}
 	for _, chip := range chips {
 		if err := chip.Drained(); err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range chip.PEs() {
 			for i := int64(0); i < p.L1.Hits; i++ {
-				ref["l1-latency"].Observe(int64(cfg.PE.L1.HitLat))
+				tel.L1Latency.Observe(int64(cfg.PE.L1.HitLat))
 			}
 		}
-		for i := int64(0); i < chip.L2().Hits; i++ {
-			ref["l2-latency"].Observe(int64(cfg.L2.HitLat))
+		l2Hits, _ := chip.Metrics().Value("l2/hits")
+		for i := int64(0); i < l2Hits; i++ {
+			tel.L2Latency.Observe(int64(cfg.L2.HitLat))
 		}
 	}
+	ref := refDigests{}
+	for _, name := range refNames {
+		ref[name] = tel.Digests()[name]
+	}
 	return ref
+}
+
+// newChip builds a chip as accel.New does and returns it with the
+// telemetry bundle it records into.
+func newChip(t *testing.T, g *graph.Graph, s *pattern.Schedule, cfg accel.Config) (*accel.Accelerator, *accel.Telemetry) {
+	t.Helper()
+	eng := sim.NewEngine()
+	var a *accel.Accelerator
+	tel, err := accel.NewTelemetry(cfg, eng, func() bool { return !a.ChipIdle() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, err = accel.NewShared(g, s, cfg, eng, policy.AllRoots(g).Vertices, tel, task.NewCandPool(g), 0); err != nil {
+		t.Fatal(err)
+	}
+	return a, tel
 }
 
 func sameDigests(t *testing.T, cell string, got map[string]*telemetry.Histogram, ref refDigests) {
@@ -117,29 +131,25 @@ func TestDigestsMatchPerHitReference(t *testing.T) {
 					if v.mutate != nil {
 						v.mutate(&cfg)
 					}
-					build := func(sample bool) *accel.Accelerator {
+					build := func(sample bool) (*accel.Accelerator, *accel.Telemetry) {
 						c := cfg
 						if sample {
 							c.SampleEvery = 512
 						}
-						a, err := accel.New(g, wl.Schedule, c)
-						if err != nil {
-							t.Fatal(err)
-						}
-						return a
+						return newChip(t, g, wl.Schedule, c)
 					}
 					cell := fmt.Sprintf("%s/%s/%s", gr.name, wl.Name, v.name)
-					r := build(false)
-					ref := refRun(t, r.Engine(), []*accel.Accelerator{r}, cfg)
+					r, rtel := build(false)
+					ref := refRun(t, r.Engine(), []*accel.Accelerator{r}, rtel, cfg)
 					var res [2]*accel.Result
 					var tel [2]*accel.Telemetry
 					for i, sample := range []bool{true, false} {
-						a := build(sample)
+						var a *accel.Accelerator
+						a, tel[i] = build(sample)
 						var err error
 						if res[i], err = a.Run(); err != nil {
 							t.Fatalf("%s: %v", cell, err)
 						}
-						tel[i] = a.Telemetry()
 						sameDigests(t, fmt.Sprintf("%s (sampled %t)", cell, sample), tel[i].Digests(), ref)
 					}
 					sampledIsUnsampled(t, cell, tel[0].Digests(), tel[1].Digests(), res[0].Digests, res[1].Digests)
@@ -178,16 +188,16 @@ func TestDigestsMatchPerHitReference(t *testing.T) {
 				return cl
 			}
 			r := build(false)
-			ref := refRun(t, r.Engine(), r.Chips(), cfg.Chip)
+			ref := refRun(t, r.Engine(), r.Chips(), r.Telemetry(), cfg.Chip)
 			var res [2]*cluster.Result
 			var digests [2]map[string]*telemetry.Histogram
 			for i, sample := range []bool{true, false} {
 				cl := build(sample)
-				if res[i], err = cl.Run(); err != nil {
+				if res[i], err = cl.RunContext(context.Background()); err != nil {
 					t.Fatal(err)
 				}
 				// Every chip records into the machine's one bundle.
-				digests[i] = cl.Chips()[0].Telemetry().Digests()
+				digests[i] = cl.Telemetry().Digests()
 				sameDigests(t, fmt.Sprintf("%s (sampled %t)", c.name, sample), digests[i], ref)
 				live := cl.Histograms()
 				for name, w := range telemetry.Summaries(ref) {
@@ -214,31 +224,28 @@ func TestDigestsMatchPerHitReference(t *testing.T) {
 			cfg := accel.DefaultConfig(accel.SchemeShogun)
 			cfg.EnableSplitting = true
 			cfg.EnableMerging = true
-			build := func(sample bool) *accel.Accelerator {
+			build := func(sample bool) (*accel.Accelerator, *accel.Telemetry) {
 				c := cfg
 				if sample {
 					c.SampleEvery = 512
 				}
 				in := chaos.New(chaos.Config{Seed: seed, JitterPct: 25, FlipPeriod: 1500, SplitPeriod: 2500})
 				c.Perturb = in
-				a, err := accel.New(g, s, c)
-				if err != nil {
-					t.Fatal(err)
-				}
+				a, tel := newChip(t, g, s, c)
 				in.Attach(a)
-				return a
+				return a, tel
 			}
 			cell := fmt.Sprintf("seed %d", seed)
-			r := build(false)
-			ref := refRun(t, r.Engine(), []*accel.Accelerator{r}, cfg)
+			r, rtel := build(false)
+			ref := refRun(t, r.Engine(), []*accel.Accelerator{r}, rtel, cfg)
 			var res [2]*accel.Result
 			var tel [2]*accel.Telemetry
 			for i, sample := range []bool{true, false} {
-				a := build(sample)
+				var a *accel.Accelerator
+				a, tel[i] = build(sample)
 				if res[i], err = a.Run(); err != nil {
 					t.Fatalf("%s: %v", cell, err)
 				}
-				tel[i] = a.Telemetry()
 				sameDigests(t, fmt.Sprintf("%s (sampled %t)", cell, sample), tel[i].Digests(), ref)
 			}
 			sampledIsUnsampled(t, cell, tel[0].Digests(), tel[1].Digests(), res[0].Digests, res[1].Digests)
@@ -294,7 +301,7 @@ func TestLiveTelemetryReads(t *testing.T) {
 			reads++
 		}
 	}()
-	res, err := c.Run()
+	res, err := c.RunContext(context.Background())
 	close(done)
 	wg.Wait()
 	if err != nil {

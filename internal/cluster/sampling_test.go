@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"hash/fnv"
@@ -166,7 +167,7 @@ func TestSamplingObservesWithoutPerturbing(t *testing.T) {
 					}
 					chaos.New(chaos.Config{Seed: 99}).AttachCluster(cl, 2000)
 				}
-				res, err := cl.Run()
+				res, err := cl.RunContext(context.Background())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"testing"
 
 	"shogun/internal/accel"
@@ -23,7 +24,7 @@ func TestStealCheckZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(); err != nil {
+	if _, err := c.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(100, c.stealCheck); allocs != 0 {
@@ -84,7 +85,8 @@ func TestForcedMigrationZeroAlloc(t *testing.T) {
 	if c.Migrations != 6 {
 		t.Fatalf("delivered %d migrations, want 6", c.Migrations)
 	}
-	c.eng.Run()
+	for c.eng.Step() {
+	}
 	if err := c.Verify(); err != nil {
 		t.Fatal(err)
 	}

@@ -767,19 +767,3 @@ func (t *Tree) StateSummary() string {
 	return fmt.Sprintf("trees=%d entries=%d ready=%d executing=%d resting=%d quiesced=%d pendingSpawn=%d",
 		len(t.trees), entries, byState[Ready], byState[Executing], byState[Resting], byState[Quiesced], pending)
 }
-
-// DebugString renders the tree occupancy (for tests and the CLI's -v).
-func (t *Tree) DebugString() string {
-	s := ""
-	for d := range t.bunches {
-		if len(t.bunches[d]) == 0 {
-			continue
-		}
-		s += fmt.Sprintf("depth %d:", d)
-		for _, b := range t.bunches[d] {
-			s += fmt.Sprintf(" [used=%d/%d]", b.used, cap(b.entries))
-		}
-		s += "\n"
-	}
-	return s
-}

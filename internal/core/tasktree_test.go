@@ -43,12 +43,12 @@ func drive(t *testing.T, tr *Tree, w *task.Workload, width int, order string) in
 			if !ok {
 				break
 			}
-			w.Execute(n, slot)
+			w.ExecuteReuse(n, slot, nil)
 			inflight = append(inflight, running{n, slot})
 		}
 		if len(inflight) == 0 {
 			if tr.Pending() {
-				t.Fatalf("tree stalled with pending work:\n%s", tr.DebugString())
+				t.Fatalf("tree stalled with pending work: %s", tr.StateSummary())
 			}
 			return total
 		}
@@ -79,7 +79,7 @@ func TestTreeCountsAllPatterns(t *testing.T) {
 					t.Errorf("%s/%s: counted %d, want %d", s.Name, order, got, want)
 				}
 				for d := 1; d < s.Depth(); d++ {
-					if tokens.InUse(d) != 0 {
+					if tokens.InUseByDepth()[d] != 0 {
 						t.Errorf("%s: tokens leaked at depth %d", s.Name, d)
 					}
 				}
@@ -107,7 +107,7 @@ func TestSiblingPreference(t *testing.T) {
 	if !ok {
 		t.Fatal("no root task")
 	}
-	w.Execute(root, slot)
+	w.ExecuteReuse(root, slot, nil)
 	tr.OnComplete(root, 0)
 
 	// The spawned bunch holds 8 siblings; selecting 8 tasks must yield
@@ -120,7 +120,7 @@ func TestSiblingPreference(t *testing.T) {
 		if n.Depth != 1 || n.Parent != root {
 			t.Fatalf("selection %d is not a sibling: depth %d", i, n.Depth)
 		}
-		w.Execute(n, sl)
+		w.ExecuteReuse(n, sl, nil)
 	}
 	if tr.SiblingRuns < 7 {
 		t.Fatalf("sibling runs = %d, want >= 7", tr.SiblingRuns)
@@ -136,7 +136,7 @@ func TestOutOfOrderAcrossDepths(t *testing.T) {
 	tr, w, _ := newTree(t, g, s, DefaultTreeConfig(4), &policy.SliceRoots{Vertices: []graph.VertexID{19}})
 
 	root, slot, _ := tr.Next(0)
-	w.Execute(root, slot)
+	w.ExecuteReuse(root, slot, nil)
 	tr.OnComplete(root, 0)
 
 	// Complete the two lowest-vertex siblings; the second one (vertex 1)
@@ -144,8 +144,8 @@ func TestOutOfOrderAcrossDepths(t *testing.T) {
 	// extends instead).
 	n1, s1, _ := tr.Next(0)
 	n2, s2, _ := tr.Next(0)
-	w.Execute(n1, s1)
-	w.Execute(n2, s2)
+	w.ExecuteReuse(n1, s1, nil)
+	w.ExecuteReuse(n2, s2, nil)
 	tr.OnComplete(n1, 0)
 	tr.OnComplete(n2, 0)
 	depths := map[int]int{}
@@ -155,7 +155,7 @@ func TestOutOfOrderAcrossDepths(t *testing.T) {
 			break
 		}
 		depths[n.Depth]++
-		w.Execute(n, sl)
+		w.ExecuteReuse(n, sl, nil)
 	}
 	// Depth-1 siblings and a depth-2 task must be co-scheduled: no
 	// inter-depth barrier.
@@ -173,12 +173,12 @@ func TestConservativeModeRestrictsToSiblings(t *testing.T) {
 	tr, w, _ := newTree(t, g, s, DefaultTreeConfig(4), &policy.SliceRoots{Vertices: []graph.VertexID{19, 18}})
 
 	root, slot, _ := tr.Next(0)
-	w.Execute(root, slot)
+	w.ExecuteReuse(root, slot, nil)
 	tr.OnComplete(root, 0)
 	n1, s1, _ := tr.Next(0)
 	n2, s2, _ := tr.Next(0)
-	w.Execute(n1, s1)
-	w.Execute(n2, s2)
+	w.ExecuteReuse(n1, s1, nil)
+	w.ExecuteReuse(n2, s2, nil)
 	tr.OnComplete(n1, 0) // spawns a depth-2 bunch
 
 	tr.SetConservative(true)
@@ -194,7 +194,7 @@ func TestConservativeModeRestrictsToSiblings(t *testing.T) {
 		if n.Depth == 2 {
 			t.Fatal("conservative mode co-scheduled a non-sibling depth-2 task")
 		}
-		w.Execute(n, sl)
+		w.ExecuteReuse(n, sl, nil)
 	}
 }
 
@@ -205,7 +205,7 @@ func TestCarveSplitAndAdopt(t *testing.T) {
 	tr, w, _ := newTree(t, g, s, DefaultTreeConfig(8), roots)
 
 	root, slot, _ := tr.Next(0)
-	w.Execute(root, slot)
+	w.ExecuteReuse(root, slot, nil)
 	tr.OnComplete(root, 0)
 
 	sp := tr.SplittableRoot()
@@ -281,7 +281,7 @@ func TestMergingTwoTrees(t *testing.T) {
 		if !ok {
 			break
 		}
-		w.Execute(n, slot)
+		w.ExecuteReuse(n, slot, nil)
 		found := false
 		for _, id := range seen {
 			if id == n.TreeID {
@@ -317,8 +317,8 @@ func TestQuiesceOnConservativeWithTwoTrees(t *testing.T) {
 	if !ok || a.Depth != 0 || b.Depth != 0 || a.TreeID == b.TreeID {
 		t.Fatalf("expected two distinct roots, got %+v %+v ok=%v", a, b, ok)
 	}
-	w.Execute(a, sa)
-	w.Execute(b, sb)
+	w.ExecuteReuse(a, sa, nil)
+	w.ExecuteReuse(b, sb, nil)
 	tr.OnComplete(a, 0)
 	tr.OnComplete(b, 0)
 	if tr.activeTrees() != 2 {
@@ -389,16 +389,16 @@ func TestTreeGeometry(t *testing.T) {
 	}
 }
 
-func TestDebugStringShowsOccupancy(t *testing.T) {
+func TestStateSummaryShowsOccupancy(t *testing.T) {
 	g := gen.Clique(12)
 	s, _ := pattern.Build(pattern.Triangle())
 	tr, w, _ := newTree(t, g, s, DefaultTreeConfig(4), &policy.SliceRoots{Vertices: []graph.VertexID{11}})
 	root, slot, _ := tr.Next(0)
-	w.Execute(root, slot)
+	w.ExecuteReuse(root, slot, nil)
 	tr.OnComplete(root, 0)
-	out := tr.DebugString()
-	if out == "" || !strings.Contains(out, "depth 1") {
-		t.Fatalf("DebugString = %q", out)
+	out := tr.StateSummary()
+	if !strings.HasPrefix(out, "trees=1 ") || strings.Contains(out, "entries=0 ") || !strings.Contains(out, "executing=0 ") {
+		t.Fatalf("StateSummary = %q", out)
 	}
 }
 

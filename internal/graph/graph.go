@@ -9,10 +9,8 @@
 package graph
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -256,62 +254,4 @@ func (g *Graph) ComputeStats() Stats {
 		s.Skewness = m3 / math.Pow(variance, 1.5)
 	}
 	return s
-}
-
-// Edges returns the edge list (u < v) of the graph. Allocates.
-func (g *Graph) Edges() []Edge {
-	out := make([]Edge, 0, g.NumEdges())
-	for v := 0; v < g.NumVertices(); v++ {
-		for _, u := range g.Neighbors(VertexID(v)) {
-			if u > VertexID(v) {
-				out = append(out, Edge{VertexID(v), u})
-			}
-		}
-	}
-	return out
-}
-
-// DegreeOrder returns vertices sorted by ascending (degree, id). Mining
-// systems commonly relabel graphs into this order so symmetry-breaking
-// comparisons prune high-degree roots early.
-func (g *Graph) DegreeOrder() []VertexID {
-	n := g.NumVertices()
-	order := make([]VertexID, n)
-	for i := range order {
-		order[i] = VertexID(i)
-	}
-	slices.SortFunc(order, func(a, b VertexID) int {
-		if c := cmp.Compare(g.Degree(a), g.Degree(b)); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	return order
-}
-
-// Relabel returns a new graph where vertex order[i] of g becomes vertex i.
-// order must be a permutation of [0, n).
-func (g *Graph) Relabel(order []VertexID) (*Graph, error) {
-	n := g.NumVertices()
-	if len(order) != n {
-		return nil, fmt.Errorf("graph: relabel permutation has %d entries, want %d", len(order), n)
-	}
-	inv := make([]VertexID, n)
-	seen := make([]bool, n)
-	for newID, oldID := range order {
-		if oldID < 0 || int(oldID) >= n || seen[oldID] {
-			return nil, fmt.Errorf("graph: relabel order is not a permutation")
-		}
-		seen[oldID] = true
-		inv[oldID] = VertexID(newID)
-	}
-	edges := make([]Edge, 0, g.NumEdges())
-	for v := 0; v < n; v++ {
-		for _, u := range g.Neighbors(VertexID(v)) {
-			if u > VertexID(v) {
-				edges = append(edges, Edge{inv[v], inv[u]})
-			}
-		}
-	}
-	return New(n, edges)
 }

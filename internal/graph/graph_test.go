@@ -93,51 +93,25 @@ func TestStats(t *testing.T) {
 	}
 }
 
+// edgeList returns the edge list (u < v) of g.
+func edgeList(g *Graph) []Edge {
+	out := make([]Edge, 0, g.NumEdges())
+	for v := 0; v < g.NumVertices(); v++ {
+		for _, u := range g.Neighbors(VertexID(v)) {
+			if u > VertexID(v) {
+				out = append(out, Edge{VertexID(v), u})
+			}
+		}
+	}
+	return out
+}
+
 func TestEdgesRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	edges := randomEdges(rng, 50, 200)
 	g := MustNew(50, edges)
-	g2 := MustNew(50, g.Edges())
+	g2 := MustNew(50, edgeList(g))
 	assertSameGraph(t, g, g2)
-}
-
-func TestRelabelPreservesStructure(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	g := MustNew(30, randomEdges(rng, 30, 100))
-	order := g.DegreeOrder()
-	h, err := g.Relabel(order)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.NumEdges() != g.NumEdges() {
-		t.Fatalf("relabel changed edge count: %d != %d", h.NumEdges(), g.NumEdges())
-	}
-	// Degrees must be ascending after degree-order relabeling.
-	for v := 1; v < h.NumVertices(); v++ {
-		if h.Degree(VertexID(v)) < h.Degree(VertexID(v-1)) {
-			t.Fatalf("degree order violated at %d: %d < %d", v, h.Degree(VertexID(v)), h.Degree(VertexID(v-1)))
-		}
-	}
-	// Edge (a,b) in g must appear as (inv[a], inv[b]) in h.
-	inv := make([]VertexID, g.NumVertices())
-	for newID, oldID := range order {
-		inv[oldID] = VertexID(newID)
-	}
-	for _, e := range g.Edges() {
-		if !h.HasEdge(inv[e.U], inv[e.V]) {
-			t.Fatalf("edge (%d,%d) lost in relabel", e.U, e.V)
-		}
-	}
-}
-
-func TestRelabelRejectsBadPermutation(t *testing.T) {
-	g := MustNew(3, []Edge{{0, 1}})
-	if _, err := g.Relabel([]VertexID{0, 0, 1}); err == nil {
-		t.Fatal("Relabel accepted duplicate entries")
-	}
-	if _, err := g.Relabel([]VertexID{0, 1}); err == nil {
-		t.Fatal("Relabel accepted short permutation")
-	}
 }
 
 func TestEdgeListIO(t *testing.T) {

@@ -117,42 +117,3 @@ func (h *HubIndex) Bits(v VertexID) []uint64 {
 	}
 	return h.bits[int(s)*h.words : (int(s)+1)*h.words]
 }
-
-// IsHub reports whether v has an indexed bitset.
-func (h *HubIndex) IsHub(v VertexID) bool {
-	return h != nil && h.slot[v] >= 0
-}
-
-// NumHubs reports how many vertices are indexed.
-func (h *HubIndex) NumHubs() int {
-	if h == nil {
-		return 0
-	}
-	return len(h.hubs)
-}
-
-// Hubs returns the indexed vertices in decreasing-degree order. The slice
-// aliases the index and must not be modified.
-func (h *HubIndex) Hubs() []VertexID {
-	if h == nil {
-		return nil
-	}
-	return h.hubs
-}
-
-// Words reports the bitset width in uint64 words.
-func (h *HubIndex) Words() int {
-	if h == nil {
-		return 0
-	}
-	return h.words
-}
-
-// MemoryBytes reports the index's approximate footprint, the quantity the
-// build budget constrains.
-func (h *HubIndex) MemoryBytes() int64 {
-	if h == nil {
-		return 0
-	}
-	return int64(len(h.bits))*8 + int64(len(h.slot))*4 + int64(len(h.hubs))*4
-}

@@ -29,10 +29,10 @@ func TestHubIndexBitsMatchNeighbors(t *testing.T) {
 	if h == nil {
 		t.Fatal("no hub index for a graph with degree-297 vertices")
 	}
-	if h.NumHubs() == 0 {
+	if len(h.hubs) == 0 {
 		t.Fatal("hub index indexed no vertices")
 	}
-	for _, v := range h.Hubs() {
+	for _, v := range h.hubs {
 		bits := h.Bits(v)
 		if bits == nil {
 			t.Fatalf("hub %d has nil bits", v)
@@ -58,19 +58,16 @@ func TestHubIndexSelectsByDegree(t *testing.T) {
 	}
 	// The four star centers (degree 396) must rank before the leaves
 	// (degree 4 < MinHubDegree, so leaves are excluded entirely).
-	if h.NumHubs() != 4 {
-		t.Fatalf("NumHubs = %d, want 4 (leaves are below MinHubDegree)", h.NumHubs())
+	if len(h.hubs) != 4 {
+		t.Fatalf("%d hubs, want 4 (leaves are below MinHubDegree)", len(h.hubs))
 	}
 	for v := VertexID(0); v < 4; v++ {
-		if !h.IsHub(v) {
+		if h.Bits(v) == nil {
 			t.Errorf("star center %d not a hub", v)
 		}
 	}
-	if h.IsHub(100) {
-		t.Error("low-degree leaf indexed as hub")
-	}
 	if h.Bits(100) != nil {
-		t.Error("non-hub returned bits")
+		t.Error("low-degree leaf indexed as hub")
 	}
 }
 
@@ -83,16 +80,16 @@ func TestHubIndexBudget(t *testing.T) {
 	if h == nil {
 		t.Fatal("nil index under 2-hub budget")
 	}
-	if h.NumHubs() != 2 {
-		t.Fatalf("NumHubs = %d, want 2 under budget", h.NumHubs())
+	if len(h.hubs) != 2 {
+		t.Fatalf("%d hubs, want 2 under budget", len(h.hubs))
 	}
-	if h.MemoryBytes() > budget {
-		t.Fatalf("MemoryBytes %d exceeds budget %d", h.MemoryBytes(), budget)
+	if used := int64(len(h.bits))*8 + int64(len(h.slot))*4 + int64(len(h.hubs))*4; used > budget {
+		t.Fatalf("index footprint %d exceeds budget %d", used, budget)
 	}
 	// A budget too small for even one bitset yields no index.
 	g2 := hubTestGraph(t, 512, 6)
 	if h2 := g2.HubIndexWithBudget(64); h2 != nil {
-		t.Fatalf("tiny budget produced an index with %d hubs", h2.NumHubs())
+		t.Fatalf("tiny budget produced an index with %d hubs", len(h2.hubs))
 	}
 }
 
@@ -122,11 +119,11 @@ func TestHubIndexLazySharedAndConcurrent(t *testing.T) {
 func TestHubIndexSmallGraphNil(t *testing.T) {
 	g := MustNew(5, []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 4}})
 	if h := g.HubIndex(); h != nil {
-		t.Fatalf("tiny graph got a hub index with %d hubs", h.NumHubs())
+		t.Fatalf("tiny graph got a hub index with %d hubs", len(h.hubs))
 	}
-	// nil receiver accessors must be safe.
+	// The nil index has no bits.
 	var h *HubIndex
-	if h.NumHubs() != 0 || h.Words() != 0 || h.MemoryBytes() != 0 || h.Bits(0) != nil || h.IsHub(0) || h.Hubs() != nil {
-		t.Fatal("nil HubIndex accessors misbehaved")
+	if h.Bits(0) != nil {
+		t.Fatal("nil HubIndex returned bits")
 	}
 }

@@ -184,7 +184,7 @@ func compareWithReference(t *testing.T, cfg CacheConfig, steps []cacheStep) {
 		if g != r {
 			t.Fatalf("%s: access %d: counters %+v, reference %+v", cfg.Name, i, g, r)
 		}
-		if !c.Contains(addr) {
+		if !contains(c, addr) {
 			t.Fatalf("%s: access %d: line %#x not resident after access", cfg.Name, i, s.line)
 		}
 		if i%64 == 0 {

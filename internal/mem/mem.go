@@ -357,19 +357,6 @@ func (c *Cache) MSHRInFlight(now sim.Time) int {
 	return c.mshrs.InFlightAt(now)
 }
 
-// Contains reports whether the line holding addr is resident (test hook).
-func (c *Cache) Contains(addr int64) bool {
-	line := addr >> LineShift
-	set := int(line & c.setMask)
-	key := uint32(line>>c.setBits+1) << 1
-	for _, w := range c.ways[set*c.cfg.Ways : (set+1)*c.cfg.Ways] {
-		if w&^1 == key {
-			return true
-		}
-	}
-	return false
-}
-
 // HitRate reports the all-time hit rate.
 func (c *Cache) HitRate() float64 {
 	return sim.Ratio(c.Hits, c.Hits+c.Misses)

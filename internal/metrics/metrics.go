@@ -71,15 +71,12 @@ const (
 	invEq invKind = iota
 	invSum
 	invLE
-	invGE
 )
 
 func (inv invariant) ok() bool {
 	switch inv.kind {
 	case invLE:
 		return inv.a <= inv.b
-	case invGE:
-		return inv.a >= inv.b
 	default:
 		return inv.a == inv.b
 	}
@@ -92,8 +89,6 @@ func (inv invariant) detail() string {
 		return fmt.Sprintf("parts sum to %d, total is %d (diff %d)", a, b, a-b)
 	case invLE:
 		return fmt.Sprintf("%d > %d (excess %d)", a, b, a-b)
-	case invGE:
-		return fmt.Sprintf("%d < %d (short %d)", a, b, b-a)
 	default:
 		return fmt.Sprintf("%d != %d (diff %d)", a, b, a-b)
 	}
@@ -131,11 +126,6 @@ func (f *Family) Sum(name string, total int64, parts ...int64) {
 // LE declares the invariant a <= b.
 func (f *Family) LE(name string, a, b int64) {
 	f.invs = append(f.invs, invariant{name, invLE, a, b})
-}
-
-// GE declares the invariant a >= b.
-func (f *Family) GE(name string, a, b int64) {
-	f.invs = append(f.invs, invariant{name, invGE, a, b})
 }
 
 // Registry is a set of counter families captured after one run. Its
@@ -241,8 +231,8 @@ func (r *Registry) Value(path string) (int64, bool) {
 	return v, found
 }
 
-// Snapshot flattens every counter into a "family/name" → value map
-// (regression comparisons, JSON export).
+// Snapshot flattens every counter into a "family/name" → value map, the
+// form Diff compares.
 func (r *Registry) Snapshot() map[string]int64 {
 	m := make(map[string]int64)
 	r.each("", func(prefix string, f *Family) bool {

@@ -15,7 +15,7 @@ func TestVerifyPassesWhenInvariantsHold(t *testing.T) {
 	f.Sum("accesses == hits + misses", acc, hits, miss)
 	f.Eq("hits", hits, 7)
 	f.LE("hits <= accesses", hits, acc)
-	f.GE("accesses >= misses", acc, miss)
+	f.LE("misses <= accesses", miss, acc)
 	if err := r.Verify(); err != nil {
 		t.Fatalf("unexpected violation: %v", err)
 	}
@@ -31,7 +31,7 @@ func TestVerifyReportsEveryViolation(t *testing.T) {
 	f.Sum("t == p+q", 10, 3, 3)
 	g := r.Family("pe1")
 	g.LE("x <= y", 9, 2)
-	g.GE("x >= z", 1, 2)
+	g.LE("z <= x", 2, 1)
 
 	err := r.Verify()
 	var ve *VerifyError
@@ -42,7 +42,7 @@ func TestVerifyReportsEveryViolation(t *testing.T) {
 		t.Fatalf("violations = %d, want 4: %v", len(ve.Violations), ve)
 	}
 	msg := ve.Error()
-	for _, want := range []string{"pe0", "pe1", "a == b", "t == p+q", "x <= y", "x >= z"} {
+	for _, want := range []string{"pe0", "pe1", "a == b", "t == p+q", "x <= y", "z <= x"} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("error message missing %q:\n%s", want, msg)
 		}
@@ -109,7 +109,7 @@ func TestNestReadsLikePrefixedFamilies(t *testing.T) {
 		f.Sum("accesses == hits + misses", acc, f.Counter("hits", 8), f.Counter("misses", 3))
 		g := r.Family(prefix + "noc")
 		g.LE("in flight <= links", g.Counter("inflight", 9), 4)
-		g.GE("messages >= lines", 2, 5)
+		g.LE("lines <= messages", 5, 2)
 		g.Eq("drained", 0, 0)
 	}
 	flat := NewRegistry()

@@ -99,22 +99,3 @@ func TestOptimizedSchedulesAgree(t *testing.T) {
 		}
 	}
 }
-
-// TestDegeneracyOrientationSpeedsCliques checks the graph-ordering
-// substrate integrates with mining: counts are invariant under the
-// degeneracy relabeling, and the relabeled graph generates no more
-// search-tree nodes for clique patterns.
-func TestDegeneracyOrientationSpeedsCliques(t *testing.T) {
-	g := gen.RMAT(1<<10, 8000, 0.62, 0.14, 0.14, 5)
-	h, err := g.OrientByDegeneracy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, _ := pattern.Build(pattern.FourClique())
-	rg := NewMiner(g, s).Run()
-	rh := NewMiner(h, s).Run()
-	if rg.Embeddings != rh.Embeddings {
-		t.Fatalf("relabel changed count: %d != %d", rg.Embeddings, rh.Embeddings)
-	}
-	t.Logf("tree nodes: natural=%d degeneracy=%d", rg.Tasks(), rh.Tasks())
-}

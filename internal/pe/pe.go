@@ -274,9 +274,6 @@ func (p *PE) SetPolicy(pol Policy) { p.policy = pol }
 // Policy returns the installed policy.
 func (p *PE) Policy() Policy { return p.policy }
 
-// Workload returns the shared workload.
-func (p *PE) Workload() *task.Workload { return p.w }
-
 // Conservative reports the monitor's current mode.
 func (p *PE) Conservative() bool { return p.conservative }
 
@@ -617,11 +614,6 @@ func (p *PE) ConservResidency(end sim.Time) sim.Time {
 		r += end - p.conservEnter
 	}
 	return r
-}
-
-// IUUtilization reports all-time IU utilization over elapsed cycles.
-func (p *PE) IUUtilization(elapsed sim.Time) float64 {
-	return p.IUPool.Utilization(elapsed)
 }
 
 // DecodeUtil reports decode-unit occupancy (diagnostics).

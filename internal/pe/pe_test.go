@@ -39,7 +39,8 @@ func runWorkload(t *testing.T, cfg pe.Config, pol func(*task.Workload, *policy.T
 	tokens := policy.NewTokens(0, 1, w.S.Depth(), cfg.Width)
 	p.SetPolicy(pol(w, tokens))
 	p.Kick()
-	p.Eng.Run()
+	for p.Eng.Step() {
+	}
 	if p.HasWork() {
 		t.Fatal("PE drained with pending work")
 	}
@@ -84,7 +85,8 @@ func TestWidthScalesParallelDFS(t *testing.T) {
 		tokens := policy.NewTokens(0, 1, s.Depth(), width)
 		p.SetPolicy(policy.NewParallelDFS(w, tokens, policy.AllRoots(g), width))
 		p.Kick()
-		p.Eng.Run()
+		for p.Eng.Step() {
+		}
 		return p.LastActive
 	}
 	w1, w8 := run(1), run(8)
@@ -186,8 +188,8 @@ func TestSPMNeverSerializesBelowWidth(t *testing.T) {
 	if p.Embeddings != want {
 		t.Fatalf("count %d != %d under SPM pressure", p.Embeddings, want)
 	}
-	if p.SPM.Peak() > cfg.SPMLines {
-		t.Fatalf("SPM over-committed: peak %d > %d", p.SPM.Peak(), cfg.SPMLines)
+	if avg := p.SPM.AvgOccupancy(p.LastActive); avg > float64(cfg.SPMLines) {
+		t.Fatalf("SPM over-committed: average occupancy %.1f > %d lines", avg, cfg.SPMLines)
 	}
 }
 
@@ -204,7 +206,7 @@ func TestIUPoolAccountsComputeWork(t *testing.T) {
 	if p.DivPool.Busy() == 0 {
 		t.Fatal("no divider work accounted")
 	}
-	if p.IUUtilization(p.LastActive) <= 0 {
+	if p.IUPool.Utilization(p.LastActive) <= 0 {
 		t.Fatal("IU utilization not reported")
 	}
 }

@@ -115,7 +115,3 @@ func (b *BFS) Pending() bool {
 // SetConservative implements pe.Policy (BFS only co-runs same-depth
 // tasks already).
 func (b *BFS) SetConservative(bool) {}
-
-// PeakFootprintSets reports the maximum number of simultaneously live
-// candidate sets — the memory-consumption-explosion metric.
-func (b *BFS) PeakFootprintSets() int { return b.tokens.Peak() }

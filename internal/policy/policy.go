@@ -34,9 +34,6 @@ func (s *SliceRoots) NextRoot() (graph.VertexID, bool) {
 	return v, true
 }
 
-// Remaining reports how many roots have not been dispatched yet.
-func (s *SliceRoots) Remaining() int { return len(s.Vertices) - s.next }
-
 // AllRoots returns a SliceRoots over every vertex of g.
 func AllRoots(g *graph.Graph) *SliceRoots {
 	vs := make([]graph.VertexID, g.NumVertices())
@@ -122,10 +119,7 @@ func (t *Tokens) Release(depth, slot int) {
 	t.free = append(t.free, slot/t.numPEs)
 }
 
-// InUse reports current usage at a depth.
-func (t *Tokens) InUse(depth int) int { return t.inUse[depth] }
-
-// Depths reports the number of depth slots (index range of InUse/Cap).
+// Depths reports the number of depth slots (index range of Cap).
 func (t *Tokens) Depths() int { return len(t.caps) }
 
 // InUseByDepth returns a copy of the per-depth occupancy (diagnostic).

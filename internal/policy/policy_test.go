@@ -32,7 +32,7 @@ func drive(t *testing.T, pol pe.Policy, w *task.Workload, width int, order strin
 			if !ok {
 				break
 			}
-			w.Execute(n, slot)
+			w.ExecuteReuse(n, slot, nil)
 			inflight = append(inflight, running{n, slot})
 			progressed = true
 		}
@@ -93,8 +93,8 @@ func TestPoliciesCountCorrectly(t *testing.T) {
 					t.Errorf("%s/%s/%s: counted %d, want %d", name, s.Name, completion, got, want)
 				}
 				for d := 1; d < s.Depth(); d++ {
-					if tokens.InUse(d) != 0 {
-						t.Errorf("%s/%s: %d tokens leaked at depth %d", name, s.Name, tokens.InUse(d), d)
+					if tokens.inUse[d] != 0 {
+						t.Errorf("%s/%s: %d tokens leaked at depth %d", name, s.Name, tokens.inUse[d], d)
 					}
 				}
 			}
@@ -114,7 +114,7 @@ func TestDFSUsesOneSlot(t *testing.T) {
 	if _, _, ok := pol.Next(0); ok {
 		t.Fatal("DFS issued a second concurrent task")
 	}
-	w.Execute(n, slot)
+	w.ExecuteReuse(n, slot, nil)
 	pol.OnComplete(n, 0)
 	if _, _, ok := pol.Next(0); !ok {
 		t.Fatal("DFS has no follow-up task")
@@ -133,7 +133,7 @@ func TestPseudoDFSBarrier(t *testing.T) {
 	if !ok || root.Depth != 0 {
 		t.Fatal("expected root first")
 	}
-	w.Execute(root, slot)
+	w.ExecuteReuse(root, slot, nil)
 	pol.OnComplete(root, 0)
 
 	// First group: exactly 4 siblings (group size), no more.
@@ -154,7 +154,7 @@ func TestPseudoDFSBarrier(t *testing.T) {
 		if n.Depth != 1 {
 			t.Fatalf("group member depth = %d", n.Depth)
 		}
-		w.Execute(n, slots[i])
+		w.ExecuteReuse(n, slots[i], nil)
 	}
 	// Complete all but one member: the barrier must hold.
 	for _, n := range group[:3] {
@@ -186,7 +186,7 @@ func TestBFSAdvancesByDepth(t *testing.T) {
 	for steps := 0; steps < 100000; steps++ {
 		n, slot, ok := pol.Next(0)
 		if ok {
-			w.Execute(n, slot)
+			w.ExecuteReuse(n, slot, nil)
 			inflight = append(inflight, n)
 			inflightSlots = append(inflightSlots, slot)
 			seen[n.Depth] = true
@@ -204,8 +204,8 @@ func TestBFSAdvancesByDepth(t *testing.T) {
 	}
 	// 8 concurrent trees, each holding a root set plus a depth-1
 	// frontier of stored sets: far beyond a DFS path's 2 live sets.
-	if pol.PeakFootprintSets() <= 16 {
-		t.Fatalf("BFS footprint %d suspiciously small", pol.PeakFootprintSets())
+	if pk := pol.tokens.Peak(); pk <= 16 {
+		t.Fatalf("BFS footprint %d suspiciously small", pk)
 	}
 }
 
@@ -220,7 +220,7 @@ func TestParallelDFSLanesIndependent(t *testing.T) {
 		if !ok {
 			break
 		}
-		w.Execute(n, slot)
+		w.ExecuteReuse(n, slot, nil)
 		roots = append(roots, n)
 	}
 	if len(roots) != 4 {
@@ -282,7 +282,7 @@ func TestTokenOverReleasePanics(t *testing.T) {
 
 func TestSliceRootsRemaining(t *testing.T) {
 	r := &SliceRoots{Vertices: []graph.VertexID{5, 6}}
-	if r.Remaining() != 2 {
+	if len(r.Vertices)-r.next != 2 {
 		t.Fatal("remaining wrong")
 	}
 	if v, ok := r.NextRoot(); !ok || v != 5 {
@@ -292,7 +292,7 @@ func TestSliceRootsRemaining(t *testing.T) {
 	if _, ok := r.NextRoot(); ok {
 		t.Fatal("exhausted source still yields")
 	}
-	if r.Remaining() != 0 {
+	if len(r.Vertices)-r.next != 0 {
 		t.Fatal("remaining after drain")
 	}
 }

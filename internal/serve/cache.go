@@ -133,15 +133,6 @@ func (c *Cache[V]) Get(key string, build func() (V, int64, error)) (V, error) {
 	return v, err
 }
 
-// Peek reports whether key currently has a ready cached value, without
-// touching recency (tests, stats pages).
-func (c *Cache[V]) Peek(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	return ok && e.elem != nil
-}
-
 // evictLocked removes LRU entries until used fits the budget. just is
 // the entry that triggered the pass: if evicting everything else still
 // leaves it over budget, it is dropped too (returned to its caller,
@@ -175,13 +166,6 @@ func (c *Cache[V]) Stats() CacheStats {
 	s.Budget = c.budget
 	s.Entries = c.ll.Len()
 	return s
-}
-
-// Used reports the currently charged bytes.
-func (c *Cache[V]) Used() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.used
 }
 
 // Len reports the number of resident (ready) entries.

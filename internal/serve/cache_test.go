@@ -9,6 +9,15 @@ import (
 	"time"
 )
 
+// peek reports whether key has a ready cached value, without touching
+// recency.
+func peek[V any](c *Cache[V], key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[key]
+	return ok && e.elem != nil
+}
+
 // TestCacheSingleFlight pins the stampede property: concurrent Gets for
 // one missing key run the build exactly once and all observe its value.
 func TestCacheSingleFlight(t *testing.T) {
@@ -72,10 +81,10 @@ func TestCacheEvictsLRU(t *testing.T) {
 		t.Fatal(err)
 	}
 	mk("c", 40) // 120 > 100: evicts b
-	if !c.Peek("a") || c.Peek("b") || !c.Peek("c") {
-		t.Fatalf("want {a,c} resident, b evicted; have a=%t b=%t c=%t", c.Peek("a"), c.Peek("b"), c.Peek("c"))
+	if !peek(c, "a") || peek(c, "b") || !peek(c, "c") {
+		t.Fatalf("want {a,c} resident, b evicted; have a=%t b=%t c=%t", peek(c, "a"), peek(c, "b"), peek(c, "c"))
 	}
-	if used := c.Used(); used != 80 {
+	if used := c.Stats().UsedBytes; used != 80 {
 		t.Fatalf("used=%d, want 80", used)
 	}
 	st := c.Stats()
@@ -98,8 +107,8 @@ func TestCacheOversizeNotRetained(t *testing.T) {
 	if err != nil || v != "huge" {
 		t.Fatalf("oversize Get = (%q, %v)", v, err)
 	}
-	if c.Peek("big") || c.Used() != 0 {
-		t.Fatalf("oversize entry retained: used=%d", c.Used())
+	if peek(c, "big") || c.Stats().UsedBytes != 0 {
+		t.Fatalf("oversize entry retained: used=%d", c.Stats().UsedBytes)
 	}
 	if st := c.Stats(); st.Oversize != 1 {
 		t.Fatalf("oversize counter=%d, want 1", st.Oversize)
@@ -114,7 +123,7 @@ func TestCacheErrorNotCached(t *testing.T) {
 	if _, err := c.Get("k", func() (int, int64, error) { return 0, 0, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err=%v, want boom", err)
 	}
-	if c.Peek("k") {
+	if peek(c, "k") {
 		t.Fatal("failed build cached")
 	}
 	v, err := c.Get("k", func() (int, int64, error) { return 7, 1, nil })
@@ -199,7 +208,7 @@ func TestCacheConcurrentChurn(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if used := c.Used(); used > 64 {
+	if used := c.Stats().UsedBytes; used > 64 {
 		t.Fatalf("budget violated: used=%d > 64", used)
 	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -21,6 +22,7 @@ import (
 	"shogun/internal/gen"
 	"shogun/internal/obs"
 	"shogun/internal/pattern"
+	"shogun/internal/sim/simtest"
 )
 
 // syncBuffer is a goroutine-safe bytes.Buffer: handler goroutines append
@@ -560,7 +562,7 @@ func TestLiveProgressReadsWithoutCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Run(); err != nil {
+	if _, err := cl.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	smp := cl.Sampler()
@@ -572,9 +574,9 @@ func TestLiveProgressReadsWithoutCopy(t *testing.T) {
 		t.Errorf("one progress read allocated %d B, want < 1 KB", n)
 	}
 	ts := cl.Samples()
-	want := map[string]int64{"cycle": ts.EndCycle(), "epochs": int64(len(ts.Cycles))}
+	want := map[string]int64{"cycle": ts.Cycles[len(ts.Cycles)-1], "epochs": int64(len(ts.Cycles))}
 	for _, name := range []string{"engine/events", "tasks/executed", "dram/queue", "noc/inflight"} {
-		col := ts.Col(name)
+		col := simtest.Col(ts, name)
 		if len(col) == 0 {
 			t.Fatalf("machine series has no %s column", name)
 		}

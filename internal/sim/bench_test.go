@@ -27,7 +27,8 @@ func benchEngineThroughput(b *testing.B, delay Time) {
 	a := &benchActor{e: e, delay: delay, remaining: b.N}
 	e.PostAfter(delay, a, 0, nil)
 	b.ResetTimer()
-	e.Run()
+	for e.Step() {
+	}
 }
 
 // BenchmarkEngineThroughput measures raw event-processing rate, the
@@ -78,7 +79,7 @@ func batchTrace(n int, dur Time, steps int) []batchStep {
 	p := NewPool("trace", n)
 	trace := make([]batchStep, steps)
 	for i := range trace {
-		lo, hi := p.NextFree(), Time(p.keys[n-1]>>p.shift)
+		lo, hi := Time(p.keys[0]>>p.shift), Time(p.keys[n-1]>>p.shift)
 		var now Time
 		switch r := rng.Intn(10); {
 		case r < 4:

@@ -175,7 +175,8 @@ func TestEngineActorOrder(t *testing.T) {
 	e.Post(5, Func(func() { r.got = append(r.got, 2) }), 0, nil)
 	e.Post(5, r, 3, nil)
 	e.Post(3, r, 0, nil)
-	e.Run()
+	for e.Step() {
+	}
 	want := []int{0, 1, 2, 3}
 	if len(r.got) != len(want) {
 		t.Fatalf("got %v", r.got)
@@ -196,7 +197,8 @@ func TestEngineFreelistReuse(t *testing.T) {
 	e := NewEngine()
 	a := &benchActor{e: e, delay: 1, remaining: 10 * eventBlock}
 	e.PostAfter(1, a, 0, nil)
-	e.Run()
+	for e.Step() {
+	}
 	if e.Processed != int64(10*eventBlock)+1 {
 		t.Fatalf("processed %d", e.Processed)
 	}

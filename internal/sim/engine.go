@@ -147,36 +147,5 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run executes events until none remain.
-func (e *Engine) Run() {
-	for e.Step() {
-	}
-}
-
-// RunUntil executes events with time ≤ deadline; returns false if the
-// event queue drained first.
-func (e *Engine) RunUntil(deadline Time) bool {
-	for {
-		ev := e.q.peek()
-		if ev == nil {
-			return false
-		}
-		if ev.at > deadline {
-			return true
-		}
-		e.Step()
-	}
-}
-
 // Pending reports the number of queued events.
 func (e *Engine) Pending() int { return e.q.len() }
-
-// NextAt reports the earliest pending event time; ok is false when the
-// queue is empty.
-func (e *Engine) NextAt() (t Time, ok bool) {
-	ev := e.q.peek()
-	if ev == nil {
-		return 0, false
-	}
-	return ev.at, true
-}

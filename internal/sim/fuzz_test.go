@@ -12,10 +12,19 @@ type orderEngine interface {
 	Post(t Time, a Actor, op int, arg any)
 	PostAfter(d Time, a Actor, op int, arg any)
 	Step() bool
-	RunUntil(deadline Time) bool
-	Run()
 	Pending() int
 	NextAt() (Time, bool)
+}
+
+// peekEngine is the engine under test with NextAt read from its
+// calendar queue's peek.
+type peekEngine struct{ *Engine }
+
+func (e peekEngine) NextAt() (Time, bool) {
+	if ev := e.q.peek(); ev != nil {
+		return ev.at, true
+	}
+	return 0, false
 }
 
 // refEngine is the reference model of the engine's contract: pending
@@ -72,24 +81,6 @@ func (r *refEngine) Step() bool {
 	return true
 }
 
-func (r *refEngine) Run() {
-	for r.Step() {
-	}
-}
-
-func (r *refEngine) RunUntil(deadline Time) bool {
-	for {
-		m := r.min()
-		if m < 0 {
-			return false
-		}
-		if r.q[m].at > deadline {
-			return true
-		}
-		r.Step()
-	}
-}
-
 func (r *refEngine) Pending() int { return len(r.q) }
 
 func (r *refEngine) NextAt() (Time, bool) {
@@ -139,7 +130,10 @@ func runOrderProgram(e orderEngine, data []byte) []int64 {
 			for n := Time(0); n < val%32 && e.Step(); n++ {
 			}
 		case 6: // run to a deadline
-			e.RunUntil(e.Now() + val%512)
+			deadline := e.Now() + val%512
+			for next, ok := e.NextAt(); ok && next <= deadline; next, ok = e.NextAt() {
+				e.Step()
+			}
 		}
 		id++
 		next, ok := e.NextAt()
@@ -148,7 +142,8 @@ func runOrderProgram(e orderEngine, data []byte) []int64 {
 		}
 		r.trace = append(r.trace, -1, e.Now(), int64(e.Pending()), next)
 	}
-	e.Run()
+	for e.Step() {
+	}
 	return append(r.trace, -1, e.Now(), int64(e.Pending()))
 }
 
@@ -168,7 +163,7 @@ func FuzzEventQueueEquivalence(f *testing.F) {
 			return
 		}
 		e, ref := NewEngine(), &refEngine{}
-		got, want := runOrderProgram(e, data), runOrderProgram(ref, data)
+		got, want := runOrderProgram(peekEngine{e}, data), runOrderProgram(ref, data)
 		if e.Processed != ref.processed {
 			t.Fatalf("processed %d, reference %d", e.Processed, ref.processed)
 		}

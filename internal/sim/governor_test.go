@@ -190,7 +190,7 @@ func TestPoolPerturb(t *testing.T) {
 	if start != 0 {
 		t.Fatalf("start = %d", start)
 	}
-	if free := p.NextFree(); free != 20 {
+	if free := Time(p.keys[0] >> p.shift); free != 20 {
 		t.Fatalf("perturbed reservation ends at %d, want 20", free)
 	}
 	if pr.calls != 1 {
@@ -198,7 +198,7 @@ func TestPoolPerturb(t *testing.T) {
 	}
 	p.SetPerturb(nil)
 	p.Acquire(20, 10)
-	if free := p.NextFree(); free != 30 {
+	if free := Time(p.keys[0] >> p.shift); free != 30 {
 		t.Fatalf("unperturbed reservation ends at %d, want 30", free)
 	}
 }

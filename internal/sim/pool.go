@@ -317,16 +317,8 @@ func (p *Pool) InFlightAt(now Time) int {
 	return n
 }
 
-// NextFree reports the earliest time any unit becomes available.
-func (p *Pool) NextFree() Time {
-	return Time(p.keys[0] >> p.shift)
-}
-
 // Busy returns the accumulated busy cycles across all units.
 func (p *Pool) Busy() Time { return p.busy }
-
-// Acquires reports the total reservations made (hardware-counter export).
-func (p *Pool) Acquires() int64 { return p.acquires }
 
 // Utilization returns busy cycles divided by capacity over elapsed cycles.
 func (p *Pool) Utilization(elapsed Time) float64 {
@@ -354,10 +346,9 @@ type Semaphore struct {
 	waiters []semWaiter
 
 	// occupancy integral for average-utilization reporting
-	lastChange   Time
-	levelCycles  Time
-	peakInUse    int
-	acquireCount int64
+	lastChange  Time
+	levelCycles Time
+	peakInUse   int
 	// units conservation (acquired - released must equal inUse)
 	unitsAcquired int64
 	unitsReleased int64
@@ -370,10 +361,6 @@ func NewSemaphore(name string, c int) *Semaphore {
 
 // Name returns the semaphore's name.
 func (s *Semaphore) Name() string { return s.name }
-
-// SetCap adjusts capacity (used by dynamic token tuning); it does not wake
-// waiters by itself — callers should invoke Kick via TryAcquire paths.
-func (s *Semaphore) SetCap(c int) { s.cap = c }
 
 // InUse reports the currently held units.
 func (s *Semaphore) InUse() int { return s.inUse }
@@ -388,7 +375,6 @@ func (s *Semaphore) TryAcquire(now Time, n int) bool {
 	}
 	s.account(now)
 	s.inUse += n
-	s.acquireCount++
 	s.unitsAcquired += int64(n)
 	if s.inUse > s.peakInUse {
 		s.peakInUse = s.inUse
@@ -465,13 +451,7 @@ func (s *Semaphore) UnitsAcquired() int64 { return s.unitsAcquired }
 // UnitsReleased reports the total units ever returned.
 func (s *Semaphore) UnitsReleased() int64 { return s.unitsReleased }
 
-// Peak reports the peak concurrent units held.
-func (s *Semaphore) Peak() int { return s.peakInUse }
-
-// Acquires reports the total successful acquisitions.
-func (s *Semaphore) Acquires() int64 { return s.acquireCount }
-
-// Waiters reports the queued waiter count (diagnostic).
+// Waiters reports the queued waiter count.
 func (s *Semaphore) Waiters() int { return len(s.waiters) }
 
 // Snap captures the semaphore's state for a diagnostic snapshot.

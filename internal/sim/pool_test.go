@@ -69,8 +69,8 @@ func checkPool(t *testing.T, p *Pool, ref *refPool, ctx string) {
 			t.Fatalf("%s: unit %d horizon %d, reference %d", ctx, u, got, ref.until[u])
 		}
 	}
-	if p.Busy() != ref.busy || p.Acquires() != ref.acquires {
-		t.Fatalf("%s: busy %d vs %d, acquires %d vs %d", ctx, p.Busy(), ref.busy, p.Acquires(), ref.acquires)
+	if p.Busy() != ref.busy || p.acquires != ref.acquires {
+		t.Fatalf("%s: busy %d vs %d, acquires %d vs %d", ctx, p.Busy(), ref.busy, p.acquires, ref.acquires)
 	}
 }
 
@@ -98,7 +98,7 @@ func TestPoolAcquireBatchEquivalence(t *testing.T) {
 		ref := newRefPool(units)
 		var now Time
 		for step := 0; step < 600; step++ {
-			lo, hi := p.NextFree(), Time(p.keys[units-1]>>p.shift)
+			lo, hi := Time(p.keys[0]>>p.shift), Time(p.keys[units-1]>>p.shift)
 			switch rng.Intn(5) {
 			case 0: // all idle
 				now = hi + 1 + Time(rng.Intn(20))

@@ -14,7 +14,8 @@ func TestEngineOrdering(t *testing.T) {
 	e.Post(1, rec(1), 0, nil)
 	e.Post(3, rec(3), 0, nil)
 	e.Post(3, rec(4), 0, nil) // same time: scheduling order
-	e.Run()
+	for e.Step() {
+	}
 	want := []int{1, 3, 4, 5}
 	for i := range want {
 		if got[i] != want[i] {
@@ -40,7 +41,8 @@ func TestEngineNestedScheduling(t *testing.T) {
 			}
 		}), 0, nil)
 	}), 0, nil)
-	e.Run()
+	for e.Step() {
+	}
 	if hits != 1 {
 		t.Fatal("nested event did not run")
 	}
@@ -56,24 +58,7 @@ func TestEnginePastPanics(t *testing.T) {
 		}()
 		e.Post(5, Func(func() {}), 0, nil)
 	}), 0, nil)
-	e.Run()
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	ran := map[int]bool{}
-	for _, at := range []Time{1, 2, 10} {
-		at := at
-		e.Post(at, Func(func() { ran[int(at)] = true }), 0, nil)
-	}
-	if !e.RunUntil(5) {
-		t.Fatal("RunUntil drained unexpectedly")
-	}
-	if !ran[1] || !ran[2] || ran[10] {
-		t.Fatalf("ran = %v", ran)
-	}
-	if e.RunUntil(100) {
-		t.Fatal("RunUntil should have drained")
+	for e.Step() {
 	}
 }
 
@@ -103,8 +88,8 @@ func TestPoolParallelUnits(t *testing.T) {
 	if got := p.Utilization(20); got != 40.0/60.0 {
 		t.Fatalf("utilization = %v", got)
 	}
-	if p.NextFree() != 10 {
-		t.Fatalf("NextFree = %d", p.NextFree())
+	if Time(p.keys[0]>>p.shift) != 10 {
+		t.Fatalf("next free = %d", Time(p.keys[0]>>p.shift))
 	}
 }
 
@@ -149,8 +134,8 @@ func TestSemaphoreBasics(t *testing.T) {
 	if s.Available() != 1 {
 		t.Fatalf("available = %d", s.Available())
 	}
-	if s.Peak() != 2 {
-		t.Fatalf("peak = %d", s.Peak())
+	if s.peakInUse != 2 {
+		t.Fatalf("peak = %d", s.peakInUse)
 	}
 }
 
@@ -230,7 +215,8 @@ func TestPostFuncZeroAlloc(t *testing.T) {
 	fired := 0
 	fn := Func(func() { fired++ })
 	e.PostAfter(1, fn, 0, nil) // cold start: allocates the node block
-	e.Run()
+	for e.Step() {
+	}
 	allocs := testing.AllocsPerRun(100, func() {
 		e.PostAfter(1, fn, 0, nil)
 		e.Step()

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"shogun/internal/sim"
+	"shogun/internal/telemetry"
 )
 
 // Noise is a seeded background actor for event-order differentials. It
@@ -76,10 +77,21 @@ func (n *Noise) Act(int, any) {
 // Fired reports how many noise events the engine delivered.
 func (n *Noise) Fired() int64 { return int64(len(n.fired)) }
 
-// Discount subtracts from each engine event count vals[i], sampled at the
-// even cycle cycles[i], the noise events delivered before that cycle.
-func (n *Noise) Discount(cycles, vals []int64) {
-	for i, c := range cycles {
+// Discount subtracts from each sample of ts's engine/events series, taken
+// at an even cycle, the noise events delivered before that cycle.
+func (n *Noise) Discount(ts *telemetry.TimeSeries) {
+	vals := Col(ts, "engine/events")
+	for i, c := range ts.Cycles {
 		vals[i] -= int64(sort.Search(len(n.fired), func(k int) bool { return int64(n.fired[k]) >= c }))
 	}
+}
+
+// Col returns the values of ts's series named name (nil if absent).
+func Col(ts *telemetry.TimeSeries, name string) []int64 {
+	for _, s := range ts.Series {
+		if s.Name == name {
+			return s.Vals
+		}
+	}
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"shogun/internal/sim"
+	"shogun/internal/telemetry"
 )
 
 // runChain runs a 100-event model chain, 50 cycles apart, under noise and
@@ -20,7 +21,8 @@ func runChain(t *testing.T, far bool) *Noise {
 	}
 	e.PostAfter(50, step, 0, nil)
 	n := NewNoise(e, 7, far)
-	e.Run()
+	for e.Step() {
+	}
 	if got := e.Processed - n.Fired(); got != 100 {
 		t.Fatalf("model events = %d, want 100", got)
 	}
@@ -58,7 +60,7 @@ func TestNoiseFollowsModel(t *testing.T) {
 			}
 		}
 	}
-	n.Discount(cycles, vals)
+	n.Discount(&telemetry.TimeSeries{Cycles: cycles, Series: []telemetry.Series{{Name: "engine/events", Vals: vals}}})
 	for i, v := range vals {
 		if v != 0 {
 			t.Fatalf("Discount left %d at cycle %d", v, cycles[i])

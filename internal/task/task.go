@@ -287,20 +287,17 @@ func (w *Workload) resolve(n *Node, ref pattern.SetRef, path []graph.VertexID) (
 	}
 }
 
-// Execute runs the node's set operations: it fills n.Cand/SpawnLimit and
-// returns the timing profile. slot is the storage slot allocated for the
-// output set (-1 if the output is not stored — only legal for leaf-depth
-// nodes). Execute must be called exactly once per node.
-func (w *Workload) Execute(n *Node, slot int) Profile {
-	return w.ExecuteReuse(n, slot, nil)
-}
-
-// ExecuteReuse is Execute with a caller-provided backing array for the
-// profile's Reads list. The PE pipeline passes each in-flight task's
-// scratch buffer so the hot path stays allocation-free; Reads only
-// escapes to a fresh allocation if a plan needs more input fetches than
-// the buffer holds. reads must be empty (length 0) and is otherwise
-// treated as append's backing.
+// ExecuteReuse runs the node's set operations: it fills n.Cand/SpawnLimit
+// and returns the timing profile. slot is the storage slot allocated for
+// the output set (-1 if the output is not stored — only legal for
+// leaf-depth nodes). ExecuteReuse must be called exactly once per node.
+//
+// reads is a caller-provided backing array for the profile's Reads list
+// (nil allocates). The PE pipeline passes each in-flight task's scratch
+// buffer so the hot path stays allocation-free; Reads only escapes to a
+// fresh allocation if a plan needs more input fetches than the buffer
+// holds. reads must be empty (length 0) and is otherwise treated as
+// append's backing.
 func (w *Workload) ExecuteReuse(n *Node, slot int, reads []Read) Profile {
 	if n.Executed {
 		panic("task: node executed twice")

@@ -45,7 +45,7 @@ func TestExecuteCliqueChain(t *testing.T) {
 	g := gen.Clique(8)
 	w := buildWorkload(t, g, pattern.FourClique(), false)
 	root := w.NewNode(0, 7, nil, 1)
-	prof := w.Execute(root, 0)
+	prof := w.ExecuteReuse(root, 0, nil)
 	// C1 = N(7): a CSR read, a write of 7 ids.
 	if len(prof.Reads) != 1 || prof.Reads[0].Class != ReadCSR {
 		t.Fatalf("root reads = %+v", prof.Reads)
@@ -65,7 +65,7 @@ func TestExecuteCliqueChain(t *testing.T) {
 		t.Fatalf("first child = %d (pruned %d, ok %v)", v, pruned, ok)
 	}
 	c1 := w.NewNode(1, v, root, 1)
-	prof1 := w.Execute(c1, 1)
+	prof1 := w.ExecuteReuse(c1, 1, nil)
 	// C2 = C1 ∩ N(v1): one intermediate read + one CSR read.
 	var inter, csr int
 	for _, r := range prof1.Reads {
@@ -100,16 +100,16 @@ func TestExecuteAliasPlan(t *testing.T) {
 		t.Fatal("internal depths need tokens")
 	}
 	root := w.NewNode(0, 7, nil, 1)
-	w.Execute(root, 0)
+	w.ExecuteReuse(root, 0, nil)
 	v, _, _ := w.NextChild(root)
 	c1 := w.NewNode(1, v, root, 1)
-	w.Execute(c1, 1)
+	w.ExecuteReuse(c1, 1, nil)
 	v2, _, ok := w.NextChild(c1)
 	if !ok {
 		t.Fatal("no depth-2 candidate in a clique")
 	}
 	c2 := w.NewNode(2, v2, c1, 1)
-	prof := w.Execute(c2, -1)
+	prof := w.ExecuteReuse(c2, -1, nil)
 	if !c2.SharedCand {
 		t.Fatal("alias task not marked shared")
 	}
@@ -128,13 +128,13 @@ func TestExecuteTwicePanics(t *testing.T) {
 	g := gen.Clique(4)
 	w := buildWorkload(t, g, pattern.Triangle(), false)
 	n := w.NewNode(0, 0, nil, 1)
-	w.Execute(n, 0)
+	w.ExecuteReuse(n, 0, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("double execute did not panic")
 		}
 	}()
-	w.Execute(n, 1)
+	w.ExecuteReuse(n, 1, nil)
 }
 
 func TestCountLeafMatchesAgainstEnumeration(t *testing.T) {
@@ -146,7 +146,7 @@ func TestCountLeafMatchesAgainstEnumeration(t *testing.T) {
 			// O(log) counting against explicit enumeration.
 			for root := graph.VertexID(0); root < 40; root++ {
 				r := w.NewNode(0, root, nil, 1)
-				w.Execute(r, 0)
+				w.ExecuteReuse(r, 0, nil)
 				for {
 					v, _, ok := w.NextChild(r)
 					if !ok {
@@ -154,7 +154,7 @@ func TestCountLeafMatchesAgainstEnumeration(t *testing.T) {
 					}
 					c := w.NewNode(1, v, r, 1)
 					if w.LeafDepth()-1 == 1 {
-						w.Execute(c, -1)
+						w.ExecuteReuse(c, -1, nil)
 						// Enumerate first.
 						var want int64
 						lim := c.SpawnLimit
@@ -185,7 +185,7 @@ func TestSplitRangeLimitsChildren(t *testing.T) {
 	g := gen.Clique(10)
 	w := buildWorkload(t, g, pattern.Triangle(), false)
 	n := w.NewNode(0, 9, nil, 1)
-	w.Execute(n, 0)
+	w.ExecuteReuse(n, 0, nil)
 	if n.SpawnLimit != 9 {
 		t.Fatalf("spawn limit = %d", n.SpawnLimit)
 	}
@@ -211,7 +211,7 @@ func TestNodeFreelistReuse(t *testing.T) {
 	g := gen.Clique(4)
 	w := buildWorkload(t, g, pattern.Triangle(), false)
 	n := w.NewNode(0, 1, nil, 1)
-	w.Execute(n, 0)
+	w.ExecuteReuse(n, 0, nil)
 	n.NextCand = n.SpawnLimit
 	w.Release(n)
 	n2 := w.NewNode(1, 2, nil, 2)
@@ -250,7 +250,7 @@ func walkCompare(t *testing.T, name string, w, ref *Workload, n, rn *Node) (bits
 	if n.Depth == w.LeafDepth() {
 		slot = -1
 	}
-	got, want := w.Execute(n, slot), ref.Execute(rn, slot)
+	got, want := w.ExecuteReuse(n, slot, nil), ref.ExecuteReuse(rn, slot, nil)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s depth %d vertex %d: profile %+v, list kernels %+v", name, n.Depth, n.Vertex, got, want)
 	}
@@ -309,7 +309,7 @@ func bitOperands(w *Workload, n *Node) int {
 // neighborhoods) and on a graph without a hub index.
 func TestExecuteReuseHubKernelsIdentical(t *testing.T) {
 	skewed := gen.RMAT(2048, 24000, 0.6, 0.15, 0.15, 11)
-	if skewed.HubIndex().NumHubs() == 0 {
+	if skewed.HubIndex() == nil {
 		t.Fatal("skewed graph has no hubs")
 	}
 	flat := gen.Clique(12)
@@ -373,7 +373,7 @@ func TestPooledBuffersHoldLargestSet(t *testing.T) {
 		w := buildWorkload(t, g, p, true)
 		var walk func(n *Node)
 		walk = func(n *Node) {
-			w.Execute(n, 0)
+			w.ExecuteReuse(n, 0, nil)
 			if n.Depth == 0 {
 				adopted := w.NewNode(0, n.Vertex, nil, 2)
 				adopted.Executed, adopted.Cand = true, w.CopyCand(n.Cand)

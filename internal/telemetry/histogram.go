@@ -279,26 +279,6 @@ func (h *Histogram) Equal(o *Histogram) bool {
 	return true
 }
 
-// Bucket is one non-empty histogram bucket.
-type Bucket struct {
-	Lo    int64 `json:"lo"` // smallest value mapping into the bucket
-	Count int64 `json:"count"`
-}
-
-// Buckets returns the non-empty buckets in ascending value order.
-func (h *Histogram) Buckets() []Bucket {
-	if h == nil {
-		return nil
-	}
-	var out []Bucket
-	for i := 0; i < numBuckets; i++ {
-		if c := h.load(i); c != 0 {
-			out = append(out, Bucket{Lo: bucketLo(i), Count: c})
-		}
-	}
-	return out
-}
-
 // CumBucket is one step of a histogram's cumulative distribution.
 type CumBucket struct {
 	// Upper is the bucket's exclusive upper edge. Observations are

@@ -102,10 +102,8 @@ func TestMergeSaturatingValues(t *testing.T) {
 		t.Fatalf("Max after merge = %d, want MaxInt64", h.Max())
 	}
 	// The top bucket must be addressable and hold both giant values.
-	bks := h.Buckets()
-	top := bks[len(bks)-1]
-	if top.Count != 2 {
-		t.Fatalf("top bucket holds %d, want 2", top.Count)
+	if top := h.load(numBuckets - 1); top != 2 {
+		t.Fatalf("top bucket holds %d, want 2", top)
 	}
 	// Negative observations clamp to zero rather than corrupting a bucket.
 	h.Observe(-5)

@@ -187,7 +187,7 @@ func TestHistogramNilSafe(t *testing.T) {
 	h.Observe(42) // must not panic
 	h.Merge(NewHistogram())
 	NewHistogram().Merge(h)
-	if h.Count() != 0 || h.Quantile(0.5) != 0 || len(h.Buckets()) != 0 {
+	if h.Count() != 0 || h.Quantile(0.5) != 0 || len(h.Cumulative()) != 0 {
 		t.Fatal("nil histogram not empty")
 	}
 	if !h.Equal(NewHistogram()) {
@@ -225,7 +225,7 @@ func TestConcurrentReadDuringWrites(t *testing.T) {
 					return
 				default:
 					_ = h.Quantile(0.9)
-					_ = h.Buckets()
+					_ = h.Cumulative()
 					_ = h.Summary()
 				}
 			}

@@ -197,24 +197,6 @@ type TimeSeries struct {
 	Series   []Series `json:"series"`
 }
 
-// Col returns the values of a named series (nil if absent).
-func (ts *TimeSeries) Col(name string) []int64 {
-	for _, s := range ts.Series {
-		if s.Name == name {
-			return s.Vals
-		}
-	}
-	return nil
-}
-
-// EndCycle reports the last sampled timestamp (0 when empty).
-func (ts *TimeSeries) EndCycle() int64 {
-	if len(ts.Cycles) == 0 {
-		return 0
-	}
-	return ts.Cycles[len(ts.Cycles)-1]
-}
-
 // WriteCSV emits the series as a table: one row per epoch, first column
 // the cycle timestamp, then one column per gauge.
 func (ts *TimeSeries) WriteCSV(w io.Writer) error {

@@ -6,6 +6,16 @@ import (
 	"testing"
 )
 
+// col returns the values of the series named name (nil if absent).
+func col(ts *TimeSeries, name string) []int64 {
+	for _, s := range ts.Series {
+		if s.Name == name {
+			return s.Vals
+		}
+	}
+	return nil
+}
+
 func TestNewSamplerValidates(t *testing.T) {
 	if _, err := NewSampler(0, 16); err == nil {
 		t.Fatal("interval 0 accepted")
@@ -39,7 +49,7 @@ func TestSamplerGaugeSumsSameName(t *testing.T) {
 	if len(ts.Series) != 2 || ts.Series[0].Name != "dram/queue" || ts.Series[1].Name != "pe0/resident" {
 		t.Fatalf("columns = %+v, want dram/queue then pe0/resident", ts.Series)
 	}
-	if got := ts.Col("dram/queue"); len(got) != 2 || got[0] != 102 || got[1] != 202 {
+	if got := col(ts, "dram/queue"); len(got) != 2 || got[0] != 102 || got[1] != 202 {
 		t.Fatalf("dram/queue = %v, want [102 202]", got)
 	}
 	if v, ok := s.Last("dram/queue"); !ok || v != 202 {
@@ -60,17 +70,14 @@ func TestSamplerColumns(t *testing.T) {
 	if cycle, n := s.End(); len(ts.Cycles) != 5 || n != 5 || cycle != 500 {
 		t.Fatalf("epochs = %d, End() = (%d, %d)", len(ts.Cycles), cycle, n)
 	}
-	if got := ts.Col("a"); got[4] != 4 {
+	if got := col(ts, "a"); got[4] != 4 {
 		t.Fatalf("a = %v", got)
 	}
-	if got := ts.Col("b"); got[2] != 20+300 {
+	if got := col(ts, "b"); got[2] != 20+300 {
 		t.Fatalf("b = %v", got)
 	}
-	if ts.Col("missing") != nil {
-		t.Fatal("missing column not nil")
-	}
-	if ts.EndCycle() != 500 {
-		t.Fatalf("end cycle = %d", ts.EndCycle())
+	if ts.Cycles[len(ts.Cycles)-1] != 500 {
+		t.Fatalf("end cycle = %d", ts.Cycles[len(ts.Cycles)-1])
 	}
 	if v, ok := s.Last("a"); !ok || v != 4 {
 		t.Fatalf("Last(a) = %d,%v", v, ok)
@@ -107,8 +114,8 @@ func TestSamplerDecimation(t *testing.T) {
 	}
 	// Coverage spans the whole run (within one epoch of the final tick),
 	// not just its warm-up.
-	if gap := tick - ts.EndCycle(); gap < 0 || gap >= ts.Interval {
-		t.Fatalf("last sample %d too far from last tick %d (interval %d)", ts.EndCycle(), tick, ts.Interval)
+	if gap := tick - ts.Cycles[len(ts.Cycles)-1]; gap < 0 || gap >= ts.Interval {
+		t.Fatalf("last sample %d too far from last tick %d (interval %d)", ts.Cycles[len(ts.Cycles)-1], tick, ts.Interval)
 	}
 }
 
@@ -136,8 +143,8 @@ func TestSamplerStorageFollowsRun(t *testing.T) {
 		}
 		ts := s.Snapshot()
 		for j, cyc := range ts.Cycles {
-			if ts.Col("x")[j] != cyc || ts.Col("y")[j] != -cyc {
-				t.Fatalf("epoch %d: row %d holds x=%d y=%d for cycle %d", i, j, ts.Col("x")[j], ts.Col("y")[j], cyc)
+			if col(ts, "x")[j] != cyc || col(ts, "y")[j] != -cyc {
+				t.Fatalf("epoch %d: row %d holds x=%d y=%d for cycle %d", i, j, col(ts, "x")[j], col(ts, "y")[j], cyc)
 			}
 		}
 	}
