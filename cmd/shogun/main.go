@@ -45,9 +45,9 @@ type options struct {
 	set                                                    map[string]bool // the flags the command line gave
 }
 
-// bindFlags registers the command's flags on fs and returns the options
-// they parse into.
-func bindFlags(fs *flag.FlagSet) *options {
+// parseFlags registers the command's flags on fs, parses args into the
+// options and notes which flags the command line set.
+func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	o := &options{}
 	fs.StringVar(&o.dataset, "dataset", "", "dataset analogue: wi|as|yo|pa|lj|or")
 	fs.StringVar(&o.graphArg, "graph", "", "edge-list file (alternative to -dataset)")
@@ -78,13 +78,6 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.Int64Var(&o.sampleEvery, "sample-every", 0, "sample telemetry gauges every N cycles (0 = off)")
 	fs.StringVar(&o.timeseriesOut, "timeseries-out", "", "write the sampled telemetry series to file (.json = JSON, else CSV; needs -sample-every)")
 	fs.StringVar(&o.httpAddr, "http", "", "serve live inspection endpoints (JSON snapshot, expvar, pprof) on host:port (\":0\" picks a port)")
-	return o
-}
-
-// parseFlags binds the command's flags on fs, parses args and notes
-// which flags they set.
-func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
-	o := bindFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -137,8 +130,7 @@ func (o options) validate() error {
 // machineConfig builds the machine's config: -chips copies of one chip
 // (the -config file or the scheme's Table 3 defaults, overridden by the
 // shape, budget and sampling flags), its root space split by -partition.
-// Over a -config file a shape flag applies only when the command line
-// gave it; over the defaults every shape flag applies, given or not.
+// A shape flag overrides the file or the defaults only when given.
 func (o options) machineConfig() (cluster.Config, error) {
 	chip := accel.DefaultConfig(accel.Scheme(o.scheme))
 	if o.cfgPath != "" {
@@ -147,11 +139,10 @@ func (o options) machineConfig() (cluster.Config, error) {
 			return cluster.Config{}, err
 		}
 	}
-	given := func(name string) bool { return o.cfgPath == "" || o.set[name] }
-	if given("pes") {
+	if o.set["pes"] {
 		chip.NumPEs = o.pes
 	}
-	if given("width") {
+	if o.set["width"] {
 		chip.PE.Width = o.width
 		chip.TokensPerDepth = o.width
 		chip.Tree.EntriesPerBunch = o.width
@@ -159,19 +150,19 @@ func (o options) machineConfig() (cluster.Config, error) {
 	if o.tokens > 0 {
 		chip.TokensPerDepth = o.tokens
 	}
-	if given("bunches") {
+	if o.set["bunches"] {
 		chip.Tree.BunchesPerDepth = o.bunches
 	}
-	if given("l1") {
+	if o.set["l1"] {
 		chip.PE.L1.SizeKB = o.l1KB
 	}
 	if o.l2KB > 0 {
 		chip.L2.SizeKB = o.l2KB
 	}
-	if given("split") {
+	if o.set["split"] {
 		chip.EnableSplitting = o.split
 	}
-	if given("merge") {
+	if o.set["merge"] {
 		chip.EnableMerging = o.merge
 	}
 	if o.deadline > 0 {

@@ -21,10 +21,9 @@ const MinHubDegree = 64
 // hub's long adjacency list (the G²Miner hybrid-kernel technique). The
 // index is immutable once built and safe for concurrent readers.
 type HubIndex struct {
-	words int     // uint64 words per bitset = ceil(n/64)
-	slot  []int32 // per-vertex bitset slot, -1 if not a hub
-	hubs  []VertexID
-	bits  []uint64 // len(hubs)*words, slot i at [i*words, (i+1)*words)
+	words int      // uint64 words per bitset = ceil(n/64)
+	slot  []int32  // per-vertex bitset slot, -1 if not a hub
+	bits  []uint64 // one bitset per hub, slot i at [i*words, (i+1)*words)
 }
 
 // HubIndex returns the graph's shared hub index, building it on first use
@@ -61,7 +60,7 @@ func buildHubIndex(g *Graph, budgetBytes int64) *HubIndex {
 		return nil
 	}
 	words := (n + 63) / 64
-	perHub := int64(words)*8 + 4 // bitset words + hubs entry
+	perHub := int64(words)*8 + 4 // bitset words + the hub's id in the build's list
 	fixed := int64(n) * 4        // slot table
 	if fixed+perHub > budgetBytes {
 		return nil
@@ -88,7 +87,6 @@ func buildHubIndex(g *Graph, budgetBytes int64) *HubIndex {
 	h := &HubIndex{
 		words: words,
 		slot:  make([]int32, n),
-		hubs:  cands,
 		bits:  make([]uint64, len(cands)*words),
 	}
 	for i := range h.slot {

@@ -23,16 +23,19 @@ func hubTestGraph(t *testing.T, n, hubs int) *Graph {
 	return g
 }
 
+// numHubs reports how many vertices h indexes.
+func (h *HubIndex) numHubs() int { return len(h.bits) / h.words }
+
 func TestHubIndexBitsMatchNeighbors(t *testing.T) {
 	g := hubTestGraph(t, 300, 3)
 	h := g.HubIndex()
 	if h == nil {
 		t.Fatal("no hub index for a graph with degree-297 vertices")
 	}
-	if len(h.hubs) == 0 {
+	if h.numHubs() == 0 {
 		t.Fatal("hub index indexed no vertices")
 	}
-	for _, v := range h.hubs {
+	for v := VertexID(0); v < 3; v++ {
 		bits := h.Bits(v)
 		if bits == nil {
 			t.Fatalf("hub %d has nil bits", v)
@@ -58,8 +61,8 @@ func TestHubIndexSelectsByDegree(t *testing.T) {
 	}
 	// The four star centers (degree 396) must rank before the leaves
 	// (degree 4 < MinHubDegree, so leaves are excluded entirely).
-	if len(h.hubs) != 4 {
-		t.Fatalf("%d hubs, want 4 (leaves are below MinHubDegree)", len(h.hubs))
+	if h.numHubs() != 4 {
+		t.Fatalf("%d hubs, want 4 (leaves are below MinHubDegree)", h.numHubs())
 	}
 	for v := VertexID(0); v < 4; v++ {
 		if h.Bits(v) == nil {
@@ -80,16 +83,16 @@ func TestHubIndexBudget(t *testing.T) {
 	if h == nil {
 		t.Fatal("nil index under 2-hub budget")
 	}
-	if len(h.hubs) != 2 {
-		t.Fatalf("%d hubs, want 2 under budget", len(h.hubs))
+	if h.numHubs() != 2 {
+		t.Fatalf("%d hubs, want 2 under budget", h.numHubs())
 	}
-	if used := int64(len(h.bits))*8 + int64(len(h.slot))*4 + int64(len(h.hubs))*4; used > budget {
+	if used := int64(len(h.bits))*8 + int64(len(h.slot))*4 + int64(h.numHubs())*4; used > budget {
 		t.Fatalf("index footprint %d exceeds budget %d", used, budget)
 	}
 	// A budget too small for even one bitset yields no index.
 	g2 := hubTestGraph(t, 512, 6)
 	if h2 := g2.HubIndexWithBudget(64); h2 != nil {
-		t.Fatalf("tiny budget produced an index with %d hubs", len(h2.hubs))
+		t.Fatalf("tiny budget produced an index with %d hubs", h2.numHubs())
 	}
 }
 
@@ -119,7 +122,7 @@ func TestHubIndexLazySharedAndConcurrent(t *testing.T) {
 func TestHubIndexSmallGraphNil(t *testing.T) {
 	g := MustNew(5, []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 4}})
 	if h := g.HubIndex(); h != nil {
-		t.Fatalf("tiny graph got a hub index with %d hubs", len(h.hubs))
+		t.Fatalf("tiny graph got a hub index with %d hubs", h.numHubs())
 	}
 	// The nil index has no bits.
 	var h *HubIndex

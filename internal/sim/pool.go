@@ -32,9 +32,8 @@ type Pool struct {
 	val  []int64
 	mark []uint64
 
-	busy     Time
-	acquires int64
-	perturb  Perturber
+	busy    Time
+	perturb Perturber
 }
 
 // NewPool creates a pool of n units.
@@ -92,7 +91,6 @@ func (p *Pool) Acquire(now Time, dur Time) Time {
 	start := max(Time(k>>p.shift), now)
 	p.raise(0, int64(start+dur)<<p.shift|k&p.mask)
 	p.busy += dur
-	p.acquires++
 	return start
 }
 
@@ -129,7 +127,6 @@ func (p *Pool) AcquireBatch(now Time, dur Time, k int) Time {
 		return start + dur
 	}
 	p.busy += Time(k) * dur
-	p.acquires += int64(k)
 	h := p.keys
 	n := len(h)
 	nowKey := int64(now) << p.shift
@@ -291,7 +288,6 @@ func (p *Pool) AcquireDynamic(now Time) (unit int, start Time) {
 	k := p.keys[0]
 	start = max(Time(k>>p.shift), now)
 	p.raise(0, int64(start)<<p.shift|k&p.mask)
-	p.acquires++
 	return int(k & p.mask), start
 }
 
@@ -348,7 +344,6 @@ type Semaphore struct {
 	// occupancy integral for average-utilization reporting
 	lastChange  Time
 	levelCycles Time
-	peakInUse   int
 	// units conservation (acquired - released must equal inUse)
 	unitsAcquired int64
 	unitsReleased int64
@@ -376,9 +371,6 @@ func (s *Semaphore) TryAcquire(now Time, n int) bool {
 	s.account(now)
 	s.inUse += n
 	s.unitsAcquired += int64(n)
-	if s.inUse > s.peakInUse {
-		s.peakInUse = s.inUse
-	}
 	return true
 }
 
