@@ -8,6 +8,7 @@ import (
 	"shogun/internal/gen"
 	"shogun/internal/graph"
 	"shogun/internal/mine"
+	"shogun/internal/pattern"
 )
 
 // conformanceVariant is one scheduling configuration of the matrix.
@@ -33,6 +34,25 @@ func conformanceVariants() []conformanceVariant {
 	}
 }
 
+// table2Lines is the simulator's Table 2 numerator (intermediate input
+// lines) predicted from the golden miner's per-depth counts. The two
+// agree at every position but one kind: a task whose child plan is an
+// alias (the candidate set IS an ancestor's stored set, e.g. tt_e's
+// tail) reads nothing in the simulator — it references the owner's slot
+// in place — while the miner re-stores the set and counts its lines.
+// An alias plan has no steps, so the miner's count at that position is
+// exactly those re-store reads, and dropping it gives the simulator's.
+func table2Lines(s *pattern.Schedule, r *mine.Result) int64 {
+	var lines int64
+	for d := 1; d < s.Depth(); d++ {
+		if p := &s.Plans[d]; p.Base.Kind == pattern.RefStored && len(p.Steps) == 0 {
+			continue
+		}
+		lines += r.IntermediateLinesPerDepth[d-1]
+	}
+	return lines
+}
+
 // TestConformanceMatrix is the cross-scheme conformance suite: every
 // scheduling scheme (and every Shogun optimization combination) must
 // produce bit-identical embedding counts to the software golden miner on
@@ -50,18 +70,19 @@ func TestConformanceMatrix(t *testing.T) {
 	}
 	workloads := datasets.Workloads()
 
-	// Golden counts: one software-miner run per (graph, pattern) cell,
+	// Golden results: one software-miner run per (graph, pattern) cell,
 	// shared across the scheme variants.
-	golden := map[string]int64{}
+	golden := map[string]*mine.Result{}
 	for _, gr := range graphs {
 		for _, wl := range workloads {
-			golden[gr.name+"/"+wl.Name] = mine.Count(gr.g, wl.Schedule)
+			golden[gr.name+"/"+wl.Name] = mine.NewMiner(gr.g, wl.Schedule).Run()
 		}
 	}
 
 	for _, gr := range graphs {
 		for _, wl := range workloads {
-			want := golden[gr.name+"/"+wl.Name]
+			gold := golden[gr.name+"/"+wl.Name]
+			wantLines := table2Lines(wl.Schedule, gold)
 			for _, v := range conformanceVariants() {
 				name := fmt.Sprintf("%s/%s/%s", gr.name, wl.Name, v.name)
 				t.Run(name, func(t *testing.T) {
@@ -78,8 +99,18 @@ func TestConformanceMatrix(t *testing.T) {
 					if err != nil {
 						t.Fatalf("run: %v", err)
 					}
-					if res.Embeddings != want {
-						t.Errorf("embeddings = %d, golden miner = %d", res.Embeddings, want)
+					if res.Embeddings != gold.Embeddings {
+						t.Errorf("embeddings = %d, golden miner = %d", res.Embeddings, gold.Embeddings)
+					}
+					if got := res.Tasks + res.LeafTasks; got != gold.Tasks() {
+						t.Errorf("tasks+leaf tasks = %d, golden miner tasks = %d", got, gold.Tasks())
+					}
+					var lines int64
+					for _, p := range a.PEs() {
+						lines += p.IntermediateIn
+					}
+					if lines != wantLines {
+						t.Errorf("intermediate lines = %d, golden miner (alias reads dropped) = %d", lines, wantLines)
 					}
 					if res.Cycles <= 0 || res.Tasks <= 0 {
 						t.Errorf("degenerate run: cycles=%d tasks=%d", res.Cycles, res.Tasks)
