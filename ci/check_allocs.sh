@@ -14,8 +14,10 @@
 # telemetry bundle: five histograms whose power-of-two ranges are
 # allocated on first touch, folded once at run end, and the Result's
 # digest summaries. Building them on every run took it from ~425.8 KB/op
-# to ~431.4 KB/op; this guard keeps the unsampled run's telemetry at the
-# size of its touched ranges.
+# to ~431.4 KB/op, and leaf parents that count their last candidate set
+# instead of storing it in a pooled buffer to ~411.6 KB/op; this guard
+# keeps the unsampled run's telemetry at the size of its touched ranges
+# and leaf parents from storing sets again.
 #
 # BenchmarkSimulateSamplerOn B/op must stay at or below the ceiling in
 # ci/sampler_bytes_ceiling.txt. One latency histogram per name per chip
@@ -24,16 +26,18 @@
 # 32-bit word per cache way (not 17 bytes a line) to ~711 KB/op, and
 # histograms that allocate a power-of-two range's buckets on first touch
 # (not a dense 15 KB array each) to ~633 KB/op, and allocation-free
-# splits and deferred spawns to ~608 KB/op; this guard keeps telemetry
-# and cache storage from creeping back.
+# splits and deferred spawns to ~608 KB/op, and counted leaf parents to
+# ~589 KB/op; this guard keeps telemetry and cache storage from creeping
+# back.
 #
 # BenchmarkClusterSimulate/chips=16 B/op must stay at or below the
 # ceiling in ci/cluster_bytes_ceiling.txt. Sixteen chips build 16 L2s
 # and 32 L1s for a short run, so cache state is most of what the run
 # allocates: one 32-bit word per way took it from ~5,689 KB/op to
 # ~2,052 KB/op, and one candidate-buffer pool for the machine with
-# allocation-free splits, migrations and deferred spawns to ~1,916 KB/op;
-# this guard keeps per-chip state from growing back.
+# allocation-free splits, migrations and deferred spawns to ~1,916 KB/op,
+# and counted leaf parents to ~1,830 KB/op; this guard keeps per-chip
+# state from growing back.
 #
 # BenchmarkClusterSimulateSampled/chips=16 B/op must stay at or below
 # the ceiling in ci/cluster_sampled_bytes_ceiling.txt. It is the same
@@ -41,8 +45,9 @@
 # own sampler and five 15 KB histograms, it allocated ~3,525 KB/op. One
 # telemetry bundle for the machine (one sampler, one tick, five
 # histograms) took it to ~2,236 KB/op, and the allocation-free split,
-# migration and deferred-spawn paths to ~2,038 KB/op; this guard keeps
-# telemetry from going back to one copy per chip.
+# migration and deferred-spawn paths to ~2,038 KB/op, and counted leaf
+# parents to ~1,946 KB/op; this guard keeps telemetry from going back to
+# one copy per chip.
 #
 # BenchmarkCountLJTriangleServe (one served lj x tc count) allocs/op
 # and B/op must stay at or below ci/count_serve_allocs_ceiling.txt and

@@ -129,8 +129,9 @@ func (o options) validate() error {
 
 // machineConfig builds the machine's config: -chips copies of one chip
 // (the -config file or the scheme's Table 3 defaults, overridden by the
-// shape, budget and sampling flags), its root space split by -partition.
-// A shape flag overrides the file or the defaults only when given.
+// scheme, shape, budget and sampling flags), its root space split by
+// -partition. The scheme and shape flags override the file or the
+// defaults only when given.
 func (o options) machineConfig() (cluster.Config, error) {
 	chip := accel.DefaultConfig(accel.Scheme(o.scheme))
 	if o.cfgPath != "" {
@@ -138,6 +139,9 @@ func (o options) machineConfig() (cluster.Config, error) {
 		if chip, err = accel.LoadConfig(o.cfgPath); err != nil {
 			return cluster.Config{}, err
 		}
+	}
+	if o.set["scheme"] {
+		chip.Scheme = accel.Scheme(o.scheme)
 	}
 	if o.set["pes"] {
 		chip.NumPEs = o.pes

@@ -93,6 +93,52 @@ func TestRunDumpConfig(t *testing.T) {
 	}
 }
 
+// dumpConfig runs the CLI with the given arguments and -dumpconfig and
+// loads the config it prints.
+func dumpConfig(t *testing.T, args ...string) accel.Config {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "dump.json")
+	dump, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := os.Stdout
+	os.Stdout = dump
+	err = run(context.Background(), parseArgs(t, append(args, "-dumpconfig")...))
+	os.Stdout = old
+	dump.Close()
+	if err != nil {
+		t.Fatalf("dumpconfig: %v", err)
+	}
+	cfg, err := accel.LoadConfig(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
+// TestSchemeFlagOverridesConfigFile pins that -scheme, when given,
+// replaces a -config file's scheme, and that the file's scheme stands
+// otherwise, as -dumpconfig prints them.
+func TestSchemeFlagOverridesConfigFile(t *testing.T) {
+	dir := t.TempDir()
+	graphPath := writeTestGraph(t, dir)
+	raw, err := json.Marshal(accel.DefaultConfig(accel.SchemeDFS))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgPath := filepath.Join(dir, "dfs.json")
+	if err := os.WriteFile(cfgPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if c := dumpConfig(t, "-graph", graphPath, "-config", cfgPath); c.Scheme != accel.SchemeDFS {
+		t.Errorf("no -scheme: scheme %q, want the file's %q", c.Scheme, accel.SchemeDFS)
+	}
+	if c := dumpConfig(t, "-graph", graphPath, "-config", cfgPath, "-scheme", "bfs"); c.Scheme != accel.SchemeBFS {
+		t.Errorf("-scheme bfs: scheme %q, want %q", c.Scheme, accel.SchemeBFS)
+	}
+}
+
 // TestConfigFileKeepsEdits pins that the shape flags' defaults leave a
 // -config file alone: a -dumpconfig file edited to 3 PEs, splitting on
 // and a 64 KB L1 loads back as edited, and a flag the command line gives
@@ -100,23 +146,7 @@ func TestRunDumpConfig(t *testing.T) {
 func TestConfigFileKeepsEdits(t *testing.T) {
 	dir := t.TempDir()
 	graphPath := writeTestGraph(t, dir)
-	dumpPath := filepath.Join(dir, "dump.json")
-	dump, err := os.Create(dumpPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := os.Stdout
-	os.Stdout = dump
-	err = run(context.Background(), parseArgs(t, "-graph", graphPath, "-dumpconfig"))
-	os.Stdout = old
-	dump.Close()
-	if err != nil {
-		t.Fatalf("dumpconfig: %v", err)
-	}
-	cfg, err := accel.LoadConfig(dumpPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := dumpConfig(t, "-graph", graphPath)
 	cfg.NumPEs, cfg.EnableSplitting, cfg.PE.L1.SizeKB = 3, true, 64
 	raw, err := json.Marshal(cfg)
 	if err != nil {

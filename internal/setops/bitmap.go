@@ -78,3 +78,16 @@ func SubtractBitmap(dst, list []VertexID, bits []uint64) []VertexID {
 	}
 	return dst[:n]
 }
+
+// countBitmap reports how many elements of list have their bit in bits
+// set, or clear when flip is all ones, and how many of those are below
+// limit: the count-only form of IntersectBitmap (flip 0) and
+// SubtractBitmap (flip ^0), branch-free like them.
+func countBitmap(list []VertexID, bits []uint64, flip uint64, limit VertexID) (n, under int) {
+	for _, x := range list {
+		hit := int((bits[uint32(x)>>6] ^ flip) >> (uint32(x) & 63) & 1)
+		n += hit
+		under += hit & below(x, limit)
+	}
+	return n, under
+}

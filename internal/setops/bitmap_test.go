@@ -1,6 +1,7 @@
 package setops
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -169,4 +170,63 @@ func TestDispatcherPicksBitmapForHubOperand(t *testing.T) {
 	if _, _, ok := bitmapPlan(&a, &b); ok {
 		t.Fatal("list-only operands: bitmapPlan chose a bitmap kernel")
 	}
+}
+
+// FuzzCountKernels checks the dispatcher's count-only kernels against
+// materializing the result and reading it the way a counting leaf
+// parent used to: |result|, |Bound(result, limit)|, and Contains for a
+// probe vertex inside the bound. Every bitset combination is covered, so
+// the bitmap, merge and gallop count walks all meet the reference, and
+// so is NoLimit (the limit byte's top bit selects it).
+func FuzzCountKernels(f *testing.F) {
+	f.Add([]byte{1, 2, 3}, []byte{2, 2, 4}, uint16(50), uint16(3))
+	f.Add([]byte{}, []byte{1}, uint16(0), uint16(0))
+	f.Add([]byte{5, 5, 5, 5}, []byte{}, uint16(1<<15|7), uint16(5))
+	// A one-element side against 40 elements takes the gallop walk.
+	f.Add([]byte{30}, bytes.Repeat([]byte{1}, 40), uint16(1<<15), uint16(29))
+	f.Fuzz(func(t *testing.T, da, db []byte, rawLimit, rawProbe uint16) {
+		const universe = 4096
+		a := fuzzSet(da, universe)
+		b := fuzzSet(db, universe)
+		limit := VertexID(rawLimit&(1<<15-1)) % (universe + 1)
+		if rawLimit&(1<<15) != 0 {
+			limit = NoLimit
+		}
+		probe := VertexID(rawProbe) % universe
+		abits, bbits := buildBits(a, universe), buildBits(b, universe)
+		combos := []struct {
+			name string
+			a, b Operand
+		}{
+			{"lists", Operand{List: a}, Operand{List: b}},
+			{"bbits", Operand{List: a}, Operand{List: b, Bits: bbits}},
+			{"abits", Operand{List: a, Bits: abits}, Operand{List: b}},
+			{"both", Operand{List: a, Bits: abits}, Operand{List: b, Bits: bbits}},
+		}
+		for _, c := range combos {
+			var d Dispatcher
+			for _, op := range []struct {
+				name  string
+				sub   bool
+				want  []VertexID
+				count func(a, b Operand, limit VertexID) (int, int)
+			}{
+				{"IntersectCount", false, Intersect(nil, a, b), d.IntersectCount},
+				{"SubtractCount", true, Subtract(nil, a, b), d.SubtractCount},
+			} {
+				n, under := op.count(c.a, c.b, limit)
+				bounded := Bound(op.want, limit)
+				if n != len(op.want) || under != len(bounded) {
+					t.Fatalf("%s[%s] limit %d = (%d, %d), want (%d, %d)", op.name, c.name, limit, n, under, len(op.want), len(bounded))
+				}
+				// The membership test a leaf parent settles its
+				// distinct ancestors with: in a, and in b or not as
+				// the operation requires.
+				inA, inB := Contains(a, probe), Contains(b, probe)
+				if got, want := inA && inB != op.sub, Contains(op.want, probe); got != want {
+					t.Fatalf("%s[%s]: membership of %d = %v, want %v", op.name, c.name, probe, got, want)
+				}
+			}
+		}
+	})
 }

@@ -118,3 +118,28 @@ func (d *Dispatcher) Subtract(dst []VertexID, a, b Operand) []VertexID {
 	}
 	return Subtract(dst, a.List, b.List)
 }
+
+// IntersectCount reports |a ∩ b| and how many of its elements are below
+// limit (NoLimit for none), through the kernel Intersect would pick, in
+// one sorted pass and without materializing the result.
+func (d *Dispatcher) IntersectCount(a, b Operand, limit VertexID) (n, under int) {
+	if len(a.List) == 0 || len(b.List) == 0 {
+		return 0, 0
+	}
+	if probe, bs, ok := bitmapPlan(&a, &b); ok {
+		return countBitmap(probe, bs.bitset(), 0, limit)
+	}
+	return intersectCount(a.List, b.List, limit)
+}
+
+// SubtractCount is IntersectCount for a \ b, through the kernel
+// Subtract would pick.
+func (d *Dispatcher) SubtractCount(a, b Operand, limit VertexID) (n, under int) {
+	if len(b.List) == 0 {
+		return len(a.List), lowerBound(a.List, limit)
+	}
+	if len(a.List) > 0 && b.hasBits() {
+		return countBitmap(a.List, b.bitset(), ^uint64(0), limit)
+	}
+	return subtractCount(a.List, b.List, limit)
+}

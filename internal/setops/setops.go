@@ -73,6 +73,36 @@ func gallopIntersect(dst, small, big []VertexID) []VertexID {
 	return dst
 }
 
+// gallopIntersectCount is gallopIntersect counting |small ∩ big| and
+// how many of its elements are below limit instead of appending them.
+func gallopIntersectCount(small, big []VertexID, limit VertexID) (n, under int) {
+	lo := 0
+	for _, x := range small {
+		step := 1
+		hi := lo
+		for hi < len(big) && big[hi] < x {
+			lo = hi + 1
+			hi += step
+			step <<= 1
+		}
+		if hi > len(big) {
+			hi = len(big)
+		}
+		k := lo + lowerBound(big[lo:hi], x)
+		if k < len(big) && big[k] == x {
+			n++
+			under += below(x, limit)
+			lo = k + 1
+		} else {
+			lo = k
+		}
+		if lo >= len(big) {
+			break
+		}
+	}
+	return n, under
+}
+
 // Subtract appends a \ b to dst and returns the extended slice.
 func Subtract(dst, a, b []VertexID) []VertexID {
 	i, j := 0, 0
@@ -88,6 +118,57 @@ func Subtract(dst, a, b []VertexID) []VertexID {
 		}
 	}
 	return dst
+}
+
+// below is 1 when x < limit and 0 otherwise, without a branch: both are
+// vertex ids in [0, NoLimit], so x-limit cannot overflow and its sign
+// bit is the comparison.
+func below(x, limit VertexID) int { return int(uint32(x-limit) >> 31) }
+
+// intersectCount reports |a ∩ b| and how many of its elements are below
+// limit, by the merge or gallop walk Intersect takes, in one pass and
+// without materializing the result.
+func intersectCount(a, b []VertexID, limit VertexID) (n, under int) {
+	if len(a) > len(b) {
+		a, b = b, a
+	}
+	if len(b) > gallopRatio*len(a) {
+		return gallopIntersectCount(a, b, limit)
+	}
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			n++
+			under += below(a[i], limit)
+			i++
+			j++
+		}
+	}
+	return n, under
+}
+
+// subtractCount reports |a \ b| and how many of its elements are below
+// limit, by Subtract's merge walk without materializing the result.
+func subtractCount(a, b []VertexID, limit VertexID) (n, under int) {
+	i, j := 0, 0
+	for i < len(a) {
+		if j >= len(b) || a[i] < b[j] {
+			n++
+			under += below(a[i], limit)
+			i++
+		} else if a[i] > b[j] {
+			j++
+		} else {
+			i++
+			j++
+		}
+	}
+	return n, under
 }
 
 // lowerBound returns the index of the first element of s that is >= x

@@ -32,8 +32,9 @@ type Node struct {
 
 	// Execution products (valid once Executed):
 
-	// Cand is the raw candidate set for Depth+1 (nil for leaf-depth
-	// nodes, which compute nothing).
+	// Cand is the raw candidate set for Depth+1: nil for leaf-depth
+	// nodes, which compute nothing, and for counted leaf parents (see
+	// ExecuteReuse), which keep only its size.
 	Cand []graph.VertexID
 	// candBits is Cand's bitset view when Cand copies a hub's neighbor
 	// list (nil otherwise): set operations on the stored set may probe
@@ -49,16 +50,21 @@ type Node struct {
 	NextCand int
 	// Live counts direct children whose subtrees are incomplete.
 	Live int
-	// Executed is set once the node's set operations have been played.
-	Executed bool
 	// Slot is the intermediate-set storage slot (address token) holding
 	// Cand; -1 when none is allocated.
 	Slot int
+	// Executed is set once the node's set operations have been played.
+	Executed bool
 	// SharedCand marks an alias task: Cand and Slot belong to an
 	// ancestor's stored set (the plan was a pure reference, e.g. the
 	// diamond's second apex drawing from the same candidate set). The
 	// node owns neither the slice nor the token.
 	SharedCand bool
+	// leafHits is, for a counted leaf parent, how many of its
+	// ancestors the Distinct rule excludes from Cand[:SpawnLimit]. It
+	// sits in the padding after the two flags, which keeps Node in a
+	// 128-byte size class.
+	leafHits int32
 }
 
 // HasMoreCands reports whether the node still has unexplored candidates.
@@ -341,6 +347,11 @@ func (w *Workload) ExecuteReuse(n *Node, slot int, reads []Read) Profile {
 	}
 	prof.InputLines += setops.Lines(len(cur.List))
 
+	// A leaf parent below the root counts its last step instead of
+	// storing it: only CountLeafMatches reads the set. A root keeps its
+	// set, since a task-tree split may carve its spawn window.
+	counted := n.Depth > 0 && childDepth == w.LeafDepth() && len(plan.Steps) > 0
+	var size int
 	if len(plan.Steps) == 0 {
 		// CSR-base copy plan: materialize the neighbor set as an
 		// intermediate result (the "depth-1 tasks fetch the neighbor
@@ -356,8 +367,12 @@ func (w *Workload) ExecuteReuse(n *Node, slot int, reads []Read) Profile {
 			prof.InputLines += setops.Lines(len(operand.List))
 			prof.SegPairs += setops.SegmentPairs(len(cur.List), len(operand.List))
 
-			var dst []graph.VertexID
 			last := i == len(plan.Steps)-1
+			if last && counted {
+				size = w.countLeaf(n, plan, path, cur, operand, op.Sub)
+				break
+			}
+			var dst []graph.VertexID
 			switch {
 			case last:
 				dst = w.cands.get()
@@ -383,14 +398,49 @@ func (w *Workload) ExecuteReuse(n *Node, slot int, reads []Read) Profile {
 		}
 	}
 
-	w.truncate(n, plan, path)
+	if !counted {
+		w.truncate(n, plan, path)
+		size = len(n.Cand)
+	}
 
-	prof.OutBytes = int64(len(n.Cand)) * 4
-	prof.OutputLines = setops.Lines(len(n.Cand))
+	prof.OutBytes = int64(size) * 4
+	prof.OutputLines = setops.Lines(size)
 	if slot >= 0 {
 		prof.OutAddr = w.Map.SetAddr(slot)
 	}
 	return prof
+}
+
+// countLeaf settles a leaf parent's last set operation, a op b (a \ b
+// when sub), without storing it: SpawnLimit becomes the number of
+// results below the symmetry bound and leafHits the Distinct ancestors
+// among them, found by testing membership in both inputs. It returns
+// |a op b|, the size the profile charges as if the set were written.
+func (w *Workload) countLeaf(n *Node, plan *pattern.Plan, path []graph.VertexID, a, b setops.Operand, sub bool) int {
+	limit := setops.NoLimit
+	for _, j := range plan.BoundBy {
+		limit = min(limit, path[j])
+	}
+	var size int
+	if sub {
+		size, n.SpawnLimit = w.disp.SubtractCount(a, b, limit)
+	} else {
+		size, n.SpawnLimit = w.disp.IntersectCount(a, b, limit)
+	}
+	for _, j := range plan.Distinct {
+		if u := path[j]; u < limit && has(a, u) && has(b, u) != sub {
+			n.leafHits++
+		}
+	}
+	return size
+}
+
+// has reports whether x is in o's set, by a bit probe when o has bits.
+func has(o setops.Operand, x graph.VertexID) bool {
+	if o.Bits != nil {
+		return setops.BitsetHas(o.Bits, x)
+	}
+	return setops.Contains(o.List, x)
 }
 
 // truncate applies symmetry-breaking upper bounds: children must be <
@@ -419,7 +469,11 @@ func (w *Workload) PlanIsAlias(d int) bool {
 // address token for its output candidate set. Leaf-parent tasks never do:
 // for counting workloads the final candidate set is consumed as a size in
 // the datapath (GraphPi-style counting; FlexMiner/FINGERS count the last
-// level without materializing it), so nothing is stored.
+// level without materializing it), so nothing is stored. Below the root
+// the functional model matches: ExecuteReuse counts a leaf parent's last
+// set operation instead of materializing it. A depth-0 leaf parent (a
+// depth-2 pattern) and an alias leaf parent still hold a set, in a host
+// buffer or an ancestor's slot, never in a slot of its own.
 func (w *Workload) NeedsToken(depth int) bool {
 	if depth+1 >= w.LeafDepth() {
 		return false
@@ -458,19 +512,29 @@ func (w *Workload) NextChild(n *Node) (v graph.VertexID, pruned int, ok bool) {
 // CountLeafMatches counts the node's valid children when the node sits at
 // the second-to-last position: each valid candidate is one embedding.
 // Used for aggregated leaf handling (see DESIGN.md): the count is exact,
-// identical to enumerating leaf tasks one by one, but computed in
-// O(|Distinct| · log n) — the only invalid candidates are the (at most
-// |Distinct|) already-matched vertices, each locatable by binary search
-// in the sorted candidate set.
+// identical to enumerating leaf tasks one by one. Below the root a leaf
+// parent was counted when it executed, and the result is read back. An
+// alias leaf parent, or a root one (kept so a split can carve it),
+// searches its stored window for the (at most |Distinct|)
+// already-matched vertices: a range check and a bit probe when the set
+// has a hub bitset, a binary search otherwise.
 func (w *Workload) CountLeafMatches(n *Node) int64 {
 	if n.Depth != w.LeafDepth()-1 {
 		panic("task: CountLeafMatches on wrong depth")
 	}
 	count := int64(n.SpawnLimit - n.NextCand)
-	window := n.Cand[n.NextCand:n.SpawnLimit]
-	for _, j := range w.S.Plans[n.Depth+1].Distinct {
-		if setops.Contains(window, n.Ancestor(j).Vertex) {
-			count--
+	if n.Cand == nil {
+		count -= int64(n.leafHits)
+	} else if window := n.Cand[n.NextCand:n.SpawnLimit]; len(window) > 0 {
+		for _, j := range w.S.Plans[n.Depth+1].Distinct {
+			u := n.Ancestor(j).Vertex
+			if n.candBits != nil {
+				if window[0] <= u && u <= window[len(window)-1] && setops.BitsetHas(n.candBits, u) {
+					count--
+				}
+			} else if setops.Contains(window, u) {
+				count--
+			}
 		}
 	}
 	n.NextCand = n.SpawnLimit
