@@ -425,7 +425,10 @@ type Result struct {
 	DRAMBandwidth float64 // channel utilization
 	NoCLines      int64
 
-	IntermediateLinesPerTask float64 // Table 2 cross-check
+	// IntermediateLinesPerTask is the Table 2 metric over Tasks +
+	// LeafTasks. TestConformanceMatrix pins its numerator and its
+	// denominator to the golden miner's.
+	IntermediateLinesPerTask float64
 
 	// PerPE carries per-PE breakdowns (load-balance analysis).
 	PerPE []PEStats

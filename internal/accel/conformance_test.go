@@ -58,8 +58,10 @@ func table2Lines(s *pattern.Schedule, r *mine.Result) int64 {
 // produce bit-identical embedding counts to the software golden miner on
 // every pattern of the workload suite, over two dataset analogues.
 // Scheduling only reorders the search — it must never change what is
-// found. Each cell also passes the counter-conservation pass
-// (which every run makes) and the resource-leak check.
+// found. Each cell also pins the Table 2 counters to the miner's (tasks
+// plus leaf tasks equal its Tasks(); intermediate lines, table2Lines)
+// and passes the counter-conservation pass (which every run makes) and
+// the resource-leak check.
 func TestConformanceMatrix(t *testing.T) {
 	graphs := []struct {
 		name string

@@ -34,7 +34,7 @@ type Node struct {
 
 	// Cand is the raw candidate set for Depth+1: nil for leaf-depth
 	// nodes, which compute nothing, and for counted leaf parents (see
-	// ExecuteReuse), which keep only its size.
+	// ExecuteReuse), which keep only counts.
 	Cand []graph.VertexID
 	// candBits is Cand's bitset view when Cand copies a hub's neighbor
 	// list (nil otherwise): set operations on the stored set may probe
@@ -60,10 +60,10 @@ type Node struct {
 	// diamond's second apex drawing from the same candidate set). The
 	// node owns neither the slice nor the token.
 	SharedCand bool
-	// leafHits is, for a counted leaf parent, how many of its
-	// ancestors the Distinct rule excludes from Cand[:SpawnLimit]. It
+	// leafHits is, for a counted leaf parent, how many of its Distinct
+	// ancestors are among the SpawnLimit candidates below the bound. It
 	// sits in the padding after the two flags, which keeps Node in a
-	// 128-byte size class.
+	// 128-byte size class (TestNodeSize).
 	leafHits int32
 }
 
