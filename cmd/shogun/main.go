@@ -7,6 +7,14 @@
 //	shogun -graph edges.txt -pattern tt_v -scheme fingers -pes 4 -width 8
 //	shogun -dataset wi -pattern tc -scheme shogun -split -merge -v
 //	shogun -dataset yo -pattern tc -chips 4 -partition hash -split -trace-out c4.json
+//	shogun -chips 4 -partition hash -split -dumpconfig > machine.json
+//	shogun -dataset yo -pattern tc -config machine.json
+//
+// One JSON file describes the whole simulated machine: the chip count,
+// the partition and its seed, the chip, the interconnect and chip-level
+// stealing. -dumpconfig prints it and -config loads it; every field is
+// settable there, and a machine flag given on the command line
+// overrides the file. A chip-only file is refused.
 package main
 
 import (
@@ -32,14 +40,14 @@ import (
 	"shogun/internal/trace"
 )
 
-// options is the parsed flag set: the chip's shape and scheduling
-// knobs, the machine's chip count and partitioning, the run budgets, and
-// the outputs.
+// options is the parsed flag set: the machine file and the machine
+// flags over it (the chip's shape and scheduling knobs, the chip count
+// and partitioning, the run budgets), and the outputs.
 type options struct {
 	dataset, graphArg, pattern, scheme, cfgPath, partition string
-	pes, width, l1KB, l2KB, tokens, bunches, chips         int
-	split, merge, dumpCfg, steal, verify, verbose, metrics bool
-	partitionSeed, deadline, maxEvents, sampleEvery        int64
+	pes, width, chips                                      int
+	split, merge, dumpCfg, verify, verbose, metrics        bool
+	deadline, maxEvents, sampleEvery                       int64
 	maxWall                                                time.Duration
 	traceOut, chromeOut, timeseriesOut, httpAddr           string
 	set                                                    map[string]bool // the flags the command line gave
@@ -55,15 +63,11 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.StringVar(&o.scheme, "scheme", "shogun", "scheme: shogun|fingers|pseudo-dfs|dfs|bfs|parallel-dfs")
 	fs.IntVar(&o.pes, "pes", 10, "number of PEs per chip")
 	fs.IntVar(&o.width, "width", 8, "task execution width")
-	fs.IntVar(&o.l1KB, "l1", 32, "L1 size in KB")
-	fs.IntVar(&o.l2KB, "l2", 0, "L2 size in KB (0 = default)")
 	fs.BoolVar(&o.split, "split", false, "enable task-tree splitting (shogun)")
 	fs.BoolVar(&o.merge, "merge", false, "enable search-tree merging (shogun)")
-	fs.IntVar(&o.tokens, "tokens", 0, "address tokens per depth (default: width)")
-	fs.IntVar(&o.bunches, "bunches", 4, "task tree bunches per depth (shogun)")
 	fs.BoolVar(&o.verify, "verify", true, "cross-check count against the software miner")
-	fs.StringVar(&o.cfgPath, "config", "", "load accelerator config from JSON (flags below override)")
-	fs.BoolVar(&o.dumpCfg, "dumpconfig", false, "print the effective config as JSON and exit")
+	fs.StringVar(&o.cfgPath, "config", "", "load the machine (chips, partition, chip, interconnect, stealing) from a -dumpconfig JSON file; machine flags given override it")
+	fs.BoolVar(&o.dumpCfg, "dumpconfig", false, "print the whole machine config as JSON and exit (needs no graph)")
 	fs.StringVar(&o.traceOut, "trace", "", "write per-task JSONL trace to file")
 	fs.StringVar(&o.chromeOut, "trace-out", "", "write Chrome trace JSON (load in chrome://tracing or Perfetto)")
 	fs.BoolVar(&o.metrics, "metrics", false, "print the hardware-counter report and verify conservation invariants")
@@ -73,8 +77,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.DurationVar(&o.maxWall, "maxwall", 0, "abort after this much wall-clock time (0 = none)")
 	fs.IntVar(&o.chips, "chips", 1, "number of accelerator chips (>1 simulates a multi-chip cluster)")
 	fs.StringVar(&o.partition, "partition", "", "cluster root partitioning: replicate (default) | hash | range")
-	fs.Int64Var(&o.partitionSeed, "partition-seed", 0, "seed for the hash partitioner")
-	fs.BoolVar(&o.steal, "steal", true, "enable chip-level work stealing over the interconnect (shogun scheme)")
 	fs.Int64Var(&o.sampleEvery, "sample-every", 0, "sample telemetry gauges every N cycles (0 = off)")
 	fs.StringVar(&o.timeseriesOut, "timeseries-out", "", "write the sampled telemetry series to file (.json = JSON, else CSV; needs -sample-every)")
 	fs.StringVar(&o.httpAddr, "http", "", "serve live inspection endpoints (JSON snapshot, expvar, pprof) on host:port (\":0\" picks a port)")
@@ -116,30 +118,27 @@ func (o options) validate() error {
 		return fmt.Errorf("-timeseries-out needs -sample-every > 0 (nothing is sampled otherwise)")
 	}
 	if o.httpAddr != "" {
-		if err := telemetry.ValidateAddr(o.httpAddr); err != nil {
-			return err
-		}
+		return telemetry.ValidateAddr(o.httpAddr)
 	}
-	if o.chips < 1 {
-		return fmt.Errorf("-chips must be >= 1 (got %d)", o.chips)
-	}
-	_, err := cluster.ParseMode(o.partition)
-	return err
+	return nil
 }
 
-// machineConfig builds the machine's config: -chips copies of one chip
-// (the -config file or the scheme's Table 3 defaults, overridden by the
-// scheme, shape, budget and sampling flags), its root space split by
-// -partition. The scheme and shape flags override the file or the
-// defaults only when given.
+// machineConfig builds the machine's config: the -config file, or the
+// scheme's Table 3 chip on one chip, with every machine flag the command
+// line gives written over it. A flag left at its default leaves the file
+// alone.
 func (o options) machineConfig() (cluster.Config, error) {
-	chip := accel.DefaultConfig(accel.Scheme(o.scheme))
+	cfg := cluster.DefaultConfig(accel.Scheme(o.scheme), 1)
 	if o.cfgPath != "" {
-		var err error
-		if chip, err = accel.LoadConfig(o.cfgPath); err != nil {
+		b, err := os.ReadFile(o.cfgPath)
+		if err != nil {
 			return cluster.Config{}, err
 		}
+		if cfg, err = cluster.ParseConfig(b); err != nil {
+			return cluster.Config{}, fmt.Errorf("%s: %w", o.cfgPath, err)
+		}
 	}
+	chip := &cfg.Chip
 	if o.set["scheme"] {
 		chip.Scheme = accel.Scheme(o.scheme)
 	}
@@ -147,21 +146,7 @@ func (o options) machineConfig() (cluster.Config, error) {
 		chip.NumPEs = o.pes
 	}
 	if o.set["width"] {
-		chip.PE.Width = o.width
-		chip.TokensPerDepth = o.width
-		chip.Tree.EntriesPerBunch = o.width
-	}
-	if o.tokens > 0 {
-		chip.TokensPerDepth = o.tokens
-	}
-	if o.set["bunches"] {
-		chip.Tree.BunchesPerDepth = o.bunches
-	}
-	if o.set["l1"] {
-		chip.PE.L1.SizeKB = o.l1KB
-	}
-	if o.l2KB > 0 {
-		chip.L2.SizeKB = o.l2KB
+		chip.SetWidth(o.width)
 	}
 	if o.set["split"] {
 		chip.EnableSplitting = o.split
@@ -169,23 +154,24 @@ func (o options) machineConfig() (cluster.Config, error) {
 	if o.set["merge"] {
 		chip.EnableMerging = o.merge
 	}
-	if o.deadline > 0 {
+	if o.set["deadline"] {
 		chip.Deadline = sim.Time(o.deadline)
 	}
-	if o.maxEvents > 0 {
+	if o.set["maxevents"] {
 		chip.MaxEvents = o.maxEvents
 	}
-	if o.maxWall > 0 {
+	if o.set["maxwall"] {
 		chip.MaxWall = o.maxWall
 	}
-	if o.sampleEvery > 0 {
+	if o.set["sample-every"] {
 		chip.SampleEvery = sim.Time(o.sampleEvery)
 	}
-	cfg := cluster.DefaultConfig(chip.Scheme, o.chips)
-	cfg.Chip = chip
-	cfg.Partition = cluster.Mode(o.partition)
-	cfg.PartitionSeed = o.partitionSeed
-	cfg.Steal = o.steal
+	if o.set["chips"] {
+		cfg.Chips = o.chips
+	}
+	if o.set["partition"] {
+		cfg.Partition = cluster.Mode(o.partition)
+	}
 	return cfg, nil
 }
 
@@ -222,11 +208,16 @@ func run(ctx context.Context, o options) error {
 	if err := o.validate(); err != nil {
 		return err
 	}
-	g, s, err := o.inputs()
+	cfg, err := o.machineConfig()
 	if err != nil {
 		return err
 	}
-	cfg, err := o.machineConfig()
+	if o.dumpCfg {
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		return enc.Encode(cfg)
+	}
+	g, s, err := o.inputs()
 	if err != nil {
 		return err
 	}
@@ -254,12 +245,6 @@ func run(ctx context.Context, o options) error {
 		cfg.Chip.Tracer = tracers
 	}
 
-	if o.dumpCfg {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(cfg.Chip)
-	}
-
 	st := g.ComputeStats()
 	fmt.Printf("graph: %d vertices, %d edges, max degree %d, avg %.1f, skew %.1f\n",
 		st.Vertices, st.Edges, st.MaxDegree, st.AvgDegree, st.Skewness)
@@ -280,7 +265,7 @@ func run(ctx context.Context, o options) error {
 			return telemetry.RunSnapshot{Samples: cl.Samples(), Histograms: cl.Histograms()}
 		})
 		telemetry.PublishVar("run", func() any {
-			info := map[string]any{"scheme": o.scheme, "pattern": s.Name, "pes": cfg.Chip.NumPEs, "chips": o.chips}
+			info := map[string]any{"scheme": cfg.Chip.Scheme, "pattern": s.Name, "pes": cfg.Chip.NumPEs, "chips": cfg.Chips}
 			if smp := cl.Sampler(); smp != nil {
 				for _, name := range [...]string{"engine/events", "tasks/executed"} {
 					if v, ok := smp.Last(name); ok {

@@ -73,8 +73,9 @@ type Config struct {
 	// WatchdogPoll is the cooperative-checkpoint interval in events for
 	// context cancellation and wall-clock checks (0 = sim default).
 	WatchdogPoll int64
-	// Tracer, when set, receives one event per completed task on any PE.
-	Tracer trace.Tracer
+	// Tracer, when set, receives one event per completed task on any PE
+	// (a run-time hook; not serialized).
+	Tracer trace.Tracer `json:"-"`
 	// Perturb, when set, jitters FU/DRAM/NoC pool service times (the
 	// chaos harness's fault-injection hook; not serialized).
 	Perturb sim.Perturber `json:"-"`
@@ -119,6 +120,14 @@ func DefaultConfig(scheme Scheme) Config {
 		BalancePeriod:      4096,
 		MergePeriod:        4096,
 	}
+}
+
+// SetWidth sets the task execution width and the quotas that track it
+// (§3.2.3): address tokens per depth and task-tree entries per bunch.
+func (c *Config) SetWidth(width int) {
+	c.PE.Width = width
+	c.TokensPerDepth = width
+	c.Tree.EntriesPerBunch = width
 }
 
 // Accelerator is one configured instance bound to a graph and schedule.

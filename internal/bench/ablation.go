@@ -57,9 +57,7 @@ func Ablation(o Options) (*Table, error) {
 		// this is where the locality monitor and sibling preference earn
 		// their keep.
 		{"lj", "tt_e", "lj-tt_e@8KB/w16", func(c *accel.Config) {
-			c.PE.Width = 16
-			c.TokensPerDepth = 16
-			c.Tree.EntriesPerBunch = 16
+			c.SetWidth(16)
 			c.PE.L1.SizeKB = 8
 		}},
 	}

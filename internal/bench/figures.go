@@ -13,9 +13,7 @@ import (
 func widthConfig(scheme accel.Scheme, width, pes int) accel.Config {
 	cfg := accel.DefaultConfig(scheme)
 	cfg.NumPEs = pes
-	cfg.PE.Width = width
-	cfg.TokensPerDepth = width
-	cfg.Tree.EntriesPerBunch = width
+	cfg.SetWidth(width)
 	return cfg
 }
 

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"runtime/debug"
 
@@ -53,6 +55,33 @@ func DefaultConfig(scheme accel.Scheme, chips int) Config {
 		Interconnect: mem.NoCConfig{Links: 0 /* auto: 1 per chip */, HopLat: 40, FlitCycles: 4},
 		Steal:        true,
 	}
+}
+
+// ParseConfig reads a machine file, the JSON `shogun -dumpconfig`
+// writes, over DefaultConfig at one chip for the file's chip scheme
+// (empty means shogun): a field the file leaves out keeps its default,
+// and a key Config no longer has is ignored. A file without a "Chip"
+// object is refused; a chip-only file would otherwise load, every key
+// unknown, as the default machine.
+func ParseConfig(b []byte) (Config, error) {
+	var probe struct {
+		Chip *struct{ Scheme accel.Scheme }
+	}
+	if err := json.Unmarshal(b, &probe); err != nil {
+		return Config{}, fmt.Errorf("cluster: machine config: %w", err)
+	}
+	if probe.Chip == nil {
+		return Config{}, errors.New(`cluster: machine config has no "Chip" object (nest a chip-only config under "Chip")`)
+	}
+	scheme := probe.Chip.Scheme
+	if scheme == "" {
+		scheme = accel.SchemeShogun
+	}
+	cfg := DefaultConfig(scheme, 1)
+	if err := json.Unmarshal(b, &cfg); err != nil {
+		return Config{}, fmt.Errorf("cluster: machine config: %w", err)
+	}
+	return cfg, nil
 }
 
 // Cluster is N chips on one shared deterministic clock.

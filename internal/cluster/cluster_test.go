@@ -15,6 +15,7 @@ import (
 	"shogun/internal/graph"
 	"shogun/internal/metrics"
 	"shogun/internal/mine"
+	"shogun/internal/pattern"
 	"shogun/internal/sim"
 	"shogun/internal/sim/simtest"
 )
@@ -521,6 +522,43 @@ func BenchmarkClusterSimulate(b *testing.B) { benchCluster(b, []int{1, 2, 4, 8, 
 // one sampler, tick and digest set, whose bytes ci/check_allocs.sh
 // bounds.
 func BenchmarkClusterSimulateSampled(b *testing.B) { benchCluster(b, []int{16}, 512) }
+
+// BenchmarkClusterYoTailedTriangle is the benchmark's cluster16-yo-tt_e
+// workload as a go test benchmark: yo x tt_e on 16 hash-partitioned
+// 2-PE chips with splitting and stealing on, the machine of perfbench's
+// clusterConfig. -cpuprofile then gives that workload's function table.
+// ci/check_allocs.sh leaves it out.
+func BenchmarkClusterYoTailedTriangle(b *testing.B) {
+	g, err := datasets.Get("yo")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g.HubIndex()
+	p, err := pattern.ByName("tt_e")
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := pattern.BuildWith(p, pattern.BuildOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := cluster.DefaultConfig(accel.SchemeShogun, 16)
+	cfg.Partition = cluster.ModeHash
+	cfg.Chip.NumPEs = 2
+	cfg.Chip.EnableSplitting = true
+	b.ResetTimer()
+	var res *cluster.Result
+	for i := 0; i < b.N; i++ {
+		cl, err := cluster.New(g, s, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res, err = cl.RunContext(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(res.Cycles), "cycles")
+}
 
 func benchCluster(b *testing.B, chipCounts []int, sampleEvery sim.Time) {
 	g := gen.RMAT(512, 4000, 0.57, 0.19, 0.19, 21)

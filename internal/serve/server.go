@@ -908,9 +908,7 @@ func (s *Server) simConfig(req *Request) cluster.Config {
 		chip.NumPEs = req.PEs
 	}
 	if req.Width > 0 {
-		chip.PE.Width = req.Width
-		chip.TokensPerDepth = req.Width
-		chip.Tree.EntriesPerBunch = req.Width
+		chip.SetWidth(req.Width)
 	}
 	chip.EnableSplitting = req.Split
 	chip.EnableMerging = req.Merge
