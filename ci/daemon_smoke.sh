@@ -4,8 +4,9 @@
 # against the software miner's golden value), one over-budget query
 # (expecting the typed 422 event-budget error), one hostile upload
 # (expecting the typed 413 and a daemon still ready), a two-chip
-# simulate (expecting the golden count), hostile machine shapes
-# (expecting typed 413s and a daemon still ready), checks the request
+# simulate (expecting the golden count), hostile machines (expecting
+# typed 400s for an unbuildable machine and 413s for one over a shape
+# ceiling, and a daemon still ready), checks the request
 # observability plane (trace header on responses, phases_us on a
 # response to an untraced request, /metrics Prometheus exposition with
 # nonzero request counters, /statz served equal to the sum of
@@ -112,21 +113,25 @@ jq -e --argjson emb "$emb" '.embeddings == $emb and .chips == 2' "$work/sim2.jso
     echo "daemon_smoke: chips=2 simulate disagrees with the golden count $emb: $(cat "$work/sim2.json")" >&2; exit 1; }
 echo "daemon_smoke: chips=2 simulate embeddings=$emb" >&2
 
-# Hostile machine shapes: each would make cluster.New build thousands
-# of accelerators or PEs. Each must get the typed 413 before anything is
-# built, and the daemon must stay ready.
-for shape in '"chips":100000' '"pes":100000' '"width":1000000' '"chips":16,"pes":64'; do
+# Hostile machines: one that cannot be built (an unknown scheme, a
+# negative width) must get the typed 400, and one over a shape ceiling
+# (it would make cluster.New build thousands of accelerators or PEs) the
+# typed 413, each before anything is built; the daemon must stay ready.
+for case in '"scheme":"nope" 400 bad_request' '"width":-8 400 bad_request' \
+    '"chips":100000 413 too_large' '"pes":100000 413 too_large' \
+    '"width":1000000 413 too_large' '"chips":16,"pes":64 413 too_large'; do
+    read -r shape want_status want_kind <<<"$case"
     status=$(curl -s -o "$work/err.json" -w '%{http_code}' "http://$addr/v1/simulate" \
         -d "{\"dataset\":\"wi\",\"pattern\":\"tc\",$shape}")
     kind=$(jq -r .kind "$work/err.json")
-    if [ "$status" != 413 ] || [ "$kind" != too_large ]; then
-        echo "daemon_smoke: hostile shape {$shape}: status=$status kind=$kind body=$(cat "$work/err.json")" >&2
+    if [ "$status" != "$want_status" ] || [ "$kind" != "$want_kind" ]; then
+        echo "daemon_smoke: hostile machine {$shape}: status=$status kind=$kind, want $want_status $want_kind; body=$(cat "$work/err.json")" >&2
         exit 1
     fi
 done
 curl -fsS "http://$addr/readyz" >/dev/null || {
-    cat "$work/log" >&2; echo "daemon_smoke: /readyz not ready after the hostile shapes" >&2; exit 1; }
-echo "daemon_smoke: hostile shapes -> 413 too_large, still ready" >&2
+    cat "$work/log" >&2; echo "daemon_smoke: /readyz not ready after the hostile machines" >&2; exit 1; }
+echo "daemon_smoke: hostile machines -> typed 400 bad_request / 413 too_large, still ready" >&2
 
 # /metrics: the exposition must be structurally valid Prometheus text
 # (every line a HELP/TYPE comment or a `name[{labels}] value` sample) and

@@ -108,12 +108,9 @@ func main() {
 	}
 }
 
-// validate rejects inconsistent or malformed flags before any
-// simulation work starts.
+// validate rejects inconsistent or malformed output flags before any
+// simulation work starts; the machine flags are machineConfig's.
 func (o options) validate() error {
-	if o.sampleEvery < 0 {
-		return fmt.Errorf("-sample-every must be a positive cycle count (got %d)", o.sampleEvery)
-	}
 	if o.timeseriesOut != "" && o.sampleEvery == 0 {
 		return fmt.Errorf("-timeseries-out needs -sample-every > 0 (nothing is sampled otherwise)")
 	}
@@ -126,7 +123,8 @@ func (o options) validate() error {
 // machineConfig builds the machine's config: the -config file, or the
 // scheme's Table 3 chip on one chip, with every machine flag the command
 // line gives written over it. A flag left at its default leaves the file
-// alone.
+// alone. The result must Validate, so -dumpconfig never writes a
+// machine that cluster.New would refuse.
 func (o options) machineConfig() (cluster.Config, error) {
 	cfg := cluster.DefaultConfig(accel.Scheme(o.scheme), 1)
 	if o.cfgPath != "" {
@@ -172,7 +170,7 @@ func (o options) machineConfig() (cluster.Config, error) {
 	if o.set["partition"] {
 		cfg.Partition = cluster.Mode(o.partition)
 	}
-	return cfg, nil
+	return cfg, cfg.Validate()
 }
 
 // inputs reads the graph and builds the pattern's schedule.

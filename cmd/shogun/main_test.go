@@ -80,13 +80,16 @@ func writeJSON(t *testing.T, dir, name string, v any) string {
 }
 
 // TestRunFlagValidation pins that each bad command line fails with its
-// own error, not an earlier one: the machine-shape cases get a graph so
-// that cluster.New, which rejects them for flag and file alike, is
-// reached.
+// own error, not an earlier one. A machine that cluster.New would refuse,
+// from flags or a file, is refused by the machine check before any graph
+// is read, and -dumpconfig does not print it.
 func TestRunFlagValidation(t *testing.T) {
 	dir := t.TempDir()
 	graphPath := writeTestGraph(t, dir)
 	chipOnly := writeJSON(t, dir, "chip.json", accel.DefaultConfig(accel.SchemeShogun))
+	noIUs := cluster.DefaultConfig(accel.SchemeShogun, 1)
+	noIUs.Chip.PE.IUs = 0
+	noIUsPath := writeJSON(t, dir, "noius.json", noIUs)
 	malformed := filepath.Join(dir, "bad.json")
 	if err := os.WriteFile(malformed, []byte("{nope"), 0o644); err != nil {
 		t.Fatal(err)
@@ -96,11 +99,14 @@ func TestRunFlagValidation(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"negative sample-every", []string{"-sample-every", "-1"}, "-sample-every must be a positive"},
+		{"negative sample-every", []string{"-sample-every", "-1"}, "SampleEvery must be at least 0, got -1"},
 		{"timeseries without sampler", []string{"-timeseries-out", "x.json"}, "-timeseries-out needs -sample-every"},
 		{"bad http addr", []string{"-http", "no-port-here"}, "no-port-here"},
-		{"zero chips", []string{"-graph", graphPath, "-chips", "0"}, "need at least one chip"},
+		{"zero chips", []string{"-graph", graphPath, "-chips", "0"}, "Chips must be at least 1, got 0"},
 		{"bad partition mode", []string{"-graph", graphPath, "-chips", "2", "-partition", "metis"}, `unknown partition mode "metis"`},
+		{"dump of an unbuildable machine", []string{"-chips", "0", "-partition", "metis", "-dumpconfig"}, "Chips must be at least 1, got 0"},
+		{"zero width", []string{"-dataset", "wi", "-width", "0", "-verify=false"}, "PE.Width must be at least 1, got 0"},
+		{"config file without IUs", []string{"-graph", graphPath, "-config", noIUsPath}, "noius.json: cluster: Chip: accel: PE.IUs must be at least 1, got 0"},
 		{"no input graph", nil, "need -dataset or -graph"},
 		{"unknown dataset", []string{"-dataset", "nope"}, "nope"},
 		{"missing graph file", []string{"-graph", "/nonexistent/g.txt"}, "/nonexistent/g.txt"},

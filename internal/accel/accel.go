@@ -130,6 +130,46 @@ func (c *Config) SetWidth(width int) {
 	c.Tree.EntriesPerBunch = width
 }
 
+// Validate reports whether a chip can be built from c, naming the first
+// field that cannot. It needs no graph; NewShared checks the address-space
+// fit. A zero TokensPerDepth, NoC.Links or PE.MonitorPeriod is a setting.
+func (c *Config) Validate() error {
+	switch c.Scheme {
+	case SchemeShogun, SchemePseudoDFS, SchemeFingers, SchemeDFS, SchemeBFS, SchemeParallelDFS:
+	default:
+		return fmt.Errorf("accel: unknown Scheme %q", c.Scheme)
+	}
+	for _, f := range [...]struct {
+		name     string
+		v, least int64
+	}{
+		{"NumPEs", int64(c.NumPEs), 1}, {"PE.Width", int64(c.PE.Width), 1},
+		{"PE.IUs", int64(c.PE.IUs), 1}, {"PE.Dividers", int64(c.PE.Dividers), 1},
+		{"Tree.EntriesPerBunch", int64(c.Tree.EntriesPerBunch), 1}, {"Tree.BunchesPerDepth", int64(c.Tree.BunchesPerDepth), 1},
+		{"Tree.Depth0Bunches", int64(c.Tree.Depth0Bunches), 1}, {"Tree.Depth1Bunches", int64(c.Tree.Depth1Bunches), 1},
+		{"DRAM.Channels", int64(c.DRAM.Channels), 1}, {"DRAM.BanksPerChan", int64(c.DRAM.BanksPerChan), 1},
+		{"DRAM.RowLines", c.DRAM.RowLines, 1}, {"NoC.HopLat", int64(c.NoC.HopLat), 0},
+		{"SampleEvery", int64(c.SampleEvery), 0},
+	} {
+		if f.v < f.least {
+			return fmt.Errorf("accel: %s must be at least %d, got %d", f.name, f.least, f.v)
+		}
+	}
+	if c.EnableSplitting && c.BalancePeriod < 1 {
+		return fmt.Errorf("accel: splitting needs BalancePeriod >= 1 cycle, got %d", c.BalancePeriod)
+	}
+	if c.EnableMerging && c.MergePeriod < 1 {
+		return fmt.Errorf("accel: merging needs MergePeriod >= 1 cycle, got %d", c.MergePeriod)
+	}
+	if err := c.PE.L1.Validate(); err != nil {
+		return fmt.Errorf("accel: PE.L1: %w", err)
+	}
+	if err := c.L2.Validate(); err != nil {
+		return fmt.Errorf("accel: L2: %w", err)
+	}
+	return nil
+}
+
 // Accelerator is one configured instance bound to a graph and schedule.
 type Accelerator struct {
 	cfg Config
@@ -207,6 +247,9 @@ func (a *Accelerator) Act(op int, arg any) {
 // engine with its own telemetry bundle and candidate-buffer pool, every
 // vertex a root.
 func New(g *graph.Graph, s *pattern.Schedule, cfg Config) (*Accelerator, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	roots := make([]graph.VertexID, g.NumVertices())
 	for i := range roots {
 		roots[i] = graph.VertexID(i)
@@ -228,11 +271,8 @@ func New(g *graph.Graph, s *pattern.Schedule, cfg Config) (*Accelerator, error) 
 // chip without work of its own. The chip records into the engine
 // owner's telemetry bundle tel (NewTelemetry) and draws its candidate
 // buffers from the owner's pool cands (one per machine, built for g),
-// its PEs numbered from firstPE machine-wide.
+// its PEs numbered from firstPE machine-wide. The caller validates cfg.
 func NewShared(g *graph.Graph, s *pattern.Schedule, cfg Config, eng *sim.Engine, roots []graph.VertexID, tel *Telemetry, cands *task.CandPool, firstPE int) (*Accelerator, error) {
-	if cfg.NumPEs < 1 {
-		return nil, fmt.Errorf("accel: need at least one PE")
-	}
 	if cfg.Scheme == SchemeFingers {
 		cfg.Scheme = SchemePseudoDFS
 	}
@@ -257,11 +297,7 @@ func NewShared(g *graph.Graph, s *pattern.Schedule, cfg Config, eng *sim.Engine,
 
 		splitPending: make([]bool, cfg.NumPEs),
 	}
-	l2, err := mem.NewCache(cfg.L2, a.dram)
-	if err != nil {
-		return nil, err
-	}
-	a.l2 = l2
+	a.l2 = mem.NewCache(cfg.L2, a.dram)
 	// The system scheduler statically dispatches root vertices to PEs in
 	// chunked round-robin order (§3.1: PEs explore "the assigned root
 	// vertices"). Static assignment is what makes end-of-run load
@@ -284,16 +320,9 @@ func NewShared(g *graph.Graph, s *pattern.Schedule, cfg Config, eng *sim.Engine,
 
 	for i := 0; i < cfg.NumPEs; i++ {
 		l2path := a.noc.NewPath(a.l2)
-		p, err := pe.New(i, a.eng, cfg.PE, a.w, l2path)
-		if err != nil {
-			return nil, err
-		}
+		p := pe.New(i, a.eng, cfg.PE, a.w, l2path)
 		toks := policy.NewTokens(i, cfg.NumPEs, s.Depth(), cfg.TokensPerDepth)
-		pol, err := a.buildPolicy(p, toks, a.peRoots[i])
-		if err != nil {
-			return nil, err
-		}
-		p.SetPolicy(pol)
+		p.SetPolicy(a.buildPolicy(toks, a.peRoots[i]))
 		if cfg.ForceConservative {
 			p.ForceConservative(true)
 		}
@@ -371,7 +400,8 @@ func (a *Accelerator) installPerturb(pr sim.Perturber) {
 	a.noc.SetPerturb(pr)
 }
 
-func (a *Accelerator) buildPolicy(p *pe.PE, toks *policy.Tokens, roots policy.RootSource) (pe.Policy, error) {
+// buildPolicy builds one PE's policy; Validate checked the scheme.
+func (a *Accelerator) buildPolicy(toks *policy.Tokens, roots policy.RootSource) pe.Policy {
 	switch a.cfg.Scheme {
 	case SchemeShogun:
 		tc := a.cfg.Tree
@@ -384,17 +414,15 @@ func (a *Accelerator) buildPolicy(p *pe.PE, toks *policy.Tokens, roots policy.Ro
 			// allotment (§4.2 implementation note).
 			toks.SetCap(1, a.cfg.TokensPerDepth*2)
 		}
-		return t, nil
+		return t
 	case SchemePseudoDFS:
-		return policy.NewPseudoDFS(a.w, toks, roots, a.cfg.PE.Width), nil
+		return policy.NewPseudoDFS(a.w, toks, roots, a.cfg.PE.Width)
 	case SchemeDFS:
-		return policy.NewDFS(a.w, toks, roots), nil
+		return policy.NewDFS(a.w, toks, roots)
 	case SchemeBFS:
-		return policy.NewBFS(a.w, toks, roots), nil
-	case SchemeParallelDFS:
-		return policy.NewParallelDFS(a.w, toks, roots, a.cfg.PE.Width), nil
-	default:
-		return nil, fmt.Errorf("accel: unknown scheme %q", a.cfg.Scheme)
+		return policy.NewBFS(a.w, toks, roots)
+	default: // SchemeParallelDFS
+		return policy.NewParallelDFS(a.w, toks, roots, a.cfg.PE.Width)
 	}
 }
 
@@ -525,12 +553,13 @@ func (a *Accelerator) Budget() sim.Budget {
 	}
 }
 
-// Drained verifies no PE holds unfinished work after the event queue
-// emptied; a stuck policy surfaces as *sim.DeadlockError with the
-// chip's diagnostic snapshot.
+// Drained verifies no PE holds unfinished work or undealt roots after
+// the event queue emptied; a stuck policy, or one that never asked for
+// its roots, surfaces as *sim.DeadlockError with the chip's diagnostic
+// snapshot.
 func (a *Accelerator) Drained() error {
-	for _, p := range a.pes {
-		if p.HasWork() {
+	for i, p := range a.pes {
+		if p.HasWork() || a.peRoots[i].Fed() < len(a.peRoots[i].Vertices) {
 			return &sim.DeadlockError{Op: "accel: run", Snapshot: a.snapshot()}
 		}
 	}

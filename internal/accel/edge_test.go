@@ -177,9 +177,9 @@ func TestMergingDefaultTokens(t *testing.T) {
 // the range has to be built.
 func TestCheckAddressRange(t *testing.T) {
 	cfg := DefaultConfig(SchemeShogun)
-	table3 := []*mem.Cache{mem.MustCache(cfg.PE.L1, nil), mem.MustCache(cfg.L2, nil)}
+	table3 := []*mem.Cache{mem.NewCache(cfg.PE.L1, nil), mem.NewCache(cfg.L2, nil)}
 	// One set of 16 ways: the smallest tag range, 2^31-1 lines.
-	oneSet := []*mem.Cache{mem.MustCache(mem.CacheConfig{Name: "one-set", SizeKB: 1, Ways: 16, HitLat: 1}, nil)}
+	oneSet := []*mem.Cache{mem.NewCache(mem.CacheConfig{Name: "one-set", SizeKB: 1, Ways: 16, HitLat: 1}, nil)}
 	end := int64(1<<31-1) << mem.LineShift // first byte past oneSet's range
 	edge := mem.AddressMap{CSRBase: 1 << 20, InterBase: end - 10*4096, SetStride: 4096}
 	cases := []struct {

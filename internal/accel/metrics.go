@@ -124,6 +124,7 @@ func (a *Accelerator) Metrics() *metrics.Registry {
 		tf.Counter("leaf-tasks", p.LeafTasks)
 		tf.Counter("pruned-fetches", p.PrunedFetches)
 		tf.Counter("embeddings", p.Embeddings)
+		tf.Eq("roots dealt == roots fed", int64(len(a.peRoots[i].Vertices)), int64(a.peRoots[i].Fed()))
 		tok := a.toks[i]
 		tf.Eq("tokens acquired == released + held", tok.Acquired(), tok.Released()+int64(tok.TotalInUse()))
 		tf.Eq("no tokens held at end", int64(tok.TotalInUse()), 0)

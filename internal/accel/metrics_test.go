@@ -1,6 +1,7 @@
 package accel
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -161,5 +162,34 @@ func TestMetricsEnabledByDefault(t *testing.T) {
 	var ve *metrics.VerifyError
 	if !errors.As(err, &ve) {
 		t.Fatalf("run error = %v, want a *metrics.VerifyError", err)
+	}
+}
+
+// TestUndealtRootsAreADeadlock: a chip whose PEs never ask for their
+// roots drains an empty event queue having mined nothing. That is a
+// deadlock, not a count of zero: Drained fails with *sim.DeadlockError,
+// and every PE's "roots dealt == roots fed" identity is violated.
+func TestUndealtRootsAreADeadlock(t *testing.T) {
+	g := gen.RMAT(1024, 6000, 0.6, 0.15, 0.15, 1)
+	a, err := New(g, triSchedule(t), DefaultConfig(SchemeShogun))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The engine runs without Start: no PE is ever kicked.
+	if err := a.Engine().RunGoverned(context.Background(), a.Budget()); err != nil {
+		t.Fatal(err)
+	}
+	var dead *sim.DeadlockError
+	if err := a.Drained(); !errors.As(err, &dead) {
+		t.Errorf("Drained = %v, want a *sim.DeadlockError", err)
+	}
+	var ve *metrics.VerifyError
+	if err := a.VerifyMetrics(); !errors.As(err, &ve) || len(ve.Violations) != len(a.pes) {
+		t.Fatalf("verify = %v, want one violation per PE", err)
+	}
+	for i, v := range ve.Violations {
+		if v.Invariant != "roots dealt == roots fed" {
+			t.Errorf("violation %d = %v, want roots dealt == roots fed", i, v)
+		}
 	}
 }

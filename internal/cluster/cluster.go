@@ -62,7 +62,7 @@ func DefaultConfig(scheme accel.Scheme, chips int) Config {
 // (empty means shogun): a field the file leaves out keeps its default,
 // and a key Config no longer has is ignored. A file without a "Chip"
 // object is refused; a chip-only file would otherwise load, every key
-// unknown, as the default machine.
+// unknown, as the default machine. So is a machine that does not Validate.
 func ParseConfig(b []byte) (Config, error) {
 	var probe struct {
 		Chip *struct{ Scheme accel.Scheme }
@@ -81,7 +81,38 @@ func ParseConfig(b []byte) (Config, error) {
 	if err := json.Unmarshal(b, &cfg); err != nil {
 		return Config{}, fmt.Errorf("cluster: machine config: %w", err)
 	}
+	if err := cfg.Validate(); err != nil {
+		return Config{}, err
+	}
 	return cfg, nil
+}
+
+// Validate is the one machine check: it reports whether the machine can
+// be built, naming the first field that cannot, the cluster's then the
+// chip's (accel.Config.Validate). It needs no graph.
+func (c *Config) Validate() error {
+	if c.Chips < 1 {
+		return fmt.Errorf("cluster: Chips must be at least 1, got %d", c.Chips)
+	}
+	if _, err := ParseMode(string(c.Partition)); err != nil {
+		return err
+	}
+	if c.Interconnect.HopLat < 0 {
+		return fmt.Errorf("cluster: Interconnect.HopLat must be at least 0, got %d", c.Interconnect.HopLat)
+	}
+	if c.steals() && c.Chip.BalancePeriod < 1 {
+		return fmt.Errorf("cluster: stealing needs Chip.BalancePeriod >= 1 cycle, got %d", c.Chip.BalancePeriod)
+	}
+	if err := c.Chip.Validate(); err != nil {
+		return fmt.Errorf("cluster: Chip: %w", err)
+	}
+	return nil
+}
+
+// steals reports whether chip-level stealing runs: it rides the Shogun
+// task tree and needs a second chip.
+func (c *Config) steals() bool {
+	return c.Steal && c.Chip.Scheme == accel.SchemeShogun && c.Chips > 1
 }
 
 // Cluster is N chips on one shared deterministic clock.
@@ -147,27 +178,15 @@ func (c *Cluster) Act(op int, arg any) {
 // sets are the partition's. The graph itself is replicated on every
 // chip (G²Miner's multi-GPU arrangement); only the work is partitioned.
 func New(g *graph.Graph, s *pattern.Schedule, cfg Config) (*Cluster, error) {
-	if cfg.Chips < 1 {
-		return nil, fmt.Errorf("cluster: need at least one chip, got %d", cfg.Chips)
-	}
-	mode, err := ParseMode(string(cfg.Partition))
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg.Partition = mode
+	cfg.Partition, _ = ParseMode(string(cfg.Partition)) // Validate parsed it
 	if cfg.Interconnect.Links <= 0 {
 		cfg.Interconnect.Links = cfg.Chips
 	}
-	if cfg.Chip.Scheme != accel.SchemeShogun || cfg.Chips < 2 {
-		// Chip-level splitting rides the Shogun task tree and needs a
-		// second chip; other schemes run partitioned but cannot migrate
-		// subtrees.
-		cfg.Steal = false
-	}
-	if cfg.Steal && cfg.Chip.BalancePeriod < 1 {
-		return nil, fmt.Errorf("cluster: stealing needs Chip.BalancePeriod >= 1 cycle, got %d", cfg.Chip.BalancePeriod)
-	}
-	part, err := NewPartition(g, mode, cfg.Chips, cfg.PartitionSeed)
+	cfg.Steal = cfg.steals()
+	part, err := NewPartition(g, cfg.Partition, cfg.Chips, cfg.PartitionSeed)
 	if err != nil {
 		return nil, err
 	}

@@ -157,7 +157,7 @@ type cacheStep struct {
 func compareWithReference(t *testing.T, cfg CacheConfig, steps []cacheStep) {
 	t.Helper()
 	var gotP, refP recorder
-	c := MustCache(cfg, &gotP)
+	c := NewCache(cfg, &gotP)
 	ref := newRefCache(cfg, &refP)
 	c.LatHist, ref.LatHist = telemetry.NewHistogram(), telemetry.NewHistogram()
 	var now sim.Time

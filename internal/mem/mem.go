@@ -232,18 +232,27 @@ type Cache struct {
 	LatSum sim.Time
 }
 
-// NewCache builds a cache in front of parent. The line count
-// (SizeKB*1024/64) must be divisible by Ways into a power-of-two set
-// count.
-func NewCache(cfg CacheConfig, parent Level) (*Cache, error) {
+// Validate checks the cache's geometry: the line count (SizeKB*1024/64)
+// must be divisible by Ways into a power-of-two set count.
+func (cfg CacheConfig) Validate() error {
 	lines := cfg.SizeKB * 1024 / LineBytes
 	if cfg.Ways <= 0 || lines%cfg.Ways != 0 {
-		return nil, fmt.Errorf("mem: cache %s: %d lines not divisible by %d ways", cfg.Name, lines, cfg.Ways)
+		return fmt.Errorf("mem: cache %s: %d lines not divisible by %d ways", cfg.Name, lines, cfg.Ways)
 	}
+	if sets := lines / cfg.Ways; sets < 1 || sets&(sets-1) != 0 {
+		return fmt.Errorf("mem: cache %s: set count %d not a power of two", cfg.Name, sets)
+	}
+	return nil
+}
+
+// NewCache builds a cache in front of parent. cfg must Validate (a
+// machine's check does it for every cache first); NewCache panics if not.
+func NewCache(cfg CacheConfig, parent Level) *Cache {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	lines := cfg.SizeKB * 1024 / LineBytes
 	sets := lines / cfg.Ways
-	if sets&(sets-1) != 0 {
-		return nil, fmt.Errorf("mem: cache %s: set count %d not a power of two", cfg.Name, sets)
-	}
 	c := &Cache{
 		cfg:     cfg,
 		setBits: uint(bits.TrailingZeros(uint(sets))),
@@ -253,15 +262,6 @@ func NewCache(cfg CacheConfig, parent Level) (*Cache, error) {
 	}
 	if cfg.MSHRs > 0 {
 		c.mshrs = sim.NewPool(cfg.Name+"-mshr", cfg.MSHRs)
-	}
-	return c, nil
-}
-
-// MustCache is NewCache for static configurations.
-func MustCache(cfg CacheConfig, parent Level) *Cache {
-	c, err := NewCache(cfg, parent)
-	if err != nil {
-		panic(err)
 	}
 	return c
 }

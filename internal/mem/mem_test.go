@@ -39,11 +39,7 @@ func contains(c *Cache, addr int64) bool {
 func smallCache(t *testing.T, parent Level) *Cache {
 	t.Helper()
 	// 4 KB, 4-way, 64B lines => 64 lines, 16 sets.
-	c, err := NewCache(CacheConfig{Name: "t", SizeKB: 4, Ways: 4, HitLat: 2, WriteAllocNoFetch: true}, parent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
+	return NewCache(CacheConfig{Name: "t", SizeKB: 4, Ways: 4, HitLat: 2, WriteAllocNoFetch: true}, parent)
 }
 
 func TestCacheHitMiss(t *testing.T) {
@@ -118,12 +114,28 @@ func TestCacheDirtyWriteback(t *testing.T) {
 	}
 }
 
+// TestCacheConfigValidation: Validate refuses a geometry NewCache cannot
+// build, and NewCache panics on one rather than build it.
 func TestCacheConfigValidation(t *testing.T) {
-	if _, err := NewCache(CacheConfig{Name: "bad", SizeKB: 4, Ways: 3, HitLat: 1}, &flat{}); err == nil {
-		t.Error("accepted non-divisible ways")
-	}
-	if _, err := NewCache(CacheConfig{Name: "bad", SizeKB: 6, Ways: 4, HitLat: 1}, &flat{}); err == nil {
-		t.Error("accepted non-power-of-two sets")
+	for _, c := range []struct {
+		name string
+		cfg  CacheConfig
+	}{
+		{"non-divisible ways", CacheConfig{Name: "bad", SizeKB: 4, Ways: 3, HitLat: 1}},
+		{"non-power-of-two sets", CacheConfig{Name: "bad", SizeKB: 6, Ways: 4, HitLat: 1}},
+		{"no sets", CacheConfig{Name: "bad", SizeKB: 0, Ways: 4, HitLat: 1}},
+	} {
+		if err := c.cfg.Validate(); err == nil {
+			t.Errorf("Validate accepted %s", c.name)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewCache built %s", c.name)
+				}
+			}()
+			NewCache(c.cfg, &flat{})
+		}()
 	}
 }
 
@@ -295,10 +307,7 @@ func TestMSHRBoundsMissParallelism(t *testing.T) {
 	// With 2 MSHRs and a 100-cycle parent, 6 concurrent misses must
 	// serialize into 3 waves.
 	f := &flat{lat: 100}
-	c, err := NewCache(CacheConfig{Name: "m", SizeKB: 4, Ways: 4, HitLat: 2, MSHRs: 2}, f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := NewCache(CacheConfig{Name: "m", SizeKB: 4, Ways: 4, HitLat: 2, MSHRs: 2}, f)
 	var last sim.Time
 	for i := int64(0); i < 6; i++ {
 		if d := c.Access(0, i<<LineShift, false); d > last {
@@ -311,7 +320,7 @@ func TestMSHRBoundsMissParallelism(t *testing.T) {
 	}
 	// Unbounded MSHRs: all in parallel.
 	f2 := &flat{lat: 100}
-	c2, _ := NewCache(CacheConfig{Name: "m2", SizeKB: 4, Ways: 4, HitLat: 2}, f2)
+	c2 := NewCache(CacheConfig{Name: "m2", SizeKB: 4, Ways: 4, HitLat: 2}, f2)
 	last = 0
 	for i := int64(0); i < 6; i++ {
 		if d := c2.Access(0, i<<LineShift, false); d > last {
@@ -333,8 +342,8 @@ func TestMSHRBoundsMissParallelism(t *testing.T) {
 func TestFoldHitsMatchesPerAccessObserve(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	dram := NewDRAM(DefaultDRAMConfig())
-	l2 := MustCache(CacheConfig{Name: "l2", SizeKB: 16, Ways: 4, HitLat: 18, WriteAllocNoFetch: true}, dram)
-	l1 := MustCache(CacheConfig{Name: "l1", SizeKB: 4, Ways: 4, HitLat: 2, WriteAllocNoFetch: true, MSHRs: 4}, l2)
+	l2 := NewCache(CacheConfig{Name: "l2", SizeKB: 16, Ways: 4, HitLat: 18, WriteAllocNoFetch: true}, dram)
+	l1 := NewCache(CacheConfig{Name: "l1", SizeKB: 4, Ways: 4, HitLat: 2, WriteAllocNoFetch: true, MSHRs: 4}, l2)
 	l1.LatHist, l2.LatHist = telemetry.NewHistogram(), telemetry.NewHistogram()
 	ref := telemetry.NewHistogram()
 	var now sim.Time

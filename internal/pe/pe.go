@@ -239,19 +239,15 @@ type PE struct {
 }
 
 // New builds a PE. l2path serves CSR reads and L1 misses are routed to the
-// provided parent level via the L1 cache built here.
-func New(id int, eng *sim.Engine, cfg Config, w *task.Workload, l2path mem.Level) (*PE, error) {
+// provided parent level via the L1 cache built here (cfg.L1 must Validate).
+func New(id int, eng *sim.Engine, cfg Config, w *task.Workload, l2path mem.Level) *PE {
 	l1cfg := cfg.L1
 	l1cfg.Name = fmt.Sprintf("pe%d-l1", id)
-	l1, err := mem.NewCache(l1cfg, l2path)
-	if err != nil {
-		return nil, err
-	}
 	p := &PE{
 		ID:         id,
 		Eng:        eng,
 		Cfg:        cfg,
-		L1:         l1,
+		L1:         mem.NewCache(l1cfg, l2path),
 		L2Path:     l2path,
 		Slots:      sim.NewSemaphore(fmt.Sprintf("pe%d-slots", id), cfg.Width),
 		SPM:        sim.NewSemaphore(fmt.Sprintf("pe%d-spm", id), cfg.SPMLines),
@@ -265,7 +261,7 @@ func New(id int, eng *sim.Engine, cfg Config, w *task.Workload, l2path mem.Level
 		w:          w,
 		isIdle:     true,
 	}
-	return p, nil
+	return p
 }
 
 // SetPolicy installs the scheduling policy (must be called before Kick).

@@ -24,11 +24,7 @@ func (f flatMem) Access(now sim.Time, addr int64, write bool) sim.Time { return 
 func buildPE(t *testing.T, cfg pe.Config, w *task.Workload) *pe.PE {
 	t.Helper()
 	eng := sim.NewEngine()
-	p, err := pe.New(0, eng, cfg, w, flatMem{lat: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+	return pe.New(0, eng, cfg, w, flatMem{lat: 30})
 }
 
 func runWorkload(t *testing.T, cfg pe.Config, pol func(*task.Workload, *policy.Tokens) pe.Policy, g interface {
@@ -107,10 +103,7 @@ func TestMonitorSamplesAndConservativeMode(t *testing.T) {
 
 	w := task.NewWorkload(g, s, task.NewCandPool(g))
 	eng := sim.NewEngine()
-	p, err := pe.New(0, eng, cfg, w, flatMem{lat: 120})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := pe.New(0, eng, cfg, w, flatMem{lat: 120})
 	tokens := policy.NewTokens(0, 1, s.Depth(), cfg.Width)
 	spy := &conservativeSpy{Policy: policy.NewParallelDFS(w, tokens, policy.AllRoots(g), cfg.Width)}
 	p.SetPolicy(spy)

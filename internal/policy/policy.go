@@ -34,6 +34,9 @@ func (s *SliceRoots) NextRoot() (graph.VertexID, bool) {
 	return v, true
 }
 
+// Fed reports how many roots NextRoot has handed out.
+func (s *SliceRoots) Fed() int { return s.next }
+
 // AllRoots returns a SliceRoots over every vertex of g.
 func AllRoots(g *graph.Graph) *SliceRoots {
 	vs := make([]graph.VertexID, g.NumVertices())

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -556,10 +557,11 @@ func (s *Server) retryAfter() time.Duration {
 }
 
 // handleQuery builds the handler for one query kind. The sequence is:
-// parse (bounded body) → admit (bounded pool + queue, shed on overflow)
-// → resolve graph/schedule through the shared cache → run under the
-// per-request governor → respond. A panic anywhere below the barrier
-// degrades to a 500 for this request only.
+// parse (bounded body; the machine validated and under its ceilings) →
+// admit (bounded pool + queue, shed on overflow) → resolve
+// graph/schedule through the shared cache → run under the per-request
+// governor → respond. A panic anywhere below the barrier degrades to a
+// 500 for this request only.
 func (s *Server) handleQuery(op Op) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		arrived := time.Now()
@@ -587,7 +589,7 @@ func (s *Server) handleQuery(op Op) http.HandlerFunc {
 			s.writeError(w, op, sp, badRequestf("use POST (got %s)", r.Method))
 			return
 		}
-		req, err := s.parseRequest(w, r)
+		req, machine, err := s.parseRequest(w, r)
 		if err != nil {
 			s.writeError(w, op, sp, err)
 			return
@@ -605,7 +607,7 @@ func (s *Server) handleQuery(op Op) http.HandlerFunc {
 		s.queueWait.Observe(admitted.Sub(arrived).Microseconds())
 		defer func() { s.adm.Release(time.Since(admitted)) }()
 
-		resp, err := s.execute(r.Context(), op, req, sp)
+		resp, err := s.execute(r.Context(), op, req, machine, sp)
 		if err != nil {
 			s.writeError(w, op, sp, err)
 			return
@@ -623,8 +625,11 @@ func (s *Server) handleQuery(op Op) http.HandlerFunc {
 	}
 }
 
-// parseRequest decodes the bounded JSON body.
-func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (*Request, error) {
+// parseRequest decodes the bounded JSON body and builds the machine a
+// simulate runs (every op's machine fields are judged), so a request
+// whose machine cannot be built or is over a ceiling is answered before
+// it is admitted and before its upload is parsed, built or cached.
+func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (*Request, cluster.Config, error) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
@@ -632,33 +637,31 @@ func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (*Request,
 	if err := dec.Decode(&req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			return nil, badRequestf("body exceeds %d byte limit", tooBig.Limit)
+			return nil, cluster.Config{}, badRequestf("body exceeds %d byte limit", tooBig.Limit)
 		}
-		return nil, badRequestf("malformed JSON body: %v", err)
+		return nil, cluster.Config{}, badRequestf("malformed JSON body: %v", err)
 	}
 	if (req.Dataset == "") == (req.Graph == "") {
-		return nil, badRequestf("exactly one of \"dataset\" or \"graph\" is required")
+		return nil, cluster.Config{}, badRequestf("exactly one of \"dataset\" or \"graph\" is required")
 	}
 	if (req.Pattern == "") == (req.PatternEdges == "") {
-		return nil, badRequestf("exactly one of \"pattern\" or \"pattern_edges\" is required")
+		return nil, cluster.Config{}, badRequestf("exactly one of \"pattern\" or \"pattern_edges\" is required")
 	}
 	if req.Budget.MaxEvents < 0 || req.Budget.DeadlineCycles < 0 || req.Budget.MaxWallMS < 0 {
-		return nil, badRequestf("budget values must be non-negative")
+		return nil, cluster.Config{}, badRequestf("budget values must be non-negative")
 	}
-	if err := checkShape(&req); err != nil {
-		return nil, err
+	machine, err := s.machine(&req)
+	if err != nil {
+		return nil, cluster.Config{}, err
 	}
-	if _, err := cluster.ParseMode(req.Partition); err != nil {
-		return nil, badRequestf("%v", err)
-	}
-	return &req, nil
+	return &req, machine, nil
 }
 
 // Machine-shape ceilings of a simulate request. cluster.New builds every
 // chip and PE up front, so an unbounded shape is an unbounded
-// allocation; checkShape refuses one before anything is built. They
-// admit every shape the repository runs: 40 PEs in the PE-scaling sweep,
-// 16 chips in the cluster sweep and the benchmark, width 16 in the
+// allocation; machine refuses one before anything is built. They admit
+// every shape the repository runs: 40 PEs in the PE-scaling sweep, 16
+// chips in the cluster sweep and the benchmark, width 16 in the
 // ablation. DESIGN "Multi-chip scale-out" gives the largest admitted
 // machine's measured footprint.
 const (
@@ -667,24 +670,6 @@ const (
 	maxMachinePEs = 256 // chips × PEs per chip
 	maxWidth      = 32
 )
-
-// checkShape rejects a negative machine shape as a bad request and one
-// over a ceiling as too large. A zero field takes its default (1 chip,
-// the Table 3 chip's PEs), which is what the ceilings count.
-func checkShape(req *Request) error {
-	if req.Chips < 0 || req.PEs < 0 || req.Width < 0 {
-		return badRequestf("chips, pes and width must be non-negative (got %d, %d, %d)", req.Chips, req.PEs, req.Width)
-	}
-	chips, pes := max(req.Chips, 1), req.PEs
-	if pes == 0 {
-		pes = accel.DefaultConfig(accel.SchemeShogun).NumPEs
-	}
-	if chips > maxChips || pes > maxChipPEs || chips*pes > maxMachinePEs || req.Width > maxWidth {
-		return tooLargef("%d chips × %d PEs at width %d is over the limits of %d chips, %d PEs a chip, %d PEs a machine and width %d",
-			chips, pes, req.Width, maxChips, maxChipPEs, maxMachinePEs, maxWidth)
-	}
-	return nil
-}
 
 // resolveGraph returns the request's graph through the shared cache.
 func (s *Server) resolveGraph(req *Request) (cachedGraph, error) {
@@ -796,11 +781,12 @@ func (s *Server) wallBudget(b Budget) time.Duration {
 	return wall
 }
 
-// execute resolves inputs and runs one admitted query under its budget.
-// Phase accounting: graph resolution (cache lookup or single-flight
-// build), schedule resolution, then the governed run under pprof labels
-// so CPU profiles attribute samples by endpoint and pattern.
-func (s *Server) execute(reqCtx context.Context, op Op, req *Request, sp *obs.Span) (*Response, error) {
+// execute resolves inputs and runs one admitted query under its budget;
+// a simulate runs machine. Phase accounting: graph resolution (cache
+// lookup or single-flight build), schedule resolution, then the governed
+// run under pprof labels so CPU profiles attribute samples by endpoint
+// and pattern.
+func (s *Server) execute(reqCtx context.Context, op Op, req *Request, machine cluster.Config, sp *obs.Span) (*Response, error) {
 	sp.To(obs.PhaseGraph)
 	cg, err := s.resolveGraph(req)
 	if err != nil {
@@ -836,7 +822,7 @@ func (s *Server) execute(reqCtx context.Context, op Op, req *Request, sp *obs.Sp
 				resp.LinesPerTask = res.AvgIntermediateLinesPerTask()
 			}
 		case OpSimulate:
-			res, err := s.simulate(ctx, req, cg.g, sched, sp)
+			res, err := s.simulate(ctx, machine, cg.g, sched, sp)
 			if err != nil {
 				return s.refineCancel(ctx, reqCtx, err)
 			}
@@ -892,41 +878,40 @@ func (s *Server) refineCancel(workCtx, reqCtx context.Context, err error) error 
 	}
 }
 
-// simConfig builds the simulated machine's config from the request's
-// shape knobs and clamped budgets: req.Chips copies (default 1) of the
-// chip, root space split by the request's partition.
-func (s *Server) simConfig(req *Request) cluster.Config {
-	scheme := accel.Scheme(req.Scheme)
-	if req.Scheme == "" {
-		scheme = accel.SchemeShogun
-	}
-	cfg := cluster.DefaultConfig(scheme, max(req.Chips, 1))
-	cfg.Partition = cluster.Mode(req.Partition)
+// machine builds the simulated machine's config from the request's
+// shape knobs and clamped budgets: the Table 3 chip on one chip, with
+// every nonzero knob written over it (a zero one keeps its default).
+// The machine must Validate (a 400) and then fit the shape ceilings (a
+// 413), which count the resolved chips, PEs and width.
+func (s *Server) machine(req *Request) (cluster.Config, error) {
+	cfg := cluster.DefaultConfig(cmp.Or(accel.Scheme(req.Scheme), accel.SchemeShogun), cmp.Or(req.Chips, 1))
+	cfg.Partition = cmp.Or(cluster.Mode(req.Partition), cfg.Partition)
 	cfg.PartitionSeed = req.PartitionSeed
 	chip := &cfg.Chip
-	if req.PEs > 0 {
-		chip.NumPEs = req.PEs
-	}
-	if req.Width > 0 {
+	chip.NumPEs = cmp.Or(req.PEs, chip.NumPEs)
+	if req.Width != 0 {
 		chip.SetWidth(req.Width)
 	}
 	chip.EnableSplitting = req.Split
 	chip.EnableMerging = req.Merge
 	chip.MaxEvents = clampBudget(req.Budget.MaxEvents, s.cfg.MaxEvents)
-	if req.Budget.DeadlineCycles > 0 {
-		chip.Deadline = sim.Time(req.Budget.DeadlineCycles)
+	chip.Deadline = sim.Time(req.Budget.DeadlineCycles)
+	chip.SampleEvery = sim.Time(s.sampleEvery) // 0 when sampling is off
+	if err := cfg.Validate(); err != nil {
+		return cluster.Config{}, badRequestf("%v", err)
 	}
-	if s.sampleEvery > 0 {
-		chip.SampleEvery = sim.Time(s.sampleEvery)
+	chips, pes := cfg.Chips, chip.NumPEs
+	if chips > maxChips || pes > maxChipPEs || chips*pes > maxMachinePEs || chip.PE.Width > maxWidth {
+		return cluster.Config{}, tooLargef("%d chips × %d PEs at width %d is over the limits of %d chips, %d PEs a chip, %d PEs a machine and width %d",
+			chips, pes, chip.PE.Width, maxChips, maxChipPEs, maxMachinePEs, maxWidth)
 	}
-	return cfg
+	return cfg, nil
 }
 
-// simulate runs the request's machine under its clamped budgets. One
-// chip is the 1-chip cluster; cross-chip conservation identities verify
-// on every run.
-func (s *Server) simulate(ctx context.Context, req *Request, g *graph.Graph, sched *pattern.Schedule, sp *obs.Span) (*cluster.Result, error) {
-	cfg := s.simConfig(req)
+// simulate runs the request's machine, built and validated by
+// parseRequest, under its clamped budgets. One chip is the 1-chip
+// cluster; cross-chip conservation identities verify on every run.
+func (s *Server) simulate(ctx context.Context, cfg cluster.Config, g *graph.Graph, sched *pattern.Schedule, sp *obs.Span) (*cluster.Result, error) {
 	cl, err := cluster.New(g, sched, cfg)
 	if err != nil {
 		return nil, badRequestf("%v", err)

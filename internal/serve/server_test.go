@@ -159,7 +159,11 @@ func TestServeSimulateOneMachinePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := accel.New(g, sched, s.simConfig(&req).Chip)
+	machine, err := s.machine(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := accel.New(g, sched, machine.Chip)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,6 +244,26 @@ func TestServeMachineShapeLimits(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/readyz = %d after hostile shapes", resp.StatusCode)
+	}
+}
+
+// TestServeRefusesMachineBeforeAdmission: a simulate whose machine
+// cannot be built (an unknown scheme) is a 400 answered at parse time,
+// so it is never admitted and its upload is never parsed, built or
+// cached.
+func TestServeRefusesMachineBeforeAdmission(t *testing.T) {
+	s, base := testServer(t, Config{})
+	before := s.adm.Stats().Admitted
+	req := Request{Graph: "0 1\n0 2\n1 2\n", Pattern: "tc", Scheme: "nope"}
+	status, _, e, _ := post(t, base+"/v1/simulate", req)
+	if status != http.StatusBadRequest || e.Kind != "bad_request" || !strings.Contains(e.Error, `unknown Scheme "nope"`) {
+		t.Fatalf("status %d kind %q (%s), want 400 bad_request naming the scheme", status, e.Kind, e.Error)
+	}
+	if after := s.adm.Stats().Admitted; after != before {
+		t.Errorf("admitted %d -> %d, want the refused request never admitted", before, after)
+	}
+	if st := s.graphs.Stats(); st.Entries != 0 || st.Misses != 0 {
+		t.Errorf("the refused request's upload reached the graph cache: %+v", st)
 	}
 }
 
